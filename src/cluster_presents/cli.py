@@ -23,12 +23,14 @@ from pathlib import Path
 from . import __version__
 from .coset import (
     DEFAULT_COSET_CAP,
+    _auto_strategy,
     coset_enumerate,
     group_order,
     verify_mutation_isomorphism,
     weyl_order,
 )
 from .diagram import (
+    DEFAULT_CLASS_CAP,
     Diagram,
     DiagramError,
     MutationClassOverflow,
@@ -71,9 +73,6 @@ from .roots import (
     simple_root_basis,
 )
 
-CLASS_CAP = 50_000
-
-
 def _die(message: str) -> "None":
     print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
@@ -90,15 +89,26 @@ def _digest(path: str, text: str) -> dict:
     return {"path": path, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def _at_least_one(value: int, name: str) -> int:
+    if value < 1:
+        _die(f"{name} must be at least 1, not {value}")
+    return value
+
+
+def _class_cap(args) -> int:
+    return DEFAULT_CLASS_CAP if args.cap is None else _at_least_one(args.cap, "--cap")
+
+
 def _coset_cap(args) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
+    if args.cap is not None:
+        return _at_least_one(args.cap, "--cap")
     env = os.environ.get("CLUSTER_PRESENTS_CAP")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             _die(f"CLUSTER_PRESENTS_CAP must be an integer, not {env!r}")
+        return _at_least_one(cap, "CLUSTER_PRESENTS_CAP")
     return DEFAULT_COSET_CAP
 
 
@@ -183,7 +193,7 @@ def _cmd_diagram_mutate(args, argv) -> int:
 def _cmd_diagram_class(args, argv) -> int:
     diagram = _load_diagram_like(args.file)
     try:
-        mclass = mutation_class(diagram, cap=args.cap or CLASS_CAP)
+        mclass = mutation_class(diagram, cap=_class_cap(args))
     except NotFiniteTypeError as exc:
         print(f"error: not of finite type: {exc}", file=sys.stderr)
         return 1
@@ -206,7 +216,7 @@ def _cmd_diagram_class(args, argv) -> int:
 def _cmd_diagram_type(args, argv) -> int:
     diagram = _load_diagram_like(args.file)
     try:
-        label = identify_dynkin_type(mutation_class(diagram, cap=args.cap or CLASS_CAP))
+        label = identify_dynkin_type(mutation_class(diagram, cap=_class_cap(args)))
     except (NotFiniteTypeError, MutationClassOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -338,17 +348,13 @@ def _cmd_verify_mutation(args, argv) -> int:
     return 0 if verdict == "pass" else 1
 
 
-def _auto_strategy(rank: int) -> str:
-    return "direct" if rank <= 5 else "tower"
-
-
 def _cmd_verify_type(args, argv) -> int:
     from .coset import CosetCapExceeded
 
     diagram = _load_diagram_like(args.file)
     cap = _coset_cap(args)
     try:
-        mclass = mutation_class(diagram, cap=CLASS_CAP)
+        mclass = mutation_class(diagram)
     except (NotFiniteTypeError, MutationClassOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -392,6 +398,14 @@ def _cmd_theorem_a(args, argv) -> int:
 
     started = time.monotonic()
     cap = _coset_cap(args)
+    count = None
+    if args.sample != "all":
+        try:
+            count = int(args.sample)
+        except ValueError:
+            count = -1
+        if count < 0:
+            _die(f"--sample must be 'all' or a nonnegative integer, not {args.sample!r}")
     if os.path.exists(args.target):
         text = _read_file(args.target)
         inputs = _digest(args.target, text)
@@ -405,7 +419,7 @@ def _cmd_theorem_a(args, argv) -> int:
         diagram = dynkin.standard_diagram(label)
 
     try:
-        mclass = mutation_class(diagram, cap=CLASS_CAP)
+        mclass = mutation_class(diagram)
     except (NotFiniteTypeError, MutationClassOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -415,11 +429,9 @@ def _cmd_theorem_a(args, argv) -> int:
     expected = weyl_order(label)
 
     indices = list(range(len(mclass.members)))
-    if args.sample != "all":
-        count = int(args.sample)
-        if count < len(indices):
-            rng = random.Random(args.seed)
-            indices = sorted(rng.sample(indices, count))
+    if count is not None and count < len(indices):
+        rng = random.Random(args.seed)
+        indices = sorted(rng.sample(indices, count))
 
     members = []
     any_fail = False
@@ -461,6 +473,8 @@ def _seed_basis_path(target: ExchangeMatrix, label: str, limit: int = 100_000):
         _die(f"type {label} has rank {seed.n}, matrix has rank {target.n}")
     start = seed.entries
     goal = target.entries
+    if goal == start:
+        return []
     parents: dict = {start: None}
     queue = [start]
     matrices = {start: seed}
@@ -483,8 +497,6 @@ def _seed_basis_path(target: ExchangeMatrix, label: str, limit: int = 100_000):
                     return list(reversed(path))
                 nxt.append(child.entries)
         queue = nxt
-    if goal == start:
-        return []
     _die(f"matrix is not reachable from the standard {label} seed (searched {len(parents)} seeds)")
 
 

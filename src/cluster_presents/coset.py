@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from math import prod
 
+from . import dynkin
 from .diagram import Diagram
 from .presentation import Presentation, Relation, Word, full_presentation, mutation_witness_words, inverse_mutation_witness_words
 
@@ -218,6 +219,11 @@ def _restrict(presentation: Presentation, m: int) -> Presentation:
     return Presentation(m, kept)
 
 
+def _auto_strategy(rank: int) -> str:
+    """Enumerate directly up to rank 5, through the parabolic tower above it."""
+    return "direct" if rank <= 5 else "tower"
+
+
 def group_order(presentation: Presentation, strategy: str = "direct", cap: int = DEFAULT_COSET_CAP, stats: dict | None = None) -> int:
     """Order of the presented group; raises CosetCapExceeded on overflow.
 
@@ -366,18 +372,26 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     )
 
 
-@lru_cache(maxsize=None)
-def _weyl_order_normalized(label: str) -> int:
-    from . import dynkin
-
-    _, rank = dynkin.parse_label(label)
-    pres = full_presentation(dynkin.standard_diagram(label))
-    strategy = "direct" if rank <= 5 else "tower"
-    return group_order(pres, strategy)
+# Degrees of the basic invariants of the exceptional Weyl groups (Humphreys,
+# "Reflection Groups and Coxeter Groups", table 3.1).
+_EXCEPTIONAL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+    "G2": (2, 6),
+}
 
 
 def weyl_order(label: str) -> int:
-    """Order of the Weyl group of the given type, by enumeration (cached)."""
-    from . import dynkin
-
-    return _weyl_order_normalized(dynkin.normalize_label(label))
+    """Order of the Weyl group of the given type: the product of the degrees of its basic invariants."""
+    family, rank = dynkin.parse_label(label)
+    if family == "A":
+        degrees = range(2, rank + 2)
+    elif family in ("B", "C", "B/C"):
+        degrees = range(2, 2 * rank + 1, 2)
+    elif family == "D":
+        degrees = (*range(2, 2 * rank - 1, 2), rank)
+    else:
+        degrees = _EXCEPTIONAL_DEGREES[f"{family}{rank}"]
+    return prod(degrees)

@@ -227,10 +227,7 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
             if i == k or j == k:
                 row.append(-old[i][j])
             else:
-                num = abs(old[i][k]) * old[k][j] + old[i][k] * abs(old[k][j])
-                if num % 2 != 0:
-                    raise ArithmeticError("mutation increment is not even")  # unreachable
-                row.append(old[i][j] + num // 2)
+                row.append(old[i][j] + (abs(old[i][k]) * old[k][j] + old[i][k] * abs(old[k][j])) // 2)
         new.append(row)
     return ExchangeMatrix(new, symmetriser=B.symmetriser)
 
@@ -270,71 +267,35 @@ def is_quasi_cartan_companion(A: QuasiCartanMatrix, B: ExchangeMatrix) -> bool:
     return True
 
 
-def _bareiss_minors(rows: list[list[int]]) -> list[int]:
-    """Leading principal minors of an integer matrix by fraction-free elimination.
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by row-pivoted Bareiss elimination.
 
-    Returns [det M_1, det M_2, ..., det M_n] where M_k is the top-left k x k
-    block.  All divisions in the Bareiss recurrence are exact.
+    Every division in the recurrence is exact.  A row swap flips the sign, and
+    a column without a nonzero pivot makes the determinant 0.
     """
-    n = len(rows)
-    a = [list(r) for r in rows]
-    minors: list[int] = []
+    a = [list(r) for r in _freeze(rows)]
+    n = len(a)
+    sign = 1
     prev = 1
     for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
         pivot = a[k][k]
-        if pivot == 0:
-            # The leading block is singular; its minor (and the pivot used
-            # below) is zero, and subsequent minors require a fresh expansion.
-            minors.append(0)
-            minors.extend(_det_expansion(rows, m) for m in range(k + 2, n + 1))
-            return minors
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        minors.append(pivot)
         prev = pivot
-    return minors
-
-
-def _det_expansion(rows: Sequence[Sequence[int]], m: int) -> int:
-    """Exact determinant of the top-left m x m block via cofactor expansion.
-
-    Only used as a fallback when Bareiss hits a zero pivot; m stays small
-    (rank <= 10) so the cost is irrelevant.
-    """
-    sub = [list(r[:m]) for r in rows[:m]]
-
-    def det(mat: list[list[int]]) -> int:
-        size = len(mat)
-        if size == 0:
-            return 1
-        if size == 1:
-            return mat[0][0]
-        total = 0
-        for col in range(size):
-            if mat[0][col] == 0:
-                continue
-            minor = [row[:col] + row[col + 1:] for row in mat[1:]]
-            term = mat[0][col] * det(minor)
-            total += term if col % 2 == 0 else -term
-        return total
-
-    return det(sub)
-
-
-def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix."""
-    frozen = _freeze(rows)
-    if len(frozen) == 0:
-        return 1
-    return _bareiss_minors([list(r) for r in frozen])[-1]
+    return sign * prev
 
 
 def leading_principal_minors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Exact leading principal minors det M_1, ..., det M_n."""
     frozen = _freeze(rows)
-    return tuple(_bareiss_minors([list(r) for r in frozen]))
+    return tuple(determinant([r[:m] for r in frozen[:m]]) for m in range(1, len(frozen) + 1))
 
 
 def is_positive(A: QuasiCartanMatrix) -> bool:
@@ -346,7 +307,7 @@ def is_positive(A: QuasiCartanMatrix) -> bool:
     """
     d = A.symmetriser
     sym = [[d[i] * A.entries[i][j] for j in range(A.n)] for i in range(A.n)]
-    return all(m > 0 for m in _bareiss_minors(sym))
+    return all(m > 0 for m in leading_principal_minors(sym))
 
 
 def cycle_sign_condition(A: QuasiCartanMatrix, diagram) -> bool:

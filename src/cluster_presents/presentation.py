@@ -113,12 +113,18 @@ def _checked_cycles(diagram: Diagram) -> tuple[ChordlessCycle, ...]:
     return chordless_cycles(diagram)
 
 
-def full_presentation(diagram: Diagram) -> Presentation:
-    """All relations: involutions, pairwise orders, and every cycle rotation."""
+def _involution_and_braid_relations(diagram: Diagram) -> list[Relation]:
+    """R1 for every vertex, then R2 for every pair i < j in lexicographic order."""
     rels = [Relation((i,), 2, "R1") for i in range(diagram.n)]
     for i in range(diagram.n):
         for j in range(i + 1, diagram.n):
             rels.append(Relation((i, j), bond_order(diagram.weight_between(i, j)), "R2"))
+    return rels
+
+
+def full_presentation(diagram: Diagram) -> Presentation:
+    """All relations: involutions, pairwise orders, and every cycle rotation."""
+    rels = _involution_and_braid_relations(diagram)
     for cycle in _checked_cycles(diagram):
         d = len(cycle.vertices)
         plain = all(w == 1 for w in cycle.weights)
@@ -132,10 +138,7 @@ def full_presentation(diagram: Diagram) -> Presentation:
 
 def reduced_presentation(diagram: Diagram) -> Presentation:
     """One exponent-2 cycle relation per cycle, anchored at an admissible rotation."""
-    rels = [Relation((i,), 2, "R1") for i in range(diagram.n)]
-    for i in range(diagram.n):
-        for j in range(i + 1, diagram.n):
-            rels.append(Relation((i, j), bond_order(diagram.weight_between(i, j)), "R2"))
+    rels = _involution_and_braid_relations(diagram)
     for cycle in _checked_cycles(diagram):
         d = len(cycle.vertices)
         plain = all(w == 1 for w in cycle.weights)

@@ -4,7 +4,7 @@ Vectors are integer coordinate tuples over the simple roots of a fixed type.
 With cartan[i][j] = 2(a_i, a_j)/(a_i, a_i) and d_i = (a_i, a_i)/2, the
 symmetric form is (v, w) = sum_ij v_i d_i cartan[i][j] w_j and the simple
 reflection s_i subtracts (cartan row i) . v from coordinate i.  All values
-stay in exact integer/rational arithmetic.
+stay in exact integer arithmetic.
 
 A companion basis for an exchange matrix B is a Z-basis of the root lattice
 made of roots whose mutual pairings reproduce |B| off the diagonal; it is
@@ -16,7 +16,6 @@ graph, with one switching move that rewires the neighbourhood of a vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant
@@ -112,7 +111,7 @@ def build_root_system(label: str) -> RootSystem:
     )
 
 
-def pairing(system: RootSystem, v, w) -> Fraction:
+def pairing(system: RootSystem, v, w) -> int:
     """The symmetric bilinear form (v, w)."""
     total = 0
     for i in range(system.n):
@@ -121,7 +120,7 @@ def pairing(system: RootSystem, v, w) -> Fraction:
         row = system.cartan[i]
         d = system.symmetriser[i]
         total += v[i] * d * sum(row[j] * w[j] for j in range(system.n))
-    return Fraction(total)
+    return total
 
 
 def copairing(system: RootSystem, v, w) -> int:
@@ -129,10 +128,10 @@ def copairing(system: RootSystem, v, w) -> int:
     ww = pairing(system, w, w)
     if ww == 0:
         raise ValueError("coroot pairing undefined: (w, w) = 0")
-    value = 2 * pairing(system, v, w) / ww
-    if value.denominator != 1:
+    value, remainder = divmod(2 * pairing(system, v, w), ww)
+    if remainder:
         raise ValueError(f"coroot pairing of {tuple(v)} against {tuple(w)} is not integral")
-    return int(value)
+    return value
 
 
 def reflect(system: RootSystem, beta, v) -> Coords:
@@ -316,14 +315,14 @@ def local_switch(graph: SignedGraph, k: int, in_set) -> SignedGraph:
     out_set = nbrs - in_set
 
     edges = {(i, j): s for i, j, s in graph.edges}
+    to_k = {v: edges[(v, k) if v < k else (k, v)] for v in nbrs}
     for i in in_set:
         for j in out_set:
             key = (i, j) if i < j else (j, i)
             if key in edges:
                 del edges[key]
             else:
-                edges[key] = -graph.sign(i, k) * graph.sign(j, k)
+                edges[key] = -to_k[i] * to_k[j]
     for i in in_set:
-        key = (i, k) if i < k else (k, i)
-        edges[key] = -edges[key]
+        edges[(i, k) if i < k else (k, i)] = -to_k[i]
     return SignedGraph(graph.n, tuple((i, j, s) for (i, j), s in edges.items()))

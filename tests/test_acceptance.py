@@ -14,6 +14,7 @@ import pytest
 
 from cluster_presents import dynkin
 from cluster_presents.coset import (
+    _auto_strategy,
     coset_enumerate,
     evaluate_word,
     group_order,
@@ -73,10 +74,6 @@ FOUR_CYCLE = diagram_of(
 )
 
 
-def _strategy(rank: int) -> str:
-    return "direct" if rank <= 5 else "tower"
-
-
 @pytest.fixture(scope="module")
 def classes():
     out = {}
@@ -89,7 +86,7 @@ def classes():
 def reduced_orders(classes):
     return {
         label: [
-            group_order(reduced_presentation(member), _strategy(member.n))
+            group_order(reduced_presentation(member), _auto_strategy(member.n))
             for member in members
         ]
         for label, members in classes.items()
@@ -141,7 +138,7 @@ def test_criterion_01_every_class_member_presents_the_weyl_group(classes, reduce
 def test_criterion_02_full_and_reduced_presentations_agree(classes, reduced_orders):
     for label, members in classes.items():
         for member, reduced_order in zip(members, reduced_orders[label]):
-            full_order = group_order(full_presentation(member), _strategy(member.n))
+            full_order = group_order(full_presentation(member), _auto_strategy(member.n))
             assert full_order == reduced_order, f"{label}: {full_order} != {reduced_order}"
 
 
@@ -162,7 +159,7 @@ def test_criterion_04_opposite_diagram_has_equal_order(classes, reduced_orders):
     for label, members in classes.items():
         for member, order in zip(members, reduced_orders[label]):
             opposite_order = group_order(
-                reduced_presentation(opposite(member)), _strategy(member.n)
+                reduced_presentation(opposite(member)), _auto_strategy(member.n)
             )
             assert opposite_order == order, f"{label}: {opposite_order} != {order}"
 

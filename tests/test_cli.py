@@ -28,6 +28,17 @@ def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def _assert_usage_error(capsys, argv):
+    """The command exits 2 with exactly one `error:` line on stderr and no output."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # ------------------------------------------------------------ matrix / diagram
 
 
@@ -196,6 +207,33 @@ def test_order_rejects_bad_environment_cap(tmp_path, monkeypatch):
     assert err.value.code == 2
 
 
+def test_environment_cap_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    pres_path = _write(tmp_path, "cycle.pres", (DATA / "d4_cycle_full.pres").read_text())
+    for value in ("0", "-3"):
+        monkeypatch.setenv("CLUSTER_PRESENTS_CAP", value)
+        _assert_usage_error(capsys, ["order", pres_path])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["order", "{pres}"],
+        ["verify-mutation", "{mat}", "1"],
+        ["verify-type", "{mat}"],
+        ["theorem-a", "A3"],
+        ["diagram", "class", "{mat}"],
+        ["diagram", "type", "{mat}"],
+    ],
+)
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_a_usage_error(tmp_path, capsys, command, cap):
+    files = {
+        "{pres}": _write(tmp_path, "cycle.pres", (DATA / "d4_cycle_full.pres").read_text()),
+        "{mat}": _write(tmp_path, "cycle.mat", CYCLE_MATRIX),
+    }
+    _assert_usage_error(capsys, [files.get(arg, arg) for arg in command] + ["--cap", cap])
+
+
 def test_verify_mutation_pass(tmp_path, capsys):
     path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
     assert main(["verify-mutation", path, "1"]) == 0
@@ -270,6 +308,15 @@ def test_theorem_a_rejects_unknown_label():
     with pytest.raises(SystemExit) as err:
         main(["theorem-a", "Z9"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("sample", ["x", "2.5", ""])
+def test_theorem_a_rejects_non_integer_sample(capsys, sample):
+    _assert_usage_error(capsys, ["theorem-a", "A3", "--sample", sample])
+
+
+def test_theorem_a_rejects_negative_sample(capsys):
+    _assert_usage_error(capsys, ["theorem-a", "A3", "--sample", "-1"])
 
 
 def test_pipeline_basic_invariants(tmp_path, capsys):

@@ -3,8 +3,8 @@
 Orders produced by the enumerator are checked against two independent sources:
 a breadth-first closure of the permutation group generated by the simple
 reflections acting on the root coordinates (built here straight from the
-Cartan integers), and the closed-form product formulas for the classical
-families.
+Cartan integers), and weyl_order, the product of the degrees of the basic
+invariants, which is itself checked against the classical product formulas.
 """
 
 import math
@@ -15,6 +15,7 @@ import pytest
 from cluster_presents import dynkin
 from cluster_presents.coset import (
     CosetCapExceeded,
+    _auto_strategy,
     check_homomorphism,
     coset_enumerate,
     evaluate_word,
@@ -120,6 +121,12 @@ def test_closed_form_hyperoctahedral_orders():
 def test_closed_form_even_hyperoctahedral_orders():
     for n in range(4, 8):
         assert weyl_order(f"D{n}") == 2 ** (n - 1) * math.factorial(n)
+
+
+@pytest.mark.parametrize("label", ["A7", "B/C6", "D7", "E6", "F4", "G2"])
+def test_tree_presentation_order_is_the_degree_product(label):
+    pres = full_presentation(dynkin.standard_diagram(label))
+    assert group_order(pres, _auto_strategy(pres.n)) == weyl_order(label)
 
 
 def test_cycle_presentation_order_equals_tree_order():

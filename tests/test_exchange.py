@@ -246,6 +246,17 @@ def test_leading_minors_against_fraction_elimination():
         assert list(leading_principal_minors(rows)) == _minors_by_fractions(rows)
 
 
+def test_determinant_with_zero_leading_pivots():
+    # The leading 1x1 and 2x2 blocks are singular, so elimination must swap rows.
+    rng = random.Random(15)
+    for n in (5, 6, 7):
+        for _ in range(6):
+            rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+            rows[0][0] = 0
+            rows[1][0], rows[1][1] = 0, rng.randrange(-3, 4)
+            assert determinant(rows) == _det_by_permutations(rows)
+
+
 def test_minors_with_zero_pivot():
     rows = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
     assert list(leading_principal_minors(rows)) == _minors_by_fractions(rows)

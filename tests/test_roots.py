@@ -196,6 +196,9 @@ def test_copairing_rejects_isotropic_and_marks_nonintegral():
     system = build_root_system("A2")
     with pytest.raises(ValueError):
         copairing(system, (1, 0), (0, 0))
+    # 2 (v, w) / (w, w) = 2 * (-2) / 8 = -1/2
+    with pytest.raises(ValueError, match="not integral"):
+        copairing(system, (0, 1), (2, 0))
 
 
 def test_reflection_preserves_pairing():
