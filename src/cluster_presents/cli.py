@@ -112,6 +112,15 @@ def _coset_cap(args) -> int:
     return DEFAULT_COSET_CAP
 
 
+def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
+    """mutation_class for the commands that enumerate one: a rank beyond the
+    canonical labeling's is an input error."""
+    try:
+        return mutation_class(diagram, cap=cap)
+    except ValueError as exc:
+        _die(str(exc))
+
+
 def _load_diagram_like(path: str) -> Diagram:
     """Accept a diagram file, or a matrix file (converted via its diagram)."""
     text = _read_file(path)
@@ -193,7 +202,7 @@ def _cmd_diagram_mutate(args, argv) -> int:
 def _cmd_diagram_class(args, argv) -> int:
     diagram = _load_diagram_like(args.file)
     try:
-        mclass = mutation_class(diagram, cap=_class_cap(args))
+        mclass = _mutation_class(diagram, _class_cap(args))
     except NotFiniteTypeError as exc:
         print(f"error: not of finite type: {exc}", file=sys.stderr)
         return 1
@@ -216,7 +225,7 @@ def _cmd_diagram_class(args, argv) -> int:
 def _cmd_diagram_type(args, argv) -> int:
     diagram = _load_diagram_like(args.file)
     try:
-        label = identify_dynkin_type(mutation_class(diagram, cap=_class_cap(args)))
+        label = identify_dynkin_type(_mutation_class(diagram, _class_cap(args)))
     except (NotFiniteTypeError, MutationClassOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -321,12 +330,12 @@ def _cmd_verify_mutation(args, argv) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CosetCapExceeded:
+    except CosetCapExceeded as exc:
         _emit_json(
             {
                 "order": None,
                 "strategy": "direct",
-                "cosets_defined": 0,
+                "cosets_defined": exc.cosets_defined,
                 "verdict": "overflow",
             }
         )
@@ -337,7 +346,7 @@ def _cmd_verify_mutation(args, argv) -> int:
             "order": cert.order,
             "mutated_order": cert.mutated_order,
             "strategy": "direct",
-            "cosets_defined": 0,
+            "cosets_defined": cert.cosets_defined,
             "vertex": args.vertex,
             "forward_homomorphism": cert.forward_homomorphism,
             "inverse_homomorphism": cert.inverse_homomorphism,
@@ -354,7 +363,7 @@ def _cmd_verify_type(args, argv) -> int:
     diagram = _load_diagram_like(args.file)
     cap = _coset_cap(args)
     try:
-        mclass = mutation_class(diagram)
+        mclass = _mutation_class(diagram)
     except (NotFiniteTypeError, MutationClassOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -403,9 +412,9 @@ def _cmd_theorem_a(args, argv) -> int:
         try:
             count = int(args.sample)
         except ValueError:
-            count = -1
-        if count < 0:
-            _die(f"--sample must be 'all' or a nonnegative integer, not {args.sample!r}")
+            count = 0
+        if count < 1:
+            _die(f"--sample must be 'all' or a positive integer, not {args.sample!r}")
     if os.path.exists(args.target):
         text = _read_file(args.target)
         inputs = _digest(args.target, text)
@@ -419,7 +428,7 @@ def _cmd_theorem_a(args, argv) -> int:
         diagram = dynkin.standard_diagram(label)
 
     try:
-        mclass = mutation_class(diagram)
+        mclass = _mutation_class(diagram)
     except (NotFiniteTypeError, MutationClassOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,11 +49,16 @@ DEFAULT_COSET_CAP = 2_000_000
 
 
 class CosetCapExceeded(RuntimeError):
-    """Raised when an enumeration would exceed its live-coset cap."""
+    """Raised when an enumeration would exceed its live-coset cap.
 
-    def __init__(self, cap: int):
+    cosets_defined counts the cosets the raising call had defined, over all
+    its enumerations, when the cap stopped it.
+    """
+
+    def __init__(self, cap: int, cosets_defined: int):
         super().__init__(f"coset enumeration exceeded cap of {cap} live cosets")
         self.cap = cap
+        self.cosets_defined = cosets_defined
 
 
 class _Overflow(Exception):
@@ -229,25 +234,25 @@ def group_order(presentation: Presentation, strategy: str = "direct", cap: int =
 
     strategy "direct" enumerates the trivial subgroup; "tower" enumerates the
     subgroup generated by all generators but the last and recurses on the
-    restricted presentation.  stats, if given, accumulates "cosets_defined".
+    restricted presentation.  stats, if given, accumulates "cosets_defined";
+    on overflow the exception carries the same total.
     """
     if presentation.n == 0:
         return 1
+    stats = {} if stats is None else stats
     if strategy == "direct" or presentation.n == 1:
         table = coset_enumerate(presentation, (), cap)
-        if stats is not None:
-            stats["cosets_defined"] = stats.get("cosets_defined", 0) + table.cosets_defined
+        stats["cosets_defined"] = stats.get("cosets_defined", 0) + table.cosets_defined
         if table.status != "complete":
-            raise CosetCapExceeded(cap)
+            raise CosetCapExceeded(cap, stats["cosets_defined"])
         return table.coset_count
     if strategy != "tower":
         raise ValueError(f"unknown strategy {strategy!r}")
     subgroup = [(g,) for g in range(presentation.n - 1)]
     table = coset_enumerate(presentation, subgroup, cap)
-    if stats is not None:
-        stats["cosets_defined"] = stats.get("cosets_defined", 0) + table.cosets_defined
+    stats["cosets_defined"] = stats.get("cosets_defined", 0) + table.cosets_defined
     if table.status != "complete":
-        raise CosetCapExceeded(cap)
+        raise CosetCapExceeded(cap, stats["cosets_defined"])
     return table.coset_count * group_order(_restrict(presentation, presentation.n - 1), "tower", cap, stats)
 
 
@@ -303,6 +308,7 @@ class MutationIsomorphismReport:
     vertex: int
     order: int
     mutated_order: int
+    cosets_defined: int  # by both enumerations
     forward_homomorphism: bool
     inverse_homomorphism: bool
     composition_identity: bool
@@ -332,10 +338,11 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     pres_mut = full_presentation(mutated)
     table = coset_enumerate(pres, (), cap)
     if table.status != "complete":
-        raise CosetCapExceeded(cap)
+        raise CosetCapExceeded(cap, table.cosets_defined)
     table_mut = coset_enumerate(pres_mut, (), cap)
+    cosets_defined = table.cosets_defined + table_mut.cosets_defined
     if table_mut.status != "complete":
-        raise CosetCapExceeded(cap)
+        raise CosetCapExceeded(cap, cosets_defined)
     rep = perm_rep(table)
     rep_mut = perm_rep(table_mut)
 
@@ -365,6 +372,7 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
         vertex=k,
         order=table.coset_count,
         mutated_order=table_mut.coset_count,
+        cosets_defined=cosets_defined,
         forward_homomorphism=fwd_ok,
         inverse_homomorphism=inv_ok,
         composition_identity=comp_ok,

@@ -320,33 +320,35 @@ def validate_finite_type_local(diagram: Diagram) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # canonical labeling
 
-def _edge_code(diagram: Diagram, p: int, q: int, oriented: bool) -> int:
-    w = diagram.weight(p, q)
-    if w:
-        return w
-    w = diagram.weight(q, p)
-    if w:
-        return w if not oriented else w + 4
-    return 0
+_CODE_BASE = 128  # exceeds every edge code (weights <= 100, so codes <= 104)
 
 
-def _refined_order(diagram: Diagram, oriented: bool) -> list[int]:
+def _code_matrix(diagram: Diagram, oriented: bool) -> list[list[int]]:
+    """code[p][q]: w for an edge p -> q of weight w, w + 4 (or w when
+    unoriented) for an edge q -> p, 0 for no edge."""
+    n = diagram.n
+    shift = 4 if oriented else 0
+    code = [[0] * n for _ in range(n)]
+    for i, j, w in diagram.edges:
+        code[i][j] = w
+        code[j][i] = w + shift
+    return code
+
+
+def _refined_order(code: list[list[int]]) -> list[int]:
     """Vertices ordered by an iterated neighbourhood signature.
 
     Only a search-order heuristic: the canonical search below stays correct
-    for any ordering, but starting near the minimum makes the prefix bound
-    prune hard.
+    for any ordering, but meeting the minimum early makes its bound prune
+    hard.
     """
-    n = diagram.n
+    n = len(code)
     rank = [0] * n
     for _ in range(max(1, n)):
-        sigs = []
-        for v in range(n):
-            around = sorted((_edge_code(diagram, v, u, oriented), rank[u])
-                            for u in range(n) if u != v and diagram.weight_between(v, u))
-            sigs.append((rank[v], tuple(around)))
-        order = sorted(set(sigs))
-        new_rank = [order.index(s) for s in sigs]
+        sigs = [(rank[v], tuple(sorted((c, rank[u]) for u, c in enumerate(code[v]) if c)))
+                for v in range(n)]
+        position = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new_rank = [position[s] for s in sigs]
         if new_rank == rank:
             break
         rank = new_rank
@@ -356,49 +358,60 @@ def _refined_order(diagram: Diagram, oriented: bool) -> list[int]:
 def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int], list[int]]:
     """Minimal edge-code sequence over all labelings, with its permutation.
 
-    The encoding lists, for each position q in turn, the codes against the
-    already-placed positions p < q.  A depth-first search over labelings keeps
-    the best (smallest) full encoding; branches are cut as soon as the partial
-    encoding exceeds the best one.  Exhaustive over relabelings, so two
-    diagrams get equal encodings iff they are isomorphic (as weighted oriented
-    graphs, or unoriented when `oriented` is false).
+    The encoding lists, for each position q in turn, the block of codes
+    code[perm[p]][perm[q]] against the already-placed positions p < q.  It is
+    the least encoding over all n! labelings, so two diagrams get equal
+    encodings iff they are isomorphic (as weighted oriented graphs, or
+    unoriented when `oriented` is false).
+
+    Min-block rule: the depth-first search places, at each depth, only the
+    unused vertices whose block is smallest, and cuts a branch as soon as that
+    block exceeds the best encoding's block at the same depth.  This drops no
+    labeling that could be least: every labeling's blocks have the same
+    lengths 0, 1, ..., n-1, so a larger block at depth d loses to a smaller
+    one after the same prefix whatever follows.  Of the least labelings the
+    search returns the first in `_refined_order` order.
+
+    A block is held as one integer, its codes as digits in base _CODE_BASE,
+    which compares like the tuple of codes among blocks of one length.
     """
     n = diagram.n
     if n > MAX_CANONICAL_RANK:
-        raise ValueError(f"canonical form supports rank <= {MAX_CANONICAL_RANK}")
+        raise ValueError(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {n}")
     if diagram.max_weight() > 100:
         raise ValueError("edge weight too large to encode")
-    order = _refined_order(diagram, oriented)
-    best_codes: Optional[list[int]] = None
-    best_perm: Optional[list[int]] = None
+    code = _code_matrix(diagram, oriented)
+    best: list[int] = []  # blocks of the best encoding so far, one per depth
+    best_perm: list[int] = []
+    blocks: list[int] = []
     perm: list[int] = []
-    codes: list[int] = []
-    used = [False] * n
 
-    def dfs() -> None:
-        nonlocal best_codes, best_perm
-        depth = len(perm)
-        if depth == n:
-            if best_codes is None or codes < best_codes:
-                best_codes = codes.copy()
-                best_perm = perm.copy()
+    def search(unused: dict[int, int], bounded: bool) -> None:
+        # unused: block of each unused vertex, in refined order; bounded: the
+        # blocks placed so far equal best[:depth], so best bounds this branch.
+        if not unused:
+            if not bounded:  # strictly below the best so far
+                best[:], best_perm[:] = blocks, perm
             return
-        base = len(codes)
-        for v in order:
-            if used[v]:
+        low = min(unused.values())
+        if bounded:
+            if low > best[len(blocks)]:
+                return
+            bounded = low == best[len(blocks)]
+        blocks.append(low)
+        for v, block in unused.items():
+            if block != low:
                 continue
-            codes.extend(_edge_code(diagram, perm[p], v, oriented) for p in range(depth))
-            if best_codes is None or codes <= best_codes[:len(codes)]:
-                used[v] = True
-                perm.append(v)
-                dfs()
-                perm.pop()
-                used[v] = False
-            del codes[base:]
+            row = code[v]
+            perm.append(v)
+            search({u: b * _CODE_BASE + row[u] for u, b in unused.items() if u != v}, bounded)
+            perm.pop()
+            bounded = True  # the branch just searched left best[:depth + 1] equal to ours
+        blocks.pop()
 
-    dfs()
-    assert best_codes is not None and best_perm is not None
-    return best_codes, best_perm
+    search(dict.fromkeys(_refined_order(code), 0), False)
+    codes = [code[best_perm[p]][best_perm[q]] for q in range(n) for p in range(q)]
+    return codes, best_perm
 
 
 def canonical_form(diagram: Diagram) -> bytes:
@@ -417,13 +430,20 @@ def canonical_form_unoriented(diagram: Diagram) -> bytes:
     return bytes([diagram.n]) + bytes(codes)
 
 
-def canonical_representative(diagram: Diagram) -> tuple[bytes, "Diagram"]:
-    """The canonical form together with a relabeled copy realizing it."""
+def _canonical_labeling(diagram: Diagram) -> tuple[bytes, Diagram, list[int]]:
+    """Canonical form, the relabeled copy realizing it, and the labeling:
+    vertex perm[q] of `diagram` is vertex q of the copy."""
     codes, perm = _canonical_search(diagram, oriented=True)
     position = {old: new for new, old in enumerate(perm)}
     relabeled = Diagram(diagram.n, ((position[i], position[j], w)
                                     for i, j, w in diagram.edges))
-    return bytes([diagram.n]) + bytes(codes), relabeled
+    return bytes([diagram.n]) + bytes(codes), relabeled, perm
+
+
+def canonical_representative(diagram: Diagram) -> tuple[bytes, "Diagram"]:
+    """The canonical form together with a relabeled copy realizing it."""
+    key, relabeled, _ = _canonical_labeling(diagram)
+    return key, relabeled
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +490,34 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
     """BFS closure of a diagram under mutation, deduplicated by canonical form.
 
     Raises NotFiniteTypeError as soon as a member carries a weight > 3 edge or
-    the mutation rule breaks down, and MutationClassOverflow when more than
-    `cap` members appear.  Members are emitted in canonical-string order.
+    the mutation rule breaks down, MutationClassOverflow when more than `cap`
+    members appear, and ValueError above rank MAX_CANONICAL_RANK.  Members are
+    emitted in canonical-string order.
+
+    Back-edge rule: when a member C is first reached from P by mutating at k,
+    k lands on vertex k' = perm.index(k) of C's representative.  Mutation is
+    involutive, so mutating C at k' gives P again; the BFS records the edge
+    (C, k', P) without mutating or canonicalizing.  The edge set is the one
+    that mutating every member at every vertex gives, and no finite-type check
+    is skipped, since the skipped mutation would reproduce P, which passed
+    them.
     """
     if diagram.max_weight() > 3:
         raise NotFiniteTypeError(
             f"edge of weight {diagram.max_weight()} violates 2-finiteness")
-    key0, rep0 = canonical_representative(diagram)
+    key0, rep0, _ = _canonical_labeling(diagram)
     reps: dict[bytes, Diagram] = {key0: rep0}
+    back: dict[bytes, tuple[int, bytes]] = {}  # member -> (k', parent) of the rule above
     raw_edges: set[tuple[bytes, int, bytes]] = set()
     queue: deque[bytes] = deque([key0])
     while queue:
         key = queue.popleft()
         rep = reps[key]
+        skip, parent = back.get(key, (-1, key))
         for k in range(rep.n):
+            if k == skip:
+                raw_edges.add((key, k, parent))
+                continue
             try:
                 child = mutate_diagram(rep, k)
             except DiagramError as exc:
@@ -491,11 +525,12 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
             if child.max_weight() > 3:
                 raise NotFiniteTypeError(
                     f"mutation at {k} produced an edge of weight {child.max_weight()}")
-            ckey, crep = canonical_representative(child)
+            ckey, crep, perm = _canonical_labeling(child)
             if ckey not in reps:
                 if len(reps) >= cap:
                     raise MutationClassOverflow(cap)
                 reps[ckey] = crep
+                back[ckey] = (perm.index(k), key)
                 queue.append(ckey)
             raw_edges.add((key, k, ckey))
     keys = tuple(sorted(reps))

@@ -245,10 +245,19 @@ def test_verify_mutation_pass(tmp_path, capsys):
     assert data["vertex"] == 1
 
 
+def test_verify_mutation_counts_both_enumerations(tmp_path, capsys):
+    path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
+    assert main(["verify-mutation", path, "1"]) == 0
+    data = _json_out(capsys)
+    assert data["cosets_defined"] >= data["order"] + data["mutated_order"]
+
+
 def test_verify_mutation_overflow(tmp_path, capsys):
     path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
     assert main(["verify-mutation", path, "1", "--cap", "10"]) == 1
-    assert _json_out(capsys)["verdict"] == "overflow"
+    data = _json_out(capsys)
+    assert data["verdict"] == "overflow"
+    assert data["cosets_defined"] >= 10  # the cap counts live cosets, each one defined
 
 
 def test_verify_type(tmp_path, capsys):
@@ -317,6 +326,21 @@ def test_theorem_a_rejects_non_integer_sample(capsys, sample):
 
 def test_theorem_a_rejects_negative_sample(capsys):
     _assert_usage_error(capsys, ["theorem-a", "A3", "--sample", "-1"])
+
+
+def test_theorem_a_rejects_zero_sample(capsys):
+    _assert_usage_error(capsys, ["theorem-a", "A3", "--sample", "0"])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["diagram", "class", "{mat}"], ["diagram", "type", "{mat}"], ["verify-type", "{mat}"],
+     ["theorem-a", "{mat}"], ["theorem-a", "A11"]],
+)
+def test_class_commands_reject_rank_above_ten(tmp_path, capsys, command):
+    rows = [[(j == i + 1) - (j == i - 1) for j in range(11)] for i in range(11)]
+    path = _write(tmp_path, "a11.mat", "11\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    _assert_usage_error(capsys, [path if arg == "{mat}" else arg for arg in command])
 
 
 def test_pipeline_basic_invariants(tmp_path, capsys):

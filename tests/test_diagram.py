@@ -318,6 +318,28 @@ def test_canonical_representative_realizes_key():
         assert canonical_form(rep) == key == canonical_form(d)
 
 
+def _min_encoding_bruteforce(d, oriented):
+    """Oracle: the least encoding over all n! labelings, read off the edge weights."""
+    best = None
+    for perm in permutations(range(d.n)):
+        codes = []
+        for q in range(d.n):
+            for p in range(q):
+                forward, backward = d.weight(perm[p], perm[q]), d.weight(perm[q], perm[p])
+                codes.append(forward or (backward + 4 if backward and oriented else backward))
+        if best is None or codes < best:
+            best = codes
+    return bytes([d.n]) + bytes(best)
+
+
+def test_canonical_form_is_the_least_encoding_over_all_labelings():
+    rng = random.Random(27)
+    for _ in range(300):
+        d = _random_diagram(rng, rng.randrange(1, 7))
+        assert canonical_form(d) == _min_encoding_bruteforce(d, oriented=True)
+        assert canonical_form_unoriented(d) == _min_encoding_bruteforce(d, oriented=False)
+
+
 def test_canonical_form_rank_cap():
     big = Diagram(11, [])
     with pytest.raises(ValueError):
@@ -355,6 +377,25 @@ def _class_size_oracle(seed_diagram, cap=100000):
 def test_class_sizes_match_labeled_bfs_oracle(label):
     seed = dynkin.standard_diagram(label)
     assert len(mutation_class(seed)) == _class_size_oracle(seed)
+
+
+# Published class sizes: A_n from Torkildsen's formula, D_n from Buan and
+# Torkildsen (EJC 2009), E6/E7 from the finite-type census.
+@pytest.mark.parametrize("label, size", [
+    ("A3", 4), ("A4", 6), ("A5", 19), ("A6", 49), ("A7", 150),
+    ("D5", 26), ("D6", 80), ("D7", 246), ("E6", 67), ("E7", 416),
+])
+def test_class_sizes_match_published_counts(label, size):
+    assert len(mutation_class(dynkin.standard_diagram(label))) == size
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "B/C4", "F4", "E6"])
+def test_class_edges_are_every_mutation_of_every_member(label):
+    mc = mutation_class(dynkin.standard_diagram(label))
+    index = {key: i for i, key in enumerate(mc.keys)}
+    expected = {(i, k, index[canonical_form(mutate_diagram(member, k))])
+                for i, member in enumerate(mc.members) for k in range(member.n)}
+    assert mc.edges == expected
 
 
 def test_class_is_closed_under_mutation():
