@@ -3,10 +3,15 @@
 Artifact subcommands (matrix, diagram, present, roots, companion, signed-graph,
 switch, export) print the text formats by default and JSON with --json where
 applicable.  Verification subcommands (order, verify-mutation, verify-type,
-theorem-a, pipeline) print a single JSON report and exit 0 exactly when the
-verdict is "pass".  All vertices and generators are 1-based on the command
-line.  The environment variable CLUSTER_PRESENTS_CAP overrides the default
-live-coset cap; an explicit --cap beats both.
+theorem-a, pipeline) print a single JSON report.  All vertices and generators
+are 1-based on the command line.  The environment variable CLUSTER_PRESENTS_CAP
+overrides the default live-coset cap; an explicit --cap beats both.
+
+Exit codes follow one rule.  0: a pass, or the artifact asked for.  1: a
+verdict of fail or overflow, or well-formed input that is not of finite type.
+2: a malformed file, flag, label or vertex, or input beyond the mutation-class
+enumeration (rank above 10, a disconnected diagram).  Whenever no output is
+printed, stderr holds exactly one `error:` line.
 """
 
 from __future__ import annotations
@@ -19,12 +24,13 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
-from . import __version__
+from . import __version__, dynkin
 from .coset import (
     DEFAULT_COSET_CAP,
+    CosetCapExceeded,
     _auto_strategy,
-    coset_enumerate,
     group_order,
     verify_mutation_isomorphism,
     weyl_order,
@@ -73,9 +79,50 @@ from .roots import (
     simple_root_basis,
 )
 
-def _die(message: str) -> "None":
+
+def _die(message: str) -> NoReturn:
     print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one `error:` line and exit 2 (subparsers share the class)."""
+
+    def error(self, message: str) -> NoReturn:
+        _die(message)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --cap: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+
+
+def _sample(text: str) -> str:
+    """argparse type of --sample: 'all' or a positive member count, kept as typed."""
+    try:
+        if text == "all" or int(text) >= 1:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be 'all' or a positive integer, not {text!r}")
+
+
+def _coset_cap(args) -> int:
+    """--cap, else CLUSTER_PRESENTS_CAP, else the default."""
+    env = os.environ.get("CLUSTER_PRESENTS_CAP")
+    if args.cap is not None:
+        return args.cap
+    if not env:
+        return DEFAULT_COSET_CAP
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        _die(f"CLUSTER_PRESENTS_CAP {exc}")
 
 
 def _read_file(path: str) -> str:
@@ -85,52 +132,35 @@ def _read_file(path: str) -> str:
         _die(f"cannot read {path}: {exc.strerror or exc}")
 
 
-def _digest(path: str, text: str) -> dict:
-    return {"path": path, "sha256": hashlib.sha256(text.encode()).hexdigest()}
-
-
-def _at_least_one(value: int, name: str) -> int:
-    if value < 1:
-        _die(f"{name} must be at least 1, not {value}")
-    return value
-
-
-def _class_cap(args) -> int:
-    return DEFAULT_CLASS_CAP if args.cap is None else _at_least_one(args.cap, "--cap")
-
-
-def _coset_cap(args) -> int:
-    if args.cap is not None:
-        return _at_least_one(args.cap, "--cap")
-    env = os.environ.get("CLUSTER_PRESENTS_CAP")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            _die(f"CLUSTER_PRESENTS_CAP must be an integer, not {env!r}")
-        return _at_least_one(cap, "CLUSTER_PRESENTS_CAP")
-    return DEFAULT_COSET_CAP
-
-
-def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
-    """mutation_class for the commands that enumerate one: a rank beyond the
-    canonical labeling's is an input error."""
+def _parse(path: str, text: str, loader):
+    """loader(text); a malformed file is a usage error naming its path."""
     try:
-        return mutation_class(diagram, cap=cap)
-    except ValueError as exc:
-        _die(str(exc))
+        return loader(text)
+    except FormatError as exc:
+        _die(f"{path}: {exc}")
 
 
-def _load_diagram_like(path: str) -> Diagram:
-    """Accept a diagram file, or a matrix file (converted via its diagram)."""
-    text = _read_file(path)
+def _load(path: str, loader):
+    return _parse(path, _read_file(path), loader)
+
+
+def _diagram_or_matrix(text: str) -> Diagram:
+    """A diagram file, or a matrix file taken through its diagram."""
     try:
         return load_diagram(text)
     except FormatError as diagram_err:
         try:
             return diagram_of(load_matrix(text))
-        except FormatError:
-            _die(f"{path}: {diagram_err}")
+        except FormatError as matrix_err:
+            raise FormatError(f"neither a diagram ({diagram_err}) nor a matrix ({matrix_err})") from None
+
+
+def _valid(call, *args):
+    """call(*args); the ValueError by which it refuses its input is a usage error."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        _die(str(exc))
 
 
 def _vertex(diagram_n: int, k: int) -> int:
@@ -139,17 +169,68 @@ def _vertex(diagram_n: int, k: int) -> int:
     return k - 1
 
 
+def _vertex_list(text: str, name: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        _die(f"bad {name} {text!r}; expected comma-separated vertices")
+
+
+def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
+    """mutation_class for the commands that enumerate one.  A rank beyond the
+    canonical labeling's is a usage error, and so is a disconnected diagram,
+    whose class has no tree member to name its type by."""
+    seen, stack = {0}, [0]
+    while stack:
+        for u in diagram.neighbours(stack.pop()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) < diagram.n:
+        _die("mutation classes of disconnected diagrams are not supported")
+    return _valid(mutation_class, diagram, cap)
+
+
+def _digest(path: str, text: str) -> dict:
+    return {"path": path, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def _emit(text: str) -> int:
     sys.stdout.write(text)
     return 0
+
+
+def _emit_dump(dump, value, as_json: bool) -> int:
+    return _emit(dump(value, as_json=as_json) + ("\n" if as_json else ""))
 
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _verdict(report: dict) -> int:
+    """Print a verdict report; exit 0 exactly when it passed."""
+    _emit_json(report)
+    return 0 if report["verdict"] == "pass" else 1
+
+
+def _order_block(order, strategy: str, cosets_defined: int) -> dict:
+    """The head of an order report; order is None after a coset overflow."""
+    return {"order": order, "strategy": strategy, "cosets_defined": cosets_defined}
+
+
+def _group_order(presentation: Presentation, strategy: str, cap: int) -> dict:
+    """group_order as the head of an order report."""
+    stats: dict = {}
+    try:
+        order = group_order(presentation, strategy=strategy, cap=cap, stats=stats)
+    except CosetCapExceeded:
+        order = None
+    return _order_block(order, strategy, stats.get("cosets_defined", 0))
+
+
 def _report(argv, inputs, results, verdict, started) -> int:
-    _emit_json(
+    return _verdict(
         {
             "tool_version": __version__,
             "format_version": FORMAT_VERSION,
@@ -160,55 +241,38 @@ def _report(argv, inputs, results, verdict, started) -> int:
             "timings": {"total_seconds": round(time.monotonic() - started, 3)},
         }
     )
-    return 0 if verdict == "pass" else 1
 
 
 # ---------------------------------------------------------------- matrix
 
 
 def _cmd_matrix_mutate(args, argv) -> int:
-    text = _read_file(args.file)
-    try:
-        matrix = load_matrix(text)
-    except FormatError as exc:
-        _die(f"{args.file}: {exc}")
+    matrix = _load(args.file, load_matrix)
     for k in args.vertices:
         matrix = mutate_matrix(matrix, _vertex(matrix.n, k))
-    return _emit(dump_matrix(matrix, as_json=args.json) + ("\n" if args.json else ""))
+    return _emit_dump(dump_matrix, matrix, args.json)
 
 
 # ---------------------------------------------------------------- diagram
 
 
 def _cmd_diagram_of(args, argv) -> int:
-    try:
-        matrix = load_matrix(_read_file(args.file))
-    except FormatError as exc:
-        _die(f"{args.file}: {exc}")
-    return _emit(dump_diagram(diagram_of(matrix), as_json=args.json) + ("\n" if args.json else ""))
+    return _emit_dump(dump_diagram, diagram_of(_load(args.file, load_matrix)), args.json)
 
 
 def _cmd_diagram_mutate(args, argv) -> int:
-    diagram = _load_diagram_like(args.file)
+    diagram = _load(args.file, _diagram_or_matrix)
     for k in args.vertices:
         try:
             diagram = mutate_diagram(diagram, _vertex(diagram.n, k))
         except DiagramError as exc:
             print(f"error: mutation at {k} leaves finite type: {exc}", file=sys.stderr)
             return 1
-    return _emit(dump_diagram(diagram, as_json=args.json) + ("\n" if args.json else ""))
+    return _emit_dump(dump_diagram, diagram, args.json)
 
 
 def _cmd_diagram_class(args, argv) -> int:
-    diagram = _load_diagram_like(args.file)
-    try:
-        mclass = _mutation_class(diagram, _class_cap(args))
-    except NotFiniteTypeError as exc:
-        print(f"error: not of finite type: {exc}", file=sys.stderr)
-        return 1
-    except MutationClassOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    mclass = _mutation_class(_load(args.file, _diagram_or_matrix), args.cap)
     if args.json:
         _emit_json(
             {
@@ -223,12 +287,7 @@ def _cmd_diagram_class(args, argv) -> int:
 
 
 def _cmd_diagram_type(args, argv) -> int:
-    diagram = _load_diagram_like(args.file)
-    try:
-        label = identify_dynkin_type(_mutation_class(diagram, _class_cap(args)))
-    except (NotFiniteTypeError, MutationClassOverflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    label = identify_dynkin_type(_mutation_class(_load(args.file, _diagram_or_matrix), args.cap))
     if args.json:
         _emit_json({"type": label})
         return 0
@@ -236,8 +295,7 @@ def _cmd_diagram_type(args, argv) -> int:
 
 
 def _cmd_diagram_cycles(args, argv) -> int:
-    diagram = _load_diagram_like(args.file)
-    cycles = chordless_cycles(diagram)
+    cycles = chordless_cycles(_load(args.file, _diagram_or_matrix))
     if args.json:
         _emit_json(
             {
@@ -264,7 +322,7 @@ def _cmd_diagram_cycles(args, argv) -> int:
 
 
 def _cmd_present(args, argv) -> int:
-    diagram = _load_diagram_like(args.file)
+    diagram = _load(args.file, _diagram_or_matrix)
     if args.which == "ti":
         k = _vertex(diagram.n, args.vertex)
         words = mutation_witness_words(diagram, k)
@@ -281,67 +339,27 @@ def _cmd_present(args, argv) -> int:
             for i in range(diagram.n)
         ]
         return _emit("\n".join(lines) + "\n")
-    try:
-        builder = full_presentation if args.which == "full" else reduced_presentation
-        pres = builder(diagram)
-    except DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _emit(dump_presentation(pres, as_json=args.json) + ("\n" if args.json else ""))
+    builder = full_presentation if args.which == "full" else reduced_presentation
+    return _emit_dump(dump_presentation, builder(diagram), args.json)
 
 
 # ---------------------------------------------------------------- order / verify
 
 
 def _cmd_order(args, argv) -> int:
-    try:
-        pres = load_presentation(_read_file(args.file))
-    except FormatError as exc:
-        _die(f"{args.file}: {exc}")
-    cap = _coset_cap(args)
-    stats: dict = {}
-    from .coset import CosetCapExceeded
-
-    try:
-        order = group_order(pres, strategy=args.strategy, cap=cap, stats=stats)
-        verdict = "pass"
-    except CosetCapExceeded:
-        order = None
-        verdict = "overflow"
-    _emit_json(
-        {
-            "order": order,
-            "strategy": args.strategy,
-            "cosets_defined": stats.get("cosets_defined", 0),
-            "verdict": verdict,
-        }
-    )
-    return 0 if verdict == "pass" else 1
+    report = _group_order(_load(args.file, load_presentation), args.strategy, _coset_cap(args))
+    report["verdict"] = "overflow" if report["order"] is None else "pass"
+    return _verdict(report)
 
 
 def _cmd_verify_mutation(args, argv) -> int:
-    from .coset import CosetCapExceeded
-
-    diagram = _load_diagram_like(args.file)
+    diagram = _load(args.file, _diagram_or_matrix)
     k = _vertex(diagram.n, args.vertex)
-    cap = _coset_cap(args)
     try:
-        cert = verify_mutation_isomorphism(diagram, k, cap=cap)
-    except DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        cert = verify_mutation_isomorphism(diagram, k, cap=_coset_cap(args))
     except CosetCapExceeded as exc:
-        _emit_json(
-            {
-                "order": None,
-                "strategy": "direct",
-                "cosets_defined": exc.cosets_defined,
-                "verdict": "overflow",
-            }
-        )
-        return 1
-    verdict = "pass" if cert.passed else "fail"
-    _emit_json(
+        return _verdict({**_order_block(None, "direct", exc.cosets_defined), "verdict": "overflow"})
+    return _verdict(
         {
             "order": cert.order,
             "mutated_order": cert.mutated_order,
@@ -351,113 +369,58 @@ def _cmd_verify_mutation(args, argv) -> int:
             "forward_homomorphism": cert.forward_homomorphism,
             "inverse_homomorphism": cert.inverse_homomorphism,
             "composition_identity": cert.composition_identity,
-            "verdict": verdict,
+            "verdict": "pass" if cert.passed else "fail",
         }
     )
-    return 0 if verdict == "pass" else 1
 
 
 def _cmd_verify_type(args, argv) -> int:
-    from .coset import CosetCapExceeded
-
-    diagram = _load_diagram_like(args.file)
+    diagram = _load(args.file, _diagram_or_matrix)
     cap = _coset_cap(args)
-    try:
-        mclass = _mutation_class(diagram)
-    except (NotFiniteTypeError, MutationClassOverflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    label = identify_dynkin_type(mclass)
-    strategy = _auto_strategy(diagram.n)
-    stats: dict = {}
-    try:
-        order = group_order(full_presentation(diagram), strategy=strategy, cap=cap, stats=stats)
-    except CosetCapExceeded:
-        _emit_json(
-            {
-                "order": None,
-                "strategy": strategy,
-                "cosets_defined": stats.get("cosets_defined", 0),
-                "type": label,
-                "verdict": "overflow",
-            }
-        )
-        return 1
-    expected = weyl_order(label) if label != "unknown" else None
-    verdict = "pass" if expected == order else "fail"
-    _emit_json(
-        {
-            "order": order,
-            "strategy": strategy,
-            "cosets_defined": stats.get("cosets_defined", 0),
-            "type": label,
-            "expected_order": expected,
-            "verdict": verdict,
-        }
-    )
-    return 0 if verdict == "pass" else 1
+    label = identify_dynkin_type(_mutation_class(diagram))
+    report = _group_order(full_presentation(diagram), _auto_strategy(diagram.n), cap)
+    report["type"] = label
+    if report["order"] is None:
+        report["verdict"] = "overflow"
+    else:
+        report["expected_order"] = weyl_order(label) if label != "unknown" else None
+        report["verdict"] = "pass" if report["expected_order"] == report["order"] else "fail"
+    return _verdict(report)
 
 
 # ---------------------------------------------------------------- theorem-a
 
 
 def _cmd_theorem_a(args, argv) -> int:
-    from .coset import CosetCapExceeded
-    from . import dynkin
-
     started = time.monotonic()
     cap = _coset_cap(args)
-    count = None
-    if args.sample != "all":
-        try:
-            count = int(args.sample)
-        except ValueError:
-            count = 0
-        if count < 1:
-            _die(f"--sample must be 'all' or a positive integer, not {args.sample!r}")
     if os.path.exists(args.target):
         text = _read_file(args.target)
         inputs = _digest(args.target, text)
-        diagram = _load_diagram_like(args.target)
+        diagram = _parse(args.target, text, _diagram_or_matrix)
     else:
-        try:
-            label = dynkin.normalize_label(args.target)
-        except ValueError as exc:
-            _die(str(exc))
+        label = _valid(dynkin.normalize_label, args.target)
         inputs = {"type": label}
         diagram = dynkin.standard_diagram(label)
 
-    try:
-        mclass = _mutation_class(diagram)
-    except (NotFiniteTypeError, MutationClassOverflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    mclass = _mutation_class(diagram)
     label = identify_dynkin_type(mclass)
     if label == "unknown":
         return _report(argv, inputs, {"type": label, "reason": "unidentified mutation class"}, "fail", started)
     expected = weyl_order(label)
 
     indices = list(range(len(mclass.members)))
-    if count is not None and count < len(indices):
-        rng = random.Random(args.seed)
-        indices = sorted(rng.sample(indices, count))
+    if args.sample != "all" and int(args.sample) < len(indices):
+        indices = sorted(random.Random(args.seed).sample(indices, int(args.sample)))
 
     members = []
-    any_fail = False
-    any_overflow = False
     for idx in indices:
         member = mclass.members[idx]
-        strategy = _auto_strategy(member.n)
-        try:
-            order = group_order(reduced_presentation(member), strategy=strategy, cap=cap)
-        except CosetCapExceeded:
-            members.append({"member": idx, "order": None, "verdict": "overflow"})
-            any_overflow = True
-            continue
-        ok = order == expected
-        members.append({"member": idx, "order": order, "verdict": "pass" if ok else "fail"})
-        any_fail = any_fail or not ok
-    verdict = "fail" if any_fail else ("overflow" if any_overflow else "pass")
+        order = _group_order(reduced_presentation(member), _auto_strategy(member.n), cap)["order"]
+        verdict = "overflow" if order is None else ("pass" if order == expected else "fail")
+        members.append({"member": idx, "order": order, "verdict": verdict})
+    verdicts = {m["verdict"] for m in members}
+    verdict = "fail" if "fail" in verdicts else ("overflow" if "overflow" in verdicts else "pass")
     results = {
         "type": label,
         "expected_order": expected,
@@ -475,8 +438,6 @@ def _cmd_theorem_a(args, argv) -> int:
 
 def _seed_basis_path(target: ExchangeMatrix, label: str, limit: int = 100_000):
     """BFS from the standard seed of the type to the target matrix; returns the vertex path."""
-    from . import dynkin
-
     seed = dynkin.standard_exchange_matrix(label)
     if seed.n != target.n:
         _die(f"type {label} has rank {seed.n}, matrix has rank {target.n}")
@@ -512,28 +473,16 @@ def _seed_basis_path(target: ExchangeMatrix, label: str, limit: int = 100_000):
 def _cmd_pipeline(args, argv) -> int:
     started = time.monotonic()
     text = _read_file(args.file)
-    try:
-        matrix = load_matrix(text)
-    except FormatError as exc:
-        _die(f"{args.file}: {exc}")
-    try:
-        script = [int(tok) for tok in args.script.split(",") if tok.strip()]
-    except ValueError:
-        _die(f"bad mutation script {args.script!r}; expected comma-separated vertices")
+    matrix = _parse(args.file, text, load_matrix)
+    script = _vertex_list(args.script, "mutation script")
     inputs = _digest(args.file, text)
     inputs["script"] = args.script
     if args.type:
         inputs["type"] = args.type
 
     basis = None
-    system = None
     if args.type:
-        from . import dynkin
-
-        try:
-            label = dynkin.normalize_label(args.type)
-        except ValueError as exc:
-            _die(str(exc))
+        label = _valid(dynkin.normalize_label, args.type)
         system = build_root_system(label)
         path = _seed_basis_path(matrix, label)
         current = dynkin.standard_exchange_matrix(label)
@@ -604,10 +553,7 @@ def _cmd_pipeline(args, argv) -> int:
 
 
 def _cmd_roots_build(args, argv) -> int:
-    try:
-        system = build_root_system(args.type)
-    except ValueError as exc:
-        _die(str(exc))
+    system = _valid(build_root_system, args.type)
     if args.json:
         _emit_json(
             {
@@ -621,75 +567,36 @@ def _cmd_roots_build(args, argv) -> int:
     return _emit(dump_basis(system.roots))
 
 
-def _load_system_basis(type_label: str, basis_path: str):
-    try:
-        system = build_root_system(type_label)
-    except ValueError as exc:
-        _die(str(exc))
-    try:
-        vectors = load_basis(_read_file(basis_path))
-    except FormatError as exc:
-        _die(f"{basis_path}: {exc}")
-    try:
-        return system, CompanionBasis(system, vectors)
-    except ValueError as exc:
-        _die(str(exc))
+def _load_companion_basis(type_label: str, basis_path: str) -> CompanionBasis:
+    system = _valid(build_root_system, type_label)
+    return _valid(CompanionBasis, system, _load(basis_path, load_basis))
 
 
 def _cmd_companion_check(args, argv) -> int:
-    _, basis = _load_system_basis(args.type, args.basis)
-    try:
-        matrix = load_matrix(_read_file(args.matrix))
-    except FormatError as exc:
-        _die(f"{args.matrix}: {exc}")
-    try:
-        ok, reason = is_companion_basis(basis, matrix)
-    except ValueError as exc:
-        _die(str(exc))
-    _emit_json({"ok": ok, "reason": reason, "verdict": "pass" if ok else "fail"})
-    return 0 if ok else 1
+    basis = _load_companion_basis(args.type, args.basis)
+    ok, reason = _valid(is_companion_basis, basis, _load(args.matrix, load_matrix))
+    return _verdict({"ok": ok, "reason": reason, "verdict": "pass" if ok else "fail"})
 
 
 def _cmd_companion_mutate(args, argv) -> int:
-    _, basis = _load_system_basis(args.type, args.basis)
-    try:
-        matrix = load_matrix(_read_file(args.matrix))
-    except FormatError as exc:
-        _die(f"{args.matrix}: {exc}")
+    basis = _load_companion_basis(args.type, args.basis)
+    matrix = _load(args.matrix, load_matrix)
     k = _vertex(matrix.n, args.vertex)
     direction = "outward" if args.outward else "inward"
-    try:
-        mutated = mutate_companion(basis, k, diagram_of(matrix), direction)
-    except ValueError as exc:
-        _die(str(exc))
-    return _emit(dump_basis(mutated.vectors))
+    return _emit(dump_basis(_valid(mutate_companion, basis, k, diagram_of(matrix), direction).vectors))
 
 
 def _cmd_signed_graph(args, argv) -> int:
-    _, basis = _load_system_basis(args.type, args.basis)
-    try:
-        graph = signed_graph(companion_matrix(basis))
-    except ValueError as exc:
-        _die(str(exc))
-    return _emit(dump_signed_graph(graph))
+    basis = _load_companion_basis(args.type, args.basis)
+    return _emit(dump_signed_graph(_valid(lambda: signed_graph(companion_matrix(basis)))))
 
 
 def _cmd_switch(args, argv) -> int:
-    try:
-        graph = load_signed_graph(_read_file(args.file))
-    except FormatError as exc:
-        _die(f"{args.file}: {exc}")
-    try:
-        chosen = [int(tok) for tok in args.in_set.split(",") if tok.strip()]
-    except ValueError:
-        _die(f"bad --in-set {args.in_set!r}; expected comma-separated vertices")
+    graph = _load(args.file, load_signed_graph)
+    chosen = _vertex_list(args.in_set, "--in-set")
     k = _vertex(graph.n, args.vertex)
     in_set = [_vertex(graph.n, i) for i in chosen]
-    try:
-        switched = local_switch(graph, k, in_set)
-    except ValueError as exc:
-        _die(str(exc))
-    return _emit(dump_signed_graph(switched))
+    return _emit(dump_signed_graph(_valid(local_switch, graph, k, in_set)))
 
 
 # ---------------------------------------------------------------- export
@@ -707,10 +614,7 @@ def _generic_fp(pres: Presentation) -> str:
 
 
 def _cmd_export(args, argv) -> int:
-    try:
-        pres = load_presentation(_read_file(args.file))
-    except FormatError as exc:
-        _die(f"{args.file}: {exc}")
+    pres = _load(args.file, load_presentation)
     if args.format == "native":
         return _emit(dump_presentation(pres))
     return _emit(_generic_fp(pres))
@@ -720,7 +624,7 @@ def _cmd_export(args, argv) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cluster-presents",
         description="Mutate exchange matrices and diagrams, generate reflection-group presentations, and verify them by coset enumeration.",
     )
@@ -748,12 +652,12 @@ def _build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_diagram_mutate)
     d = dsub.add_parser("class", help="enumerate the mutation class")
     d.add_argument("file")
-    d.add_argument("--cap", type=int, default=None)
+    d.add_argument("--cap", type=_positive_int, default=DEFAULT_CLASS_CAP)
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=_cmd_diagram_class)
     d = dsub.add_parser("type", help="identify the Dynkin type of the mutation class")
     d.add_argument("file")
-    d.add_argument("--cap", type=int, default=None)
+    d.add_argument("--cap", type=_positive_int, default=DEFAULT_CLASS_CAP)
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=_cmd_diagram_type)
     d = dsub.add_parser("cycles", help="list chordless cycles")
@@ -777,25 +681,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="group order of a presentation by coset enumeration")
     p.add_argument("file", metavar="presentation-file")
     p.add_argument("--strategy", choices=("direct", "tower"), default="direct")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("verify-mutation", help="certify that mutation preserves the presented group")
     p.add_argument("file", metavar="diagram-file")
     p.add_argument("vertex", type=int, metavar="k")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_verify_mutation)
 
     p = sub.add_parser("verify-type", help="compare a diagram's group order against its identified type")
     p.add_argument("file", metavar="diagram-file")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_verify_type)
 
     p = sub.add_parser("theorem-a", help="check the whole mutation class against the type's reflection-group order")
     p.add_argument("target", metavar="type-or-matrix-file")
-    p.add_argument("--sample", default="all", help="'all' or a member count")
+    p.add_argument("--sample", type=_sample, default="all", help="'all' or a member count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_theorem_a)
 
     p = sub.add_parser("pipeline", help="run a mutation script with lockstep invariant checks")
@@ -847,9 +751,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, argv)
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args, argv)
+    except (DiagramError, NotFiniteTypeError, MutationClassOverflow) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

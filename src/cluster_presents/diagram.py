@@ -320,7 +320,9 @@ def validate_finite_type_local(diagram: Diagram) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # canonical labeling
 
-_CODE_BASE = 128  # exceeds every edge code (weights <= 100, so codes <= 104)
+# Weights <= 4 keep a forward code (1..4) apart from a backward one (5..8);
+# _CODE_BASE exceeds every code.
+_CODE_BASE = 128
 
 
 def _code_matrix(diagram: Diagram, oriented: bool) -> list[list[int]]:
@@ -378,7 +380,7 @@ def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int
     n = diagram.n
     if n > MAX_CANONICAL_RANK:
         raise ValueError(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {n}")
-    if diagram.max_weight() > 100:
+    if diagram.max_weight() > 4:
         raise ValueError("edge weight too large to encode")
     code = _code_matrix(diagram, oriented)
     best: list[int] = []  # blocks of the best encoding so far, one per depth
@@ -418,7 +420,7 @@ def canonical_form(diagram: Diagram) -> bytes:
     """Canonical byte string; equal iff diagrams are isomorphic.
 
     Isomorphism here is as weighted oriented graphs (simultaneous relabeling).
-    Supported for rank <= 10.
+    Supported for rank <= 10 and edge weights <= 4.
     """
     codes, _ = _canonical_search(diagram, oriented=True)
     return bytes([diagram.n]) + bytes(codes)

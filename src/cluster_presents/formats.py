@@ -15,6 +15,7 @@ signed graph  first line n, then one "i j +" or "i j -" line per signed edge
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
@@ -44,6 +45,28 @@ class FormatError(ValueError):
     """Malformed input text for one of the on-disk formats."""
 
 
+def _loader(parse):
+    """`parse`, raising FormatError and nothing else on malformed text.
+
+    A value class refusing what was read (ValueError) and JSON of the wrong
+    shape (TypeError, LookupError, AttributeError, OverflowError) both become
+    FormatError.
+    """
+
+    @functools.wraps(parse)
+    def load(text: str):
+        try:
+            return parse(text)
+        except FormatError:
+            raise
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
+        except (TypeError, LookupError, AttributeError, OverflowError) as exc:
+            raise FormatError(f"malformed input ({type(exc).__name__}: {exc})") from None
+
+    return load
+
+
 def _data_lines(text: str) -> list[str]:
     out = []
     for raw in text.splitlines():
@@ -70,6 +93,7 @@ def _maybe_json(text: str):
     return None
 
 
+@_loader
 def load_matrix(text: str) -> ExchangeMatrix:
     data = _maybe_json(text)
     if data is not None:
@@ -77,6 +101,8 @@ def load_matrix(text: str) -> ExchangeMatrix:
             n, rows = int(data["n"]), data["rows"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"matrix JSON needs 'n' and 'rows': {exc}") from None
+        if n < 1:
+            raise FormatError(f"matrix JSON needs a positive size n, not {n}")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise FormatError(f"matrix JSON rows do not form an {n} x {n} array")
         return ExchangeMatrix([[int(x) for x in r] for r in rows])
@@ -108,6 +134,7 @@ def dump_matrix(matrix: ExchangeMatrix, as_json: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_loader
 def load_diagram(text: str) -> Diagram:
     data = _maybe_json(text)
     if data is not None:
@@ -115,6 +142,8 @@ def load_diagram(text: str) -> Diagram:
             n, edges = int(data["n"]), data["edges"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"diagram JSON needs 'n' and 'edges': {exc}") from None
+        if n < 1:
+            raise FormatError(f"diagram JSON needs a positive vertex count, not {n}")
         return _build_diagram(n, [tuple(int(x) for x in e) for e in edges])
     lines = _data_lines(text)
     if not lines:
@@ -137,10 +166,7 @@ def _build_diagram(n: int, edges) -> Diagram:
         if not (1 <= i <= n and 1 <= j <= n):
             raise FormatError(f"diagram edge ({i}, {j}) out of range for {n} vertices")
         converted.append((i - 1, j - 1, w))
-    try:
-        return Diagram(n, converted)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return Diagram(n, converted)
 
 
 def dump_diagram(diagram: Diagram, as_json: bool = False) -> str:
@@ -157,6 +183,7 @@ _RELATION_RE = re.compile(r"^\(\s*((?:[sS]\d+\s*)+)\)\s*\^\s*(\d+)$")
 _GENERATORS_RE = re.compile(r"^generators\s+(\d+)$", re.IGNORECASE)
 
 
+@_loader
 def load_presentation(text: str) -> Presentation:
     data = _maybe_json(text)
     if data is not None:
@@ -169,7 +196,7 @@ def load_presentation(text: str) -> Presentation:
         for item in raw:
             word = tuple(int(x) - 1 for x in item["word"])
             rels.append(Relation(word, int(item["exponent"]), str(item.get("tag", "file"))))
-        return _checked_presentation(n, rels)
+        return Presentation(n, rels)
     lines = _data_lines(text)
     if not lines:
         raise FormatError("empty presentation input")
@@ -184,14 +211,7 @@ def load_presentation(text: str) -> Presentation:
             raise FormatError(f"bad relation line, expected '(s1 s2 ...)^e': {line!r}")
         word = tuple(int(tok[1:]) - 1 for tok in pm.group(1).split())
         rels.append(Relation(word, int(pm.group(2)), "file"))
-    return _checked_presentation(n, rels)
-
-
-def _checked_presentation(n: int, rels) -> Presentation:
-    try:
-        return Presentation(n, rels)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return Presentation(n, rels)
 
 
 def dump_presentation(presentation: Presentation, as_json: bool = False) -> str:
@@ -216,6 +236,7 @@ def dump_presentation(presentation: Presentation, as_json: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_loader
 def load_basis(text: str) -> list[tuple[int, ...]]:
     lines = _data_lines(text)
     if not lines:
@@ -232,6 +253,7 @@ def dump_basis(vectors) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_loader
 def load_signed_graph(text: str) -> SignedGraph:
     lines = _data_lines(text)
     if not lines:
@@ -263,10 +285,7 @@ def load_signed_graph(text: str) -> SignedGraph:
             raise FormatError(f"signed edge ({i}, {j}) out of range for {n} vertices")
         a, b = (i - 1, j - 1) if i < j else (j - 1, i - 1)
         edges.append((a, b, 1 if parts[2] == "+" else -1))
-    try:
-        return SignedGraph(n, tuple(edges))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return SignedGraph(n, tuple(edges))
 
 
 def dump_signed_graph(graph: SignedGraph) -> str:

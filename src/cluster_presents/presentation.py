@@ -110,6 +110,9 @@ def _checked_cycles(diagram: Diagram) -> tuple[ChordlessCycle, ...]:
     report = validate_finite_type_local(diagram)
     if not report.ok:
         raise DiagramError(f"diagram admits no presentation: {report.first.detail}")
+    if diagram.max_weight() > 3:
+        raise DiagramError(
+            f"diagram admits no presentation: no bond order for edge weight {diagram.max_weight()}")
     return chordless_cycles(diagram)
 
 
@@ -124,8 +127,9 @@ def _involution_and_braid_relations(diagram: Diagram) -> list[Relation]:
 
 def full_presentation(diagram: Diagram) -> Presentation:
     """All relations: involutions, pairwise orders, and every cycle rotation."""
+    cycles = _checked_cycles(diagram)
     rels = _involution_and_braid_relations(diagram)
-    for cycle in _checked_cycles(diagram):
+    for cycle in cycles:
         d = len(cycle.vertices)
         plain = all(w == 1 for w in cycle.weights)
         for a in range(d):
@@ -138,8 +142,9 @@ def full_presentation(diagram: Diagram) -> Presentation:
 
 def reduced_presentation(diagram: Diagram) -> Presentation:
     """One exponent-2 cycle relation per cycle, anchored at an admissible rotation."""
+    cycles = _checked_cycles(diagram)
     rels = _involution_and_braid_relations(diagram)
-    for cycle in _checked_cycles(diagram):
+    for cycle in cycles:
         d = len(cycle.vertices)
         plain = all(w == 1 for w in cycle.weights)
         admissible = [a for a in range(d) if plain or cycle.weights[a] == 2]

@@ -1,12 +1,24 @@
 """End-to-end command-line coverage: every subcommand, exit codes, JSON shapes."""
 
+import contextlib
+import io
 import json
 import pathlib
+import random
+import re
 
 import pytest
 
 from cluster_presents.cli import main
 from cluster_presents.coset import weyl_order
+from cluster_presents.formats import (
+    FormatError,
+    load_basis,
+    load_diagram,
+    load_matrix,
+    load_presentation,
+    load_signed_graph,
+)
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -450,3 +462,265 @@ def test_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# ------------------------------------------------------------ golden verdict reports
+
+CYCLE_COMPANION_BASIS = "1 1 1 0\n-1 0 0 0\n0 -1 0 0\n0 0 0 1\n"
+
+
+def _golden_files(tmp_path):
+    return {
+        "{pres}": _write(tmp_path, "cycle.pres", (DATA / "d4_cycle_full.pres").read_text()),
+        "{mat}": _write(tmp_path, "cycle.mat", CYCLE_MATRIX),
+        "{basis}": _write(tmp_path, "cycle.basis", CYCLE_COMPANION_BASIS),
+        "{simple}": _write(tmp_path, "simple.basis", "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"),
+    }
+
+
+@pytest.mark.parametrize(
+    "command, code, stdout",
+    [
+        (["order", "{pres}"], 0,
+         '{\n  "order": 192,\n  "strategy": "direct",\n  "cosets_defined": 360,\n  "verdict": "pass"\n}\n'),
+        (["order", "{pres}", "--strategy", "tower"], 0,
+         '{\n  "order": 192,\n  "strategy": "tower",\n  "cosets_defined": 20,\n  "verdict": "pass"\n}\n'),
+        (["order", "{pres}", "--cap", "10"], 1,
+         '{\n  "order": null,\n  "strategy": "direct",\n  "cosets_defined": 10,\n  "verdict": "overflow"\n}\n'),
+        (["verify-type", "{mat}"], 0,
+         '{\n  "order": 192,\n  "strategy": "direct",\n  "cosets_defined": 360,\n  "type": "D4",\n'
+         '  "expected_order": 192,\n  "verdict": "pass"\n}\n'),
+        (["verify-type", "{mat}", "--cap", "10"], 1,
+         '{\n  "order": null,\n  "strategy": "direct",\n  "cosets_defined": 10,\n  "type": "D4",\n'
+         '  "verdict": "overflow"\n}\n'),
+        (["verify-mutation", "{mat}", "1"], 0,
+         '{\n  "order": 192,\n  "mutated_order": 192,\n  "strategy": "direct",\n  "cosets_defined": 552,\n'
+         '  "vertex": 1,\n  "forward_homomorphism": true,\n  "inverse_homomorphism": true,\n'
+         '  "composition_identity": true,\n  "verdict": "pass"\n}\n'),
+        (["verify-mutation", "{mat}", "1", "--cap", "10"], 1,
+         '{\n  "order": null,\n  "strategy": "direct",\n  "cosets_defined": 10,\n  "verdict": "overflow"\n}\n'),
+        (["companion", "check", "D4", "{basis}", "{mat}"], 0,
+         '{\n  "ok": true,\n  "reason": null,\n  "verdict": "pass"\n}\n'),
+        (["companion", "check", "D4", "{simple}", "{mat}"], 1,
+         '{\n  "ok": false,\n  "reason": "companion condition fails at (1,4): |0| != |-1|",\n'
+         '  "verdict": "fail"\n}\n'),
+    ],
+)
+def test_verdict_reports_are_pinned(tmp_path, capsys, command, code, stdout):
+    files = _golden_files(tmp_path)
+    assert main([files.get(arg, arg) for arg in command]) == code
+    captured = capsys.readouterr()
+    assert captured.out == stdout
+    assert captured.err == ""
+
+
+# ------------------------------------------------------------ malformed input
+
+CYCLE_DIAGRAM = "4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n"
+A3_SIGNED_GRAPH = "3\n1 2 -\n2 3 -\n"
+
+# The commands that read each kind of file: "{}" is the file under test,
+# "{mat}" and "{basis}" the valid D4 cycle matrix and its companion basis.
+MATRIX_ONLY_COMMANDS = [
+    ["matrix", "mutate", "{}", "1"],
+    ["diagram", "of", "{}"],
+    ["pipeline", "{}", "1,2"],
+    ["pipeline", "{}", "1", "--type", "D4"],
+    ["companion", "check", "D4", "{basis}", "{}"],
+    ["companion", "mutate", "D4", "{basis}", "{}", "1"],
+]
+DIAGRAM_LIKE_COMMANDS = [
+    ["diagram", "mutate", "{}", "1"],
+    ["diagram", "class", "{}"],
+    ["diagram", "type", "{}"],
+    ["diagram", "cycles", "{}"],
+    ["present", "full", "{}"],
+    ["present", "reduced", "{}"],
+    ["present", "ti", "{}", "1"],
+    ["verify-mutation", "{}", "1"],
+    ["verify-type", "{}"],
+    ["theorem-a", "{}"],
+]
+COMMANDS = {
+    "matrix": MATRIX_ONLY_COMMANDS + DIAGRAM_LIKE_COMMANDS,
+    "diagram": DIAGRAM_LIKE_COMMANDS,
+    "presentation": [["order", "{}"], ["export", "{}"]],
+    "basis": [
+        ["companion", "check", "D4", "{}", "{mat}"],
+        ["companion", "mutate", "D4", "{}", "{mat}", "1"],
+        ["signed-graph", "D4", "{}"],
+    ],
+    "signed graph": [["switch", "{}", "2", "--in-set", "1"]],
+}
+LOADERS = {
+    "matrix": (load_matrix,),
+    "diagram": (load_diagram, load_matrix),  # the diagram commands take a matrix too
+    "presentation": (load_presentation,),
+    "basis": (load_basis,),
+    "signed graph": (load_signed_graph,),
+}
+FIXTURES = {
+    "matrix": [CYCLE_MATRIX, '{"n": 4, "rows": [[0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 1], [1, 0, -1, 0]]}'],
+    "diagram": [CYCLE_DIAGRAM, '{"n": 4, "edges": [[1, 2, 1], [2, 3, 1], [3, 4, 1], [4, 1, 1]]}'],
+    "presentation": [
+        (DATA / "d4_cycle_full.pres").read_text(),
+        '{"generators": 2, "relations": [{"word": [1], "exponent": 2}, {"word": [2], "exponent": 2},'
+        ' {"word": [1, 2], "exponent": 3, "tag": "R2"}]}',
+    ],
+    "basis": [CYCLE_COMPANION_BASIS],
+    "signed graph": [A3_SIGNED_GRAPH],
+}
+NUMBERS = ["0", "1", "-1", "2", "-2", "3", "4", "5", "7", "12"]
+JUNK = ["x", "-", "+", "s9", "1.5", "[", "]", "{", "}", ",", '"n"', "null", "#"]
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one CLI run; an escaping exception is
+    returned as its name in place of the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # any other exception is a failure to report
+            code = f"{type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def _one_error_line(stderr):
+    lines = stderr.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ") and stderr.endswith("\n")
+
+
+def _corruptions(text, rng, count):
+    """Seeded copies of `text` with one to three tokens deleted, duplicated or
+    replaced; most replacements are numbers, which keep more copies well-formed."""
+    tokens = re.findall(r"-?\w+|\s+|.", text)
+    spots = [i for i, tok in enumerate(tokens) if not tok.isspace()]
+    for _ in range(count):
+        copy = list(tokens)
+        for i in sorted(rng.sample(spots, rng.choice((1, 1, 2, 3))), reverse=True):
+            action = rng.choice(("delete", "duplicate", "replace", "replace", "replace"))
+            if action == "delete":
+                del copy[i]
+            elif action == "duplicate":
+                copy.insert(i, copy[i] + rng.choice(("", " ", "\n")))
+            else:
+                copy[i] = rng.choice(NUMBERS if rng.random() < 0.7 else JUNK)
+        yield "".join(copy)
+
+
+def _loads(loaders, text):
+    for loader in loaders:
+        try:
+            loader(text)
+            return True
+        except FormatError:
+            pass
+    return False
+
+
+def _bad_outcome(code, out, err, malformed):
+    """Why a run broke the CLI's error contract, or None.
+
+    A malformed file exits 2 with one `error:` line and no output.  A
+    well-formed one either succeeds (exit 0), prints a verdict report (exit
+    1), or fails with one `error:` line, no output and exit 1 or 2."""
+    if not isinstance(code, int) or isinstance(code, bool):
+        return f"escaped: {code}"
+    if malformed:
+        ok = code == 2 and out == "" and _one_error_line(err)
+    elif code == 0 or out:
+        ok = code in (0, 1) and err == ""
+    else:
+        ok = code in (1, 2) and _one_error_line(err)
+    return None if ok else f"exit {code}, stdout {out[:80]!r}, stderr {err!r}"
+
+
+@pytest.mark.parametrize(
+    "kind, index", [(kind, i) for kind, texts in FIXTURES.items() for i in range(len(texts))]
+)
+def test_corrupted_inputs_end_in_one_error_line(tmp_path, monkeypatch, kind, index):
+    # a small coset cap keeps well-formed infinite presentations short
+    monkeypatch.setenv("CLUSTER_PRESENTS_CAP", "2000")
+    files = {
+        "{mat}": _write(tmp_path, "cycle.mat", CYCLE_MATRIX),
+        "{basis}": _write(tmp_path, "cycle.basis", CYCLE_COMPANION_BASIS),
+    }
+    rng = random.Random(f"{kind}-{index}")
+    problems = []
+    for number, text in enumerate(_corruptions(FIXTURES[kind][index], rng, 30)):
+        files["{}"] = _write(tmp_path, f"case{number}", text)
+        for command in COMMANDS[kind]:
+            loaders = LOADERS["diagram"] if command in DIAGRAM_LIKE_COMMANDS else LOADERS[kind]
+            argv = [files.get(arg, arg) for arg in command]
+            why = _bad_outcome(*_run(argv), not _loads(loaders, text))
+            if why:
+                problems.append(f"{command[:2]} on {text!r}: {why}")
+    assert not problems, "\n".join(problems[:20])
+
+
+def test_random_diagrams_end_in_output_or_one_error_line(tmp_path, monkeypatch):
+    # well-formed diagrams of every kind: finite type or not, disconnected,
+    # with edges heavier than any bond order
+    monkeypatch.setenv("CLUSTER_PRESENTS_CAP", "2000")
+    rng = random.Random(29)
+    problems = []
+    for number in range(40):
+        n = rng.randint(1, 5)
+        edges = [(i, j) if rng.random() < 0.5 else (j, i)
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5]
+        text = f"{n}\n" + "".join(f"{i} {j} {rng.choice((1, 1, 1, 2, 2, 3, 4, 7))}\n" for i, j in edges)
+        path = _write(tmp_path, f"random{number}.diag", text)
+        for command in DIAGRAM_LIKE_COMMANDS:
+            why = _bad_outcome(*_run([path if arg == "{}" else arg for arg in command]), False)
+            if why:
+                problems.append(f"{command[:2]} on {text!r}: {why}")
+    assert not problems, "\n".join(problems[:20])
+
+
+@pytest.mark.parametrize(
+    "text, command, code",
+    [
+        # not skew-symmetrisable
+        ("2\n0 1\n1 0\n", ["matrix", "mutate", "{}", "1"], 2),
+        ("2\n0 1\n1 0\n", ["diagram", "of", "{}"], 2),
+        ("2\n0 1\n1 0\n", ["diagram", "class", "{}"], 2),
+        ("2\n0 1\n1 0\n", ["pipeline", "{}", "1"], 2),
+        ("2\n0 1\n1 0\n", ["companion", "check", "A2", "{a2basis}", "{}"], 2),
+        ("2\n0 1\n1 0\n", ["theorem-a", "{}"], 2),
+        # JSON of the wrong shape
+        ('{"n": 2, "rows": 5}', ["matrix", "mutate", "{}", "1"], 2),
+        ('{"n": 2, "rows": 5}', ["theorem-a", "{}"], 2),
+        ('{"n": 0, "rows": []}', ["diagram", "class", "{}"], 2),
+        ('{"n": 2, "edges": [[1, 2]]}', ["diagram", "class", "{}"], 2),
+        ('{"n": 2, "edges": [[1, 2]]}', ["present", "full", "{}"], 2),
+        ('{"n": 0, "edges": []}', ["verify-type", "{}"], 2),
+        ('{"generators": 2, "relations": [{"exponent": 2}]}', ["order", "{}"], 2),
+        ('{"generators": 2, "relations": [{"exponent": 2}]}', ["export", "{}"], 2),
+        ('{"generators": 1, "relations": [5]}', ["order", "{}"], 2),
+        # a well-formed diagram with no presentation
+        ("2\n1 2 7\n", ["present", "full", "{}"], 1),
+        ("2\n1 2 7\n", ["present", "reduced", "{}"], 1),
+        ("2\n1 2 7\n", ["verify-mutation", "{}", "1"], 1),
+        ("2\n1 2 7\n", ["diagram", "class", "{}"], 1),
+        # disconnected: beyond the class enumeration, like rank 11
+        ("2\n0 0\n0 0\n", ["diagram", "class", "{}"], 2),
+        ("2\n0 0\n0 0\n", ["diagram", "type", "{}"], 2),
+        ("2\n0 0\n0 0\n", ["verify-type", "{}"], 2),
+        ("2\n0 0\n0 0\n", ["theorem-a", "{}"], 2),
+        # flags
+        (CYCLE_MATRIX, ["verify-type", "{}", "--cap", "x"], 2),
+        (CYCLE_MATRIX, ["theorem-a", "{}", "--sample", "1.5"], 2),
+        (CYCLE_MATRIX, ["matrix", "mutate", "{}", "one"], 2),
+        (CYCLE_MATRIX, ["matrix", "mutate", "{}", "5"], 2),
+        (CYCLE_MATRIX, ["pipeline", "{}", "1,x"], 2),
+        (CYCLE_MATRIX, ["diagram", "frobnicate", "{}"], 2),
+    ],
+)
+def test_malformed_inputs_exit_with_one_error_line(tmp_path, text, command, code):
+    files = {"{}": _write(tmp_path, "input", text), "{a2basis}": _write(tmp_path, "a2.basis", "1 0\n0 1\n")}
+    got, out, err = _run([files.get(arg, arg) for arg in command])
+    assert (got, out) == (code, "")
+    assert _one_error_line(err), err

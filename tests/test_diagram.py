@@ -346,6 +346,23 @@ def test_canonical_form_rank_cap():
         canonical_form(big)
 
 
+def test_canonical_form_rejects_weights_above_four():
+    # a backward edge of weight w is coded w + 4, so a forward weight 5 would
+    # read like a backward weight 1: these two diagrams are not isomorphic
+    with pytest.raises(ValueError):
+        canonical_form(Diagram(3, [(0, 2, 1), (1, 2, 5)]))
+    assert canonical_form(Diagram(3, [(0, 2, 1), (2, 1, 1)])) == b"\x03\x00\x01\x05"
+
+
+def test_canonical_form_equality_matches_isomorphism_up_to_weight_four():
+    rng = random.Random(28)
+    pool = [_random_diagram(rng, 3, max_weight=4, p=0.7) for _ in range(60)]
+    for a in pool:
+        for b in pool:
+            same = canonical_form(a) == canonical_form(b)
+            assert same == _isomorphic_bruteforce(a, b, oriented=True)
+
+
 def test_opposite_of_four_cycle_is_isomorphic():
     d = diagram_of(FOUR_CYCLE_MATRIX)
     assert canonical_form(d) == canonical_form(opposite(d))

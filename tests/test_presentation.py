@@ -118,6 +118,16 @@ def test_presentation_rejects_invalid_diagram():
         reduced_presentation(non_oriented)
 
 
+@pytest.mark.parametrize("weight", [4, 7])
+def test_presentation_rejects_weight_above_three(weight):
+    # no local finite-type check sees a lone edge, but no bond order fits it
+    heavy = Diagram(2, [(0, 1, weight)])
+    with pytest.raises(DiagramError, match="admits no presentation"):
+        full_presentation(heavy)
+    with pytest.raises(DiagramError, match="admits no presentation"):
+        reduced_presentation(heavy)
+
+
 def test_witness_words_conjugate_arrow_sources():
     # only vertex 3 has an arrow into 0 on the oriented 4-cycle
     assert mutation_witness_words(FOUR_CYCLE, 0) == ((0,), (1,), (2,), (0, 3, 0))
