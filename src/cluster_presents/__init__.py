@@ -56,6 +56,7 @@ from .roots import (
     RootSystem,
     SignedGraph,
     build_root_system,
+    companion_basis,
     companion_matrix,
     copairing,
     is_companion_basis,

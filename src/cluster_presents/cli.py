@@ -37,11 +37,13 @@ from .coset import (
 )
 from .diagram import (
     DEFAULT_CLASS_CAP,
+    MAX_CANONICAL_RANK,
     Diagram,
     DiagramError,
     MutationClassOverflow,
     NotFiniteTypeError,
     chordless_cycles,
+    connected_components,
     diagram_of,
     identify_dynkin_type,
     mutate_diagram,
@@ -180,13 +182,7 @@ def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
     """mutation_class for the commands that enumerate one.  A rank beyond the
     canonical labeling's is a usage error, and so is a disconnected diagram,
     whose class has no tree member to name its type by."""
-    seen, stack = {0}, [0]
-    while stack:
-        for u in diagram.neighbours(stack.pop()):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) < diagram.n:
+    if len(connected_components(diagram)) > 1:
         _die("mutation classes of disconnected diagrams are not supported")
     return _valid(mutation_class, diagram, cap)
 
@@ -355,15 +351,17 @@ def _cmd_order(args, argv) -> int:
 def _cmd_verify_mutation(args, argv) -> int:
     diagram = _load(args.file, _diagram_or_matrix)
     k = _vertex(diagram.n, args.vertex)
+    if diagram.n > MAX_CANONICAL_RANK:
+        _die(f"verify-mutation supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
     try:
         cert = verify_mutation_isomorphism(diagram, k, cap=_coset_cap(args))
     except CosetCapExceeded as exc:
-        return _verdict({**_order_block(None, "direct", exc.cosets_defined), "verdict": "overflow"})
+        return _verdict({**_order_block(None, _auto_strategy(diagram.n), exc.cosets_defined), "verdict": "overflow"})
     return _verdict(
         {
             "order": cert.order,
             "mutated_order": cert.mutated_order,
-            "strategy": "direct",
+            "strategy": cert.strategy,
             "cosets_defined": cert.cosets_defined,
             "vertex": args.vertex,
             "forward_homomorphism": cert.forward_homomorphism,

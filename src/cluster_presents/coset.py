@@ -4,17 +4,23 @@ The enumerator is an HLT-style Todd-Coxeter procedure specialized to
 presentations in which every generator is an involution: the table keeps one
 column per generator and every table write is symmetric, so the involution
 relations are baked into the data structure.  On success the table of the
-trivial subgroup is the regular permutation representation, which gives exact
-group orders, homomorphism checks (a candidate map on generators is a
-homomorphism iff every target relator maps to the identity permutation), and
-faithfulness certificates for the mutation witness maps.
+trivial subgroup is the regular permutation representation (perm_rep).
 
 Orders can be computed directly (enumerate cosets of the trivial subgroup) or
 by a parabolic tower: enumerate cosets of the subgroup generated by all but
 the last generator, recurse on the restricted presentation, and multiply.
-The tower answer equals the true order precisely when each restricted
-presentation maps isomorphically onto the subgroup it generates; this is not
-assumed, it is what the cross-validation checks compare.
+Each index is exact, and each restricted presentation maps onto the subgroup
+its generators generate, so the tower answer is an upper bound on the order.
+It equals the order precisely when every restricted presentation maps
+isomorphically; this is not assumed, it is what the cross-validation checks
+compare.
+
+Mutation certificates check the witness maps in a small representation
+instead of the regular one: the simple reflections act on the roots through a
+companion basis (degree |Phi|, not |W|).  A homomorphism check there is exact
+once that representation is faithful, and it is exactly when the computed
+order, an upper bound, meets the lower bound |W| that a representation onto
+W gives (verify_mutation_isomorphism).
 
 Everything is deterministic: fixed scan order, fixed definition order, no
 randomization, so enumeration statistics are reproducible.
@@ -27,8 +33,9 @@ from dataclasses import dataclass
 from math import prod
 
 from . import dynkin
-from .diagram import Diagram
+from .diagram import Diagram, connected_components, mutate_diagram
 from .presentation import Presentation, Relation, Word, full_presentation, mutation_witness_words, inverse_mutation_witness_words
+from .roots import companion_basis, mutate_companion, reflect
 
 __all__ = [
     "DEFAULT_COSET_CAP",
@@ -258,7 +265,8 @@ def group_order(presentation: Presentation, strategy: str = "direct", cap: int =
 
 @dataclass(frozen=True)
 class PermutationRep:
-    """The regular representation: images[g][c] is the coset c * s_g."""
+    """A permutation representation: images[g][p] is the image of point p
+    under generator g (for perm_rep's regular representation, the coset p * s_g)."""
 
     degree: int
     images: tuple[tuple[int, ...], ...]
@@ -308,43 +316,94 @@ class MutationIsomorphismReport:
     vertex: int
     order: int
     mutated_order: int
-    cosets_defined: int  # by both enumerations
+    strategy: str
+    cosets_defined: int  # by both order computations
     forward_homomorphism: bool
     inverse_homomorphism: bool
     composition_identity: bool
+    faithful: bool  # the root representations are faithful on both groups
     failing_relation: Relation | None
 
     @property
     def passed(self) -> bool:
         return (
-            self.forward_homomorphism
+            self.faithful
+            and self.forward_homomorphism
             and self.inverse_homomorphism
             and self.composition_identity
-            and self.order == self.mutated_order
         )
+
+
+def _reflection_rep(n: int, parts) -> PermutationRep:
+    """s_v acting as the reflection in the vector attached to v.
+
+    parts holds (vertices, basis) per connected component, basis.vectors[a]
+    attached to vertices[a]; the points are the disjoint union of the
+    components' root sets, and each reflection fixes the other components'.
+    """
+    degree = sum(len(basis.system.roots) for _, basis in parts)
+    images: list[tuple[int, ...]] = [()] * n
+    offset = 0
+    for vertices, basis in parts:
+        roots = basis.system.roots
+        point = {root: offset + p for p, root in enumerate(roots)}
+        for v, beta in zip(vertices, basis.vectors):
+            image = list(range(degree))
+            for p, root in enumerate(roots):
+                image[offset + p] = point[reflect(basis.system, beta, root)]
+            images[v] = tuple(image)
+        offset += len(roots)
+    return PermutationRep(degree, tuple(images))
 
 
 def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COSET_CAP) -> MutationIsomorphismReport:
     """Certify W(diagram) = W(mutated diagram) via the witness words at k.
 
-    Checks that t_i |-> witness words defines a homomorphism each way, that
-    the two composites fix every generator, and that the group orders agree.
-    Raises CosetCapExceeded if either enumeration overflows.
-    """
-    from .diagram import mutate_diagram
+    Checks that t_i |-> witness words defines a homomorphism each way and that
+    the two composites fix every generator.  The checks run in the root
+    representation rho: s_i acts on the roots as the reflection in beta_i of
+    a companion basis of each connected component (roots.companion_basis),
+    and s'_i of the mutated diagram as the reflection in the basis mutated at
+    k (mutate_companion).  Raises CosetCapExceeded if an order computation
+    overflows, NotFiniteTypeError when a component's class is of no known
+    finite type, and ValueError above rank 10.
 
+    Why the checks are exact.  Each companion mutation keeps beta_k and
+    replaces beta_i by beta_i or s_{beta_k} beta_i, so on both sides the
+    reflections generate W = prod W_c over the components.  When the
+    relations of a presentation hold in its rho, rho is onto W, so the
+    presented group G has |G| >= |W| (the closed-form weyl_order).  The order
+    group_order computes is exact when enumerated directly and an upper bound
+    through the tower, because each restricted presentation maps onto the
+    subgroup its generators generate.  So a computed order equal to |W| makes
+    rho an isomorphism, which acts faithfully on the roots: `faithful` records
+    this for both sides, and `passed` requires it.
+    """
     mutated = mutate_diagram(diagram, k)
     pres = full_presentation(diagram)
     pres_mut = full_presentation(mutated)
-    table = coset_enumerate(pres, (), cap)
-    if table.status != "complete":
-        raise CosetCapExceeded(cap, table.cosets_defined)
-    table_mut = coset_enumerate(pres_mut, (), cap)
-    cosets_defined = table.cosets_defined + table_mut.cosets_defined
-    if table_mut.status != "complete":
-        raise CosetCapExceeded(cap, cosets_defined)
-    rep = perm_rep(table)
-    rep_mut = perm_rep(table_mut)
+    parts, parts_mut = [], []
+    expected = 1
+    for vertices, component in connected_components(diagram):
+        basis = companion_basis(component)
+        expected *= weyl_order(basis.system.label)
+        parts.append((vertices, basis))
+        if k in vertices:
+            basis = mutate_companion(basis, vertices.index(k), component, "inward")
+        parts_mut.append((vertices, basis))
+    rep = _reflection_rep(diagram.n, parts)
+    rep_mut = _reflection_rep(diagram.n, parts_mut)
+
+    strategy = _auto_strategy(diagram.n)
+    stats: dict = {}
+    order = group_order(pres, strategy, cap, stats)
+    mutated_order = group_order(pres_mut, strategy, cap, stats)
+    generators = tuple((i,) for i in range(diagram.n))
+    faithful = (
+        order == mutated_order == expected
+        and check_homomorphism(rep, generators, pres.relations)[0]
+        and check_homomorphism(rep_mut, generators, pres_mut.relations)[0]
+    )
 
     forward = mutation_witness_words(diagram, k)
     inverse = inverse_mutation_witness_words(mutated, k)
@@ -370,12 +429,14 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
 
     return MutationIsomorphismReport(
         vertex=k,
-        order=table.coset_count,
-        mutated_order=table_mut.coset_count,
-        cosets_defined=cosets_defined,
+        order=order,
+        mutated_order=mutated_order,
+        strategy=strategy,
+        cosets_defined=stats["cosets_defined"],
         forward_homomorphism=fwd_ok,
         inverse_homomorphism=inv_ok,
         composition_identity=comp_ok,
+        faithful=faithful,
         failing_relation=fwd_fail if not fwd_ok else inv_fail,
     )
 

@@ -30,6 +30,7 @@ __all__ = [
     "diagram_of",
     "mutate_diagram",
     "opposite",
+    "connected_components",
     "chordless_cycles",
     "validate_finite_type_local",
     "canonical_form",
@@ -169,6 +170,32 @@ def mutate_diagram(diagram: Diagram, k: int) -> Diagram:
             if c_new > 0:
                 new_edges[(i, j)] = c_new
     return Diagram(n, ((i, j, w) for (i, j), w in new_edges.items()))
+
+
+def connected_components(diagram: Diagram) -> list[tuple[tuple[int, ...], Diagram]]:
+    """The connected components, ordered by least vertex.
+
+    Each is its sorted vertex tuple and the induced subdiagram on it, whose
+    vertex a is vertices[a].
+    """
+    seen: set[int] = set()
+    components = []
+    for v in range(diagram.n):
+        if v in seen:
+            continue
+        seen.add(v)
+        found, stack = [v], [v]
+        while stack:
+            for u in diagram.neighbours(stack.pop()):
+                if u not in seen:
+                    seen.add(u)
+                    found.append(u)
+                    stack.append(u)
+        vertices = tuple(sorted(found))
+        position = {old: new for new, old in enumerate(vertices)}
+        components.append((vertices, Diagram(len(vertices), (
+            (position[i], position[j], w) for i, j, w in diagram.edges if i in position))))
+    return components
 
 
 # ---------------------------------------------------------------------------
@@ -543,18 +570,7 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
 
 
 def _is_tree(diagram: Diagram) -> bool:
-    n = diagram.n
-    if len(diagram.edges) != n - 1:
-        return False
-    seen = {0} if n else set()
-    stack = [0] if n else []
-    while stack:
-        v = stack.pop()
-        for u in diagram.neighbours(v):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n
+    return len(diagram.edges) == diagram.n - 1 and len(connected_components(diagram)) == 1
 
 
 def _identify_from_members(members: Sequence[Diagram]) -> str:

@@ -83,6 +83,13 @@ def _ints(line: str, context: str) -> list[int]:
         raise FormatError(f"expected integers in {context}: {line!r}") from None
 
 
+def _int(value, what: str) -> int:
+    """An integer read from JSON; a float, bool, string or null is malformed, never truncated."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def _maybe_json(text: str):
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -98,14 +105,14 @@ def load_matrix(text: str) -> ExchangeMatrix:
     data = _maybe_json(text)
     if data is not None:
         try:
-            n, rows = int(data["n"]), data["rows"]
+            n, rows = _int(data["n"], "matrix JSON n"), data["rows"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"matrix JSON needs 'n' and 'rows': {exc}") from None
         if n < 1:
             raise FormatError(f"matrix JSON needs a positive size n, not {n}")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise FormatError(f"matrix JSON rows do not form an {n} x {n} array")
-        return ExchangeMatrix([[int(x) for x in r] for r in rows])
+        return ExchangeMatrix([[_int(x, "matrix entry") for x in r] for r in rows])
     lines = _data_lines(text)
     if not lines:
         raise FormatError("empty matrix input")
@@ -139,12 +146,12 @@ def load_diagram(text: str) -> Diagram:
     data = _maybe_json(text)
     if data is not None:
         try:
-            n, edges = int(data["n"]), data["edges"]
+            n, edges = _int(data["n"], "diagram JSON n"), data["edges"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"diagram JSON needs 'n' and 'edges': {exc}") from None
         if n < 1:
             raise FormatError(f"diagram JSON needs a positive vertex count, not {n}")
-        return _build_diagram(n, [tuple(int(x) for x in e) for e in edges])
+        return _build_diagram(n, [tuple(_int(x, "diagram edge entry") for x in e) for e in edges])
     lines = _data_lines(text)
     if not lines:
         raise FormatError("empty diagram input")
@@ -188,14 +195,14 @@ def load_presentation(text: str) -> Presentation:
     data = _maybe_json(text)
     if data is not None:
         try:
-            n = int(data["generators"])
+            n = _int(data["generators"], "presentation JSON generators")
             raw = data["relations"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"presentation JSON needs 'generators' and 'relations': {exc}") from None
         rels = []
         for item in raw:
-            word = tuple(int(x) - 1 for x in item["word"])
-            rels.append(Relation(word, int(item["exponent"]), str(item.get("tag", "file"))))
+            word = tuple(_int(x, "relation letter") - 1 for x in item["word"])
+            rels.append(Relation(word, _int(item["exponent"], "relation exponent"), str(item.get("tag", "file"))))
         return Presentation(n, rels)
     lines = _data_lines(text)
     if not lines:

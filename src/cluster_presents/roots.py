@@ -9,15 +9,19 @@ stay in exact integer arithmetic.
 A companion basis for an exchange matrix B is a Z-basis of the root lattice
 made of roots whose mutual pairings reproduce |B| off the diagonal; it is
 mutated by reflecting the vectors attached to arrows into (or out of) the
-mutation vertex.  The sign pattern of such a basis is tracked by its signed
+mutation vertex; companion_basis finds one for any finite-type diagram by
+carrying the simple roots along its mutation class.  The sign pattern of such a basis is tracked by its signed
 graph, with one switching move that rewires the neighbourhood of a vertex.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import dynkin
+from .diagram import Diagram, NotFiniteTypeError, _canonical_labeling, mutate_diagram, mutation_class
 from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant
 
 __all__ = [
@@ -31,6 +35,7 @@ __all__ = [
     "companion_matrix",
     "is_companion_basis",
     "mutate_companion",
+    "companion_basis",
     "SignedGraph",
     "signed_graph",
     "local_switch",
@@ -101,8 +106,6 @@ def _close_under_reflections(cartan, n: int) -> tuple[Coords, ...]:
 @lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
     """The root system of a Dynkin type label such as "A3" or "B/C2"."""
-    from . import dynkin
-
     normalized = dynkin.normalize_label(label)
     return RootSystem(
         normalized,
@@ -246,6 +249,59 @@ def mutate_companion(basis: CompanionBasis, k: int, diagram, direction: str = "i
             hit = diagram.weight(k, i) > 0
         out.append(reflect(basis.system, beta_k, basis.vectors[i]) if hit else basis.vectors[i])
     return CompanionBasis(basis.system, out)
+
+
+def companion_basis(diagram: Diagram) -> CompanionBasis:
+    """A companion basis for a connected diagram of finite type and rank <= 10.
+
+    The simple roots are a companion basis for the standard tree of the
+    class's type (dynkin.standard_diagram).  The basis is carried along a
+    shortest path of the class's mutation edges from that tree's member to the
+    input's member: at each step it is mutated inward (mutate_companion) on
+    the member's representative and relabeled by the canonical labeling of
+    the mutated diagram, which is the next member's.  It ends in the input's
+    own labeling.  The vectors live in build_root_system(type label).
+
+    Raises NotFiniteTypeError when the class is not of a catalogued finite
+    type, and ValueError above rank 10 (mutation_class).
+    """
+    mclass = mutation_class(diagram)
+    if mclass.type_label == "unknown":
+        raise NotFiniteTypeError("mutation class of no known finite type")
+    system = build_root_system(mclass.type_label)
+    index = {key: i for i, key in enumerate(mclass.keys)}
+    start_key, _, start_perm = _canonical_labeling(dynkin.standard_diagram(mclass.type_label))
+    goal_key, _, goal_perm = _canonical_labeling(diagram)
+    start, goal = index[start_key], index[goal_key]
+
+    steps_from: dict[int, list[tuple[int, int]]] = {}
+    for a, k, b in sorted(mclass.edges):
+        steps_from.setdefault(a, []).append((k, b))
+    reached: dict[int, tuple[int, int] | None] = {start: None}  # member -> (previous member, vertex)
+    queue = deque([start])
+    while goal not in reached:
+        a = queue.popleft()
+        for k, b in steps_from[a]:
+            if b not in reached:
+                reached[b] = (a, k)
+                queue.append(b)
+    path = []
+    member = goal
+    while reached[member] is not None:
+        member, k = reached[member]
+        path.append((member, k))
+
+    # vectors[q] belongs to vertex q of the current member's representative
+    vectors = [system.simple_root(v) for v in start_perm]
+    for a, k in reversed(path):
+        rep = mclass.members[a]
+        mutated = mutate_companion(CompanionBasis(system, vectors), k, rep, "inward").vectors
+        _, _, perm = _canonical_labeling(mutate_diagram(rep, k))
+        vectors = [mutated[v] for v in perm]
+    out = [()] * diagram.n
+    for q, v in enumerate(goal_perm):
+        out[v] = vectors[q]
+    return CompanionBasis(system, out)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ import re
 
 import pytest
 
+from cluster_presents import dynkin
 from cluster_presents.cli import main
 from cluster_presents.coset import weyl_order
 from cluster_presents.formats import (
     FormatError,
+    dump_matrix,
     load_basis,
     load_diagram,
     load_matrix,
@@ -347,7 +349,7 @@ def test_theorem_a_rejects_zero_sample(capsys):
 @pytest.mark.parametrize(
     "command",
     [["diagram", "class", "{mat}"], ["diagram", "type", "{mat}"], ["verify-type", "{mat}"],
-     ["theorem-a", "{mat}"], ["theorem-a", "A11"]],
+     ["theorem-a", "{mat}"], ["theorem-a", "A11"], ["verify-mutation", "{mat}", "1"]],
 )
 def test_class_commands_reject_rank_above_ten(tmp_path, capsys, command):
     rows = [[(j == i + 1) - (j == i - 1) for j in range(11)] for i in range(11)]
@@ -512,6 +514,39 @@ def test_verdict_reports_are_pinned(tmp_path, capsys, command, code, stdout):
     captured = capsys.readouterr()
     assert captured.out == stdout
     assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "text, vertex, stdout",
+    [
+        ("2\n0 0\n0 0\n", "1",
+         '{\n  "order": 4,\n  "mutated_order": 4,\n  "strategy": "direct",\n  "cosets_defined": 8,\n'
+         '  "vertex": 1,\n  "forward_homomorphism": true,\n  "inverse_homomorphism": true,\n'
+         '  "composition_identity": true,\n  "verdict": "pass"\n}\n'),
+        ("3\n0 1 0\n-1 0 0\n0 0 0\n", "3",
+         '{\n  "order": 12,\n  "mutated_order": 12,\n  "strategy": "direct",\n  "cosets_defined": 24,\n'
+         '  "vertex": 3,\n  "forward_homomorphism": true,\n  "inverse_homomorphism": true,\n'
+         '  "composition_identity": true,\n  "verdict": "pass"\n}\n'),
+    ],
+)
+def test_disconnected_verify_mutation_reports_are_pinned(tmp_path, capsys, text, vertex, stdout):
+    # A1+A1 and A2+A1: one root representation over the components' root sets
+    assert main(["verify-mutation", _write(tmp_path, "in.mat", text), vertex]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (stdout, "")
+
+
+@pytest.mark.parametrize("label, vertex, bound", [("E6", "1", 1_000), ("E7", "4", 5_000)])
+def test_verify_mutation_enumerates_no_regular_representation(tmp_path, capsys, label, vertex, bound):
+    # |W(E6)| = 51,840 and |W(E7)| = 2,903,040: a regular representation of
+    # either side would define at least that many cosets
+    path = _write(tmp_path, "tree.mat", dump_matrix(dynkin.standard_exchange_matrix(label)))
+    assert main(["verify-mutation", path, vertex]) == 0
+    data = _json_out(capsys)
+    assert data["verdict"] == "pass"
+    assert data["order"] == data["mutated_order"] == weyl_order(label)
+    assert (data["strategy"], data["vertex"]) == ("tower", int(vertex))
+    assert data["cosets_defined"] < bound
 
 
 # ------------------------------------------------------------ malformed input
@@ -700,6 +735,10 @@ def test_random_diagrams_end_in_output_or_one_error_line(tmp_path, monkeypatch):
         ('{"generators": 2, "relations": [{"exponent": 2}]}', ["order", "{}"], 2),
         ('{"generators": 2, "relations": [{"exponent": 2}]}', ["export", "{}"], 2),
         ('{"generators": 1, "relations": [5]}', ["order", "{}"], 2),
+        # JSON numbers that are not integers
+        ('{"n": 2, "rows": [[0, 1.9], [-1, 0]]}', ["matrix", "mutate", "{}", "1"], 2),
+        ('{"n": 2, "rows": [[0, true], [-1, 0]]}', ["matrix", "mutate", "{}", "1"], 2),
+        ('{"n": 2, "edges": [[1, 2, 1.0]]}', ["verify-mutation", "{}", "1"], 2),
         # a well-formed diagram with no presentation
         ("2\n1 2 7\n", ["present", "full", "{}"], 1),
         ("2\n1 2 7\n", ["present", "reduced", "{}"], 1),

@@ -5,6 +5,9 @@ a breadth-first closure of the permutation group generated by the simple
 reflections acting on the root coordinates (built here straight from the
 Cartan integers), and weyl_order, the product of the degrees of the basic
 invariants, which is itself checked against the classical product formulas.
+Mutation certificates, which run in the root representation, are checked
+against the same certificate computed here in the regular representations of
+both groups.
 """
 
 import math
@@ -12,7 +15,7 @@ from collections import deque
 
 import pytest
 
-from cluster_presents import dynkin
+from cluster_presents import coset, dynkin
 from cluster_presents.coset import (
     CosetCapExceeded,
     _auto_strategy,
@@ -24,9 +27,16 @@ from cluster_presents.coset import (
     verify_mutation_isomorphism,
     weyl_order,
 )
-from cluster_presents.diagram import diagram_of
+from cluster_presents.diagram import diagram_of, mutate_diagram, mutation_class
 from cluster_presents.exchange import ExchangeMatrix
-from cluster_presents.presentation import Presentation, Relation, full_presentation
+from cluster_presents.presentation import (
+    Presentation,
+    Relation,
+    full_presentation,
+    inverse_mutation_witness_words,
+    mutation_witness_words,
+)
+from cluster_presents.roots import build_root_system, simple_root_basis
 
 
 FOUR_CYCLE = diagram_of(
@@ -256,6 +266,66 @@ def test_mutation_certificate_on_tree():
     report = verify_mutation_isomorphism(dynkin.standard_diagram("B/C3"), 1)
     assert report.passed
     assert report.order == weyl_order("B3")
+    assert (report.strategy, report.faithful) == ("direct", True)
+
+
+def _regular_certificate(diagram, k, forward=None):
+    """The certificate in the regular representations of both groups, each
+    enumerated in full: (order, mutated order, forward, inverse, composition)."""
+    mutated = mutate_diagram(diagram, k)
+    pres, pres_mut = full_presentation(diagram), full_presentation(mutated)
+    rep, rep_mut = perm_rep(coset_enumerate(pres)), perm_rep(coset_enumerate(pres_mut))
+    forward = forward or mutation_witness_words(diagram, k)
+    inverse = inverse_mutation_witness_words(mutated, k)
+    fwd = check_homomorphism(rep, forward, pres_mut.relations)[0]
+    inv = check_homomorphism(rep_mut, inverse, pres.relations)[0]
+
+    def composite(outer, inner, i):
+        return tuple(x for letter in outer[i] for x in inner[letter])
+
+    comp = fwd and inv and all(
+        evaluate_word(rep_mut, composite(forward, inverse, i)) == evaluate_word(rep_mut, (i,))
+        and evaluate_word(rep, composite(inverse, forward, i)) == evaluate_word(rep, (i,))
+        for i in range(diagram.n)
+    )
+    return rep.degree, rep_mut.degree, fwd, inv, comp
+
+
+@pytest.mark.parametrize("label", ["A3", "A4", "B/C3", "D4", "G2"])
+def test_root_certificate_agrees_with_the_regular_representation(label):
+    for member in mutation_class(dynkin.standard_diagram(label)).members:
+        for k in range(member.n):
+            report = verify_mutation_isomorphism(member, k)
+            order, mutated_order, fwd, inv, comp = _regular_certificate(member, k)
+            assert (report.order, report.mutated_order) == (order, mutated_order) == (weyl_order(label),) * 2
+            assert (report.forward_homomorphism, report.inverse_homomorphism, report.composition_identity) == (
+                fwd, inv, comp), (label, member.edges, k)
+            assert report.faithful
+            assert report.passed == (fwd and inv and comp and order == mutated_order)
+
+
+def test_root_certificate_rejects_a_wrong_witness(monkeypatch):
+    # A3 path 1 -> 2 -> 3 mutated at 2 is the oriented triangle; sending each
+    # generator of the triangle's group to itself kills none of its new braids
+    path = dynkin.standard_diagram("A3")
+    identity = tuple((i,) for i in range(path.n))
+    assert _regular_certificate(path, 1, identity)[2] is False
+    monkeypatch.setattr(coset, "mutation_witness_words", lambda diagram, k: identity)
+    report = verify_mutation_isomorphism(path, 1)
+    assert report.faithful
+    assert not report.forward_homomorphism
+    assert report.failing_relation is not None
+    assert not report.passed
+
+
+def test_root_certificate_needs_a_faithful_representation(monkeypatch):
+    # the simple roots of D4 are no companion basis of the 4-cycle: the cycle's
+    # braid relations fail on them, so the orders certify nothing
+    monkeypatch.setattr(coset, "companion_basis", lambda diagram: simple_root_basis(build_root_system("D4")))
+    report = verify_mutation_isomorphism(FOUR_CYCLE, 0)
+    assert report.order == report.mutated_order == weyl_order("D4")
+    assert not report.faithful
+    assert not report.passed
 
 
 def test_mutation_certificate_overflow():

@@ -190,5 +190,29 @@ def test_signed_graph_parse_errors(text):
         load_signed_graph(text)
 
 
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_matrix, '{"n": 2, "rows": [[0, 1.9], [-1, 0]]}'),
+        (load_matrix, '{"n": 2, "rows": [[0, true], [-1, 0]]}'),
+        (load_matrix, '{"n": 2, "rows": [[0, "1"], [-1, 0]]}'),
+        (load_matrix, '{"n": 2, "rows": [[0, null], [-1, 0]]}'),
+        (load_matrix, '{"n": 2.0, "rows": [[0, 1], [-1, 0]]}'),
+        (load_matrix, '{"n": true, "rows": [[0]]}'),
+        (load_diagram, '{"n": 2, "edges": [[1, 2, 1.5]]}'),
+        (load_diagram, '{"n": 2, "edges": [[1, true, 1]]}'),
+        (load_diagram, '{"n": 2.5, "edges": [[1, 2, 1]]}'),
+        (load_presentation, '{"generators": 1.0, "relations": [{"word": [1], "exponent": 2}]}'),
+        (load_presentation, '{"generators": 1, "relations": [{"word": [1.2], "exponent": 2}]}'),
+        (load_presentation, '{"generators": 1, "relations": [{"word": [true], "exponent": 2}]}'),
+        (load_presentation, '{"generators": 1, "relations": [{"word": [1], "exponent": 2.7}]}'),
+        (load_presentation, '{"generators": 1, "relations": [{"word": [1], "exponent": "2"}]}'),
+    ],
+)
+def test_json_integers_are_read_strictly(loader, text):
+    with pytest.raises(FormatError, match="must be an integer"):
+        loader(text)
+
+
 def test_signed_graph_header_without_edges_is_empty_graph():
     assert load_signed_graph("3\n") == SignedGraph(3, ())

@@ -12,10 +12,11 @@ from fractions import Fraction
 import pytest
 
 from cluster_presents import dynkin
-from cluster_presents.diagram import diagram_of
-from cluster_presents.exchange import mutate_matrix
+from cluster_presents.diagram import Diagram, NotFiniteTypeError, diagram_of, mutation_class
+from cluster_presents.exchange import ExchangeMatrix, determinant, mutate_matrix
 from cluster_presents.roots import (
     CompanionBasis,
+    companion_basis,
     SignedGraph,
     build_root_system,
     companion_matrix,
@@ -320,6 +321,53 @@ def test_random_walks_stay_companion_and_invert():
                 back = mutate_companion(mutated, k, diagram_of(B_next), "outward")
                 assert back == basis
                 basis, B = mutated, B_next
+
+
+def _skew_matrix(diagram):
+    """The skew-symmetric matrix of a simply-laced diagram."""
+    return ExchangeMatrix(
+        [[diagram.weight(i, j) - diagram.weight(j, i) for j in range(diagram.n)] for i in range(diagram.n)]
+    )
+
+
+def _shuffled_members(label, seed):
+    """Every member of the type's mutation class, its vertices relabeled at random."""
+    rng = random.Random(seed)
+    out = []
+    for member in mutation_class(dynkin.standard_diagram(label)).members:
+        perm = rng.sample(range(member.n), member.n)
+        out.append(Diagram(member.n, [(perm[i], perm[j], w) for i, j, w in member.edges]))
+    return out
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "E6"])
+def test_companion_basis_of_every_simply_laced_member(label):
+    for diagram in _shuffled_members(label, 3):
+        basis = companion_basis(diagram)
+        assert basis.system.label == label
+        ok, reason = is_companion_basis(basis, _skew_matrix(diagram))
+        assert ok, (label, diagram.edges, reason)
+
+
+@pytest.mark.parametrize("label", ["B/C4", "F4", "G2"])
+def test_companion_basis_of_every_multiply_laced_member(label):
+    for diagram in _shuffled_members(label, 5):
+        basis = companion_basis(diagram)
+        assert all(basis.system.is_root(v) for v in basis.vectors), diagram.edges
+        assert determinant([list(v) for v in basis.vectors]) in (1, -1), diagram.edges
+        comp = companion_matrix(basis).entries
+        for i in range(diagram.n):
+            for j in range(i + 1, diagram.n):
+                assert abs(comp[i][j] * comp[j][i]) == diagram.weight_between(i, j), (diagram.edges, i, j)
+
+
+def test_companion_basis_refuses_unsupported_diagrams():
+    chain = Diagram(11, [(i, i + 1, 1) for i in range(10)])
+    with pytest.raises(ValueError):
+        companion_basis(chain)  # rank above the canonical labeling's 10
+    star = Diagram(5, [(0, v, 1) for v in range(1, 5)])
+    with pytest.raises(NotFiniteTypeError):
+        companion_basis(star)  # the affine D4 tree
 
 
 # ------------------------------------------------------ signed graphs
