@@ -56,6 +56,7 @@ from .roots import (
     RootSystem,
     SignedGraph,
     build_root_system,
+    companion_bases,
     companion_basis,
     companion_matrix,
     copairing,
@@ -64,6 +65,7 @@ from .roots import (
     mutate_companion,
     pairing,
     reflect,
+    relations_hold,
     signed_graph,
     simple_root_basis,
 )

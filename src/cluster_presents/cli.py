@@ -30,7 +30,6 @@ from . import __version__, dynkin
 from .coset import (
     DEFAULT_COSET_CAP,
     CosetCapExceeded,
-    _auto_strategy,
     group_order,
     verify_mutation_isomorphism,
     weyl_order,
@@ -73,10 +72,13 @@ from .presentation import (
 from .roots import (
     CompanionBasis,
     build_root_system,
+    companion_bases,
+    companion_basis,
     companion_matrix,
     is_companion_basis,
     local_switch,
     mutate_companion,
+    relations_hold,
     signed_graph,
     simple_root_basis,
 )
@@ -180,8 +182,11 @@ def _vertex_list(text: str, name: str) -> list[int]:
 
 def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
     """mutation_class for the commands that enumerate one.  A rank beyond the
-    canonical labeling's is a usage error, and so is a disconnected diagram,
-    whose class has no tree member to name its type by."""
+    canonical labeling's is a usage error, checked before any pass over the
+    vertices, and so is a disconnected diagram, whose class has no tree
+    member to name its type by."""
+    if diagram.n > MAX_CANONICAL_RANK:
+        _die(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
     if len(connected_components(diagram)) > 1:
         _die("mutation classes of disconnected diagrams are not supported")
     return _valid(mutation_class, diagram, cap)
@@ -216,13 +221,17 @@ def _order_block(order, strategy: str, cosets_defined: int) -> dict:
 
 
 def _group_order(presentation: Presentation, strategy: str, cap: int) -> dict:
-    """group_order as the head of an order report."""
+    """group_order as the head of an order report; a tower reports its levels
+    (dropped generator 1-based), the completed ones after an overflow."""
     stats: dict = {}
     try:
         order = group_order(presentation, strategy=strategy, cap=cap, stats=stats)
     except CosetCapExceeded:
         order = None
-    return _order_block(order, strategy, stats.get("cosets_defined", 0))
+    block = _order_block(order, strategy, stats.get("cosets_defined", 0))
+    if strategy == "tower":
+        block["tower"] = [{"dropped": level["dropped"] + 1, "index": level["index"]} for level in stats["tower"]]
+    return block
 
 
 def _report(argv, inputs, results, verdict, started) -> int:
@@ -356,7 +365,7 @@ def _cmd_verify_mutation(args, argv) -> int:
     try:
         cert = verify_mutation_isomorphism(diagram, k, cap=_coset_cap(args))
     except CosetCapExceeded as exc:
-        return _verdict({**_order_block(None, _auto_strategy(diagram.n), exc.cosets_defined), "verdict": "overflow"})
+        return _verdict({**_order_block(None, "tower", exc.cosets_defined), "verdict": "overflow"})
     return _verdict(
         {
             "order": cert.order,
@@ -373,16 +382,23 @@ def _cmd_verify_mutation(args, argv) -> int:
 
 
 def _cmd_verify_type(args, argv) -> int:
+    """Certify |G| = |W| for the diagram's presented group G: the tower bounds
+    |G| from above, the relations holding on a companion basis from below
+    (roots.relations_hold)."""
     diagram = _load(args.file, _diagram_or_matrix)
     cap = _coset_cap(args)
-    label = identify_dynkin_type(_mutation_class(diagram))
-    report = _group_order(full_presentation(diagram), _auto_strategy(diagram.n), cap)
+    mclass = _mutation_class(diagram)
+    label = identify_dynkin_type(mclass)
+    presentation = full_presentation(diagram)
+    report = _group_order(presentation, "tower", cap)
+    lower_bound = label != "unknown" and relations_hold(companion_basis(diagram, mclass), presentation.relations)
     report["type"] = label
     if report["order"] is None:
-        report["verdict"] = "overflow"
+        report.update(lower_bound=lower_bound, verdict="overflow")
     else:
-        report["expected_order"] = weyl_order(label) if label != "unknown" else None
-        report["verdict"] = "pass" if report["expected_order"] == report["order"] else "fail"
+        expected = weyl_order(label) if label != "unknown" else None
+        report.update(expected_order=expected, lower_bound=lower_bound,
+                      verdict="pass" if report["order"] == expected and lower_bound else "fail")
     return _verdict(report)
 
 
@@ -411,12 +427,18 @@ def _cmd_theorem_a(args, argv) -> int:
     if args.sample != "all" and int(args.sample) < len(indices):
         indices = sorted(random.Random(args.seed).sample(indices, int(args.sample)))
 
+    # Each member passes on two bounds: the tower's |G| <= order and the
+    # relations holding on the member's companion basis, |G| >= |W|.
+    bases = companion_bases(mclass)
     members = []
     for idx in indices:
-        member = mclass.members[idx]
-        order = _group_order(reduced_presentation(member), _auto_strategy(member.n), cap)["order"]
-        verdict = "overflow" if order is None else ("pass" if order == expected else "fail")
-        members.append({"member": idx, "order": order, "verdict": verdict})
+        presentation = reduced_presentation(mclass.members[idx])
+        block = _group_order(presentation, "tower", cap)
+        order = block["order"]
+        lower_bound = relations_hold(bases[idx], presentation.relations)
+        verdict = "overflow" if order is None else ("pass" if order == expected and lower_bound else "fail")
+        members.append({"member": idx, "order": order, "tower": block["tower"], "lower_bound": lower_bound,
+                        "verdict": verdict})
     verdicts = {m["verdict"] for m in members}
     verdict = "fail" if "fail" in verdicts else ("overflow" if "overflow" in verdicts else "pass")
     results = {

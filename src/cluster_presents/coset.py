@@ -7,13 +7,15 @@ relations are baked into the data structure.  On success the table of the
 trivial subgroup is the regular permutation representation (perm_rep).
 
 Orders can be computed directly (enumerate cosets of the trivial subgroup) or
-by a parabolic tower: enumerate cosets of the subgroup generated by all but
-the last generator, recurse on the restricted presentation, and multiply.
-Each index is exact, and each restricted presentation maps onto the subgroup
-its generators generate, so the tower answer is an upper bound on the order.
-It equals the order precisely when every restricted presentation maps
-isomorphically; this is not assumed, it is what the cross-validation checks
-compare.
+by a parabolic tower: drop a generator of least degree, enumerate the cosets
+of the subgroup the others generate, go on with the relations among the
+others, and multiply the indices.  Each index is exact, and each restricted
+presentation maps onto the subgroup its generators generate, so the tower
+answer is an upper bound on the order.  The certificates close it from below:
+theorem-a and verify-type check that the relations hold on a companion basis
+(roots.relations_hold), which maps the presented group onto W, and
+verify_mutation_isomorphism checks the same in its root representation.  An
+upper bound equal to |W| (weyl_order) is then the order.
 
 Mutation certificates check the witness maps in a small representation
 instead of the regular one: the simple reflections act on the roots through a
@@ -226,41 +228,66 @@ def coset_enumerate(presentation: Presentation, subgroup_words=(), cap: int = DE
     return CosetTable(rows, "complete", len(survivors), defined)
 
 
-def _restrict(presentation: Presentation, m: int) -> Presentation:
-    kept = [rel for rel in presentation.relations if all(letter < m for letter in rel.word)]
-    return Presentation(m, kept)
+def _degrees(presentation: Presentation) -> list[int]:
+    """Per generator, how many others share a relator with it; the commuting
+    pairs (s_i s_j)^2 do not link."""
+    linked: list[set[int]] = [set() for _ in range(presentation.n)]
+    for rel in presentation.relations:
+        if len(rel.word) == 2 and rel.exponent == 2:
+            continue
+        letters = set(rel.word)
+        for g in letters:
+            linked[g] |= letters - {g}
+    return [len(others) for others in linked]
 
 
-def _auto_strategy(rank: int) -> str:
-    """Enumerate directly up to rank 5, through the parabolic tower above it."""
-    return "direct" if rank <= 5 else "tower"
+def _drop(presentation: Presentation, g: int) -> Presentation:
+    """The relations without s_g, over the other generators renumbered in order."""
+    kept = [
+        Relation(tuple(x - (x > g) for x in rel.word), rel.exponent, rel.tag)
+        for rel in presentation.relations
+        if g not in rel.word
+    ]
+    return Presentation(presentation.n - 1, kept)
+
+
+def _index(presentation: Presentation, subgroup, cap: int, stats: dict) -> int:
+    """The index of the subgroup, counting the cosets defined into stats."""
+    table = coset_enumerate(presentation, subgroup, cap)
+    stats["cosets_defined"] = stats.get("cosets_defined", 0) + table.cosets_defined
+    if table.status != "complete":
+        raise CosetCapExceeded(cap, stats["cosets_defined"])
+    return table.coset_count
 
 
 def group_order(presentation: Presentation, strategy: str = "direct", cap: int = DEFAULT_COSET_CAP, stats: dict | None = None) -> int:
     """Order of the presented group; raises CosetCapExceeded on overflow.
 
-    strategy "direct" enumerates the trivial subgroup; "tower" enumerates the
-    subgroup generated by all generators but the last and recurses on the
-    restricted presentation.  stats, if given, accumulates "cosets_defined";
-    on overflow the exception carries the same total.
+    strategy "direct" enumerates the trivial subgroup.  "tower" drops a
+    generator of least degree (_degrees; ties go to the highest index),
+    enumerates the cosets of the subgroup the others generate, and goes on
+    with the relations among the others until no generator is left.  stats,
+    if given, accumulates "cosets_defined", and the tower appends one
+    {"dropped": generator, "index": cosets} per level to its "tower" list,
+    the generator 0-based in the input's numbering.  On overflow the
+    exception carries the same cosets_defined total.
     """
-    if presentation.n == 0:
-        return 1
     stats = {} if stats is None else stats
-    if strategy == "direct" or presentation.n == 1:
-        table = coset_enumerate(presentation, (), cap)
-        stats["cosets_defined"] = stats.get("cosets_defined", 0) + table.cosets_defined
-        if table.status != "complete":
-            raise CosetCapExceeded(cap, stats["cosets_defined"])
-        return table.coset_count
+    if strategy == "direct":
+        return _index(presentation, (), cap, stats) if presentation.n else 1
     if strategy != "tower":
         raise ValueError(f"unknown strategy {strategy!r}")
-    subgroup = [(g,) for g in range(presentation.n - 1)]
-    table = coset_enumerate(presentation, subgroup, cap)
-    stats["cosets_defined"] = stats.get("cosets_defined", 0) + table.cosets_defined
-    if table.status != "complete":
-        raise CosetCapExceeded(cap, stats["cosets_defined"])
-    return table.coset_count * group_order(_restrict(presentation, presentation.n - 1), "tower", cap, stats)
+    tower = stats.setdefault("tower", [])
+    labels = list(range(presentation.n))  # the input's number of each generator
+    order = 1
+    while presentation.n:
+        degree = _degrees(presentation)
+        g = min(reversed(range(presentation.n)), key=degree.__getitem__)
+        index = _index(presentation, [(h,) for h in range(presentation.n) if h != g], cap, stats)
+        tower.append({"dropped": labels.pop(g), "index": index})
+        order *= index
+        presentation = _drop(presentation, g)
+    return order
 
 
 @dataclass(frozen=True)
@@ -372,10 +399,9 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     replaces beta_i by beta_i or s_{beta_k} beta_i, so on both sides the
     reflections generate W = prod W_c over the components.  When the
     relations of a presentation hold in its rho, rho is onto W, so the
-    presented group G has |G| >= |W| (the closed-form weyl_order).  The order
-    group_order computes is exact when enumerated directly and an upper bound
-    through the tower, because each restricted presentation maps onto the
-    subgroup its generators generate.  So a computed order equal to |W| makes
+    presented group G has |G| >= |W| (the closed-form weyl_order).  The
+    tower's order is an upper bound, because each restricted presentation
+    maps onto the subgroup its generators generate.  So an order equal to |W| makes
     rho an isomorphism, which acts faithfully on the roots: `faithful` records
     this for both sides, and `passed` requires it.
     """
@@ -394,10 +420,9 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     rep = _reflection_rep(diagram.n, parts)
     rep_mut = _reflection_rep(diagram.n, parts_mut)
 
-    strategy = _auto_strategy(diagram.n)
     stats: dict = {}
-    order = group_order(pres, strategy, cap, stats)
-    mutated_order = group_order(pres_mut, strategy, cap, stats)
+    order = group_order(pres, "tower", cap, stats)
+    mutated_order = group_order(pres_mut, "tower", cap, stats)
     generators = tuple((i,) for i in range(diagram.n))
     faithful = (
         order == mutated_order == expected
@@ -431,7 +456,7 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
         vertex=k,
         order=order,
         mutated_order=mutated_order,
-        strategy=strategy,
+        strategy="tower",
         cosets_defined=stats["cosets_defined"],
         forward_homomorphism=fwd_ok,
         inverse_homomorphism=inv_ok,

@@ -53,6 +53,8 @@ class Diagram:
     Finite-type diagrams only carry weights 1..3; construction accepts any
     positive weight so that non-2-finite inputs (e.g. the diagram of a
     (2,-2) matrix, weight 4) can exist long enough to be reported as such.
+    Adjacency is stored only for vertices with edges, so a large vertex count
+    costs nothing until something walks the vertices.
     """
 
     __slots__ = ("n", "edges", "_weights", "_out", "_in")
@@ -72,16 +74,16 @@ class Diagram:
             if (i, j) in weights or (j, i) in weights:
                 raise DiagramError(f"parallel edge between {i} and {j}")
             weights[(i, j)] = w
-        out: dict[int, list[int]] = {v: [] for v in range(n)}
-        inc: dict[int, list[int]] = {v: [] for v in range(n)}
+        out: dict[int, list[int]] = {}
+        inc: dict[int, list[int]] = {}
         for (i, j) in weights:
-            out[i].append(j)
-            inc[j].append(i)
+            out.setdefault(i, []).append(j)
+            inc.setdefault(j, []).append(i)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted((i, j, w) for (i, j), w in weights.items())))
         object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_out", {v: tuple(sorted(out[v])) for v in range(n)})
-        object.__setattr__(self, "_in", {v: tuple(sorted(inc[v])) for v in range(n)})
+        object.__setattr__(self, "_out", {v: tuple(sorted(heads)) for v, heads in out.items()})
+        object.__setattr__(self, "_in", {v: tuple(sorted(tails)) for v, tails in inc.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -95,13 +97,13 @@ class Diagram:
         return self._weights.get((i, j)) or self._weights.get((j, i)) or 0
 
     def out_neighbours(self, i: int) -> tuple[int, ...]:
-        return self._out[i]
+        return self._out.get(i, ())
 
     def in_neighbours(self, i: int) -> tuple[int, ...]:
-        return self._in[i]
+        return self._in.get(i, ())
 
     def neighbours(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(self._out[i] + self._in[i]))
+        return tuple(sorted(self.out_neighbours(i) + self.in_neighbours(i)))
 
     def max_weight(self) -> int:
         return max((w for _, _, w in self.edges), default=0)
@@ -229,8 +231,10 @@ def chordless_cycles(diagram: Diagram) -> list[ChordlessCycle]:
     validator turns the flag into a failure.  Output is sorted
     lexicographically by vertex sequence.
     """
-    n = diagram.n
-    adj = [set(diagram.neighbours(v)) for v in range(n)]
+    adj: dict[int, set[int]] = {}  # only the vertices with edges
+    for i, j, _ in diagram.edges:
+        adj.setdefault(i, set()).add(j)
+        adj.setdefault(j, set()).add(i)
     found: list[tuple[int, ...]] = []
 
     def extend(path: list[int], members: set[int]) -> None:
@@ -253,7 +257,7 @@ def chordless_cycles(diagram: Diagram) -> list[ChordlessCycle]:
             members.remove(v)
             path.pop()
 
-    for s in range(n):
+    for s in sorted(adj):
         for t in sorted(adj[s]):
             if t > s:
                 extend([s, t], {s, t})

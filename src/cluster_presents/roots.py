@@ -9,9 +9,12 @@ stay in exact integer arithmetic.
 A companion basis for an exchange matrix B is a Z-basis of the root lattice
 made of roots whose mutual pairings reproduce |B| off the diagonal; it is
 mutated by reflecting the vectors attached to arrows into (or out of) the
-mutation vertex; companion_basis finds one for any finite-type diagram by
-carrying the simple roots along its mutation class.  The sign pattern of such a basis is tracked by its signed
-graph, with one switching move that rewires the neighbourhood of a vertex.
+mutation vertex.  companion_bases finds one for every member of a finite-type
+mutation class, and companion_basis for one diagram, by carrying the simple
+roots along the class's mutation edges; relations_hold checks a presentation
+on the reflections in such a basis, the lower bound of the certificates.  The
+sign pattern of a basis is tracked by its signed graph, with one switching
+move that rewires the neighbourhood of a vertex.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import dynkin
-from .diagram import Diagram, NotFiniteTypeError, _canonical_labeling, mutate_diagram, mutation_class
+from .diagram import Diagram, MutationClass, NotFiniteTypeError, _canonical_labeling, mutate_diagram, mutation_class
 from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant
 
 __all__ = [
@@ -35,7 +38,9 @@ __all__ = [
     "companion_matrix",
     "is_companion_basis",
     "mutate_companion",
+    "companion_bases",
     "companion_basis",
+    "relations_hold",
     "SignedGraph",
     "signed_graph",
     "local_switch",
@@ -186,15 +191,37 @@ def simple_root_basis(system: RootSystem) -> CompanionBasis:
     return CompanionBasis(system, [system.simple_root(i) for i in range(system.n)])
 
 
+def _coroot_pairings(basis: CompanionBasis) -> list[list[int]]:
+    """(beta_i, beta_j^check) off the diagonal and 2 on it, raising copairing's
+    errors in its order.  Each beta_j is paired through its image under the
+    form, computed once."""
+    system, vectors = basis.system, basis.vectors
+    n = len(vectors)
+    images = [
+        [d * sum(c * x for c, x in zip(row, w)) for row, d in zip(system.cartan, system.symmetriser)]
+        for w in vectors
+    ]
+    norms = [sum(x * y for x, y in zip(w, image)) for w, image in zip(vectors, images)]
+    rows = []
+    for i, v in enumerate(vectors):
+        row = []
+        for j, w in enumerate(vectors):
+            if i == j:
+                row.append(2)
+                continue
+            if norms[j] == 0:
+                raise ValueError("coroot pairing undefined: (w, w) = 0")
+            value, remainder = divmod(2 * sum(x * y for x, y in zip(v, images[j])), norms[j])
+            if remainder:
+                raise ValueError(f"coroot pairing of {v} against {w} is not integral")
+            row.append(value)
+        rows.append(row)
+    return rows
+
+
 def companion_matrix(basis: CompanionBasis) -> QuasiCartanMatrix:
     """The Gram-type matrix A[i][j] = (beta_i, beta_j^check) of the basis."""
-    sys_ = basis.system
-    n = len(basis.vectors)
-    rows = [
-        [copairing(sys_, basis.vectors[i], basis.vectors[j]) if i != j else 2 for j in range(n)]
-        for i in range(n)
-    ]
-    return QuasiCartanMatrix(rows)
+    return QuasiCartanMatrix(_coroot_pairings(basis))
 
 
 def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[bool, str | None]:
@@ -251,57 +278,128 @@ def mutate_companion(basis: CompanionBasis, k: int, diagram, direction: str = "i
     return CompanionBasis(basis.system, out)
 
 
-def companion_basis(diagram: Diagram) -> CompanionBasis:
+def _standard_start(mclass: MutationClass) -> tuple[RootSystem, int, list[Coords]]:
+    """The class's root system, the member of its type's standard tree, and
+    the simple roots as a basis in that member's labeling."""
+    if mclass.type_label == "unknown":
+        raise NotFiniteTypeError("mutation class of no known finite type")
+    system = build_root_system(mclass.type_label)
+    key, _, perm = _canonical_labeling(dynkin.standard_diagram(mclass.type_label))
+    return system, mclass.keys.index(key), [system.simple_root(v) for v in perm]
+
+
+def _tree_edges(mclass: MutationClass, start: int):
+    """The (member, vertex, member) steps of a BFS tree of the class's mutation
+    edges from start, each member's first step into it, in BFS order."""
+    steps_from: dict[int, list[tuple[int, int]]] = {}
+    for a, k, b in sorted(mclass.edges):
+        steps_from.setdefault(a, []).append((k, b))
+    reached = {start}
+    queue = deque([start])
+    while queue:
+        a = queue.popleft()
+        for k, b in steps_from[a]:
+            if b not in reached:
+                reached.add(b)
+                queue.append(b)
+                yield a, k, b
+
+
+def _carry(system: RootSystem, mclass: MutationClass, a: int, k: int, vectors) -> list[Coords]:
+    """A basis of member a's representative, mutated inward at k and relabeled
+    by the canonical labeling of the mutated diagram, which is the
+    representative of the member reached."""
+    rep = mclass.members[a]
+    mutated = mutate_companion(CompanionBasis(system, vectors), k, rep, "inward").vectors
+    _, _, perm = _canonical_labeling(mutate_diagram(rep, k))
+    return [mutated[v] for v in perm]
+
+
+def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
+    """A companion basis of every member's representative, indexed like members.
+
+    The simple roots are a companion basis of the standard tree of the
+    class's type (dynkin.standard_diagram); they are carried (_carry) along a
+    BFS tree of the class's mutation edges from that tree's member.  The
+    vectors live in build_root_system(type label).  Raises
+    NotFiniteTypeError when the class is of no catalogued finite type.
+    """
+    system, start, vectors = _standard_start(mclass)
+    bases = {start: vectors}
+    for a, k, b in _tree_edges(mclass, start):
+        bases[b] = _carry(system, mclass, a, k, bases[a])
+    return tuple(CompanionBasis(system, bases[i]) for i in range(len(mclass)))
+
+
+def companion_basis(diagram: Diagram, mclass: MutationClass | None = None) -> CompanionBasis:
     """A companion basis for a connected diagram of finite type and rank <= 10.
 
-    The simple roots are a companion basis for the standard tree of the
-    class's type (dynkin.standard_diagram).  The basis is carried along a
-    shortest path of the class's mutation edges from that tree's member to the
-    input's member: at each step it is mutated inward (mutate_companion) on
-    the member's representative and relabeled by the canonical labeling of
-    the mutated diagram, which is the next member's.  It ends in the input's
-    own labeling.  The vectors live in build_root_system(type label).
+    mclass is the diagram's mutation class, enumerated here when not given.
+    The simple roots of the standard tree's member are carried (_carry) along
+    the BFS tree of companion_bases, but only on the path to the input's
+    member, and end in the input's own labeling.
 
     Raises NotFiniteTypeError when the class is not of a catalogued finite
     type, and ValueError above rank 10 (mutation_class).
     """
-    mclass = mutation_class(diagram)
-    if mclass.type_label == "unknown":
-        raise NotFiniteTypeError("mutation class of no known finite type")
-    system = build_root_system(mclass.type_label)
-    index = {key: i for i, key in enumerate(mclass.keys)}
-    start_key, _, start_perm = _canonical_labeling(dynkin.standard_diagram(mclass.type_label))
+    mclass = mutation_class(diagram) if mclass is None else mclass
+    system, start, vectors = _standard_start(mclass)
     goal_key, _, goal_perm = _canonical_labeling(diagram)
-    start, goal = index[start_key], index[goal_key]
-
-    steps_from: dict[int, list[tuple[int, int]]] = {}
-    for a, k, b in sorted(mclass.edges):
-        steps_from.setdefault(a, []).append((k, b))
-    reached: dict[int, tuple[int, int] | None] = {start: None}  # member -> (previous member, vertex)
-    queue = deque([start])
-    while goal not in reached:
-        a = queue.popleft()
-        for k, b in steps_from[a]:
-            if b not in reached:
-                reached[b] = (a, k)
-                queue.append(b)
+    goal = mclass.keys.index(goal_key)
+    step_into = {}
+    for a, k, b in _tree_edges(mclass, start):
+        step_into[b] = (a, k)
+        if b == goal:
+            break
     path = []
     member = goal
-    while reached[member] is not None:
-        member, k = reached[member]
+    while member != start:
+        member, k = step_into[member]
         path.append((member, k))
-
-    # vectors[q] belongs to vertex q of the current member's representative
-    vectors = [system.simple_root(v) for v in start_perm]
     for a, k in reversed(path):
-        rep = mclass.members[a]
-        mutated = mutate_companion(CompanionBasis(system, vectors), k, rep, "inward").vectors
-        _, _, perm = _canonical_labeling(mutate_diagram(rep, k))
-        vectors = [mutated[v] for v in perm]
+        vectors = _carry(system, mclass, a, k, vectors)
     out = [()] * diagram.n
     for q, v in enumerate(goal_perm):
         out[v] = vectors[q]
     return CompanionBasis(system, out)
+
+
+def relations_hold(basis: CompanionBasis, relations) -> bool:
+    """Do the reflections in the basis vectors satisfy every relation?
+
+    Integers only, in coordinates over the basis: with A = companion_matrix,
+    the reflection in beta_g sends x to x - (sum_j x_j A[j][g]) beta_g, that
+    is, it subtracts (column g of A) . x from coordinate g.  A relator holds
+    when its word fixes every unit vector.
+
+    Why this bounds a presented group from below.  A basis of companion_bases
+    or companion_basis is carried from the simple roots by mutations, each of
+    which keeps beta_k and replaces beta_i by beta_i or s_{beta_k} beta_i, so
+    its reflections generate the Weyl group W.  When they satisfy the
+    relations of a presentation, s_g |-> reflection in beta_g maps the
+    presented group G onto W, so |G| >= |W| = prod d_i (coset.weyl_order).
+    The coset tower bounds |G| from above by the product of its indices
+    (coset.group_order); the two bounds meeting is the certificate |G| = |W|.
+    """
+    entries = _coroot_pairings(basis)
+    n = len(entries)
+    column = [[(j, entries[j][g]) for j in range(n) if entries[j][g]] for g in range(n)]
+    identity = [[int(r == c) for c in range(n)] for r in range(n)]
+    for rel in relations:
+        if len(rel.word) == 2 and rel.exponent == 2 and not entries[rel.word[0]][rel.word[1]] \
+                and not entries[rel.word[1]][rel.word[0]]:
+            continue  # neither reflection reads the other's coordinate: they commute
+        # rows[r][c] is coordinate r of the image of unit vector c; only the
+        # word's letters change a coordinate
+        rows = {}
+        for g in rel.word * rel.exponent:
+            row = rows.get(g, identity[g])
+            for j, a in column[g]:
+                row = [x - a * y for x, y in zip(row, rows.get(j, identity[j]))]
+            rows[g] = row
+        if any(row != identity[g] for g, row in rows.items()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

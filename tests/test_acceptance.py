@@ -14,7 +14,6 @@ import pytest
 
 from cluster_presents import dynkin
 from cluster_presents.coset import (
-    _auto_strategy,
     coset_enumerate,
     evaluate_word,
     group_order,
@@ -42,10 +41,12 @@ from cluster_presents.presentation import full_presentation, reduced_presentatio
 from cluster_presents.roots import (
     CompanionBasis,
     build_root_system,
+    companion_bases,
     companion_matrix,
     is_companion_basis,
     local_switch,
     mutate_companion,
+    relations_hold,
     signed_graph,
     simple_root_basis,
 )
@@ -75,20 +76,20 @@ FOUR_CYCLE = diagram_of(
 
 
 @pytest.fixture(scope="module")
-def classes():
-    out = {}
-    for label in CLASS_LABELS:
-        out[label] = mutation_class(dynkin.standard_diagram(label)).members
-    return out
+def mutation_classes():
+    return {label: mutation_class(dynkin.standard_diagram(label)) for label in CLASS_LABELS}
+
+
+@pytest.fixture(scope="module")
+def classes(mutation_classes):
+    return {label: mclass.members for label, mclass in mutation_classes.items()}
 
 
 @pytest.fixture(scope="module")
 def reduced_orders(classes):
+    # tower orders are upper bounds; criterion 01 closes them from below
     return {
-        label: [
-            group_order(reduced_presentation(member), _auto_strategy(member.n))
-            for member in members
-        ]
+        label: [group_order(reduced_presentation(member), "tower") for member in members]
         for label, members in classes.items()
     }
 
@@ -125,20 +126,23 @@ def companion_walks():
     return failures, list(pairs.values())
 
 
-def test_criterion_01_every_class_member_presents_the_weyl_group(classes, reduced_orders):
+def test_criterion_01_every_class_member_presents_the_weyl_group(mutation_classes, classes, reduced_orders):
     for label, members in classes.items():
         assert members, f"empty mutation class for {label}"
         expected = weyl_order(label)
+        bases = companion_bases(mutation_classes[label])
         for idx, order in enumerate(reduced_orders[label]):
             assert order == expected, (
                 f"{label} member {idx}: order {order} != {expected}"
             )
+            # the relations hold on a companion basis: |G| >= |W| as well
+            assert relations_hold(bases[idx], reduced_presentation(members[idx]).relations), (label, idx)
 
 
 def test_criterion_02_full_and_reduced_presentations_agree(classes, reduced_orders):
     for label, members in classes.items():
         for member, reduced_order in zip(members, reduced_orders[label]):
-            full_order = group_order(full_presentation(member), _auto_strategy(member.n))
+            full_order = group_order(full_presentation(member), "tower")
             assert full_order == reduced_order, f"{label}: {full_order} != {reduced_order}"
 
 
@@ -158,9 +162,7 @@ def test_criterion_03_four_cycle_presentation_matches_golden_file():
 def test_criterion_04_opposite_diagram_has_equal_order(classes, reduced_orders):
     for label, members in classes.items():
         for member, order in zip(members, reduced_orders[label]):
-            opposite_order = group_order(
-                reduced_presentation(opposite(member)), _auto_strategy(member.n)
-            )
+            opposite_order = group_order(reduced_presentation(opposite(member)), "tower")
             assert opposite_order == order, f"{label}: {opposite_order} != {order}"
 
 

@@ -3,15 +3,19 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
 import random
 import re
+import time
+import tracemalloc
 
 import pytest
 
-from cluster_presents import dynkin
+from cluster_presents import cli, dynkin
 from cluster_presents.cli import main
-from cluster_presents.coset import weyl_order
+from cluster_presents.coset import group_order, weyl_order
+from cluster_presents.diagram import diagram_of, mutate_diagram
 from cluster_presents.formats import (
     FormatError,
     dump_matrix,
@@ -21,6 +25,8 @@ from cluster_presents.formats import (
     load_presentation,
     load_signed_graph,
 )
+from cluster_presents.presentation import Presentation, Relation, full_presentation
+from cluster_presents.roots import build_root_system, simple_root_basis
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -263,15 +269,21 @@ def test_verify_mutation_counts_both_enumerations(tmp_path, capsys):
     path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
     assert main(["verify-mutation", path, "1"]) == 0
     data = _json_out(capsys)
-    assert data["cosets_defined"] >= data["order"] + data["mutated_order"]
+    diagram = diagram_of(load_matrix(CYCLE_MATRIX))
+    towers = [{}, {}]
+    group_order(full_presentation(diagram), "tower", stats=towers[0])
+    group_order(full_presentation(mutate_diagram(diagram, 0)), "tower", stats=towers[1])
+    assert data["strategy"] == "tower"
+    assert data["cosets_defined"] == sum(stats["cosets_defined"] for stats in towers)
 
 
 def test_verify_mutation_overflow(tmp_path, capsys):
+    # the 4-cycle's tower needs 8 live cosets at its first level
     path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
-    assert main(["verify-mutation", path, "1", "--cap", "10"]) == 1
+    assert main(["verify-mutation", path, "1", "--cap", "4"]) == 1
     data = _json_out(capsys)
     assert data["verdict"] == "overflow"
-    assert data["cosets_defined"] >= 10  # the cap counts live cosets, each one defined
+    assert data["cosets_defined"] >= 4  # the cap counts live cosets, each one defined
 
 
 def test_verify_type(tmp_path, capsys):
@@ -281,7 +293,71 @@ def test_verify_type(tmp_path, capsys):
     assert data["type"] == "D4"
     assert data["order"] == data["expected_order"] == weyl_order("D4")
     assert data["verdict"] == "pass"
-    assert data["strategy"] == "direct"
+    assert data["strategy"] == "tower"
+    assert data["lower_bound"] is True
+    assert math.prod(level["index"] for level in data["tower"]) == data["order"]
+
+
+def _with_relator_s1_s2(builder):
+    """The builder's presentation with the relator s1 s2 added."""
+    def build(diagram):
+        pres = builder(diagram)
+        return Presentation(pres.n, pres.relations + (Relation((0, 1), 1),))
+    return build
+
+
+def test_verify_type_fails_an_added_relator_on_the_lower_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "full_presentation", _with_relator_s1_s2(full_presentation))
+    assert main(["verify-type", _write(tmp_path, "cycle.mat", CYCLE_MATRIX)]) == 1
+    data = _json_out(capsys)
+    assert (data["lower_bound"], data["verdict"]) == (False, "fail")
+
+
+def test_verify_type_pass_needs_the_lower_bound(tmp_path, capsys, monkeypatch):
+    # the simple roots of D4 are no companion basis of the 4-cycle: its cycle
+    # relations fail on them, so the tower's order alone certifies nothing
+    monkeypatch.setattr(cli, "companion_basis", lambda diagram, mclass: simple_root_basis(build_root_system("D4")))
+    assert main(["verify-type", _write(tmp_path, "cycle.mat", CYCLE_MATRIX)]) == 1
+    data = _json_out(capsys)
+    assert data["order"] == data["expected_order"] == weyl_order("D4")
+    assert (data["lower_bound"], data["verdict"]) == (False, "fail")
+
+
+@pytest.mark.parametrize("label", ["A6", "B/C4", "D5", "E6", "F4", "G2"])
+def test_theorem_a_fails_an_added_relator_on_the_lower_bound(capsys, monkeypatch, label):
+    monkeypatch.setattr(cli, "reduced_presentation", _with_relator_s1_s2(cli.reduced_presentation))
+    assert main(["theorem-a", label]) == 1
+    data = _json_out(capsys)
+    assert data["verdict"] == "fail"
+    assert all((m["lower_bound"], m["verdict"]) == (False, "fail") for m in data["results"]["members"])
+
+
+def test_theorem_a_certifies_the_whole_e7_class(capsys):
+    assert main(["theorem-a", "E7"]) == 0
+    data = _json_out(capsys)
+    results = data["results"]
+    assert data["verdict"] == "pass"
+    assert results["class_size"] == results["checked"] == len(results["members"]) == 416
+    for member in results["members"]:
+        assert member["order"] == weyl_order("E7")
+        assert member["lower_bound"] is True
+        assert math.prod(level["index"] for level in member["tower"]) == member["order"]
+        assert sorted(level["dropped"] for level in member["tower"]) == list(range(1, 8))
+
+
+@pytest.mark.parametrize("command", [["verify-type", "{}"], ["theorem-a", "{}"], ["verify-mutation", "{}", "1"]])
+def test_certifying_commands_refuse_a_huge_edgeless_diagram_at_once(tmp_path, capsys, command):
+    # eight bytes naming a million vertices: refused before any pass over them
+    path = _write(tmp_path, "huge.dia", "1000000\n")
+    tracemalloc.start()
+    started = time.monotonic()
+    try:
+        _assert_usage_error(capsys, [path if arg == "{}" else arg for arg in command])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - started < 5
+    assert peak < 1_000_000
 
 
 # ------------------------------------------------------------ theorem-a / pipeline
@@ -470,6 +546,12 @@ def test_unknown_subcommand():
 
 CYCLE_COMPANION_BASIS = "1 1 1 0\n-1 0 0 0\n0 -1 0 0\n0 0 0 1\n"
 
+# The D4 cycle's tower: each level's dropped generator and index.
+D4_TOWER = (
+    '  "tower": [\n    {\n      "dropped": 4,\n      "index": 8\n    },\n    {\n      "dropped": 3,\n      "index": 4\n    },\n'
+    '    {\n      "dropped": 2,\n      "index": 3\n    },\n    {\n      "dropped": 1,\n      "index": 2\n    }\n  ],\n'
+)
+
 
 def _golden_files(tmp_path):
     return {
@@ -486,21 +568,21 @@ def _golden_files(tmp_path):
         (["order", "{pres}"], 0,
          '{\n  "order": 192,\n  "strategy": "direct",\n  "cosets_defined": 360,\n  "verdict": "pass"\n}\n'),
         (["order", "{pres}", "--strategy", "tower"], 0,
-         '{\n  "order": 192,\n  "strategy": "tower",\n  "cosets_defined": 20,\n  "verdict": "pass"\n}\n'),
+         '{\n  "order": 192,\n  "strategy": "tower",\n  "cosets_defined": 20,\n' + D4_TOWER + '  "verdict": "pass"\n}\n'),
         (["order", "{pres}", "--cap", "10"], 1,
          '{\n  "order": null,\n  "strategy": "direct",\n  "cosets_defined": 10,\n  "verdict": "overflow"\n}\n'),
         (["verify-type", "{mat}"], 0,
-         '{\n  "order": 192,\n  "strategy": "direct",\n  "cosets_defined": 360,\n  "type": "D4",\n'
-         '  "expected_order": 192,\n  "verdict": "pass"\n}\n'),
-        (["verify-type", "{mat}", "--cap", "10"], 1,
-         '{\n  "order": null,\n  "strategy": "direct",\n  "cosets_defined": 10,\n  "type": "D4",\n'
-         '  "verdict": "overflow"\n}\n'),
+         '{\n  "order": 192,\n  "strategy": "tower",\n  "cosets_defined": 20,\n' + D4_TOWER + '  "type": "D4",\n'
+         '  "expected_order": 192,\n  "lower_bound": true,\n  "verdict": "pass"\n}\n'),
+        (["verify-type", "{mat}", "--cap", "4"], 1,
+         '{\n  "order": null,\n  "strategy": "tower",\n  "cosets_defined": 4,\n  "tower": [],\n  "type": "D4",\n'
+         '  "lower_bound": true,\n  "verdict": "overflow"\n}\n'),
         (["verify-mutation", "{mat}", "1"], 0,
-         '{\n  "order": 192,\n  "mutated_order": 192,\n  "strategy": "direct",\n  "cosets_defined": 552,\n'
+         '{\n  "order": 192,\n  "mutated_order": 192,\n  "strategy": "tower",\n  "cosets_defined": 37,\n'
          '  "vertex": 1,\n  "forward_homomorphism": true,\n  "inverse_homomorphism": true,\n'
          '  "composition_identity": true,\n  "verdict": "pass"\n}\n'),
-        (["verify-mutation", "{mat}", "1", "--cap", "10"], 1,
-         '{\n  "order": null,\n  "strategy": "direct",\n  "cosets_defined": 10,\n  "verdict": "overflow"\n}\n'),
+        (["verify-mutation", "{mat}", "1", "--cap", "4"], 1,
+         '{\n  "order": null,\n  "strategy": "tower",\n  "cosets_defined": 4,\n  "verdict": "overflow"\n}\n'),
         (["companion", "check", "D4", "{basis}", "{mat}"], 0,
          '{\n  "ok": true,\n  "reason": null,\n  "verdict": "pass"\n}\n'),
         (["companion", "check", "D4", "{simple}", "{mat}"], 1,
@@ -520,11 +602,11 @@ def test_verdict_reports_are_pinned(tmp_path, capsys, command, code, stdout):
     "text, vertex, stdout",
     [
         ("2\n0 0\n0 0\n", "1",
-         '{\n  "order": 4,\n  "mutated_order": 4,\n  "strategy": "direct",\n  "cosets_defined": 8,\n'
+         '{\n  "order": 4,\n  "mutated_order": 4,\n  "strategy": "tower",\n  "cosets_defined": 8,\n'
          '  "vertex": 1,\n  "forward_homomorphism": true,\n  "inverse_homomorphism": true,\n'
          '  "composition_identity": true,\n  "verdict": "pass"\n}\n'),
         ("3\n0 1 0\n-1 0 0\n0 0 0\n", "3",
-         '{\n  "order": 12,\n  "mutated_order": 12,\n  "strategy": "direct",\n  "cosets_defined": 24,\n'
+         '{\n  "order": 12,\n  "mutated_order": 12,\n  "strategy": "tower",\n  "cosets_defined": 14,\n'
          '  "vertex": 3,\n  "forward_homomorphism": true,\n  "inverse_homomorphism": true,\n'
          '  "composition_identity": true,\n  "verdict": "pass"\n}\n'),
     ],

@@ -18,7 +18,6 @@ import pytest
 from cluster_presents import coset, dynkin
 from cluster_presents.coset import (
     CosetCapExceeded,
-    _auto_strategy,
     check_homomorphism,
     coset_enumerate,
     evaluate_word,
@@ -35,6 +34,7 @@ from cluster_presents.presentation import (
     full_presentation,
     inverse_mutation_witness_words,
     mutation_witness_words,
+    reduced_presentation,
 )
 from cluster_presents.roots import build_root_system, simple_root_basis
 
@@ -136,7 +136,7 @@ def test_closed_form_even_hyperoctahedral_orders():
 @pytest.mark.parametrize("label", ["A7", "B/C6", "D7", "E6", "F4", "G2"])
 def test_tree_presentation_order_is_the_degree_product(label):
     pres = full_presentation(dynkin.standard_diagram(label))
-    assert group_order(pres, _auto_strategy(pres.n)) == weyl_order(label)
+    assert group_order(pres, "tower") == weyl_order(label)
 
 
 def test_cycle_presentation_order_equals_tree_order():
@@ -151,6 +151,32 @@ def test_cycle_presentation_order_equals_tree_order():
 def test_tower_agrees_with_direct(label):
     pres = full_presentation(dynkin.standard_diagram(label))
     assert group_order(pres, "tower") == group_order(pres, "direct")
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "B/C4", "F4", "G2"])
+def test_tower_agrees_with_direct_on_every_member(label):
+    for member in mutation_class(dynkin.standard_diagram(label)).members:
+        for pres in (full_presentation(member), reduced_presentation(member)):
+            assert group_order(pres, "tower") == group_order(pres, "direct") == weyl_order(label), member.edges
+
+
+def test_tower_drops_a_generator_of_least_degree():
+    # A5 chain: the ends have degree 1, and the tie goes to the highest index
+    stats = {}
+    assert group_order(full_presentation(dynkin.standard_diagram("A5")), "tower", stats=stats) == 720
+    assert stats["tower"] == [{"dropped": g, "index": g + 2} for g in (4, 3, 2, 1, 0)]
+    # an A4 member, the cycle s1 s2 s3 with a tail s3 - s4: s4 alone has
+    # degree 1, whatever its index; the levels name generators in the
+    # input's numbering
+    stats = {}
+    triangle = diagram_of(ExchangeMatrix([[0, 1, -1, 0], [-1, 0, 1, 0], [1, -1, 0, 1], [0, 0, -1, 0]]))
+    relabeled = diagram_of(ExchangeMatrix([[0, -1, 0, 0], [1, 0, 1, -1], [0, -1, 0, 1], [0, 1, -1, 0]]))
+    assert group_order(full_presentation(triangle), "tower", stats=stats) == weyl_order("A4")
+    assert stats["tower"][0]["dropped"] == 3
+    stats = {}
+    assert group_order(full_presentation(relabeled), "tower", stats=stats) == weyl_order("A4")
+    assert stats["tower"][0]["dropped"] == 0
+    assert math.prod(level["index"] for level in stats["tower"]) == weyl_order("A4")
 
 
 def test_two_different_towers_agree_on_e7():
@@ -266,7 +292,7 @@ def test_mutation_certificate_on_tree():
     report = verify_mutation_isomorphism(dynkin.standard_diagram("B/C3"), 1)
     assert report.passed
     assert report.order == weyl_order("B3")
-    assert (report.strategy, report.faithful) == ("direct", True)
+    assert (report.strategy, report.faithful) == ("tower", True)
 
 
 def _regular_certificate(diagram, k, forward=None):
@@ -329,8 +355,9 @@ def test_root_certificate_needs_a_faithful_representation(monkeypatch):
 
 
 def test_mutation_certificate_overflow():
+    # the tower's largest index on the 4-cycle is 8
     with pytest.raises(CosetCapExceeded):
-        verify_mutation_isomorphism(FOUR_CYCLE, 0, cap=10)
+        verify_mutation_isomorphism(FOUR_CYCLE, 0, cap=4)
 
 
 # ------------------------------------------------- label handling

@@ -14,8 +14,10 @@ import pytest
 from cluster_presents import dynkin
 from cluster_presents.diagram import Diagram, NotFiniteTypeError, diagram_of, mutation_class
 from cluster_presents.exchange import ExchangeMatrix, determinant, mutate_matrix
+from cluster_presents.presentation import Relation, full_presentation
 from cluster_presents.roots import (
     CompanionBasis,
+    companion_bases,
     companion_basis,
     SignedGraph,
     build_root_system,
@@ -26,6 +28,7 @@ from cluster_presents.roots import (
     mutate_companion,
     pairing,
     reflect,
+    relations_hold,
     signed_graph,
     simple_root_basis,
 )
@@ -331,19 +334,32 @@ def _skew_matrix(diagram):
 
 
 def _shuffled_members(label, seed):
-    """Every member of the type's mutation class, its vertices relabeled at random."""
+    """The type's mutation class, and every member with its vertices relabeled at random."""
     rng = random.Random(seed)
+    mclass = mutation_class(dynkin.standard_diagram(label))
     out = []
-    for member in mutation_class(dynkin.standard_diagram(label)).members:
+    for member in mclass.members:
         perm = rng.sample(range(member.n), member.n)
         out.append(Diagram(member.n, [(perm[i], perm[j], w) for i, j, w in member.edges]))
-    return out
+    return mclass, out
+
+
+def _assert_multiply_laced_companion(basis, diagram):
+    """Roots, a lattice basis, and |A_ij A_ji| equal to the edge weights."""
+    assert all(basis.system.is_root(v) for v in basis.vectors), diagram.edges
+    assert determinant([list(v) for v in basis.vectors]) in (1, -1), diagram.edges
+    comp = companion_matrix(basis).entries
+    for i in range(diagram.n):
+        for j in range(i + 1, diagram.n):
+            assert abs(comp[i][j] * comp[j][i]) == diagram.weight_between(i, j), (diagram.edges, i, j)
 
 
 @pytest.mark.parametrize("label", ["A5", "D5", "E6"])
 def test_companion_basis_of_every_simply_laced_member(label):
-    for diagram in _shuffled_members(label, 3):
-        basis = companion_basis(diagram)
+    mclass, diagrams = _shuffled_members(label, 3)
+    assert companion_basis(diagrams[0]) == companion_basis(diagrams[0], mclass)  # enumerates its own class
+    for diagram in diagrams:
+        basis = companion_basis(diagram, mclass)
         assert basis.system.label == label
         ok, reason = is_companion_basis(basis, _skew_matrix(diagram))
         assert ok, (label, diagram.edges, reason)
@@ -351,14 +367,53 @@ def test_companion_basis_of_every_simply_laced_member(label):
 
 @pytest.mark.parametrize("label", ["B/C4", "F4", "G2"])
 def test_companion_basis_of_every_multiply_laced_member(label):
-    for diagram in _shuffled_members(label, 5):
-        basis = companion_basis(diagram)
-        assert all(basis.system.is_root(v) for v in basis.vectors), diagram.edges
-        assert determinant([list(v) for v in basis.vectors]) in (1, -1), diagram.edges
-        comp = companion_matrix(basis).entries
-        for i in range(diagram.n):
-            for j in range(i + 1, diagram.n):
-                assert abs(comp[i][j] * comp[j][i]) == diagram.weight_between(i, j), (diagram.edges, i, j)
+    mclass, diagrams = _shuffled_members(label, 5)
+    for diagram in diagrams:
+        _assert_multiply_laced_companion(companion_basis(diagram, mclass), diagram)
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "E6", "B/C4", "F4", "G2"])
+def test_companion_bases_cover_the_class(label):
+    mclass = mutation_class(dynkin.standard_diagram(label))
+    bases = companion_bases(mclass)
+    assert len(bases) == len(mclass)
+    for member, basis in zip(mclass.members, bases):
+        assert basis.system is build_root_system(label)
+        _assert_multiply_laced_companion(basis, member)
+        # both bases of a member come from one carrying routine
+        assert companion_basis(member, mclass) == basis
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "E6", "B/C4", "F4", "G2"])
+def test_relations_hold_on_every_member_and_fail_an_added_relator(label):
+    mclass = mutation_class(dynkin.standard_diagram(label))
+    for member, basis in zip(mclass.members, companion_bases(mclass)):
+        relations = full_presentation(member).relations
+        assert relations_hold(basis, relations), member.edges
+        assert not relations_hold(basis, relations + (Relation((0, 1), 1),)), member.edges
+
+
+def test_relations_hold_agrees_with_reflecting_every_root():
+    # on every root, the word of each relation must act as the identity;
+    # here the roots are reflected one letter at a time, in root coordinates
+    for label in ("D4", "B/C3", "G2"):
+        mclass = mutation_class(dynkin.standard_diagram(label))
+        for member, basis in zip(mclass.members, companion_bases(mclass)):
+            for rel in full_presentation(member).relations + (Relation((0, 1), 2), Relation((0, 1), 3)):
+                fixed = True
+                for root in basis.system.roots:
+                    image = root
+                    for g in rel.letters():
+                        image = reflect(basis.system, basis.vectors[g], image)
+                    fixed = fixed and image == root
+                assert relations_hold(basis, (rel,)) == fixed, (label, member.edges, rel)
+
+
+def test_relations_hold_rejects_a_basis_that_is_no_companion():
+    # the simple roots of D4 against the oriented 4-cycle: the cycle's braid
+    # relations fail on them
+    cycle = Diagram(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    assert not relations_hold(simple_root_basis(build_root_system("D4")), full_presentation(cycle).relations)
 
 
 def test_companion_basis_refuses_unsupported_diagrams():
