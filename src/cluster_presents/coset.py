@@ -71,7 +71,7 @@ class CosetCapExceeded(RuntimeError):
 
 
 class _Overflow(Exception):
-    pass
+    """The live-coset cap stopped an enumeration; args are (live, defined)."""
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,22 @@ def coset_enumerate(presentation: Presentation, subgroup_words=(), cap: int = DE
     are scanned at the base coset, then each live coset scans every relator
     and fills its remaining entries in generator order.
     """
+    try:
+        table, rep, live, defined = _enumerate(presentation, subgroup_words, cap)
+    except _Overflow as exc:
+        live, defined = exc.args
+        return CosetTable((), "overflow", live, defined)
+    survivors = [c for c, row in enumerate(table) if row is not None]
+    index_of = {c: i for i, c in enumerate(survivors)}
+    rows = tuple(tuple(index_of[rep(d)] for d in table[c]) for c in survivors)
+    return CosetTable(rows, "complete", live, defined)
+
+
+def _enumerate(presentation: Presentation, subgroup_words, cap: int):
+    """The enumeration of coset_enumerate, uncompacted: (table, rep, live,
+    defined).  table[c] is None once coset c is merged, and a surviving row
+    may still name merged cosets, which rep maps to survivors; live is the
+    number of survivors, the index.  Raises _Overflow when the cap stops it."""
     if not presentation.relations:
         raise ValueError("presentation has no relations")
     if cap < 1:
@@ -131,7 +147,7 @@ def coset_enumerate(presentation: Presentation, subgroup_words=(), cap: int = DE
     def define(c: int, g: int) -> int:
         nonlocal live, defined
         if live >= cap:
-            raise _Overflow
+            raise _Overflow(live, defined)
         b = len(table)
         table.append([-1] * ngen)
         parent.append(b)
@@ -198,34 +214,25 @@ def coset_enumerate(presentation: Presentation, subgroup_words=(), cap: int = DE
                 return
             define(f, word[i])
 
-    try:
-        for word in subgroup_words:
-            if word:
-                scan(0, word)
-        alpha = 0
-        while alpha < len(table):
-            if parent[alpha] != alpha:
-                alpha += 1
-                continue
-            for word in relators:
-                scan(alpha, word)
-                if parent[alpha] != alpha:
-                    break
-            if parent[alpha] == alpha:
-                row = table[alpha]
-                for g in range(ngen):
-                    if row[g] == -1:
-                        define(alpha, g)
+    for word in subgroup_words:
+        if word:
+            scan(0, word)
+    alpha = 0
+    while alpha < len(table):
+        if parent[alpha] != alpha:
             alpha += 1
-    except _Overflow:
-        return CosetTable((), "overflow", live, defined)
-
-    survivors = [c for c in range(len(table)) if parent[c] == c]
-    index_of = {c: i for i, c in enumerate(survivors)}
-    rows = tuple(
-        tuple(index_of[rep(table[c][g])] for g in range(ngen)) for c in survivors
-    )
-    return CosetTable(rows, "complete", len(survivors), defined)
+            continue
+        for word in relators:
+            scan(alpha, word)
+            if parent[alpha] != alpha:
+                break
+        if parent[alpha] == alpha:
+            row = table[alpha]
+            for g in range(ngen):
+                if row[g] == -1:
+                    define(alpha, g)
+        alpha += 1
+    return table, rep, live, defined
 
 
 def _degrees(presentation: Presentation) -> list[int]:
@@ -252,12 +259,17 @@ def _drop(presentation: Presentation, g: int) -> Presentation:
 
 
 def _index(presentation: Presentation, subgroup, cap: int, stats: dict) -> int:
-    """The index of the subgroup, counting the cosets defined into stats."""
-    table = coset_enumerate(presentation, subgroup, cap)
-    stats["cosets_defined"] = stats.get("cosets_defined", 0) + table.cosets_defined
-    if table.status != "complete":
+    """The index of the subgroup, counting the cosets defined into stats.
+
+    Reads the survivor count of _enumerate; the table is never compacted."""
+    try:
+        _, _, index, defined = _enumerate(presentation, subgroup, cap)
+    except _Overflow as exc:
+        index, defined = None, exc.args[1]
+    stats["cosets_defined"] = stats.get("cosets_defined", 0) + defined
+    if index is None:
         raise CosetCapExceeded(cap, stats["cosets_defined"])
-    return table.coset_count
+    return index
 
 
 def group_order(presentation: Presentation, strategy: str = "direct", cap: int = DEFAULT_COSET_CAP, stats: dict | None = None) -> int:

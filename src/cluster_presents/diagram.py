@@ -368,42 +368,51 @@ def _code_matrix(diagram: Diagram, oriented: bool) -> list[list[int]]:
     return code
 
 
-def _refined_order(code: list[list[int]]) -> list[int]:
-    """Vertices ordered by an iterated neighbourhood signature.
+def _refined_ranks(code: list[list[int]]) -> list[int]:
+    """Colour refinement of the vertices by iterated neighbourhood signatures.
 
-    Only a search-order heuristic: the canonical search below stays correct
-    for any ordering, but meeting the minimum early makes its bound prune
-    hard.
+    Every vertex starts in one cell; each round splits the cells by the
+    sorted (code, cell) pairs of a vertex's edges until nothing splits, and
+    numbers the cells in signature order.  Computed from the code values
+    only, so an isomorphism of diagrams maps each vertex to one of the same
+    rank: the ranks are part of the canonical form (_canonical_search).
     """
     n = len(code)
+    edges = [[(u, c) for u, c in enumerate(row) if c] for row in code]
     rank = [0] * n
     for _ in range(max(1, n)):
-        sigs = [(rank[v], tuple(sorted((c, rank[u]) for u, c in enumerate(code[v]) if c)))
+        sigs = [(rank[v], tuple(sorted([(c, rank[u]) for u, c in edges[v]])))
                 for v in range(n)]
         position = {s: r for r, s in enumerate(sorted(set(sigs)))}
         new_rank = [position[s] for s in sigs]
         if new_rank == rank:
             break
         rank = new_rank
-    return sorted(range(n), key=lambda v: (rank[v], v))
+    return rank
 
 
 def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int], list[int]]:
-    """Minimal edge-code sequence over all labelings, with its permutation.
+    """Minimal edge-code sequence over the rank-sorted labelings, with its permutation.
 
     The encoding lists, for each position q in turn, the block of codes
-    code[perm[p]][perm[q]] against the already-placed positions p < q.  It is
-    the least encoding over all n! labelings, so two diagrams get equal
-    encodings iff they are isomorphic (as weighted oriented graphs, or
-    unoriented when `oriented` is false).
+    code[perm[p]][perm[q]] against the already-placed positions p < q.  The
+    labelings searched are those that list the vertices in non-decreasing
+    _refined_ranks rank; the encoding is the least over them.  The ranks come
+    from the codes alone, so the searched labelings of isomorphic diagrams
+    correspond and give the same least encoding; and an encoding determines
+    the labeled diagram.  So two diagrams get equal encodings iff they are
+    isomorphic (as weighted oriented graphs, or unoriented when `oriented` is
+    false).
 
     Min-block rule: the depth-first search places, at each depth, only the
     unused vertices whose block is smallest, and cuts a branch as soon as that
-    block exceeds the best encoding's block at the same depth.  This drops no
-    labeling that could be least: every labeling's blocks have the same
-    lengths 0, 1, ..., n-1, so a larger block at depth d loses to a smaller
-    one after the same prefix whatever follows.  Of the least labelings the
-    search returns the first in `_refined_order` order.
+    block exceeds the best encoding's block at the same depth.  An unused
+    vertex's block starts at its rank, so at depth d it is
+    rank * _CODE_BASE**d plus the codes, and only the least-rank cell that is
+    left branches.  This drops no labeling that could be least: every
+    labeling's blocks have the same lengths 0, 1, ..., n-1, so a larger block
+    at depth d loses to a smaller one after the same prefix whatever follows.
+    Of the least labelings the search returns the first in vertex order.
 
     A block is held as one integer, its codes as digits in base _CODE_BASE,
     which compares like the tuple of codes among blocks of one length.
@@ -420,8 +429,8 @@ def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int
     perm: list[int] = []
 
     def search(unused: dict[int, int], bounded: bool) -> None:
-        # unused: block of each unused vertex, in refined order; bounded: the
-        # blocks placed so far equal best[:depth], so best bounds this branch.
+        # unused: block of each unused vertex; bounded: the blocks placed so
+        # far equal best[:depth], so best bounds this branch.
         if not unused:
             if not bounded:  # strictly below the best so far
                 best[:], best_perm[:] = blocks, perm
@@ -442,7 +451,7 @@ def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int
             bounded = True  # the branch just searched left best[:depth + 1] equal to ours
         blocks.pop()
 
-    search(dict.fromkeys(_refined_order(code), 0), False)
+    search(dict(enumerate(_refined_ranks(code))), False)
     codes = [code[best_perm[p]][best_perm[q]] for q in range(n) for p in range(q)]
     return codes, best_perm
 
@@ -451,32 +460,38 @@ def canonical_form(diagram: Diagram) -> bytes:
     """Canonical byte string; equal iff diagrams are isomorphic.
 
     Isomorphism here is as weighted oriented graphs (simultaneous relabeling).
-    Supported for rank <= 10 and edge weights <= 4.
+    The string is the rank n, then the least edge-code encoding over the
+    labelings that list the vertices in non-decreasing refinement rank
+    (_canonical_search).  Supported for rank <= 10 and edge weights <= 4.
     """
     codes, _ = _canonical_search(diagram, oriented=True)
     return bytes([diagram.n]) + bytes(codes)
 
 
 def canonical_form_unoriented(diagram: Diagram) -> bytes:
-    """Canonical byte string of the underlying weighted unoriented graph."""
+    """Canonical byte string of the underlying weighted unoriented graph,
+    defined like canonical_form with every edge coded by its weight alone."""
     codes, _ = _canonical_search(diagram, oriented=False)
     return bytes([diagram.n]) + bytes(codes)
 
 
-def _canonical_labeling(diagram: Diagram) -> tuple[bytes, Diagram, list[int]]:
-    """Canonical form, the relabeled copy realizing it, and the labeling:
-    vertex perm[q] of `diagram` is vertex q of the copy."""
-    codes, perm = _canonical_search(diagram, oriented=True)
+def _relabel(diagram: Diagram, perm: list[int]) -> Diagram:
+    """The copy whose vertex q is vertex perm[q] of `diagram`."""
     position = {old: new for new, old in enumerate(perm)}
-    relabeled = Diagram(diagram.n, ((position[i], position[j], w)
-                                    for i, j, w in diagram.edges))
-    return bytes([diagram.n]) + bytes(codes), relabeled, perm
+    return Diagram(diagram.n, ((position[i], position[j], w) for i, j, w in diagram.edges))
+
+
+def _canonical_labeling(diagram: Diagram) -> tuple[bytes, list[int]]:
+    """Canonical form and a labeling realizing it: relabeling vertex perm[q]
+    of `diagram` as q gives the canonical representative."""
+    codes, perm = _canonical_search(diagram, oriented=True)
+    return bytes([diagram.n]) + bytes(codes), perm
 
 
 def canonical_representative(diagram: Diagram) -> tuple[bytes, "Diagram"]:
     """The canonical form together with a relabeled copy realizing it."""
-    key, relabeled, _ = _canonical_labeling(diagram)
-    return key, relabeled
+    key, perm = _canonical_labeling(diagram)
+    return key, _relabel(diagram, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +519,12 @@ class NotFiniteTypeError(RuntimeError):
 class MutationClass:
     """A mutation class up to diagram isomorphism.
 
-    `members` are canonical representatives sorted by canonical form;
-    `edges` holds (member index, vertex, member index) mutation adjacencies
-    in the representatives' labeling; `type_label` is the identified Dynkin
-    type or "unknown".
+    `members` are canonical representatives sorted by canonical form (the
+    least edge-code encoding over the labelings in non-decreasing refinement
+    rank, _canonical_search), each labeled as its key lists it; `keys` are
+    those forms; `edges` holds (member index, vertex, member index) mutation
+    adjacencies in the representatives' labeling; `type_label` is the
+    identified Dynkin type or "unknown".
     """
 
     members: tuple[Diagram, ...]
@@ -538,8 +555,8 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
     if diagram.max_weight() > 3:
         raise NotFiniteTypeError(
             f"edge of weight {diagram.max_weight()} violates 2-finiteness")
-    key0, rep0, _ = _canonical_labeling(diagram)
-    reps: dict[bytes, Diagram] = {key0: rep0}
+    key0, perm0 = _canonical_labeling(diagram)
+    reps: dict[bytes, Diagram] = {key0: _relabel(diagram, perm0)}
     back: dict[bytes, tuple[int, bytes]] = {}  # member -> (k', parent) of the rule above
     raw_edges: set[tuple[bytes, int, bytes]] = set()
     queue: deque[bytes] = deque([key0])
@@ -558,11 +575,11 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
             if child.max_weight() > 3:
                 raise NotFiniteTypeError(
                     f"mutation at {k} produced an edge of weight {child.max_weight()}")
-            ckey, crep, perm = _canonical_labeling(child)
+            ckey, perm = _canonical_labeling(child)
             if ckey not in reps:
                 if len(reps) >= cap:
                     raise MutationClassOverflow(cap)
-                reps[ckey] = crep
+                reps[ckey] = _relabel(child, perm)
                 back[ckey] = (perm.index(k), key)
                 queue.append(ckey)
             raw_edges.add((key, k, ckey))

@@ -284,7 +284,7 @@ def _standard_start(mclass: MutationClass) -> tuple[RootSystem, int, list[Coords
     if mclass.type_label == "unknown":
         raise NotFiniteTypeError("mutation class of no known finite type")
     system = build_root_system(mclass.type_label)
-    key, _, perm = _canonical_labeling(dynkin.standard_diagram(mclass.type_label))
+    key, perm = _canonical_labeling(dynkin.standard_diagram(mclass.type_label))
     return system, mclass.keys.index(key), [system.simple_root(v) for v in perm]
 
 
@@ -311,7 +311,7 @@ def _carry(system: RootSystem, mclass: MutationClass, a: int, k: int, vectors) -
     representative of the member reached."""
     rep = mclass.members[a]
     mutated = mutate_companion(CompanionBasis(system, vectors), k, rep, "inward").vectors
-    _, _, perm = _canonical_labeling(mutate_diagram(rep, k))
+    _, perm = _canonical_labeling(mutate_diagram(rep, k))
     return [mutated[v] for v in perm]
 
 
@@ -344,7 +344,7 @@ def companion_basis(diagram: Diagram, mclass: MutationClass | None = None) -> Co
     """
     mclass = mutation_class(diagram) if mclass is None else mclass
     system, start, vectors = _standard_start(mclass)
-    goal_key, _, goal_perm = _canonical_labeling(diagram)
+    goal_key, goal_perm = _canonical_labeling(diagram)
     goal = mclass.keys.index(goal_key)
     step_into = {}
     for a, k, b in _tree_edges(mclass, start):

@@ -318,21 +318,43 @@ def test_canonical_representative_realizes_key():
         assert canonical_form(rep) == key == canonical_form(d)
 
 
+def _code_bruteforce(d, i, j, oriented):
+    forward, backward = d.weight(i, j), d.weight(j, i)
+    return forward or (backward + 4 if backward and oriented else backward)
+
+
+def _colour_ranks_bruteforce(d, oriented):
+    """Oracle: stable colour refinement from one cell.  A vertex's signature
+    is its colour and the sorted (code, colour) pairs of its edges; the new
+    colours number the distinct signatures in sorted order."""
+    colour = [0] * d.n
+    while True:
+        signature = [
+            (colour[v], tuple(sorted((_code_bruteforce(d, v, u, oriented), colour[u])
+                                     for u in range(d.n) if _code_bruteforce(d, v, u, oriented))))
+            for v in range(d.n)]
+        cells = sorted(set(signature))
+        refined = [cells.index(s) for s in signature]
+        if refined == colour:
+            return colour
+        colour = refined
+
+
 def _min_encoding_bruteforce(d, oriented):
-    """Oracle: the least encoding over all n! labelings, read off the edge weights."""
+    """Oracle: the least encoding over the n! labelings that list the vertices
+    in non-decreasing colour rank, read off the edge weights."""
+    rank = _colour_ranks_bruteforce(d, oriented)
     best = None
     for perm in permutations(range(d.n)):
-        codes = []
-        for q in range(d.n):
-            for p in range(q):
-                forward, backward = d.weight(perm[p], perm[q]), d.weight(perm[q], perm[p])
-                codes.append(forward or (backward + 4 if backward and oriented else backward))
+        if any(rank[perm[q - 1]] > rank[perm[q]] for q in range(1, d.n)):
+            continue
+        codes = [_code_bruteforce(d, perm[p], perm[q], oriented) for q in range(d.n) for p in range(q)]
         if best is None or codes < best:
             best = codes
     return bytes([d.n]) + bytes(best)
 
 
-def test_canonical_form_is_the_least_encoding_over_all_labelings():
+def test_canonical_form_is_the_least_encoding_over_rank_sorted_labelings():
     rng = random.Random(27)
     for _ in range(300):
         d = _random_diagram(rng, rng.randrange(1, 7))
@@ -351,7 +373,7 @@ def test_canonical_form_rejects_weights_above_four():
     # read like a backward weight 1: these two diagrams are not isomorphic
     with pytest.raises(ValueError):
         canonical_form(Diagram(3, [(0, 2, 1), (1, 2, 5)]))
-    assert canonical_form(Diagram(3, [(0, 2, 1), (2, 1, 1)])) == b"\x03\x00\x01\x05"
+    assert canonical_form(Diagram(3, [(0, 2, 1), (2, 1, 1)])) == b"\x03\x01\x00\x01"
 
 
 def test_canonical_form_equality_matches_isomorphism_up_to_weight_four():
@@ -397,10 +419,10 @@ def test_class_sizes_match_labeled_bfs_oracle(label):
 
 
 # Published class sizes: A_n from Torkildsen's formula, D_n from Buan and
-# Torkildsen (EJC 2009), E6/E7 from the finite-type census.
+# Torkildsen (EJC 2009), E6-E8 from the finite-type census.
 @pytest.mark.parametrize("label, size", [
-    ("A3", 4), ("A4", 6), ("A5", 19), ("A6", 49), ("A7", 150),
-    ("D5", 26), ("D6", 80), ("D7", 246), ("E6", 67), ("E7", 416),
+    ("A3", 4), ("A4", 6), ("A5", 19), ("A6", 49), ("A7", 150), ("A8", 442), ("A9", 1424),
+    ("D5", 26), ("D6", 80), ("D7", 246), ("E6", 67), ("E7", 416), ("E8", 1574),
 ])
 def test_class_sizes_match_published_counts(label, size):
     assert len(mutation_class(dynkin.standard_diagram(label))) == size
