@@ -180,16 +180,21 @@ def _vertex_list(text: str, name: str) -> list[int]:
         _die(f"bad {name} {text!r}; expected comma-separated vertices")
 
 
-def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
-    """mutation_class for the commands that enumerate one.  A rank beyond the
-    canonical labeling's is a usage error, checked before any pass over the
-    vertices, and so is a disconnected diagram, whose class has no tree
-    member to name its type by."""
+def _classable(diagram: Diagram) -> Diagram:
+    """The diagram, if the commands that search its mutation class take it.  A
+    rank beyond the canonical labeling's is a usage error, checked before any
+    pass over the vertices, and so is a disconnected diagram, whose class
+    holds no standard tree to name its type by."""
     if diagram.n > MAX_CANONICAL_RANK:
         _die(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
     if len(connected_components(diagram)) > 1:
         _die("mutation classes of disconnected diagrams are not supported")
-    return _valid(mutation_class, diagram, cap)
+    return diagram
+
+
+def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
+    """mutation_class for the commands that enumerate one."""
+    return _valid(mutation_class, _classable(diagram), cap)
 
 
 def _digest(path: str, text: str) -> dict:
@@ -384,19 +389,21 @@ def _cmd_verify_mutation(args, argv) -> int:
 def _cmd_verify_type(args, argv) -> int:
     """Certify |G| = |W| for the diagram's presented group G: the tower bounds
     |G| from above, the relations holding on a companion basis from below
-    (roots.relations_hold)."""
+    (roots.relations_hold).  The basis comes from a search of the class that
+    stops at the type's standard tree (roots.companion_basis), which names
+    the type."""
     diagram = _load(args.file, _diagram_or_matrix)
     cap = _coset_cap(args)
-    mclass = _mutation_class(diagram)
-    label = identify_dynkin_type(mclass)
+    basis = _valid(companion_basis, _classable(diagram))
+    label = basis.system.label
     presentation = full_presentation(diagram)
     report = _group_order(presentation, "tower", cap)
-    lower_bound = label != "unknown" and relations_hold(companion_basis(diagram, mclass), presentation.relations)
+    lower_bound = relations_hold(basis, presentation.relations)
     report["type"] = label
     if report["order"] is None:
         report.update(lower_bound=lower_bound, verdict="overflow")
     else:
-        expected = weyl_order(label) if label != "unknown" else None
+        expected = weyl_order(label)
         report.update(expected_order=expected, lower_bound=lower_bound,
                       verdict="pass" if report["order"] == expected and lower_bound else "fail")
     return _verdict(report)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Optional
 
 from .exchange import ExchangeMatrix
 
@@ -536,13 +537,22 @@ class MutationClass:
         return len(self.members)
 
 
-def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationClass:
-    """BFS closure of a diagram under mutation, deduplicated by canonical form.
+def _class_bfs(diagram: Diagram, cap: int, reps: dict[bytes, Diagram],
+               back: dict[bytes, tuple[int, bytes]],
+               edges: set[tuple[bytes, int, bytes]]) -> Iterator[bytes]:
+    """Breadth-first search of a diagram's mutation class over canonical forms,
+    the one core of mutation_class and roots.companion_basis.
+
+    Yields each member's key when it is first reached, the input's first, and
+    fills in as it goes: reps with each key's canonical representative, back
+    with the (k', parent key) of the back-edge rule below for every member but
+    the input's, and edges with the (key, k, key) mutation adjacencies of the
+    members expanded so far.  A caller that stops early leaves the rest of the
+    class unvisited.
 
     Raises NotFiniteTypeError as soon as a member carries a weight > 3 edge or
     the mutation rule breaks down, MutationClassOverflow when more than `cap`
-    members appear, and ValueError above rank MAX_CANONICAL_RANK.  Members are
-    emitted in canonical-string order.
+    members appear, and ValueError above rank MAX_CANONICAL_RANK.
 
     Back-edge rule: when a member C is first reached from P by mutating at k,
     k lands on vertex k' = perm.index(k) of C's representative.  Mutation is
@@ -556,9 +566,8 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
         raise NotFiniteTypeError(
             f"edge of weight {diagram.max_weight()} violates 2-finiteness")
     key0, perm0 = _canonical_labeling(diagram)
-    reps: dict[bytes, Diagram] = {key0: _relabel(diagram, perm0)}
-    back: dict[bytes, tuple[int, bytes]] = {}  # member -> (k', parent) of the rule above
-    raw_edges: set[tuple[bytes, int, bytes]] = set()
+    reps[key0] = _relabel(diagram, perm0)
+    yield key0
     queue: deque[bytes] = deque([key0])
     while queue:
         key = queue.popleft()
@@ -566,7 +575,7 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
         skip, parent = back.get(key, (-1, key))
         for k in range(rep.n):
             if k == skip:
-                raw_edges.add((key, k, parent))
+                edges.add((key, k, parent))
                 continue
             try:
                 child = mutate_diagram(rep, k)
@@ -576,42 +585,60 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
                 raise NotFiniteTypeError(
                     f"mutation at {k} produced an edge of weight {child.max_weight()}")
             ckey, perm = _canonical_labeling(child)
+            edges.add((key, k, ckey))
             if ckey not in reps:
                 if len(reps) >= cap:
                     raise MutationClassOverflow(cap)
                 reps[ckey] = _relabel(child, perm)
                 back[ckey] = (perm.index(k), key)
                 queue.append(ckey)
-            raw_edges.add((key, k, ckey))
+                yield ckey
+
+
+def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationClass:
+    """BFS closure of a diagram under mutation, deduplicated by canonical form.
+
+    The whole of _class_bfs, with its errors: NotFiniteTypeError,
+    MutationClassOverflow when more than `cap` members appear, and ValueError
+    above rank MAX_CANONICAL_RANK.  Members are emitted in canonical-string
+    order.
+    """
+    reps: dict[bytes, Diagram] = {}
+    raw_edges: set[tuple[bytes, int, bytes]] = set()
+    for _ in _class_bfs(diagram, cap, reps, {}, raw_edges):
+        pass
     keys = tuple(sorted(reps))
     index = {key: i for i, key in enumerate(keys)}
     members = tuple(reps[key] for key in keys)
     edges = frozenset((index[a], k, index[b]) for a, k, b in raw_edges)
-    return MutationClass(members, keys, edges, _identify_from_members(members))
+    return MutationClass(members, keys, edges, _type_of(diagram.n, reps))
 
 
-def _is_tree(diagram: Diagram) -> bool:
-    return len(diagram.edges) == diagram.n - 1 and len(connected_components(diagram)) == 1
-
-
-def _identify_from_members(members: Sequence[Diagram]) -> str:
+@lru_cache(maxsize=None)
+def _standard_trees(n: int) -> dict[bytes, str]:
+    """The canonical form of each catalogue type's standard tree of rank n
+    (dynkin.standard_diagram), mapped to the type's label."""
     from . import dynkin  # deferred: dynkin builds Diagrams via this module
 
-    for member in members:
-        if _is_tree(member):
-            key = canonical_form_unoriented(member)
-            for label in dynkin.labels_of_rank(member.n):
-                tree = dynkin.standard_diagram(label)
-                if canonical_form_unoriented(tree) == key:
-                    return label
-            return "unknown"
-    raise RuntimeError("finite mutation class without a tree member")  # internal error
+    return {_canonical_labeling(dynkin.standard_diagram(label))[0]: label
+            for label in dynkin.labels_of_rank(n)}
+
+
+def _type_of(n: int, keys) -> str:
+    """The label of the standard tree whose key is among keys, or "unknown".
+
+    Every orientation of a tree is mutation-equivalent to every other, so a
+    class of finite type holds its type's standard tree, and one class holds
+    at most one such tree.
+    """
+    return next((label for key, label in _standard_trees(n).items() if key in keys), "unknown")
 
 
 def identify_dynkin_type(mclass: MutationClass) -> str:
-    """Dynkin type of a mutation class, from any tree-shaped member.
+    """Dynkin type of a mutation class: the type whose standard tree is a member.
 
     B_n and C_n share a diagram, so they are reported merged as "B/Cn".
-    Returns "unknown" when no catalog entry matches.
+    Returns "unknown" when the class holds no catalogued standard tree (a
+    disconnected diagram's class, say).
     """
-    return _identify_from_members(mclass.members)
+    return _type_of(mclass.members[0].n, mclass.keys)

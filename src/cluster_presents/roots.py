@@ -10,11 +10,12 @@ A companion basis for an exchange matrix B is a Z-basis of the root lattice
 made of roots whose mutual pairings reproduce |B| off the diagonal; it is
 mutated by reflecting the vectors attached to arrows into (or out of) the
 mutation vertex.  companion_bases finds one for every member of a finite-type
-mutation class, and companion_basis for one diagram, by carrying the simple
-roots along the class's mutation edges; relations_hold checks a presentation
-on the reflections in such a basis, the lower bound of the certificates.  The
-sign pattern of a basis is tracked by its signed graph, with one switching
-move that rewires the neighbourhood of a vertex.
+mutation class, by carrying the simple roots along the class's mutation
+edges, and companion_basis for one diagram, by carrying them along a search
+from the diagram that stops at its type's standard tree; relations_hold
+checks a presentation on the reflections in such a basis, the lower bound of
+the certificates.  The sign pattern of a basis is tracked by its signed
+graph, with one switching move that rewires the neighbourhood of a vertex.
 """
 
 from __future__ import annotations
@@ -24,7 +25,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import dynkin
-from .diagram import Diagram, MutationClass, NotFiniteTypeError, _canonical_labeling, mutate_diagram, mutation_class
+from .diagram import (
+    DEFAULT_CLASS_CAP,
+    Diagram,
+    MutationClass,
+    NotFiniteTypeError,
+    _canonical_labeling,
+    _class_bfs,
+    _standard_trees,
+    mutate_diagram,
+)
 from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant
 
 __all__ = [
@@ -278,14 +288,12 @@ def mutate_companion(basis: CompanionBasis, k: int, diagram, direction: str = "i
     return CompanionBasis(basis.system, out)
 
 
-def _standard_start(mclass: MutationClass) -> tuple[RootSystem, int, list[Coords]]:
-    """The class's root system, the member of its type's standard tree, and
-    the simple roots as a basis in that member's labeling."""
-    if mclass.type_label == "unknown":
-        raise NotFiniteTypeError("mutation class of no known finite type")
-    system = build_root_system(mclass.type_label)
-    key, perm = _canonical_labeling(dynkin.standard_diagram(mclass.type_label))
-    return system, mclass.keys.index(key), [system.simple_root(v) for v in perm]
+def _standard_start(label: str) -> tuple[RootSystem, bytes, list[Coords]]:
+    """The type's root system, the canonical form of its standard tree, and
+    the simple roots as a basis of that form's representative."""
+    system = build_root_system(label)
+    key, perm = _canonical_labeling(dynkin.standard_diagram(label))
+    return system, key, [system.simple_root(v) for v in perm]
 
 
 def _tree_edges(mclass: MutationClass, start: int):
@@ -305,11 +313,10 @@ def _tree_edges(mclass: MutationClass, start: int):
                 yield a, k, b
 
 
-def _carry(system: RootSystem, mclass: MutationClass, a: int, k: int, vectors) -> list[Coords]:
-    """A basis of member a's representative, mutated inward at k and relabeled
-    by the canonical labeling of the mutated diagram, which is the
+def _carry(system: RootSystem, rep: Diagram, k: int, vectors) -> list[Coords]:
+    """A basis of the canonical representative rep, mutated inward at k and
+    relabeled by the canonical labeling of the mutated diagram, which is the
     representative of the member reached."""
-    rep = mclass.members[a]
     mutated = mutate_companion(CompanionBasis(system, vectors), k, rep, "inward").vectors
     _, perm = _canonical_labeling(mutate_diagram(rep, k))
     return [mutated[v] for v in perm]
@@ -324,42 +331,46 @@ def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
     vectors live in build_root_system(type label).  Raises
     NotFiniteTypeError when the class is of no catalogued finite type.
     """
-    system, start, vectors = _standard_start(mclass)
+    if mclass.type_label == "unknown":
+        raise NotFiniteTypeError("mutation class of no known finite type")
+    system, key, vectors = _standard_start(mclass.type_label)
+    start = mclass.keys.index(key)
     bases = {start: vectors}
     for a, k, b in _tree_edges(mclass, start):
-        bases[b] = _carry(system, mclass, a, k, bases[a])
+        bases[b] = _carry(system, mclass.members[a], k, bases[a])
     return tuple(CompanionBasis(system, bases[i]) for i in range(len(mclass)))
 
 
-def companion_basis(diagram: Diagram, mclass: MutationClass | None = None) -> CompanionBasis:
+def companion_basis(diagram: Diagram) -> CompanionBasis:
     """A companion basis for a connected diagram of finite type and rank <= 10.
 
-    mclass is the diagram's mutation class, enumerated here when not given.
-    The simple roots of the standard tree's member are carried (_carry) along
-    the BFS tree of companion_bases, but only on the path to the input's
-    member, and end in the input's own labeling.
+    A breadth-first search over the canonical forms of the diagram's mutation
+    class, from the diagram (_class_bfs, the core of mutation_class), stops at
+    the first standard tree of a type of its rank; that tree names the type,
+    because a class of finite type holds its type's standard tree.  The simple
+    roots of that tree are carried (_carry) back along the search's steps to
+    the input's member and end in the input's own labeling.
 
-    Raises NotFiniteTypeError when the class is not of a catalogued finite
-    type, and ValueError above rank 10 (mutation_class).
+    A class that holds no standard tree is searched to its end, so the input
+    fails as mutation_class fails on it: NotFiniteTypeError when the class is
+    not of finite type (or, once exhausted, of no catalogued type),
+    MutationClassOverflow past the class cap, and ValueError above rank 10.
     """
-    mclass = mutation_class(diagram) if mclass is None else mclass
-    system, start, vectors = _standard_start(mclass)
-    goal_key, goal_perm = _canonical_labeling(diagram)
-    goal = mclass.keys.index(goal_key)
-    step_into = {}
-    for a, k, b in _tree_edges(mclass, start):
-        step_into[b] = (a, k)
-        if b == goal:
+    reps: dict[bytes, Diagram] = {}
+    back: dict[bytes, tuple[int, bytes]] = {}
+    for key in _class_bfs(diagram, DEFAULT_CLASS_CAP, reps, back, set()):
+        if key in _standard_trees(diagram.n):
             break
-    path = []
-    member = goal
-    while member != start:
-        member, k = step_into[member]
-        path.append((member, k))
-    for a, k in reversed(path):
-        vectors = _carry(system, mclass, a, k, vectors)
+    else:
+        raise NotFiniteTypeError("mutation class of no known finite type")
+    system, _, vectors = _standard_start(_standard_trees(diagram.n)[key])
+    while key in back:
+        k, key_from = back[key]
+        vectors = _carry(system, reps[key], k, vectors)
+        key = key_from
+    _, perm = _canonical_labeling(diagram)
     out = [()] * diagram.n
-    for q, v in enumerate(goal_perm):
+    for q, v in enumerate(perm):
         out[v] = vectors[q]
     return CompanionBasis(system, out)
 

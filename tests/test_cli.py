@@ -16,6 +16,7 @@ from cluster_presents import cli, dynkin
 from cluster_presents.cli import main
 from cluster_presents.coset import group_order, weyl_order
 from cluster_presents.diagram import diagram_of, mutate_diagram
+from cluster_presents.exchange import mutate_matrix
 from cluster_presents.formats import (
     FormatError,
     dump_matrix,
@@ -125,6 +126,23 @@ def test_diagram_type(tmp_path, capsys):
     path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
     assert main(["diagram", "type", path]) == 0
     assert capsys.readouterr().out == "D4\n"
+
+
+@pytest.mark.parametrize("label", [label for n in range(1, 9) for label in dynkin.labels_of_rank(n)])
+def test_diagram_type_names_every_catalogue_type(tmp_path, capsys, label):
+    rng = random.Random(label)
+    matrix = dynkin.standard_exchange_matrix(label)
+    for _ in range(6):
+        matrix = mutate_matrix(matrix, rng.randrange(matrix.n))
+    assert main(["diagram", "type", _write(tmp_path, "member.mat", dump_matrix(matrix))]) == 0
+    assert capsys.readouterr().out == label + "\n"
+
+
+def test_diagram_type_refuses_the_affine_d4_star(tmp_path, capsys):
+    assert main(["diagram", "type", _write(tmp_path, "star.dia", "5\n1 2 1\n1 3 1\n1 4 1\n1 5 1\n")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: mutation at 4: path 0->4->1 closed by a same-direction edge 0->1 (diagram is not of finite type)\n")
 
 
 def test_diagram_cycles(tmp_path, capsys):
@@ -316,7 +334,7 @@ def test_verify_type_fails_an_added_relator_on_the_lower_bound(tmp_path, capsys,
 def test_verify_type_pass_needs_the_lower_bound(tmp_path, capsys, monkeypatch):
     # the simple roots of D4 are no companion basis of the 4-cycle: its cycle
     # relations fail on them, so the tower's order alone certifies nothing
-    monkeypatch.setattr(cli, "companion_basis", lambda diagram, mclass: simple_root_basis(build_root_system("D4")))
+    monkeypatch.setattr(cli, "companion_basis", lambda diagram: simple_root_basis(build_root_system("D4")))
     assert main(["verify-type", _write(tmp_path, "cycle.mat", CYCLE_MATRIX)]) == 1
     data = _json_out(capsys)
     assert data["order"] == data["expected_order"] == weyl_order("D4")
@@ -343,6 +361,23 @@ def test_theorem_a_certifies_the_whole_e7_class(capsys):
         assert member["lower_bound"] is True
         assert math.prod(level["index"] for level in member["tower"]) == member["order"]
         assert sorted(level["dropped"] for level in member["tower"]) == list(range(1, 8))
+
+
+@pytest.mark.parametrize("label, command", [("E8", ["verify-mutation", "{}", "4"]), ("E7", ["verify-type", "{}"])])
+def test_certificates_enumerate_no_mutation_class(tmp_path, capsys, monkeypatch, label, command):
+    # the companion bases come from a search that stops at the standard tree
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole mutation class was enumerated")
+
+    for module in ("cli", "roots", "diagram"):
+        monkeypatch.setattr(f"cluster_presents.{module}.mutation_class", refuse, raising=False)
+    rng = random.Random(7)
+    matrix = dynkin.standard_exchange_matrix(label)
+    for _ in range(10 if label == "E7" else 0):
+        matrix = mutate_matrix(matrix, rng.randrange(matrix.n))
+    path = _write(tmp_path, "input.mat", dump_matrix(matrix))
+    assert main([path if arg == "{}" else arg for arg in command]) == 0
+    assert _json_out(capsys)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("command", [["verify-type", "{}"], ["theorem-a", "{}"], ["verify-mutation", "{}", "1"]])

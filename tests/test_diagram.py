@@ -459,6 +459,13 @@ def test_identify_from_class_object():
     assert identify_dynkin_type(mc) == "G2"
 
 
+def test_class_without_a_standard_tree_is_unknown():
+    # A1+A1 and A2+A1: finite classes whose members are no trees
+    for diagram in (Diagram(2, []), Diagram(3, [(0, 1, 1)])):
+        mc = mutation_class(diagram)
+        assert mc.type_label == identify_dynkin_type(mc) == "unknown"
+
+
 def test_class_overflow():
     with pytest.raises(MutationClassOverflow):
         mutation_class(dynkin.standard_diagram("A5"), cap=3)

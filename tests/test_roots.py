@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from cluster_presents import dynkin
-from cluster_presents.diagram import Diagram, NotFiniteTypeError, diagram_of, mutation_class
+from cluster_presents.diagram import Diagram, NotFiniteTypeError, diagram_of, mutate_diagram, mutation_class
 from cluster_presents.exchange import ExchangeMatrix, determinant, mutate_matrix
 from cluster_presents.presentation import Relation, full_presentation
 from cluster_presents.roots import (
@@ -333,15 +333,17 @@ def _skew_matrix(diagram):
     )
 
 
+def _relabeled(diagram, rng):
+    """The diagram with its vertices relabeled at random."""
+    perm = rng.sample(range(diagram.n), diagram.n)
+    return Diagram(diagram.n, [(perm[i], perm[j], w) for i, j, w in diagram.edges])
+
+
 def _shuffled_members(label, seed):
     """The type's mutation class, and every member with its vertices relabeled at random."""
     rng = random.Random(seed)
     mclass = mutation_class(dynkin.standard_diagram(label))
-    out = []
-    for member in mclass.members:
-        perm = rng.sample(range(member.n), member.n)
-        out.append(Diagram(member.n, [(perm[i], perm[j], w) for i, j, w in member.edges]))
-    return mclass, out
+    return mclass, [_relabeled(member, rng) for member in mclass.members]
 
 
 def _assert_multiply_laced_companion(basis, diagram):
@@ -357,10 +359,9 @@ def _assert_multiply_laced_companion(basis, diagram):
 @pytest.mark.parametrize("label", ["A5", "D5", "E6"])
 def test_companion_basis_of_every_simply_laced_member(label):
     mclass, diagrams = _shuffled_members(label, 3)
-    assert companion_basis(diagrams[0]) == companion_basis(diagrams[0], mclass)  # enumerates its own class
     for diagram in diagrams:
-        basis = companion_basis(diagram, mclass)
-        assert basis.system.label == label
+        basis = companion_basis(diagram)
+        assert basis.system.label == label == mclass.type_label
         ok, reason = is_companion_basis(basis, _skew_matrix(diagram))
         assert ok, (label, diagram.edges, reason)
 
@@ -369,7 +370,9 @@ def test_companion_basis_of_every_simply_laced_member(label):
 def test_companion_basis_of_every_multiply_laced_member(label):
     mclass, diagrams = _shuffled_members(label, 5)
     for diagram in diagrams:
-        _assert_multiply_laced_companion(companion_basis(diagram, mclass), diagram)
+        basis = companion_basis(diagram)
+        assert basis.system.label == mclass.type_label
+        _assert_multiply_laced_companion(basis, diagram)
 
 
 @pytest.mark.parametrize("label", ["A5", "D5", "E6", "B/C4", "F4", "G2"])
@@ -380,8 +383,54 @@ def test_companion_bases_cover_the_class(label):
     for member, basis in zip(mclass.members, bases):
         assert basis.system is build_root_system(label)
         _assert_multiply_laced_companion(basis, member)
-        # both bases of a member come from one carrying routine
-        assert companion_basis(member, mclass) == basis
+        # the search from the member takes its own path, to a companion
+        # basis of the member in the same root system
+        searched = companion_basis(member)
+        assert searched.system is basis.system
+        _assert_multiply_laced_companion(searched, member)
+
+
+@pytest.mark.parametrize("label, count", [
+    ("A5", None), ("D5", None), ("E6", None), ("B/C4", None), ("F4", None), ("G2", None), ("E7", 12), ("E8", 4)])
+def test_companion_basis_search_against_the_class(label, count):
+    # every member of the small classes, seeded random members of E7 (drawn
+    # from its class) and E8 (ends of 12-step walks from the tree, as its
+    # class alone takes seconds), each randomly relabeled
+    rng = random.Random(17)
+    if label == "E8":
+        members = []
+        for _ in range(count):
+            diagram = dynkin.standard_diagram(label)
+            for _ in range(12):
+                diagram = mutate_diagram(diagram, rng.randrange(diagram.n))
+            members.append(diagram)
+    else:
+        mclass = mutation_class(dynkin.standard_diagram(label))
+        assert mclass.type_label == label
+        members = mclass.members if count is None else rng.sample(mclass.members, count)
+    for member in members:
+        diagram = _relabeled(member, rng)
+        basis = companion_basis(diagram)
+        assert basis.system.label == label
+        if diagram.max_weight() == 1:
+            ok, reason = is_companion_basis(basis, _skew_matrix(diagram))
+            assert ok, (label, diagram.edges, reason)
+        else:
+            _assert_multiply_laced_companion(basis, diagram)
+        assert relations_hold(basis, full_presentation(diagram).relations), diagram.edges
+
+
+@pytest.mark.parametrize("diagram, error", [
+    (Diagram(5, [(0, v, 1) for v in range(1, 5)]), NotFiniteTypeError),  # the affine D4 star
+    (Diagram(3, [(0, 1, 1), (1, 2, 4)]), NotFiniteTypeError),  # a weight-4 edge
+    (Diagram(11, [(i, i + 1, 1) for i in range(10)]), ValueError),  # rank 11
+])
+def test_companion_basis_search_fails_as_the_class_fails(diagram, error):
+    with pytest.raises(error) as expected:
+        mutation_class(diagram)
+    with pytest.raises(error) as searched:
+        companion_basis(diagram)
+    assert (type(searched.value), str(searched.value)) == (type(expected.value), str(expected.value))
 
 
 @pytest.mark.parametrize("label", ["A5", "D5", "E6", "B/C4", "F4", "G2"])
