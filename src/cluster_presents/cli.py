@@ -64,6 +64,7 @@ from .formats import (
     load_signed_graph,
 )
 from .presentation import (
+    MAX_PRESENTATION_RANK,
     Presentation,
     full_presentation,
     mutation_witness_words,
@@ -184,7 +185,7 @@ def _classable(diagram: Diagram) -> Diagram:
     """The diagram, if the commands that search its mutation class take it.  A
     rank beyond the canonical labeling's is a usage error, checked before any
     pass over the vertices, and so is a disconnected diagram, whose class
-    holds no standard tree to name its type by."""
+    holds no tree to name its type by."""
     if diagram.n > MAX_CANONICAL_RANK:
         _die(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
     if len(connected_components(diagram)) > 1:
@@ -349,6 +350,8 @@ def _cmd_present(args, argv) -> int:
             for i in range(diagram.n)
         ]
         return _emit("\n".join(lines) + "\n")
+    if diagram.n > MAX_PRESENTATION_RANK:  # before any pass over the vertices
+        _die(f"presentations support rank <= {MAX_PRESENTATION_RANK}, not {diagram.n}")
     builder = full_presentation if args.which == "full" else reduced_presentation
     return _emit_dump(dump_presentation, builder(diagram), args.json)
 
@@ -390,8 +393,8 @@ def _cmd_verify_type(args, argv) -> int:
     """Certify |G| = |W| for the diagram's presented group G: the tower bounds
     |G| from above, the relations holding on a companion basis from below
     (roots.relations_hold).  The basis comes from a search of the class that
-    stops at the type's standard tree (roots.companion_basis), which names
-    the type."""
+    stops at the first tree of the type, in any orientation
+    (roots.companion_basis), which names the type."""
     diagram = _load(args.file, _diagram_or_matrix)
     cap = _coset_cap(args)
     basis = _valid(companion_basis, _classable(diagram))

@@ -37,7 +37,7 @@ from math import prod
 from . import dynkin
 from .diagram import Diagram, connected_components, mutate_diagram
 from .presentation import Presentation, Relation, Word, full_presentation, mutation_witness_words, inverse_mutation_witness_words
-from .roots import companion_basis, mutate_companion, reflect
+from .roots import _reflection, companion_basis, mutate_companion
 
 __all__ = [
     "DEFAULT_COSET_CAP",
@@ -388,8 +388,9 @@ def _reflection_rep(n: int, parts) -> PermutationRep:
         point = {root: offset + p for p, root in enumerate(roots)}
         for v, beta in zip(vertices, basis.vectors):
             image = list(range(degree))
+            s_beta = _reflection(basis.system, beta)
             for p, root in enumerate(roots):
-                image[offset + p] = point[reflect(basis.system, beta, root)]
+                image[offset + p] = point[s_beta(root)]
             images[v] = tuple(image)
         offset += len(roots)
     return PermutationRep(degree, tuple(images))
@@ -407,8 +408,9 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     overflows, NotFiniteTypeError when a component's class is of no known
     finite type, and ValueError above rank 10.
 
-    Why the checks are exact.  Each companion mutation keeps beta_k and
-    replaces beta_i by beta_i or s_{beta_k} beta_i, so on both sides the
+    Why the checks are exact.  The simple roots on any tree of the type
+    generate W by their reflections, and each companion mutation keeps beta_k
+    and replaces beta_i by beta_i or s_{beta_k} beta_i, so on both sides the
     reflections generate W = prod W_c over the components.  When the
     relations of a presentation hold in its rho, rho is onto W, so the
     presented group G has |G| >= |W| (the closed-form weyl_order).  The

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .exchange import ExchangeMatrix
@@ -318,7 +319,8 @@ def validate_finite_type_local(diagram: Diagram) -> ValidationReport:
     4-cycle, and (iii) every connected induced 3-vertex subdiagram is one of:
     path with weights {1,1} or {1,2}, triangle with weights {1,1,1} or
     {2,2,1}.  The report lists every violation; `first` is the canonical
-    witness.
+    witness.  The connected triples are those of two neighbours of a middle
+    vertex, checked in lexicographic order.
     """
     violations: list[Violation] = []
     for cycle in chordless_cycles(diagram):
@@ -330,22 +332,18 @@ def validate_finite_type_local(diagram: Diagram) -> ValidationReport:
             violations.append(Violation(
                 "cycle-weights", cycle.vertices,
                 f"cycle weights {cycle.weights} outside the finite-type catalog"))
-    n = diagram.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                ws = [w for w in (diagram.weight_between(i, j),
-                                  diagram.weight_between(j, k),
-                                  diagram.weight_between(i, k)) if w]
-                if len(ws) < 2:
-                    continue  # not connected on three vertices
-                ws.sort()
-                ok = (ws == [1, 1] or ws == [1, 2]) if len(ws) == 2 \
-                    else (ws == [1, 1, 1] or ws == [1, 2, 2])
-                if not ok:
-                    violations.append(Violation(
-                        "three-vertex", (i, j, k),
-                        f"induced subdiagram weights {tuple(ws)} outside the catalog"))
+    triples = {tuple(sorted((m, a, b))) for m in {*diagram._out, *diagram._in}
+               for a, b in combinations(diagram.neighbours(m), 2)}
+    for i, j, k in sorted(triples):
+        ws = sorted(w for w in (diagram.weight_between(i, j),
+                                diagram.weight_between(j, k),
+                                diagram.weight_between(i, k)) if w)
+        ok = (ws == [1, 1] or ws == [1, 2]) if len(ws) == 2 \
+            else (ws == [1, 1, 1] or ws == [1, 2, 2])
+        if not ok:
+            violations.append(Violation(
+                "three-vertex", (i, j, k),
+                f"induced subdiagram weights {tuple(ws)} outside the catalog"))
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -601,7 +599,7 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
     The whole of _class_bfs, with its errors: NotFiniteTypeError,
     MutationClassOverflow when more than `cap` members appear, and ValueError
     above rank MAX_CANONICAL_RANK.  Members are emitted in canonical-string
-    order.
+    order, and type_label is identify_dynkin_type's.
     """
     reps: dict[bytes, Diagram] = {}
     raw_edges: set[tuple[bytes, int, bytes]] = set()
@@ -611,34 +609,41 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
     index = {key: i for i, key in enumerate(keys)}
     members = tuple(reps[key] for key in keys)
     edges = frozenset((index[a], k, index[b]) for a, k, b in raw_edges)
-    return MutationClass(members, keys, edges, _type_of(diagram.n, reps))
+    label = next((match[0] for match in map(_tree_match, members) if match), "unknown")
+    return MutationClass(members, keys, edges, label)
 
 
 @lru_cache(maxsize=None)
-def _standard_trees(n: int) -> dict[bytes, str]:
-    """The canonical form of each catalogue type's standard tree of rank n
-    (dynkin.standard_diagram), mapped to the type's label."""
+def _tree_table(n: int) -> dict[bytes, tuple[str, list[int]]]:
+    """Each catalogue type of rank n by the unoriented canonical code of its
+    standard tree (dynkin.standard_diagram): (label, the tree's labeling)."""
     from . import dynkin  # deferred: dynkin builds Diagrams via this module
 
-    return {_canonical_labeling(dynkin.standard_diagram(label))[0]: label
-            for label in dynkin.labels_of_rank(n)}
+    table = {}
+    for label in dynkin.labels_of_rank(n):
+        codes, perm = _canonical_search(dynkin.standard_diagram(label), oriented=False)
+        table[bytes(codes)] = (label, perm)
+    return table
 
 
-def _type_of(n: int, keys) -> str:
-    """The label of the standard tree whose key is among keys, or "unknown".
-
-    Every orientation of a tree is mutation-equivalent to every other, so a
-    class of finite type holds its type's standard tree, and one class holds
-    at most one such tree.
-    """
-    return next((label for key, label in _standard_trees(n).items() if key in keys), "unknown")
+def _tree_match(diagram: Diagram) -> Optional[tuple[str, list[int], list[int]]]:
+    """(label, sperm, uperm) when the diagram is a catalogue type's tree in any
+    orientation: its vertex uperm[q] is vertex sperm[q] of the type's standard
+    tree, as unoriented weighted graphs.  None otherwise."""
+    if len(diagram.edges) != diagram.n - 1:
+        return None
+    codes, uperm = _canonical_search(diagram, oriented=False)
+    hit = _tree_table(diagram.n).get(bytes(codes))
+    return hit and (*hit, uperm)
 
 
 def identify_dynkin_type(mclass: MutationClass) -> str:
-    """Dynkin type of a mutation class: the type whose standard tree is a member.
+    """Dynkin type of a mutation class: the type of the first member that is a
+    catalogue tree in any orientation (mutation_class's type_label).
 
-    B_n and C_n share a diagram, so they are reported merged as "B/Cn".
-    Returns "unknown" when the class holds no catalogued standard tree (a
-    disconnected diagram's class, say).
+    A class of finite type holds every orientation of its type's tree and no
+    other tree.  B_n and C_n share a diagram, so they are reported merged as
+    "B/Cn".  "unknown" when the class holds no such tree (a disconnected
+    diagram's class, say).
     """
-    return _type_of(mclass.members[0].n, mclass.keys)
+    return mclass.type_label

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .diagram import ChordlessCycle, Diagram, DiagramError, chordless_cycles, validate_finite_type_local
 
 __all__ = [
+    "MAX_PRESENTATION_RANK",
     "Relation",
     "Presentation",
     "bond_order",
@@ -35,6 +36,8 @@ __all__ = [
 Word = tuple[int, ...]
 
 _BOND_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
+# far above any rank of finite type a certificate reaches; R2 alone is n^2/2 relations
+MAX_PRESENTATION_RANK = 1000
 
 
 def bond_order(weight: int) -> int:
@@ -107,6 +110,8 @@ def cycle_word(cycle: ChordlessCycle, a: int) -> Word:
 
 
 def _checked_cycles(diagram: Diagram) -> tuple[ChordlessCycle, ...]:
+    if diagram.n > MAX_PRESENTATION_RANK:
+        raise ValueError(f"presentations support rank <= {MAX_PRESENTATION_RANK}, not {diagram.n}")
     report = validate_finite_type_local(diagram)
     if not report.ok:
         raise DiagramError(f"diagram admits no presentation: {report.first.detail}")

@@ -9,13 +9,15 @@ stay in exact integer arithmetic.
 A companion basis for an exchange matrix B is a Z-basis of the root lattice
 made of roots whose mutual pairings reproduce |B| off the diagonal; it is
 mutated by reflecting the vectors attached to arrows into (or out of) the
-mutation vertex.  companion_bases finds one for every member of a finite-type
+mutation vertex.  The simple roots are one for every orientation of the
+type's tree.  companion_bases finds one for every member of a finite-type
 mutation class, by carrying the simple roots along the class's mutation
 edges, and companion_basis for one diagram, by carrying them along a search
-from the diagram that stops at its type's standard tree; relations_hold
-checks a presentation on the reflections in such a basis, the lower bound of
-the certificates.  The sign pattern of a basis is tracked by its signed
-graph, with one switching move that rewires the neighbourhood of a vertex.
+from the diagram that stops at the first tree it meets, in any orientation;
+relations_hold checks a presentation on the reflections in such a basis, the
+lower bound of the certificates.  The sign pattern of a basis is tracked by
+its signed graph, with one switching move that rewires the neighbourhood of
+a vertex.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import dynkin
 from .diagram import (
@@ -32,7 +35,7 @@ from .diagram import (
     NotFiniteTypeError,
     _canonical_labeling,
     _class_bfs,
-    _standard_trees,
+    _tree_match,
     mutate_diagram,
 )
 from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant
@@ -129,36 +132,50 @@ def build_root_system(label: str) -> RootSystem:
     )
 
 
-def pairing(system: RootSystem, v, w) -> int:
-    """The symmetric bilinear form (v, w)."""
-    total = 0
-    for i in range(system.n):
-        if v[i] == 0:
-            continue
-        row = system.cartan[i]
-        d = system.symmetriser[i]
-        total += v[i] * d * sum(row[j] * w[j] for j in range(system.n))
-    return total
+def _form(system: RootSystem, w) -> tuple[list[int], int]:
+    """w's image under the form, form_i = d_i (cartan_i . w), and its norm
+    (w, w) = w . form, so that (v, w) = v . form is one length-n dot product."""
+    form = [d * sum(map(mul, row, w)) for row, d in zip(system.cartan, system.symmetriser)]
+    return form, sum(map(mul, w, form))
 
 
-def copairing(system: RootSystem, v, w) -> int:
-    """The coroot pairing (v, w^check) = 2 (v, w) / (w, w); w must not be isotropic."""
-    ww = pairing(system, w, w)
-    if ww == 0:
+def _coroot(v, w, form: list[int], norm: int) -> int:
+    """(v, w^check) = 2 (v, w) / (w, w) from w's _form, with copairing's errors."""
+    if norm == 0:
         raise ValueError("coroot pairing undefined: (w, w) = 0")
-    value, remainder = divmod(2 * pairing(system, v, w), ww)
+    value, remainder = divmod(2 * sum(map(mul, v, form)), norm)
     if remainder:
         raise ValueError(f"coroot pairing of {tuple(v)} against {tuple(w)} is not integral")
     return value
 
 
-def reflect(system: RootSystem, beta, v) -> Coords:
-    """Reflection of v in the hyperplane of the root beta."""
+def pairing(system: RootSystem, v, w) -> int:
+    """The symmetric bilinear form (v, w)."""
+    return sum(map(mul, v, _form(system, w)[0]))
+
+
+def copairing(system: RootSystem, v, w) -> int:
+    """The coroot pairing (v, w^check) = 2 (v, w) / (w, w); w must not be isotropic."""
+    return _coroot(v, w, *_form(system, w))
+
+
+def _reflection(system: RootSystem, beta):
+    """The reflection in the root beta as a function of v, raising reflect's
+    errors; beta's _form is computed once, so each v costs one dot product."""
     beta = tuple(beta)
     if not system.is_root(beta):
         raise ValueError(f"{beta} is not a root of {system.label}")
-    coeff = copairing(system, v, beta)
-    return tuple(v[j] - coeff * beta[j] for j in range(system.n))
+    form, norm = _form(system, beta)
+
+    def apply(v) -> Coords:
+        coeff = _coroot(v, beta, form, norm)
+        return tuple([x - coeff * b for x, b in zip(v, beta)])
+    return apply
+
+
+def reflect(system: RootSystem, beta, v) -> Coords:
+    """Reflection of v in the hyperplane of the root beta."""
+    return _reflection(system, beta)(v)
 
 
 class CompanionBasis:
@@ -205,28 +222,10 @@ def _coroot_pairings(basis: CompanionBasis) -> list[list[int]]:
     """(beta_i, beta_j^check) off the diagonal and 2 on it, raising copairing's
     errors in its order.  Each beta_j is paired through its image under the
     form, computed once."""
-    system, vectors = basis.system, basis.vectors
-    n = len(vectors)
-    images = [
-        [d * sum(c * x for c, x in zip(row, w)) for row, d in zip(system.cartan, system.symmetriser)]
-        for w in vectors
-    ]
-    norms = [sum(x * y for x, y in zip(w, image)) for w, image in zip(vectors, images)]
-    rows = []
-    for i, v in enumerate(vectors):
-        row = []
-        for j, w in enumerate(vectors):
-            if i == j:
-                row.append(2)
-                continue
-            if norms[j] == 0:
-                raise ValueError("coroot pairing undefined: (w, w) = 0")
-            value, remainder = divmod(2 * sum(x * y for x, y in zip(v, images[j])), norms[j])
-            if remainder:
-                raise ValueError(f"coroot pairing of {v} against {w} is not integral")
-            row.append(value)
-        rows.append(row)
-    return rows
+    vectors = basis.vectors
+    forms = [_form(basis.system, w) for w in vectors]
+    return [[2 if i == j else _coroot(v, w, *forms[j]) for j, w in enumerate(vectors)]
+            for i, v in enumerate(vectors)]
 
 
 def companion_matrix(basis: CompanionBasis) -> QuasiCartanMatrix:
@@ -288,12 +287,19 @@ def mutate_companion(basis: CompanionBasis, k: int, diagram, direction: str = "i
     return CompanionBasis(basis.system, out)
 
 
-def _standard_start(label: str) -> tuple[RootSystem, bytes, list[Coords]]:
-    """The type's root system, the canonical form of its standard tree, and
-    the simple roots as a basis of that form's representative."""
+def _tree_start(diagram: Diagram) -> tuple[RootSystem, list[Coords]] | None:
+    """The type's root system and its simple roots on the diagram's vertices, a
+    companion basis of every orientation of the type's tree; None when the
+    diagram is no such tree (diagram._tree_match)."""
+    match = _tree_match(diagram)
+    if match is None:
+        return None
+    label, sperm, uperm = match
     system = build_root_system(label)
-    key, perm = _canonical_labeling(dynkin.standard_diagram(label))
-    return system, key, [system.simple_root(v) for v in perm]
+    vectors = [()] * diagram.n
+    for s, u in zip(sperm, uperm):
+        vectors[u] = system.simple_root(s)
+    return system, vectors
 
 
 def _tree_edges(mclass: MutationClass, start: int):
@@ -325,16 +331,18 @@ def _carry(system: RootSystem, rep: Diagram, k: int, vectors) -> list[Coords]:
 def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
     """A companion basis of every member's representative, indexed like members.
 
-    The simple roots are a companion basis of the standard tree of the
-    class's type (dynkin.standard_diagram); they are carried (_carry) along a
-    BFS tree of the class's mutation edges from that tree's member.  The
+    The simple roots are a companion basis of every orientation of the type's
+    tree (_tree_start); they are carried (_carry) along a BFS tree of the
+    class's mutation edges from the first member that is such a tree.  The
     vectors live in build_root_system(type label).  Raises
     NotFiniteTypeError when the class is of no catalogued finite type.
     """
-    if mclass.type_label == "unknown":
+    for start, member in enumerate(mclass.members):
+        if found := _tree_start(member):
+            break
+    else:
         raise NotFiniteTypeError("mutation class of no known finite type")
-    system, key, vectors = _standard_start(mclass.type_label)
-    start = mclass.keys.index(key)
+    system, vectors = found
     bases = {start: vectors}
     for a, k, b in _tree_edges(mclass, start):
         bases[b] = _carry(system, mclass.members[a], k, bases[a])
@@ -346,12 +354,13 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
 
     A breadth-first search over the canonical forms of the diagram's mutation
     class, from the diagram (_class_bfs, the core of mutation_class), stops at
-    the first standard tree of a type of its rank; that tree names the type,
-    because a class of finite type holds its type's standard tree.  The simple
-    roots of that tree are carried (_carry) back along the search's steps to
-    the input's member and end in the input's own labeling.
+    the first member that is a catalogue tree in any orientation; that tree
+    names the type, because a class of finite type holds all its type's trees
+    and no other.  The simple roots, a companion basis of every orientation of
+    the tree (_tree_start), are carried (_carry) back along the search's steps
+    to the input's member and end in the input's own labeling.
 
-    A class that holds no standard tree is searched to its end, so the input
+    A class that holds no catalogue tree is searched to its end, so the input
     fails as mutation_class fails on it: NotFiniteTypeError when the class is
     not of finite type (or, once exhausted, of no catalogued type),
     MutationClassOverflow past the class cap, and ValueError above rank 10.
@@ -359,11 +368,11 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
     reps: dict[bytes, Diagram] = {}
     back: dict[bytes, tuple[int, bytes]] = {}
     for key in _class_bfs(diagram, DEFAULT_CLASS_CAP, reps, back, set()):
-        if key in _standard_trees(diagram.n):
+        if found := _tree_start(reps[key]):
             break
     else:
         raise NotFiniteTypeError("mutation class of no known finite type")
-    system, _, vectors = _standard_start(_standard_trees(diagram.n)[key])
+    system, vectors = found
     while key in back:
         k, key_from = back[key]
         vectors = _carry(system, reps[key], k, vectors)
@@ -384,11 +393,12 @@ def relations_hold(basis: CompanionBasis, relations) -> bool:
     when its word fixes every unit vector.
 
     Why this bounds a presented group from below.  A basis of companion_bases
-    or companion_basis is carried from the simple roots by mutations, each of
-    which keeps beta_k and replaces beta_i by beta_i or s_{beta_k} beta_i, so
-    its reflections generate the Weyl group W.  When they satisfy the
-    relations of a presentation, s_g |-> reflection in beta_g maps the
-    presented group G onto W, so |G| >= |W| = prod d_i (coset.weyl_order).
+    or companion_basis is carried by mutations from the simple roots on a tree
+    of the type, in any orientation, whose reflections generate the Weyl group
+    W.  Each mutation keeps beta_k and replaces beta_i by beta_i or
+    s_{beta_k} beta_i, so the carried reflections generate W.  When they
+    satisfy the relations of a presentation, s_g |-> reflection in beta_g maps
+    the presented group G onto W, so |G| >= |W| = prod d_i (coset.weyl_order).
     The coset tower bounds |G| from above by the product of its indices
     (coset.group_order); the two bounds meeting is the certificate |G| = |W|.
     """

@@ -395,6 +395,18 @@ def test_certifying_commands_refuse_a_huge_edgeless_diagram_at_once(tmp_path, ca
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("which", ["full", "reduced"])
+def test_present_refuses_a_huge_edgeless_diagram_at_once(tmp_path, capsys, which):
+    # seven bytes naming 300,000 vertices: the rank is checked before the
+    # validator or the n^2/2 braid relations run
+    path = _write(tmp_path, "huge.dia", "300000\n")
+    started = time.monotonic()
+    _assert_usage_error(capsys, ["present", which, path])
+    assert time.monotonic() - started < 1
+    with pytest.raises(ValueError, match="presentations support rank <= 1000, not 300000"):
+        full_presentation(load_diagram("300000\n"))
+
+
 # ------------------------------------------------------------ theorem-a / pipeline
 
 

@@ -11,6 +11,7 @@ both groups.
 """
 
 import math
+import random
 from collections import deque
 
 import pytest
@@ -36,7 +37,16 @@ from cluster_presents.presentation import (
     mutation_witness_words,
     reduced_presentation,
 )
-from cluster_presents.roots import build_root_system, simple_root_basis
+from cluster_presents.roots import (
+    CompanionBasis,
+    build_root_system,
+    companion_basis,
+    companion_matrix,
+    copairing,
+    pairing,
+    reflect,
+    simple_root_basis,
+)
 
 
 FOUR_CYCLE = diagram_of(
@@ -352,6 +362,50 @@ def test_root_certificate_needs_a_faithful_representation(monkeypatch):
     assert report.order == report.mutated_order == weyl_order("D4")
     assert not report.faithful
     assert not report.passed
+
+
+def _form_by_entries(system, v, w):
+    """(v, w) = sum_ij v_i d_i cartan[i][j] w_j, entry by entry."""
+    n = system.n
+    return sum(v[i] * system.symmetriser[i] * system.cartan[i][j] * w[j] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("label", ["E6", "F4", "B/C4", "G2"])
+def test_reflection_rep_agrees_with_reflecting_root_by_root(label):
+    rng = random.Random(41)
+    members = mutation_class(dynkin.standard_diagram(label)).members
+    for member in rng.sample(members, min(6, len(members))):
+        vertices = tuple(rng.sample(range(member.n), member.n))
+        basis = companion_basis(member)
+        rep = coset._reflection_rep(member.n, [(vertices, basis)])
+        system = basis.system
+        index = {root: p for p, root in enumerate(system.roots)}
+        assert rep.degree == len(system.roots)
+        for v, beta in zip(vertices, basis.vectors):
+            norm = _form_by_entries(system, beta, beta)
+            expected = []
+            for root in system.roots:
+                coeff, remainder = divmod(2 * _form_by_entries(system, root, beta), norm)
+                assert remainder == 0 and coeff == copairing(system, root, beta) == (
+                    2 * pairing(system, root, beta) // pairing(system, beta, beta))
+                expected.append(index[tuple(x - coeff * b for x, b in zip(root, beta))])
+            assert rep.images[v] == tuple(expected), (label, member.edges, v)
+
+
+def test_reflection_errors_keep_their_text():
+    a2 = build_root_system("A2")
+    with pytest.raises(ValueError, match=r"^\(1, -1\) is not a root of A2$"):
+        coset._reflection_rep(2, [((0, 1), CompanionBasis(a2, [(1, 0), (1, -1)]))])
+    with pytest.raises(ValueError, match=r"^\(1, -1\) is not a root of A2$"):
+        reflect(a2, (1, -1), (1, 0))
+    with pytest.raises(ValueError, match=r"^coroot pairing of \(0, 1\) against \(2, 0\) is not integral$"):
+        copairing(a2, (0, 1), (2, 0))
+    with pytest.raises(ValueError, match=r"^coroot pairing of \(0, 1\) against \(2, 0\) is not integral$"):
+        companion_matrix(CompanionBasis(a2, [(2, 0), (0, 1)]))
+    with pytest.raises(ValueError, match=r"^coroot pairing undefined: \(w, w\) = 0$"):
+        copairing(a2, (1, 0), (0, 0))
+    with pytest.raises(ValueError, match=r"^coroot pairing undefined: \(w, w\) = 0$"):
+        companion_matrix(CompanionBasis(a2, [(1, 0), (0, 0)]))
 
 
 def test_mutation_certificate_overflow():

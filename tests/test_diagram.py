@@ -252,6 +252,41 @@ def test_validator_rejects_weight3_in_company():
     assert validate_finite_type_local(alone).ok
 
 
+def _three_vertex_violations_by_triples(diagram):
+    """Oracle: every vertex triple in lexicographic order, kept when connected."""
+    found = []
+    for triple in combinations(range(diagram.n), 3):
+        i, j, k = triple
+        ws = sorted(w for w in (diagram.weight_between(i, j), diagram.weight_between(j, k),
+                                diagram.weight_between(i, k)) if w)
+        allowed = ([1, 1], [1, 2]) if len(ws) == 2 else ([1, 1, 1], [1, 2, 2])
+        if len(ws) >= 2 and ws not in allowed:
+            found.append((triple, tuple(ws)))
+    return found
+
+
+def test_validator_reports_the_triples_of_a_full_scan_in_order():
+    # the validator visits only connected triples; it must report what a
+    # scan of all triples reports, in the same order, after the cycle checks
+    rng = random.Random(29)
+    for _ in range(300):
+        diagram = _random_diagram(rng, rng.randrange(0, 9), p=rng.choice((0.2, 0.4, 0.7)))
+        report = validate_finite_type_local(diagram)
+        cycles = [v for v in report.violations if v.kind != "three-vertex"]
+        triples = [v for v in report.violations if v.kind == "three-vertex"]
+        assert report.violations == tuple(cycles + triples)
+        assert [(v.vertices, v.detail) for v in triples] == [
+            (t, f"induced subdiagram weights {ws} outside the catalog")
+            for t, ws in _three_vertex_violations_by_triples(diagram)]
+        assert report.ok == (not report.violations)
+
+
+def test_validator_skips_the_vertices_without_edges():
+    # a huge edgeless diagram is checked at once: no pass over all triples
+    assert validate_finite_type_local(Diagram(300_000, [])).ok
+    assert validate_finite_type_local(Diagram(300_000, [(0, 1, 1), (1, 299_999, 2)])).ok
+
+
 # ----------------------------------------------------------------- canonical forms
 
 

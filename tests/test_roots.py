@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from cluster_presents import dynkin
+from cluster_presents import dynkin, roots
 from cluster_presents.diagram import Diagram, NotFiniteTypeError, diagram_of, mutate_diagram, mutation_class
 from cluster_presents.exchange import ExchangeMatrix, determinant, mutate_matrix
 from cluster_presents.presentation import Relation, full_presentation
@@ -463,6 +463,58 @@ def test_relations_hold_rejects_a_basis_that_is_no_companion():
     # relations fail on them
     cycle = Diagram(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     assert not relations_hold(simple_root_basis(build_root_system("D4")), full_presentation(cycle).relations)
+
+
+def _count_members_met(monkeypatch):
+    """Wrap the search's BFS so that each companion_basis call appends the
+    number of members it met to the returned list."""
+    met = []
+    bfs = roots._class_bfs
+
+    def counting(*args):
+        met.append(0)
+        for key in bfs(*args):
+            met[-1] += 1
+            yield key
+    monkeypatch.setattr(roots, "_class_bfs", counting)
+    return met
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_tree_orientation_is_its_own_stop(monkeypatch, n):
+    met = _count_members_met(monkeypatch)
+    rng = random.Random(n)
+    for label in dynkin.labels_of_rank(n):
+        tree = dynkin.standard_diagram(label)
+        for bits in range(2 ** len(tree.edges)):
+            oriented = Diagram(n, [(j, i, w) if bits >> e & 1 else (i, j, w)
+                                   for e, (i, j, w) in enumerate(tree.edges)])
+            diagram = _relabeled(oriented, rng)
+            basis = companion_basis(diagram)
+            assert met[-1] == 1, (label, diagram.edges)
+            assert basis.system.label == label
+            assert sorted(basis.vectors) == sorted(basis.system.simple_root(i) for i in range(n))
+            _assert_multiply_laced_companion(basis, diagram)
+
+
+def test_search_meets_few_members_on_the_e6_class(monkeypatch):
+    members = mutation_class(dynkin.standard_diagram("E6")).members
+    met = _count_members_met(monkeypatch)
+    for member in members:
+        companion_basis(member)
+    assert len(met) == len(members) == 67
+    # 28.0 per search when it ran to the standard tree; 9.76 stopping at any tree
+    assert sum(met) / len(met) <= 9.8
+
+
+@pytest.mark.parametrize("label", ["B/C5", "B/C6", "D6"])
+def test_searched_basis_satisfies_every_members_relations(label):
+    # multiply laced trees beyond rank 4, where the search stops at whatever
+    # orientation it meets first
+    for member in mutation_class(dynkin.standard_diagram(label)).members:
+        basis = companion_basis(member)
+        assert basis.system.label == label
+        assert relations_hold(basis, full_presentation(member).relations), member.edges
 
 
 def test_companion_basis_refuses_unsupported_diagrams():
