@@ -23,6 +23,7 @@ import os
 import random
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import NoReturn
 
@@ -334,6 +335,8 @@ def _cmd_diagram_cycles(args, argv) -> int:
 
 def _cmd_present(args, argv) -> int:
     diagram = _load(args.file, _diagram_or_matrix)
+    if diagram.n > MAX_PRESENTATION_RANK:  # before any pass over the vertices
+        _die(f"presentations support rank <= {MAX_PRESENTATION_RANK}, not {diagram.n}")
     if args.which == "ti":
         k = _vertex(diagram.n, args.vertex)
         words = mutation_witness_words(diagram, k)
@@ -350,8 +353,6 @@ def _cmd_present(args, argv) -> int:
             for i in range(diagram.n)
         ]
         return _emit("\n".join(lines) + "\n")
-    if diagram.n > MAX_PRESENTATION_RANK:  # before any pass over the vertices
-        _die(f"presentations support rank <= {MAX_PRESENTATION_RANK}, not {diagram.n}")
     builder = full_presentation if args.which == "full" else reduced_presentation
     return _emit_dump(dump_presentation, builder(diagram), args.json)
 
@@ -653,7 +654,11 @@ def _cmd_export(args, argv) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it, and
+    everything read per call (the environment, sys.stdout and sys.stderr) is
+    read when the command runs."""
     parser = _Parser(
         prog="cluster-presents",
         description="Mutate exchange matrices and diagrams, generate reflection-group presentations, and verify them by coset enumeration.",

@@ -13,7 +13,7 @@ translate to 1-based.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
@@ -523,30 +523,34 @@ class MutationClass:
     rank, _canonical_search), each labeled as its key lists it; `keys` are
     those forms; `edges` holds (member index, vertex, member index) mutation
     adjacencies in the representatives' labeling; `type_label` is the
-    identified Dynkin type or "unknown".
+    identified Dynkin type or "unknown".  `tree`, in no == or repr, is the
+    search's record (_class_bfs's back) in discovery order, as (member, k',
+    parent, perm) in member indices, the input's member first.
     """
 
     members: tuple[Diagram, ...]
     keys: tuple[bytes, ...]
     edges: frozenset[tuple[int, int, int]]
     type_label: str
+    tree: tuple[tuple[int, int, int, tuple[int, ...]], ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.members)
 
 
 def _class_bfs(diagram: Diagram, cap: int, reps: dict[bytes, Diagram],
-               back: dict[bytes, tuple[int, bytes]],
+               back: dict[bytes, tuple[int, bytes, list[int]]],
                edges: set[tuple[bytes, int, bytes]]) -> Iterator[bytes]:
     """Breadth-first search of a diagram's mutation class over canonical forms,
     the one core of mutation_class and roots.companion_basis.
 
     Yields each member's key when it is first reached, the input's first, and
     fills in as it goes: reps with each key's canonical representative, back
-    with the (k', parent key) of the back-edge rule below for every member but
-    the input's, and edges with the (key, k, key) mutation adjacencies of the
-    members expanded so far.  A caller that stops early leaves the rest of the
-    class unvisited.
+    with each member's (k', parent key, perm), and edges with the (key, k, key)
+    mutation adjacencies of the members expanded so far.  The canonical
+    labeling perm made the representative from the input, whose entry is
+    (-1, its own key, perm), or else from the parent's representative mutated
+    at k = perm[k'].  A caller that stops early leaves the rest unvisited.
 
     Raises NotFiniteTypeError as soon as a member carries a weight > 3 edge or
     the mutation rule breaks down, MutationClassOverflow when more than `cap`
@@ -565,12 +569,13 @@ def _class_bfs(diagram: Diagram, cap: int, reps: dict[bytes, Diagram],
             f"edge of weight {diagram.max_weight()} violates 2-finiteness")
     key0, perm0 = _canonical_labeling(diagram)
     reps[key0] = _relabel(diagram, perm0)
+    back[key0] = (-1, key0, perm0)
     yield key0
     queue: deque[bytes] = deque([key0])
     while queue:
         key = queue.popleft()
         rep = reps[key]
-        skip, parent = back.get(key, (-1, key))
+        skip, parent, _ = back[key]
         for k in range(rep.n):
             if k == skip:
                 edges.add((key, k, parent))
@@ -588,7 +593,7 @@ def _class_bfs(diagram: Diagram, cap: int, reps: dict[bytes, Diagram],
                 if len(reps) >= cap:
                     raise MutationClassOverflow(cap)
                 reps[ckey] = _relabel(child, perm)
-                back[ckey] = (perm.index(k), key)
+                back[ckey] = (perm.index(k), key, perm)
                 queue.append(ckey)
                 yield ckey
 
@@ -599,18 +604,20 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
     The whole of _class_bfs, with its errors: NotFiniteTypeError,
     MutationClassOverflow when more than `cap` members appear, and ValueError
     above rank MAX_CANONICAL_RANK.  Members are emitted in canonical-string
-    order, and type_label is identify_dynkin_type's.
+    order, type_label is identify_dynkin_type's, and tree is the search's.
     """
     reps: dict[bytes, Diagram] = {}
+    back: dict[bytes, tuple[int, bytes, list[int]]] = {}
     raw_edges: set[tuple[bytes, int, bytes]] = set()
-    for _ in _class_bfs(diagram, cap, reps, {}, raw_edges):
+    for _ in _class_bfs(diagram, cap, reps, back, raw_edges):
         pass
     keys = tuple(sorted(reps))
     index = {key: i for i, key in enumerate(keys)}
     members = tuple(reps[key] for key in keys)
     edges = frozenset((index[a], k, index[b]) for a, k, b in raw_edges)
     label = next((match[0] for match in map(_tree_match, members) if match), "unknown")
-    return MutationClass(members, keys, edges, label)
+    tree = tuple((index[key], k, index[parent], tuple(perm)) for key, (k, parent, perm) in back.items())
+    return MutationClass(members, keys, edges, label, tree)
 
 
 @lru_cache(maxsize=None)

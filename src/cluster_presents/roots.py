@@ -11,18 +11,18 @@ made of roots whose mutual pairings reproduce |B| off the diagonal; it is
 mutated by reflecting the vectors attached to arrows into (or out of) the
 mutation vertex.  The simple roots are one for every orientation of the
 type's tree.  companion_bases finds one for every member of a finite-type
-mutation class, by carrying the simple roots along the class's mutation
-edges, and companion_basis for one diagram, by carrying them along a search
-from the diagram that stops at the first tree it meets, in any orientation;
-relations_hold checks a presentation on the reflections in such a basis, the
-lower bound of the certificates.  The sign pattern of a basis is tracked by
-its signed graph, with one switching move that rewires the neighbourhood of
-a vertex.
+mutation class, by carrying the simple roots along the record of the BFS
+that found the class, and companion_basis for one diagram, by carrying them
+back along a search from the diagram that stops at the first tree it meets,
+in any orientation.  Both relabel each step by the canonical labeling the
+search recorded, so carrying runs no canonical search.  relations_hold checks
+a presentation on the reflections in such a basis, the lower bound of the
+certificates.  The sign pattern of a basis is tracked by its signed graph,
+with one switching move that rewires the neighbourhood of a vertex.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -33,10 +33,8 @@ from .diagram import (
     Diagram,
     MutationClass,
     NotFiniteTypeError,
-    _canonical_labeling,
     _class_bfs,
     _tree_match,
-    mutate_diagram,
 )
 from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant
 
@@ -302,50 +300,49 @@ def _tree_start(diagram: Diagram) -> tuple[RootSystem, list[Coords]] | None:
     return system, vectors
 
 
-def _tree_edges(mclass: MutationClass, start: int):
-    """The (member, vertex, member) steps of a BFS tree of the class's mutation
-    edges from start, each member's first step into it, in BFS order."""
-    steps_from: dict[int, list[tuple[int, int]]] = {}
-    for a, k, b in sorted(mclass.edges):
-        steps_from.setdefault(a, []).append((k, b))
-    reached = {start}
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
-        for k, b in steps_from[a]:
-            if b not in reached:
-                reached.add(b)
-                queue.append(b)
-                yield a, k, b
-
-
-def _carry(system: RootSystem, rep: Diagram, k: int, vectors) -> list[Coords]:
-    """A basis of the canonical representative rep, mutated inward at k and
-    relabeled by the canonical labeling of the mutated diagram, which is the
-    representative of the member reached."""
+def _carry(system: RootSystem, rep: Diagram, k: int, vectors, perm) -> list[Coords]:
+    """A basis of the representative rep, mutated inward at k and relabeled
+    by perm: vertex q of the result is vertex perm[q] of rep mutated at k."""
     mutated = mutate_companion(CompanionBasis(system, vectors), k, rep, "inward").vectors
-    _, perm = _canonical_labeling(mutate_diagram(rep, k))
     return [mutated[v] for v in perm]
+
+
+def _carry_back(system: RootSystem, reps, back, key, vectors) -> tuple[list[Coords], list[int]]:
+    """A basis of reps[key] carried back along the search record `back`
+    (diagram._class_bfs) to the input's member, with the input's labeling.
+
+    Mutating a member at k' gives its parent's representative relabeled by
+    the member's perm, so the step relabels by the inverse of perm."""
+    k, parent, perm = back[key]
+    while parent != key:
+        vectors = _carry(system, reps[key], k, vectors, sorted(range(len(perm)), key=perm.__getitem__))
+        key = parent
+        k, parent, perm = back[key]
+    return vectors, perm
 
 
 def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
     """A companion basis of every member's representative, indexed like members.
 
     The simple roots are a companion basis of every orientation of the type's
-    tree (_tree_start); they are carried (_carry) along a BFS tree of the
-    class's mutation edges from the first member that is such a tree.  The
-    vectors live in build_root_system(type label).  Raises
-    NotFiniteTypeError when the class is of no catalogued finite type.
+    tree (_tree_start).  They are carried (_carry) along the class's BFS
+    record (MutationClass.tree) from the first tree member it reached back to
+    the input's member, then forward along the record to every member, each
+    step relabeled by the labeling the search recorded.  The vectors live in
+    build_root_system(type label).  Raises NotFiniteTypeError when the class
+    is of no catalogued finite type.
     """
-    for start, member in enumerate(mclass.members):
-        if found := _tree_start(member):
+    for start, *_ in mclass.tree:
+        if found := _tree_start(mclass.members[start]):
             break
     else:
         raise NotFiniteTypeError("mutation class of no known finite type")
     system, vectors = found
-    bases = {start: vectors}
-    for a, k, b in _tree_edges(mclass, start):
-        bases[b] = _carry(system, mclass.members[a], k, bases[a])
+    back = {member: (k, parent, perm) for member, k, parent, perm in mclass.tree}
+    root = mclass.tree[0][0]
+    bases = {root: _carry_back(system, mclass.members, back, start, vectors)[0]}
+    for member, k, parent, perm in mclass.tree[1:]:
+        bases[member] = _carry(system, mclass.members[parent], perm[k], bases[parent], perm)
     return tuple(CompanionBasis(system, bases[i]) for i in range(len(mclass)))
 
 
@@ -357,8 +354,9 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
     the first member that is a catalogue tree in any orientation; that tree
     names the type, because a class of finite type holds all its type's trees
     and no other.  The simple roots, a companion basis of every orientation of
-    the tree (_tree_start), are carried (_carry) back along the search's steps
-    to the input's member and end in the input's own labeling.
+    the tree (_tree_start), are carried (_carry_back) back along the search's
+    steps to the input's member, and end in the input's own labeling, all on
+    the labelings the search recorded.
 
     A class that holds no catalogue tree is searched to its end, so the input
     fails as mutation_class fails on it: NotFiniteTypeError when the class is
@@ -366,18 +364,14 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
     MutationClassOverflow past the class cap, and ValueError above rank 10.
     """
     reps: dict[bytes, Diagram] = {}
-    back: dict[bytes, tuple[int, bytes]] = {}
+    back: dict[bytes, tuple[int, bytes, list[int]]] = {}
     for key in _class_bfs(diagram, DEFAULT_CLASS_CAP, reps, back, set()):
         if found := _tree_start(reps[key]):
             break
     else:
         raise NotFiniteTypeError("mutation class of no known finite type")
     system, vectors = found
-    while key in back:
-        k, key_from = back[key]
-        vectors = _carry(system, reps[key], k, vectors)
-        key = key_from
-    _, perm = _canonical_labeling(diagram)
+    vectors, perm = _carry_back(system, reps, back, key, vectors)
     out = [()] * diagram.n
     for q, v in enumerate(perm):
         out[v] = vectors[q]

@@ -395,13 +395,13 @@ def test_certifying_commands_refuse_a_huge_edgeless_diagram_at_once(tmp_path, ca
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("which", ["full", "reduced"])
+@pytest.mark.parametrize("which", ["full", "reduced", "ti"])
 def test_present_refuses_a_huge_edgeless_diagram_at_once(tmp_path, capsys, which):
     # seven bytes naming 300,000 vertices: the rank is checked before the
-    # validator or the n^2/2 braid relations run
+    # validator, the n^2/2 braid relations or the n witness words run
     path = _write(tmp_path, "huge.dia", "300000\n")
     started = time.monotonic()
-    _assert_usage_error(capsys, ["present", which, path])
+    _assert_usage_error(capsys, ["present", which, path] + ["1"] * (which == "ti"))
     assert time.monotonic() - started < 1
     with pytest.raises(ValueError, match="presentations support rank <= 1000, not 300000"):
         full_presentation(load_diagram("300000\n"))
@@ -581,6 +581,38 @@ def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+def test_cached_parser_answers_as_a_fresh_one(tmp_path):
+    # the parser is built once per process; each command, run on the reused
+    # parser after the others, prints what it prints on a freshly built one
+    path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
+    commands = [["present", "full", path], ["present", "reduced", path],
+                ["theorem-a", "A3", "--cap", "0"], ["--version"], ["theorem-a", "A3"]]
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        text = out.getvalue()
+        if text.startswith("{"):  # a report: all but its wall-clock timings
+            report = json.loads(text)
+            report.pop("timings", None)
+            text = json.dumps(report)
+        return code, text, err.getvalue()
+
+    reused = [run(argv) for argv in commands]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
+    assert reused[0][1] != reused[1][1]
 
 
 def test_unknown_subcommand():

@@ -13,6 +13,7 @@ import pytest
 from cluster_presents import dynkin
 from cluster_presents.diagram import (
     ChordlessCycle,
+    _relabel,
     Diagram,
     DiagramError,
     MutationClassOverflow,
@@ -470,6 +471,24 @@ def test_class_edges_are_every_mutation_of_every_member(label):
     expected = {(i, k, index[canonical_form(mutate_diagram(member, k))])
                 for i, member in enumerate(mc.members) for k in range(member.n)}
     assert mc.edges == expected
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "B/C4", "F4", "E6"])
+def test_class_tree_records_the_search(label):
+    # each member's representative is its parent's mutated at k = perm[k'] and
+    # relabeled by perm; the input's member comes first, from the input itself
+    rng = random.Random(5)
+    diagram = mutate_diagram(dynkin.standard_diagram(label), 1)
+    mc = mutation_class(diagram)
+    root, skip, parent, perm = mc.tree[0]
+    assert skip == -1 and parent == root and mc.members[root] == _relabel(diagram, perm)
+    assert sorted(member for member, *_ in mc.tree) == list(range(len(mc)))
+    seen = {root}
+    for member, k, parent, perm in mc.tree[1:]:
+        assert parent in seen and (parent, perm[k], member) in mc.edges
+        assert mc.members[member] == _relabel(mutate_diagram(mc.members[parent], perm[k]), perm)
+        seen.add(member)
+    assert mutation_class(_relabel(diagram, rng.sample(range(diagram.n), diagram.n))) == mc
 
 
 def test_class_is_closed_under_mutation():

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from cluster_presents import dynkin, roots
+from cluster_presents import diagram as diagram_module, dynkin, roots
+from cluster_presents.diagram import _canonical_search
 from cluster_presents.diagram import Diagram, NotFiniteTypeError, diagram_of, mutate_diagram, mutation_class
 from cluster_presents.exchange import ExchangeMatrix, determinant, mutate_matrix
 from cluster_presents.presentation import Relation, full_presentation
@@ -515,6 +516,39 @@ def test_searched_basis_satisfies_every_members_relations(label):
         basis = companion_basis(member)
         assert basis.system.label == label
         assert relations_hold(basis, full_presentation(member).relations), member.edges
+
+
+def _count_labelings(monkeypatch):
+    """Wrap the canonical search to count its oriented calls, the class BFS's
+    labelings; the unoriented ones match trees."""
+    calls = [0]
+
+    def counting(diagram, oriented=True):
+        calls[0] += oriented
+        return _canonical_search(diagram, oriented)
+    monkeypatch.setattr(diagram_module, "_canonical_search", counting)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["E6", "D6", "B/C4"])
+def test_carrying_a_basis_makes_no_canonical_search(monkeypatch, label):
+    # the bases are carried on the labelings the class search recorded
+    calls = _count_labelings(monkeypatch)
+    mclass = mutation_class(dynkin.standard_diagram(label))
+    made = calls[0]
+    companion_bases(mclass)
+    assert calls[0] == made
+    rng = random.Random(23)
+    for member in rng.sample(mclass.members, 8):
+        diagram = _relabeled(member, rng)
+        before = calls[0]
+        companion_basis(diagram)
+        searched, before = calls[0] - before, calls[0]
+        reps = {}
+        for key in diagram_module._class_bfs(diagram, diagram_module.DEFAULT_CLASS_CAP, reps, {}, set()):
+            if diagram_module._tree_match(reps[key]):
+                break
+        assert searched == calls[0] - before, diagram.edges
 
 
 def test_companion_basis_refuses_unsupported_diagrams():
