@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .exchange import ExchangeMatrix
 
@@ -49,6 +49,7 @@ class DiagramError(ValueError):
     """A diagram operation produced or met something structurally invalid."""
 
 
+@dataclass(frozen=True, slots=True)
 class Diagram:
     """Immutable weighted oriented graph without loops or parallel edges.
 
@@ -56,16 +57,22 @@ class Diagram:
     positive weight so that non-2-finite inputs (e.g. the diagram of a
     (2,-2) matrix, weight 4) can exist long enough to be reported as such.
     Adjacency is stored only for vertices with edges, so a large vertex count
-    costs nothing until something walks the vertices.
+    costs nothing until something walks the vertices.  edges may be given as
+    any iterable of (i, j, weight); it is stored as a sorted tuple.
     """
 
-    __slots__ = ("n", "edges", "_weights", "_out", "_in")
+    n: int
+    edges: tuple[tuple[int, int, int], ...]
+    _weights: dict[tuple[int, int], int] = field(init=False, compare=False)
+    _out: dict[int, tuple[int, ...]] = field(init=False, compare=False)
+    _in: dict[int, tuple[int, ...]] = field(init=False, compare=False)
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
+    def __post_init__(self):
+        n = self.n
         if n < 0:
             raise DiagramError("vertex count must be nonnegative")
         weights: dict[tuple[int, int], int] = {}
-        for i, j, w in edges:
+        for i, j, w in self.edges:
             i, j, w = int(i), int(j), int(w)
             if not (0 <= i < n and 0 <= j < n):
                 raise DiagramError(f"edge ({i},{j}) out of range for n={n}")
@@ -81,14 +88,10 @@ class Diagram:
         for (i, j) in weights:
             out.setdefault(i, []).append(j)
             inc.setdefault(j, []).append(i)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted((i, j, w) for (i, j), w in weights.items())))
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_out", {v: tuple(sorted(heads)) for v, heads in out.items()})
         object.__setattr__(self, "_in", {v: tuple(sorted(tails)) for v, tails in inc.items()})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Diagram is immutable")
 
     def weight(self, i: int, j: int) -> int:
         """Weight of the oriented edge i -> j, or 0 if absent."""
@@ -109,12 +112,6 @@ class Diagram:
 
     def max_weight(self) -> int:
         return max((w for _, _, w in self.edges), default=0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Diagram) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash(("Diagram", self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Diagram({self.n}, {list(self.edges)})"

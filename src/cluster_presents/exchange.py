@@ -7,6 +7,7 @@ and treated as immutable values.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -124,25 +125,28 @@ def find_symmetriser(entries: Sequence[Sequence[int]]) -> Optional[tuple[int, ..
     return _propagate_symmetriser(_freeze(entries), skew=True)
 
 
+@dataclass(frozen=True, slots=True)
 class ExchangeMatrix:
     """An n x n skew-symmetrisable integer matrix B with a cached symmetriser.
 
     Invariants enforced at construction: zero diagonal, opposite signs in
     opposite positions, and existence of a positive integer diagonal D with
-    D*B skew-symmetric.  Instances are immutable values.
+    D*B skew-symmetric.  Instances are immutable values, equal when their
+    entries are.
     """
 
-    __slots__ = ("n", "entries", "symmetriser")
+    entries: IntMatrix
+    symmetriser: Optional[tuple[int, ...]] = field(default=None, compare=False)
+    n: int = field(init=False, compare=False)
 
-    def __init__(self, entries: Sequence[Sequence[int]],
-                 symmetriser: Optional[Sequence[int]] = None):
-        frozen = _freeze(entries)
-        if symmetriser is None:
+    def __post_init__(self):
+        frozen = _freeze(self.entries)
+        if self.symmetriser is None:
             found = _propagate_symmetriser(frozen, skew=True)
             if found is None:
                 raise ValueError("matrix is not skew-symmetrisable")
         else:
-            found = tuple(int(x) for x in symmetriser)
+            found = tuple(int(x) for x in self.symmetriser)
             if len(found) != len(frozen) or any(x <= 0 for x in found):
                 raise ValueError("symmetriser must be positive and of matching rank")
             for i in range(len(frozen)):
@@ -153,30 +157,24 @@ class ExchangeMatrix:
         object.__setattr__(self, "entries", frozen)
         object.__setattr__(self, "symmetriser", found)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExchangeMatrix is immutable")
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExchangeMatrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(("ExchangeMatrix", self.entries))
 
     def __repr__(self) -> str:
         return f"ExchangeMatrix({[list(r) for r in self.entries]})"
 
 
+@dataclass(frozen=True, slots=True)
 class QuasiCartanMatrix:
     """A symmetrisable integer matrix with all diagonal entries equal to 2."""
 
-    __slots__ = ("n", "entries", "symmetriser")
+    entries: IntMatrix
+    symmetriser: tuple[int, ...] = field(init=False, compare=False)
+    n: int = field(init=False, compare=False)
 
-    def __init__(self, entries: Sequence[Sequence[int]]):
-        frozen = _freeze(entries)
+    def __post_init__(self):
+        frozen = _freeze(self.entries)
         if any(frozen[i][i] != 2 for i in range(len(frozen))):
             raise ValueError("quasi-Cartan matrix must have diagonal 2")
         found = _propagate_symmetriser(frozen, skew=False)
@@ -186,18 +184,9 @@ class QuasiCartanMatrix:
         object.__setattr__(self, "entries", frozen)
         object.__setattr__(self, "symmetriser", found)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiCartanMatrix is immutable")
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuasiCartanMatrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(("QuasiCartanMatrix", self.entries))
 
     def __repr__(self) -> str:
         return f"QuasiCartanMatrix({[list(r) for r in self.entries]})"

@@ -236,10 +236,7 @@ def dump_presentation(presentation: Presentation, as_json: bool = False) -> str:
                 ],
             }
         )
-    lines = [f"generators {presentation.n}"]
-    for rel in presentation.relations:
-        body = " ".join(f"s{x + 1}" for x in rel.word)
-        lines.append(f"({body})^{rel.exponent}")
+    lines = [f"generators {presentation.n}", *map(str, presentation.relations)]
     return "\n".join(lines) + "\n"
 
 

@@ -60,15 +60,21 @@ class Relation:
         """The fully expanded relator word."""
         return self.word * self.exponent
 
+    def __str__(self) -> str:
+        """The relation in the 1-based file syntax, "(s1 s2 s3 s2)^2"."""
+        return f"({' '.join(f's{x + 1}' for x in self.word)})^{self.exponent}"
 
+
+@dataclass(frozen=True, slots=True)
 class Presentation:
     """An involutive presentation: n generators, each with (s_i)^2 among the relations."""
 
-    __slots__ = ("n", "relations")
+    n: int
+    relations: tuple[Relation, ...]
 
-    def __init__(self, n: int, relations):
-        relations = tuple(relations)
-        if n < 0:
+    def __post_init__(self):
+        relations = tuple(self.relations)
+        if self.n < 0:
             raise ValueError("generator count must be nonnegative")
         involutions = set()
         for rel in relations:
@@ -77,26 +83,14 @@ class Presentation:
             if rel.exponent < 1 or not rel.word:
                 raise ValueError(f"degenerate relation {rel}")
             for letter in rel.word:
-                if not 0 <= letter < n:
+                if not 0 <= letter < self.n:
                     raise ValueError(f"generator s{letter + 1} out of range in {rel}")
             if len(rel.word) == 1 and rel.exponent == 2:
                 involutions.add(rel.word[0])
-        missing = [g for g in range(n) if g not in involutions]
+        missing = [g for g in range(self.n) if g not in involutions]
         if missing:
             raise ValueError(f"missing involution relation for s{missing[0] + 1}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "relations", relations)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Presentation):
-            return NotImplemented
-        return self.n == other.n and self.relations == other.relations
-
-    def __hash__(self):
-        return hash((self.n, self.relations))
 
     def __repr__(self):
         return f"Presentation(n={self.n}, relations={len(self.relations)})"

@@ -23,7 +23,7 @@ with one switching move that rewires the neighbourhood of a vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
@@ -60,28 +60,30 @@ __all__ = [
 Coords = tuple[int, ...]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class RootSystem:
     """A finite root system, closed under all simple reflections.
 
     roots is the full (positive and negative) root set, lexicographically
-    sorted.  Construct via build_root_system.
+    sorted.  Construct via build_root_system, whose cache makes one object per
+    type; equality is identity.
     """
 
-    __slots__ = ("label", "n", "cartan", "symmetriser", "roots", "_root_set")
+    label: str
+    cartan: tuple[tuple[int, ...], ...]
+    symmetriser: tuple[int, ...]
+    n: int = field(init=False)
+    roots: tuple[Coords, ...] = field(init=False)
+    _root_set: frozenset[Coords] = field(init=False)
 
-    def __init__(self, label: str, cartan, symmetriser):
-        cartan = tuple(tuple(row) for row in cartan)
-        n = len(cartan)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "n", n)
+    def __post_init__(self):
+        cartan = tuple(tuple(row) for row in self.cartan)
         object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "symmetriser", tuple(symmetriser))
-        roots = _close_under_reflections(cartan, n)
+        object.__setattr__(self, "symmetriser", tuple(self.symmetriser))
+        object.__setattr__(self, "n", len(cartan))
+        roots = _close_under_reflections(cartan, len(cartan))
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "_root_set", frozenset(roots))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootSystem is immutable")
 
     def is_root(self, v) -> bool:
         return tuple(v) in self._root_set
@@ -176,37 +178,28 @@ def reflect(system: RootSystem, beta, v) -> Coords:
     return _reflection(system, beta)(v)
 
 
+@dataclass(frozen=True, slots=True)
 class CompanionBasis:
     """An ordered tuple of vectors in a root system, candidate companion basis.
 
     Construction only fixes the shape; validity against an exchange matrix is
     a separate check (is_companion_basis), so near-miss candidates can be
-    built and interrogated.
+    built and interrogated.  Two bases are equal when they hold the same
+    vectors in the same RootSystem object.
     """
 
-    __slots__ = ("system", "vectors")
+    system: RootSystem
+    vectors: tuple[Coords, ...]
 
-    def __init__(self, system: RootSystem, vectors):
-        vectors = tuple(tuple(int(x) for x in v) for v in vectors)
+    def __post_init__(self):
+        vectors = tuple(tuple(int(x) for x in v) for v in self.vectors)
         for v in vectors:
-            if len(v) != system.n:
-                raise ValueError(f"vector {v} has wrong length for rank {system.n}")
-        object.__setattr__(self, "system", system)
+            if len(v) != self.system.n:
+                raise ValueError(f"vector {v} has wrong length for rank {self.system.n}")
         object.__setattr__(self, "vectors", vectors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompanionBasis is immutable")
 
     def __len__(self):
         return len(self.vectors)
-
-    def __eq__(self, other):
-        if not isinstance(other, CompanionBasis):
-            return NotImplemented
-        return self.system is other.system and self.vectors == other.vectors
-
-    def __hash__(self):
-        return hash((id(self.system), self.vectors))
 
     def __repr__(self):
         return f"CompanionBasis({self.system.label}, {list(self.vectors)})"
@@ -239,7 +232,8 @@ def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[b
     """
     n = matrix.n
     if len(basis.vectors) != n or basis.system.n != n:
-        raise ValueError(f"rank mismatch: basis of {len(basis.vectors)} vectors against a {n} x {n} matrix")
+        raise ValueError(f"rank mismatch: basis of {len(basis.vectors)} vectors in {basis.system.label} "
+                         f"(rank {basis.system.n}) against a {n} x {n} matrix")
     for idx, v in enumerate(basis.vectors):
         if not basis.system.is_root(v):
             return False, f"vector {idx + 1} = {list(v)} is not a root"

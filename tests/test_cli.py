@@ -211,6 +211,14 @@ def test_order_command_shape(tmp_path, capsys):
     assert data["verdict"] == "pass"
 
 
+def test_order_names_an_out_of_range_letter_in_file_syntax(tmp_path, capsys):
+    pres_path = _write(tmp_path, "bad.pres", "generators 2\n(s1)^2\n(s2)^2\n(s1 s3)^2\n")
+    with pytest.raises(SystemExit) as err:
+        main(["order", pres_path])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {pres_path}: generator s3 out of range in (s1 s3)^2\n")
+
+
 def test_order_tower_strategy(tmp_path, capsys):
     pres_path = _write(tmp_path, "cycle.pres", (DATA / "d4_cycle_full.pres").read_text())
     assert main(["order", pres_path, "--strategy", "tower"]) == 0
@@ -537,6 +545,15 @@ def test_companion_check_pass_and_fail(tmp_path, capsys):
     data = _json_out(capsys)
     assert data["ok"] is False
     assert "determinant" in data["reason"]
+
+
+def test_companion_check_names_the_root_system_on_a_rank_mismatch(tmp_path, capsys):
+    basis = _write(tmp_path, "b.basis", "1 0 0\n0 1 0\n")
+    mat = _write(tmp_path, "a2.mat", A2_MATRIX)
+    with pytest.raises(SystemExit) as err:
+        main(["companion", "check", "A3", basis, mat])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", "error: rank mismatch: basis of 2 vectors in A3 (rank 3) against a 2 x 2 matrix\n")
 
 
 def test_companion_mutate_inward(tmp_path, capsys):

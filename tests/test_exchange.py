@@ -117,13 +117,6 @@ def test_non_symmetrisable_ratio_cycle_rejected():
         ExchangeMatrix([[0, 1, -2], [-1, 0, 1], [1, -1, 0]])
 
 
-def test_matrix_is_immutable():
-    B = ExchangeMatrix([[0, 1], [-1, 0]])
-    with pytest.raises(AttributeError):
-        B.n = 3
-    assert B[0, 1] == 1
-
-
 def test_find_symmetriser_minimal_and_none():
     assert find_symmetriser([[0, 1], [-2, 0]]) == (2, 1)
     assert find_symmetriser([[0, 2], [-2, 0]]) == (1, 1)

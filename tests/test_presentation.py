@@ -35,16 +35,18 @@ def test_relation_letters_expand_exponent():
     assert rel.letters() == (0, 1, 0, 1, 0, 1)
 
 
+def test_relation_prints_in_file_syntax():
+    assert str(Relation((0, 1, 2, 1), 2, "R3a")) == "(s1 s2 s3 s2)^2"
+    assert str(Relation((4,), 3)) == "(s5)^3"
+
+
 def test_presentation_validates_letters_and_involutions():
-    with pytest.raises(ValueError):
-        Presentation(2, [Relation((0,), 2), Relation((1,), 2), Relation((0, 2), 2)])
     with pytest.raises(ValueError):
         Presentation(2, [Relation((0,), 2)])  # s2 has no involution
     with pytest.raises(ValueError):
         Presentation(1, [Relation((0,), 2), Relation((), 1)])
-    p = Presentation(1, [Relation((0,), 2)])
-    with pytest.raises(AttributeError):
-        p.n = 5
+    with pytest.raises(ValueError, match=r"out of range in \(s1 s3\)\^2$"):
+        Presentation(2, [Relation((0,), 2), Relation((1,), 2), Relation((0, 2), 2)])
 
 
 def test_cycle_words_around_four_cycle():
