@@ -241,6 +241,15 @@ def _group_order(presentation: Presentation, strategy: str, cap: int) -> dict:
     return block
 
 
+def _bound_verdict(order, expected: int, lower_bound: bool) -> str:
+    """The verdict on the two bounds: overflow when the tower overflowed
+    (order None), pass when its upper bound is |W| = expected and the
+    relations hold on a companion basis, fail otherwise."""
+    if order is None:
+        return "overflow"
+    return "pass" if order == expected and lower_bound else "fail"
+
+
 def _report(argv, inputs, results, verdict, started) -> int:
     return _verdict(
         {
@@ -403,13 +412,11 @@ def _cmd_verify_type(args, argv) -> int:
     presentation = full_presentation(diagram)
     report = _group_order(presentation, "tower", cap)
     lower_bound = relations_hold(basis, presentation.relations)
+    expected = weyl_order(label)
     report["type"] = label
-    if report["order"] is None:
-        report.update(lower_bound=lower_bound, verdict="overflow")
-    else:
-        expected = weyl_order(label)
-        report.update(expected_order=expected, lower_bound=lower_bound,
-                      verdict="pass" if report["order"] == expected and lower_bound else "fail")
+    if report["order"] is not None:
+        report["expected_order"] = expected
+    report.update(lower_bound=lower_bound, verdict=_bound_verdict(report["order"], expected, lower_bound))
     return _verdict(report)
 
 
@@ -447,9 +454,8 @@ def _cmd_theorem_a(args, argv) -> int:
         block = _group_order(presentation, "tower", cap)
         order = block["order"]
         lower_bound = relations_hold(bases[idx], presentation.relations)
-        verdict = "overflow" if order is None else ("pass" if order == expected and lower_bound else "fail")
         members.append({"member": idx, "order": order, "tower": block["tower"], "lower_bound": lower_bound,
-                        "verdict": verdict})
+                        "verdict": _bound_verdict(order, expected, lower_bound)})
     verdicts = {m["verdict"] for m in members}
     verdict = "fail" if "fail" in verdicts else ("overflow" if "overflow" in verdicts else "pass")
     results = {

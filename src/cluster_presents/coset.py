@@ -14,15 +14,18 @@ presentation maps onto the subgroup its generators generate, so the tower
 answer is an upper bound on the order.  The certificates close it from below:
 theorem-a and verify-type check that the relations hold on a companion basis
 (roots.relations_hold), which maps the presented group onto W, and
-verify_mutation_isomorphism checks the same in its root representation.  An
+verify_mutation_isomorphism checks the same with the same evaluator.  An
 upper bound equal to |W| (weyl_order) is then the order.
 
-Mutation certificates check the witness maps in a small representation
-instead of the regular one: the simple reflections act on the roots through a
-companion basis (degree |Phi|, not |W|).  A homomorphism check there is exact
-once that representation is faithful, and it is exactly when the computed
-order, an upper bound, meets the lower bound |W| that a representation onto
-W gives (verify_mutation_isomorphism).
+Mutation certificates check the witness maps in the reflection representation
+instead of the regular one: s_i acts on the root lattice by an n x n integer
+matrix read off the companion matrix of a companion basis, not on |W| cosets.
+A homomorphism check there is exact once that representation is faithful, and
+it is exactly when the computed order, an upper bound, meets the lower bound
+|W| that a representation onto W gives (verify_mutation_isomorphism).
+perm_rep, evaluate_word and check_homomorphism evaluate words in the regular
+representation; no certificate uses them, and they stay as an independent
+reference to check the certificates against.
 
 Everything is deterministic: fixed scan order, fixed definition order, no
 randomization, so enumeration statistics are reproducible.
@@ -37,7 +40,7 @@ from math import prod
 from . import dynkin
 from .diagram import Diagram, connected_components, mutate_diagram
 from .presentation import Presentation, Relation, Word, full_presentation, mutation_witness_words, inverse_mutation_witness_words
-from .roots import _reflection, companion_basis, mutate_companion
+from .roots import _coroot_pairings, _first_failing, companion_basis, mutate_companion
 
 __all__ = [
     "DEFAULT_COSET_CAP",
@@ -360,7 +363,7 @@ class MutationIsomorphismReport:
     forward_homomorphism: bool
     inverse_homomorphism: bool
     composition_identity: bool
-    faithful: bool  # the root representations are faithful on both groups
+    faithful: bool  # the reflection representations are faithful on both groups
     failing_relation: Relation | None
 
     @property
@@ -373,38 +376,31 @@ class MutationIsomorphismReport:
         )
 
 
-def _reflection_rep(n: int, parts) -> PermutationRep:
-    """s_v acting as the reflection in the vector attached to v.
+def _place(entries, vertices, basis) -> None:
+    """Write the basis's pairing matrix into entries at the component's vertices."""
+    for u, row in zip(vertices, _coroot_pairings(basis)):
+        for v, a in zip(vertices, row):
+            entries[u][v] = a
 
-    parts holds (vertices, basis) per connected component, basis.vectors[a]
-    attached to vertices[a]; the points are the disjoint union of the
-    components' root sets, and each reflection fixes the other components'.
-    """
-    degree = sum(len(basis.system.roots) for _, basis in parts)
-    images: list[tuple[int, ...]] = [()] * n
-    offset = 0
-    for vertices, basis in parts:
-        roots = basis.system.roots
-        point = {root: offset + p for p, root in enumerate(roots)}
-        for v, beta in zip(vertices, basis.vectors):
-            image = list(range(degree))
-            s_beta = _reflection(basis.system, beta)
-            for p, root in enumerate(roots):
-                image[offset + p] = point[s_beta(root)]
-            images[v] = tuple(image)
-        offset += len(roots)
-    return PermutationRep(degree, tuple(images))
+
+def _composites(outer, inner) -> list[Relation]:
+    """Per generator i, the relator: outer[i] with each letter replaced by its
+    inner word, then s_i; it holds when the composite fixes s_i."""
+    return [Relation(tuple(x for g in word for x in inner[g]) + (i,), 1) for i, word in enumerate(outer)]
 
 
 def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COSET_CAP) -> MutationIsomorphismReport:
     """Certify W(diagram) = W(mutated diagram) via the witness words at k.
 
     Checks that t_i |-> witness words defines a homomorphism each way and that
-    the two composites fix every generator.  The checks run in the root
-    representation rho: s_i acts on the roots as the reflection in beta_i of
-    a companion basis of each connected component (roots.companion_basis),
-    and s'_i of the mutated diagram as the reflection in the basis mutated at
-    k (mutate_companion).  Raises CosetCapExceeded if an order computation
+    the two composites fix every generator.  The checks run in the reflection
+    representation rho on the root lattice: s_i acts as the reflection in
+    beta_i of a companion basis of each connected component
+    (roots.companion_basis), and s'_i of the mutated diagram as the reflection
+    in the basis mutated at k (mutate_companion).  Each side is one n x n
+    integer matrix, the components' companion matrices on the diagonal
+    blocks, and every check is a relator evaluated on it
+    (roots._first_failing).  Raises CosetCapExceeded if an order computation
     overflows, NotFiniteTypeError when a component's class is of no known
     finite type, and ValueError above rank 10.
 
@@ -415,56 +411,44 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     relations of a presentation hold in its rho, rho is onto W, so the
     presented group G has |G| >= |W| (the closed-form weyl_order).  The
     tower's order is an upper bound, because each restricted presentation
-    maps onto the subgroup its generators generate.  So an order equal to |W| makes
-    rho an isomorphism, which acts faithfully on the roots: `faithful` records
-    this for both sides, and `passed` requires it.
+    maps onto the subgroup its generators generate.  So an order equal to |W|
+    makes rho an isomorphism onto W, which acts faithfully on the lattice:
+    `faithful` records this for both sides, and `passed` requires it.
     """
+    n = diagram.n
     mutated = mutate_diagram(diagram, k)
     pres = full_presentation(diagram)
     pres_mut = full_presentation(mutated)
-    parts, parts_mut = [], []
+    entries = [[0] * n for _ in range(n)]
+    entries_mut = [[0] * n for _ in range(n)]
     expected = 1
     for vertices, component in connected_components(diagram):
         basis = companion_basis(component)
         expected *= weyl_order(basis.system.label)
-        parts.append((vertices, basis))
+        _place(entries, vertices, basis)
         if k in vertices:
             basis = mutate_companion(basis, vertices.index(k), component, "inward")
-        parts_mut.append((vertices, basis))
-    rep = _reflection_rep(diagram.n, parts)
-    rep_mut = _reflection_rep(diagram.n, parts_mut)
+        _place(entries_mut, vertices, basis)
 
     stats: dict = {}
     order = group_order(pres, "tower", cap, stats)
     mutated_order = group_order(pres_mut, "tower", cap, stats)
-    generators = tuple((i,) for i in range(diagram.n))
     faithful = (
         order == mutated_order == expected
-        and check_homomorphism(rep, generators, pres.relations)[0]
-        and check_homomorphism(rep_mut, generators, pres_mut.relations)[0]
+        and _first_failing(entries, pres.relations) is None
+        and _first_failing(entries_mut, pres_mut.relations) is None
     )
 
     forward = mutation_witness_words(diagram, k)
     inverse = inverse_mutation_witness_words(mutated, k)
-
-    fwd_ok, fwd_fail = check_homomorphism(rep, forward, pres_mut.relations)
-    inv_ok, inv_fail = check_homomorphism(rep_mut, inverse, pres.relations)
-
-    comp_ok = True
-    if fwd_ok and inv_ok:
-        for i in range(diagram.n):
-            via_mut: list[int] = []
-            for letter in forward[i]:
-                via_mut.extend(inverse[letter])
-            if evaluate_word(rep_mut, tuple(via_mut)) != evaluate_word(rep_mut, (i,)):
-                comp_ok = False
-                break
-            via_orig: list[int] = []
-            for letter in inverse[i]:
-                via_orig.extend(forward[letter])
-            if evaluate_word(rep, tuple(via_orig)) != evaluate_word(rep, (i,)):
-                comp_ok = False
-                break
+    fwd_fail = _first_failing(entries, pres_mut.relations, forward)
+    inv_fail = _first_failing(entries_mut, pres.relations, inverse)
+    comp_ok = (
+        fwd_fail is None
+        and inv_fail is None
+        and _first_failing(entries_mut, _composites(forward, inverse)) is None
+        and _first_failing(entries, _composites(inverse, forward)) is None
+    )
 
     return MutationIsomorphismReport(
         vertex=k,
@@ -472,11 +456,11 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
         mutated_order=mutated_order,
         strategy="tower",
         cosets_defined=stats["cosets_defined"],
-        forward_homomorphism=fwd_ok,
-        inverse_homomorphism=inv_ok,
+        forward_homomorphism=fwd_fail is None,
+        inverse_homomorphism=inv_fail is None,
         composition_identity=comp_ok,
         faithful=faithful,
-        failing_relation=fwd_fail if not fwd_ok else inv_fail,
+        failing_relation=fwd_fail or inv_fail,
     )
 
 

@@ -17,7 +17,9 @@ back along a search from the diagram that stops at the first tree it meets,
 in any orientation.  Both relabel each step by the canonical labeling the
 search recorded, so carrying runs no canonical search.  relations_hold checks
 a presentation on the reflections in such a basis, the lower bound of the
-certificates.  The sign pattern of a basis is tracked by its signed graph,
+certificates, by integer matrices read off its companion matrix
+(_first_failing, which also checks the mutation certificates' witness maps).
+The sign pattern of a basis is tracked by its signed graph,
 with one switching move that rewires the neighbourhood of a vertex.
 """
 
@@ -159,23 +161,13 @@ def copairing(system: RootSystem, v, w) -> int:
     return _coroot(v, w, *_form(system, w))
 
 
-def _reflection(system: RootSystem, beta):
-    """The reflection in the root beta as a function of v, raising reflect's
-    errors; beta's _form is computed once, so each v costs one dot product."""
+def reflect(system: RootSystem, beta, v) -> Coords:
+    """Reflection of v in the hyperplane of the root beta."""
     beta = tuple(beta)
     if not system.is_root(beta):
         raise ValueError(f"{beta} is not a root of {system.label}")
-    form, norm = _form(system, beta)
-
-    def apply(v) -> Coords:
-        coeff = _coroot(v, beta, form, norm)
-        return tuple([x - coeff * b for x, b in zip(v, beta)])
-    return apply
-
-
-def reflect(system: RootSystem, beta, v) -> Coords:
-    """Reflection of v in the hyperplane of the root beta."""
-    return _reflection(system, beta)(v)
+    coeff = copairing(system, v, beta)
+    return tuple([x - coeff * b for x, b in zip(v, beta)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,13 +364,47 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
     return CompanionBasis(system, out)
 
 
+def _first_failing(entries, relations, images=None):
+    """The first relation that the reflections of a pairing matrix do not
+    satisfy, or None when all hold.
+
+    Integers only, in coordinates over the basis: with entries[i][j] =
+    (beta_i, beta_j^check), the reflection in beta_g sends x to
+    x - (sum_j x_j entries[j][g]) beta_g, that is, it subtracts
+    (column g of entries) . x from coordinate g.  A block-diagonal matrix
+    serves a disconnected diagram, one block per component's basis.  With
+    images, generator g of the relations stands for the word images[g] in the
+    reflections, so this checks that g |-> images[g] is a homomorphism.  A
+    relator holds when its word fixes every unit vector.
+    """
+    n = len(entries)
+    column = [[(j, entries[j][g]) for j in range(n) if entries[j][g]] for g in range(n)]
+    identity = [[int(r == c) for c in range(n)] for r in range(n)]
+    for rel in relations:
+        word = rel.word
+        if images is not None:
+            word = tuple(x for g in word for x in images[g])
+        elif len(word) == 2 and rel.exponent == 2 and not entries[word[0]][word[1]] \
+                and not entries[word[1]][word[0]]:
+            continue  # neither reflection reads the other's coordinate: they commute
+        # rows[r][c] is coordinate r of the image of unit vector c; only the
+        # word's letters change a coordinate
+        rows = {}
+        for g in word * rel.exponent:
+            row = rows.get(g, identity[g])
+            for j, a in column[g]:
+                row = [x - a * y for x, y in zip(row, rows.get(j, identity[j]))]
+            rows[g] = row
+        if any(row != identity[g] for g, row in rows.items()):
+            return rel
+    return None
+
+
 def relations_hold(basis: CompanionBasis, relations) -> bool:
     """Do the reflections in the basis vectors satisfy every relation?
 
-    Integers only, in coordinates over the basis: with A = companion_matrix,
-    the reflection in beta_g sends x to x - (sum_j x_j A[j][g]) beta_g, that
-    is, it subtracts (column g of A) . x from coordinate g.  A relator holds
-    when its word fixes every unit vector.
+    Evaluated on A = companion_matrix(basis) in integer coordinates over the
+    basis (_first_failing).
 
     Why this bounds a presented group from below.  A basis of companion_bases
     or companion_basis is carried by mutations from the simple roots on a tree
@@ -390,25 +416,7 @@ def relations_hold(basis: CompanionBasis, relations) -> bool:
     The coset tower bounds |G| from above by the product of its indices
     (coset.group_order); the two bounds meeting is the certificate |G| = |W|.
     """
-    entries = _coroot_pairings(basis)
-    n = len(entries)
-    column = [[(j, entries[j][g]) for j in range(n) if entries[j][g]] for g in range(n)]
-    identity = [[int(r == c) for c in range(n)] for r in range(n)]
-    for rel in relations:
-        if len(rel.word) == 2 and rel.exponent == 2 and not entries[rel.word[0]][rel.word[1]] \
-                and not entries[rel.word[1]][rel.word[0]]:
-            continue  # neither reflection reads the other's coordinate: they commute
-        # rows[r][c] is coordinate r of the image of unit vector c; only the
-        # word's letters change a coordinate
-        rows = {}
-        for g in rel.word * rel.exponent:
-            row = rows.get(g, identity[g])
-            for j, a in column[g]:
-                row = [x - a * y for x, y in zip(row, rows.get(j, identity[j]))]
-            rows[g] = row
-        if any(row != identity[g] for g, row in rows.items()):
-            return False
-    return True
+    return _first_failing(_coroot_pairings(basis), relations) is None
 
 
 @dataclass(frozen=True)

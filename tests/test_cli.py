@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from cluster_presents import cli, dynkin
+from cluster_presents import cli, coset, dynkin
 from cluster_presents.cli import main
 from cluster_presents.coset import group_order, weyl_order
 from cluster_presents.diagram import diagram_of, mutate_diagram
@@ -708,21 +708,32 @@ def test_verdict_reports_are_pinned(tmp_path, capsys, command, code, stdout):
     ],
 )
 def test_disconnected_verify_mutation_reports_are_pinned(tmp_path, capsys, text, vertex, stdout):
-    # A1+A1 and A2+A1: one root representation over the components' root sets
+    # A1+A1 and A2+A1: one reflection representation, the components'
+    # companion matrices as diagonal blocks of one pairing matrix
     assert main(["verify-mutation", _write(tmp_path, "in.mat", text), vertex]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (stdout, "")
 
 
-@pytest.mark.parametrize("label, vertex, bound", [("E6", "1", 1_000), ("E7", "4", 5_000)])
-def test_verify_mutation_enumerates_no_regular_representation(tmp_path, capsys, label, vertex, bound):
+@pytest.mark.parametrize("label, vertex, bound", [("E6", "1", 1_000), ("E7", "4", 5_000), ("A2+A1", "1", 24)])
+def test_verify_mutation_enumerates_no_regular_representation(tmp_path, capsys, monkeypatch, label, vertex, bound):
     # |W(E6)| = 51,840 and |W(E7)| = 2,903,040: a regular representation of
-    # either side would define at least that many cosets
-    path = _write(tmp_path, "tree.mat", dump_matrix(dynkin.standard_exchange_matrix(label)))
-    assert main(["verify-mutation", path, vertex]) == 0
+    # either side would define at least that many cosets.  Every check runs on
+    # the companion matrices, so no permutation representation is built, not
+    # even for the disconnected A2+A1.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify-mutation used a permutation representation")
+
+    for name in ("PermutationRep", "perm_rep", "evaluate_word", "check_homomorphism"):
+        monkeypatch.setattr(coset, name, refuse)
+    if label == "A2+A1":
+        text, order = "3\n0 1 0\n-1 0 0\n0 0 0\n", 12
+    else:
+        text, order = dump_matrix(dynkin.standard_exchange_matrix(label)), weyl_order(label)
+    assert main(["verify-mutation", _write(tmp_path, "in.mat", text), vertex]) == 0
     data = _json_out(capsys)
     assert data["verdict"] == "pass"
-    assert data["order"] == data["mutated_order"] == weyl_order(label)
+    assert data["order"] == data["mutated_order"] == order
     assert (data["strategy"], data["vertex"]) == ("tower", int(vertex))
     assert data["cosets_defined"] < bound
 

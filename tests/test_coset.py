@@ -5,9 +5,9 @@ a breadth-first closure of the permutation group generated by the simple
 reflections acting on the root coordinates (built here straight from the
 Cartan integers), and weyl_order, the product of the degrees of the basic
 invariants, which is itself checked against the classical product formulas.
-Mutation certificates, which run in the root representation, are checked
-against the same certificate computed here in the regular representations of
-both groups.
+Mutation certificates, which run in the reflection representation on the root
+lattice, are checked against the same certificate computed here in the regular
+representations of both groups.
 """
 
 import math
@@ -27,7 +27,7 @@ from cluster_presents.coset import (
     verify_mutation_isomorphism,
     weyl_order,
 )
-from cluster_presents.diagram import diagram_of, mutate_diagram, mutation_class
+from cluster_presents.diagram import Diagram, diagram_of, mutate_diagram, mutation_class
 from cluster_presents.exchange import ExchangeMatrix
 from cluster_presents.presentation import (
     Presentation,
@@ -327,17 +327,35 @@ def _regular_certificate(diagram, k, forward=None):
     return rep.degree, rep_mut.degree, fwd, inv, comp
 
 
-@pytest.mark.parametrize("label", ["A3", "A4", "B/C3", "D4", "G2"])
+# Disconnected inputs with their components' vertices interleaved, so a
+# block of the certificate's pairing matrix lands on scattered rows and
+# columns; B/C2 has a companion matrix that is not symmetric.
+DISCONNECTED = {
+    "A2+A1": (Diagram(3, [(0, 2, 1)]), 12),
+    "A1+A1+A1": (Diagram(3, []), 8),
+    "B/C2+A2": (Diagram(4, [(3, 0, 2), (1, 2, 1)]), 48),
+}
+
+
+def _assert_certificates_agree(member, order_w):
+    for k in range(member.n):
+        report = verify_mutation_isomorphism(member, k)
+        order, mutated_order, fwd, inv, comp = _regular_certificate(member, k)
+        assert (report.order, report.mutated_order) == (order, mutated_order) == (order_w, order_w)
+        assert (report.forward_homomorphism, report.inverse_homomorphism, report.composition_identity) == (
+            fwd, inv, comp), (member.edges, k)
+        assert report.faithful
+        assert report.passed == (fwd and inv and comp and order == mutated_order)
+
+
+@pytest.mark.parametrize("label", ["A3", "A4", "B/C3", "D4", "G2", "F4", *DISCONNECTED])
 def test_root_certificate_agrees_with_the_regular_representation(label):
+    if label in DISCONNECTED:
+        diagram, order_w = DISCONNECTED[label]
+        _assert_certificates_agree(diagram, order_w)
+        return
     for member in mutation_class(dynkin.standard_diagram(label)).members:
-        for k in range(member.n):
-            report = verify_mutation_isomorphism(member, k)
-            order, mutated_order, fwd, inv, comp = _regular_certificate(member, k)
-            assert (report.order, report.mutated_order) == (order, mutated_order) == (weyl_order(label),) * 2
-            assert (report.forward_homomorphism, report.inverse_homomorphism, report.composition_identity) == (
-                fwd, inv, comp), (label, member.edges, k)
-            assert report.faithful
-            assert report.passed == (fwd and inv and comp and order == mutated_order)
+        _assert_certificates_agree(member, weyl_order(label))
 
 
 def test_root_certificate_rejects_a_wrong_witness(monkeypatch):
@@ -375,27 +393,20 @@ def test_reflection_rep_agrees_with_reflecting_root_by_root(label):
     rng = random.Random(41)
     members = mutation_class(dynkin.standard_diagram(label)).members
     for member in rng.sample(members, min(6, len(members))):
-        vertices = tuple(rng.sample(range(member.n), member.n))
         basis = companion_basis(member)
-        rep = coset._reflection_rep(member.n, [(vertices, basis)])
         system = basis.system
-        index = {root: p for p, root in enumerate(system.roots)}
-        assert rep.degree == len(system.roots)
-        for v, beta in zip(vertices, basis.vectors):
+        for beta in basis.vectors:
             norm = _form_by_entries(system, beta, beta)
-            expected = []
             for root in system.roots:
                 coeff, remainder = divmod(2 * _form_by_entries(system, root, beta), norm)
                 assert remainder == 0 and coeff == copairing(system, root, beta) == (
                     2 * pairing(system, root, beta) // pairing(system, beta, beta))
-                expected.append(index[tuple(x - coeff * b for x, b in zip(root, beta))])
-            assert rep.images[v] == tuple(expected), (label, member.edges, v)
+                assert reflect(system, beta, root) == tuple(x - coeff * b for x, b in zip(root, beta)), (
+                    label, member.edges, beta)
 
 
 def test_reflection_errors_keep_their_text():
     a2 = build_root_system("A2")
-    with pytest.raises(ValueError, match=r"^\(1, -1\) is not a root of A2$"):
-        coset._reflection_rep(2, [((0, 1), CompanionBasis(a2, [(1, 0), (1, -1)]))])
     with pytest.raises(ValueError, match=r"^\(1, -1\) is not a root of A2$"):
         reflect(a2, (1, -1), (1, 0))
     with pytest.raises(ValueError, match=r"^coroot pairing of \(0, 1\) against \(2, 0\) is not integral$"):
