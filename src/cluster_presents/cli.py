@@ -402,9 +402,9 @@ def _cmd_verify_mutation(args, argv) -> int:
 def _cmd_verify_type(args, argv) -> int:
     """Certify |G| = |W| for the diagram's presented group G: the tower bounds
     |G| from above, the relations holding on a companion basis from below
-    (roots.relations_hold).  The basis comes from a search of the class that
-    stops at the first tree of the type, in any orientation
-    (roots.companion_basis), which names the type."""
+    (roots.relations_hold).  The basis comes from a search over the diagram's
+    labeled mutations, one per canonical form, that stops at the first tree of
+    the type, in any orientation (roots.companion_basis), which names the type."""
     diagram = _load(args.file, _diagram_or_matrix)
     cap = _coset_cap(args)
     basis = _valid(companion_basis, _classable(diagram))

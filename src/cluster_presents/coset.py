@@ -93,12 +93,10 @@ class CosetTable:
 
 
 def _relator_words(presentation: Presentation) -> list[Word]:
-    words = []
-    for rel in presentation.relations:
-        if len(rel.word) == 1:
-            continue  # involutions are structural
-        words.append(rel.word * rel.exponent)
-    return words
+    """The relators to scan: an even power of one generator holds in every
+    table, whose generators are involutions; an odd one, (s)^e = s, does not."""
+    return [rel.word * rel.exponent for rel in presentation.relations
+            if len(rel.word) > 1 or rel.exponent % 2]
 
 
 def coset_enumerate(presentation: Presentation, subgroup_words=(), cap: int = DEFAULT_COSET_CAP) -> CosetTable:

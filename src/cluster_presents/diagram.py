@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .exchange import ExchangeMatrix
 
@@ -511,6 +511,18 @@ class NotFiniteTypeError(RuntimeError):
         self.reason = reason
 
 
+def _finite_mutation(diagram: Diagram, k: int) -> Diagram:
+    """mutate_diagram at k inside a class search: a breakdown of the rule or
+    an edge of weight > 3 is NotFiniteTypeError."""
+    try:
+        child = mutate_diagram(diagram, k)
+    except DiagramError as exc:
+        raise NotFiniteTypeError(str(exc)) from exc
+    if child.max_weight() > 3:
+        raise NotFiniteTypeError(f"mutation at {k} produced an edge of weight {child.max_weight()}")
+    return child
+
+
 @dataclass(frozen=True)
 class MutationClass:
     """A mutation class up to diagram isomorphism.
@@ -521,8 +533,9 @@ class MutationClass:
     those forms; `edges` holds (member index, vertex, member index) mutation
     adjacencies in the representatives' labeling; `type_label` is the
     identified Dynkin type or "unknown".  `tree`, in no == or repr, is the
-    search's record (_class_bfs's back) in discovery order, as (member, k',
-    parent, perm) in member indices, the input's member first.
+    record of how mutation_class's search first reached each member, in
+    discovery order, as (member, k', parent, perm) in member indices, the
+    input's member first.
     """
 
     members: tuple[Diagram, ...]
@@ -535,19 +548,15 @@ class MutationClass:
         return len(self.members)
 
 
-def _class_bfs(diagram: Diagram, cap: int, reps: dict[bytes, Diagram],
-               back: dict[bytes, tuple[int, bytes, list[int]]],
-               edges: set[tuple[bytes, int, bytes]]) -> Iterator[bytes]:
-    """Breadth-first search of a diagram's mutation class over canonical forms,
-    the one core of mutation_class and roots.companion_basis.
+def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationClass:
+    """BFS closure of a diagram under mutation, deduplicated by canonical form.
 
-    Yields each member's key when it is first reached, the input's first, and
-    fills in as it goes: reps with each key's canonical representative, back
-    with each member's (k', parent key, perm), and edges with the (key, k, key)
-    mutation adjacencies of the members expanded so far.  The canonical
-    labeling perm made the representative from the input, whose entry is
-    (-1, its own key, perm), or else from the parent's representative mutated
-    at k = perm[k'].  A caller that stops early leaves the rest unvisited.
+    Each member is expanded once, from its canonical representative, and
+    recorded as (k', parent key, perm): the canonical labeling perm made the
+    representative from the input, whose entry is (-1, its own key, perm), or
+    else from the parent's representative mutated at k = perm[k'].  Members
+    are emitted in canonical-string order, type_label is identify_dynkin_type's,
+    and tree is that record.
 
     Raises NotFiniteTypeError as soon as a member carries a weight > 3 edge or
     the mutation rule breaks down, MutationClassOverflow when more than `cap`
@@ -565,9 +574,9 @@ def _class_bfs(diagram: Diagram, cap: int, reps: dict[bytes, Diagram],
         raise NotFiniteTypeError(
             f"edge of weight {diagram.max_weight()} violates 2-finiteness")
     key0, perm0 = _canonical_labeling(diagram)
-    reps[key0] = _relabel(diagram, perm0)
-    back[key0] = (-1, key0, perm0)
-    yield key0
+    reps = {key0: _relabel(diagram, perm0)}
+    back = {key0: (-1, key0, perm0)}
+    raw_edges: set[tuple[bytes, int, bytes]] = set()
     queue: deque[bytes] = deque([key0])
     while queue:
         key = queue.popleft()
@@ -575,39 +584,17 @@ def _class_bfs(diagram: Diagram, cap: int, reps: dict[bytes, Diagram],
         skip, parent, _ = back[key]
         for k in range(rep.n):
             if k == skip:
-                edges.add((key, k, parent))
+                raw_edges.add((key, k, parent))
                 continue
-            try:
-                child = mutate_diagram(rep, k)
-            except DiagramError as exc:
-                raise NotFiniteTypeError(str(exc)) from exc
-            if child.max_weight() > 3:
-                raise NotFiniteTypeError(
-                    f"mutation at {k} produced an edge of weight {child.max_weight()}")
+            child = _finite_mutation(rep, k)
             ckey, perm = _canonical_labeling(child)
-            edges.add((key, k, ckey))
+            raw_edges.add((key, k, ckey))
             if ckey not in reps:
                 if len(reps) >= cap:
                     raise MutationClassOverflow(cap)
                 reps[ckey] = _relabel(child, perm)
                 back[ckey] = (perm.index(k), key, perm)
                 queue.append(ckey)
-                yield ckey
-
-
-def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationClass:
-    """BFS closure of a diagram under mutation, deduplicated by canonical form.
-
-    The whole of _class_bfs, with its errors: NotFiniteTypeError,
-    MutationClassOverflow when more than `cap` members appear, and ValueError
-    above rank MAX_CANONICAL_RANK.  Members are emitted in canonical-string
-    order, type_label is identify_dynkin_type's, and tree is the search's.
-    """
-    reps: dict[bytes, Diagram] = {}
-    back: dict[bytes, tuple[int, bytes, list[int]]] = {}
-    raw_edges: set[tuple[bytes, int, bytes]] = set()
-    for _ in _class_bfs(diagram, cap, reps, back, raw_edges):
-        pass
     keys = tuple(sorted(reps))
     index = {key: i for i, key in enumerate(keys)}
     members = tuple(reps[key] for key in keys)

@@ -10,17 +10,18 @@ A companion basis for an exchange matrix B is a Z-basis of the root lattice
 made of roots whose mutual pairings reproduce |B| off the diagonal; it is
 mutated by reflecting the vectors attached to arrows into (or out of) the
 mutation vertex.  The simple roots are one for every orientation of the
-type's tree.  companion_bases finds one for every member of a finite-type
-mutation class, by carrying the simple roots along the record of the BFS
-that found the class, and companion_basis for one diagram, by carrying them
-back along a search from the diagram that stops at the first tree it meets,
-in any orientation.  Both relabel each step by the canonical labeling the
-search recorded, so carrying runs no canonical search.  relations_hold checks
-a presentation on the reflections in such a basis, the lower bound of the
-certificates, by integer matrices read off its companion matrix
-(_first_failing, which also checks the mutation certificates' witness maps).
-The sign pattern of a basis is tracked by its signed graph,
-with one switching move that rewires the neighbourhood of a vertex.
+type's tree.  companion_basis finds one for a diagram by a breadth-first
+search over its labeled mutations, one per canonical form, that stops at the
+first tree it meets, in any orientation, and carries the simple roots back
+along the search's steps.  companion_bases finds one for every member of a
+finite-type mutation class: the input member's, carried forward along the
+record of the BFS that found the class, each step relabeled by the canonical
+labeling that search recorded, so carrying runs no canonical search.
+relations_hold checks a presentation on the reflections in such a basis, the
+lower bound of the certificates, by integer matrices read off its companion
+matrix (_first_failing, which also checks the mutation certificates' witness
+maps).  The sign pattern of a basis is tracked by its signed graph, with
+one switching move that rewires the neighbourhood of a vertex.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from .diagram import (
     DEFAULT_CLASS_CAP,
     Diagram,
     MutationClass,
+    MutationClassOverflow,
     NotFiniteTypeError,
-    _class_bfs,
+    _finite_mutation,
     _tree_match,
+    canonical_form,
 )
 from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant
 
@@ -271,97 +274,78 @@ def mutate_companion(basis: CompanionBasis, k: int, diagram, direction: str = "i
     return CompanionBasis(basis.system, out)
 
 
-def _tree_start(diagram: Diagram) -> tuple[RootSystem, list[Coords]] | None:
-    """The type's root system and its simple roots on the diagram's vertices, a
-    companion basis of every orientation of the type's tree; None when the
-    diagram is no such tree (diagram._tree_match)."""
-    match = _tree_match(diagram)
-    if match is None:
-        return None
-    label, sperm, uperm = match
-    system = build_root_system(label)
-    vectors = [()] * diagram.n
-    for s, u in zip(sperm, uperm):
-        vectors[u] = system.simple_root(s)
-    return system, vectors
-
-
-def _carry(system: RootSystem, rep: Diagram, k: int, vectors, perm) -> list[Coords]:
-    """A basis of the representative rep, mutated inward at k and relabeled
-    by perm: vertex q of the result is vertex perm[q] of rep mutated at k."""
-    mutated = mutate_companion(CompanionBasis(system, vectors), k, rep, "inward").vectors
-    return [mutated[v] for v in perm]
-
-
-def _carry_back(system: RootSystem, reps, back, key, vectors) -> tuple[list[Coords], list[int]]:
-    """A basis of reps[key] carried back along the search record `back`
-    (diagram._class_bfs) to the input's member, with the input's labeling.
-
-    Mutating a member at k' gives its parent's representative relabeled by
-    the member's perm, so the step relabels by the inverse of perm."""
-    k, parent, perm = back[key]
-    while parent != key:
-        vectors = _carry(system, reps[key], k, vectors, sorted(range(len(perm)), key=perm.__getitem__))
-        key = parent
-        k, parent, perm = back[key]
-    return vectors, perm
-
-
 def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
     """A companion basis of every member's representative, indexed like members.
 
-    The simple roots are a companion basis of every orientation of the type's
-    tree (_tree_start).  They are carried (_carry) along the class's BFS
-    record (MutationClass.tree) from the first tree member it reached back to
-    the input's member, then forward along the record to every member, each
-    step relabeled by the labeling the search recorded.  The vectors live in
-    build_root_system(type label).  Raises NotFiniteTypeError when the class
-    is of no catalogued finite type.
+    The input's member takes companion_basis's basis, which is mutated inward
+    forward along the class's BFS record (MutationClass.tree) to every member,
+    each step relabeled by the labeling the search recorded.  The vectors live
+    in build_root_system(type label).  Raises NotFiniteTypeError when the
+    class is of no catalogued finite type.
     """
-    for start, *_ in mclass.tree:
-        if found := _tree_start(mclass.members[start]):
-            break
-    else:
-        raise NotFiniteTypeError("mutation class of no known finite type")
-    system, vectors = found
-    back = {member: (k, parent, perm) for member, k, parent, perm in mclass.tree}
     root = mclass.tree[0][0]
-    bases = {root: _carry_back(system, mclass.members, back, start, vectors)[0]}
+    bases = {root: companion_basis(mclass.members[root])}
     for member, k, parent, perm in mclass.tree[1:]:
-        bases[member] = _carry(system, mclass.members[parent], perm[k], bases[parent], perm)
-    return tuple(CompanionBasis(system, bases[i]) for i in range(len(mclass)))
+        # vertex q of the member is vertex perm[q] of the parent mutated at perm[k]
+        mutated = mutate_companion(bases[parent], perm[k], mclass.members[parent], "inward").vectors
+        bases[member] = CompanionBasis(bases[root].system, [mutated[v] for v in perm])
+    return tuple(bases[i] for i in range(len(mclass)))
 
 
 def companion_basis(diagram: Diagram) -> CompanionBasis:
     """A companion basis for a connected diagram of finite type and rank <= 10.
 
-    A breadth-first search over the canonical forms of the diagram's mutation
-    class, from the diagram (_class_bfs, the core of mutation_class), stops at
-    the first member that is a catalogue tree in any orientation; that tree
-    names the type, because a class of finite type holds all its type's trees
-    and no other.  The simple roots, a companion basis of every orientation of
-    the tree (_tree_start), are carried (_carry_back) back along the search's
-    steps to the input's member, and end in the input's own labeling, all on
-    the labelings the search recorded.
+    A breadth-first search over labeled diagrams, from the diagram and by
+    mutate_diagram, which keeps the vertex labels, skips every diagram whose
+    canonical form it has already reached, and stops at the first one that is
+    a catalogue tree in any orientation (diagram._tree_match); that tree names
+    the type, because a class of finite type holds all its type's trees and no
+    other.  A tree input is its own stop and runs no search.  The simple roots
+    on the tree's vertices, a companion basis of every orientation of the
+    tree, are mutated inward back along the search's steps to the input.
 
     A class that holds no catalogue tree is searched to its end, so the input
-    fails as mutation_class fails on it: NotFiniteTypeError when the class is
-    not of finite type (or, once exhausted, of no catalogued type),
-    MutationClassOverflow past the class cap, and ValueError above rank 10.
+    fails as mutation_class fails on it, naming the input's own vertices:
+    NotFiniteTypeError when the class is not of finite type (or, once
+    exhausted, of no catalogued type), MutationClassOverflow past the class
+    cap, and ValueError above rank 10.
     """
-    reps: dict[bytes, Diagram] = {}
-    back: dict[bytes, tuple[int, bytes, list[int]]] = {}
-    for key in _class_bfs(diagram, DEFAULT_CLASS_CAP, reps, back, set()):
-        if found := _tree_start(reps[key]):
-            break
-    else:
-        raise NotFiniteTypeError("mutation class of no known finite type")
-    system, vectors = found
-    vectors, perm = _carry_back(system, reps, back, key, vectors)
-    out = [()] * diagram.n
-    for q, v in enumerate(perm):
-        out[v] = vectors[q]
-    return CompanionBasis(system, out)
+    if diagram.max_weight() > 3:
+        raise NotFiniteTypeError(
+            f"edge of weight {diagram.max_weight()} violates 2-finiteness")
+    reached = [(diagram, -1, -1)]  # (diagram, position of its parent, vertex mutated)
+    match = _tree_match(diagram)
+    seen = set() if match else {canonical_form(diagram)}
+    position = 0
+    while not match:
+        if position == len(reached):
+            raise NotFiniteTypeError("mutation class of no known finite type")
+        parent, _, skip = reached[position]
+        for k in range(diagram.n):
+            if k == skip:
+                continue  # mutating back gives the parent
+            child = _finite_mutation(parent, k)
+            key = canonical_form(child)
+            if key in seen:
+                continue
+            if len(seen) >= DEFAULT_CLASS_CAP:
+                raise MutationClassOverflow(DEFAULT_CLASS_CAP)
+            seen.add(key)
+            reached.append((child, position, k))
+            if match := _tree_match(child):
+                break
+        position += 1
+    label, sperm, uperm = match
+    system = build_root_system(label)
+    vectors = [()] * diagram.n
+    for s, u in zip(sperm, uperm):
+        vectors[u] = system.simple_root(s)
+    basis = CompanionBasis(system, vectors)
+    current, position, k = reached[-1]
+    while position >= 0:
+        basis = mutate_companion(basis, k, current, "inward")
+        current, position, k = reached[position]
+    return basis
 
 
 def _first_failing(entries, relations, images=None):

@@ -211,6 +211,12 @@ def test_order_command_shape(tmp_path, capsys):
     assert data["verdict"] == "pass"
 
 
+def test_order_reads_an_odd_power_of_a_generator(tmp_path, capsys):
+    pres_path = _write(tmp_path, "trivial.pres", "generators 2\n(s1)^2\n(s2)^2\n(s1 s2)^3\n(s2)^1\n")
+    assert main(["order", pres_path]) == 0
+    assert _json_out(capsys)["order"] == 1
+
+
 def test_order_names_an_out_of_range_letter_in_file_syntax(tmp_path, capsys):
     pres_path = _write(tmp_path, "bad.pres", "generators 2\n(s1)^2\n(s2)^2\n(s1 s3)^2\n")
     with pytest.raises(SystemExit) as err:

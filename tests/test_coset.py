@@ -221,6 +221,14 @@ def test_trivial_and_tiny_presentations():
     assert group_order(Presentation(1, [Relation((0,), 2)]), "tower") == 2
 
 
+@pytest.mark.parametrize("exponent, order", [(1, 1), (3, 1), (4, 6)])
+def test_an_odd_power_of_a_generator_is_a_relator(exponent, order):
+    # every generator is an involution in the table, so (s2)^e is s2 for odd e
+    # and the group collapses; an even e adds nothing to the symmetric group S3
+    relations = [Relation((0,), 2), Relation((1,), 2), Relation((0, 1), 3), Relation((1,), exponent)]
+    assert group_order(Presentation(2, relations), "direct") == order
+
+
 def test_unknown_strategy_rejected():
     pres = full_presentation(dynkin.standard_diagram("A2"))
     with pytest.raises(ValueError):

@@ -421,8 +421,11 @@ def test_companion_basis_search_against_the_class(label, count):
         assert relations_hold(basis, full_presentation(diagram).relations), diagram.edges
 
 
+_STAR = Diagram(5, [(0, v, 1) for v in range(1, 5)])  # the affine D4 star
+
+
 @pytest.mark.parametrize("diagram, error", [
-    (Diagram(5, [(0, v, 1) for v in range(1, 5)]), NotFiniteTypeError),  # the affine D4 star
+    (_STAR, NotFiniteTypeError),
     (Diagram(3, [(0, 1, 1), (1, 2, 4)]), NotFiniteTypeError),  # a weight-4 edge
     (Diagram(11, [(i, i + 1, 1) for i in range(10)]), ValueError),  # rank 11
 ])
@@ -431,7 +434,16 @@ def test_companion_basis_search_fails_as_the_class_fails(diagram, error):
         mutation_class(diagram)
     with pytest.raises(error) as searched:
         companion_basis(diagram)
-    assert (type(searched.value), str(searched.value)) == (type(expected.value), str(expected.value))
+    assert type(searched.value) is type(expected.value)
+    if diagram == _STAR:
+        # the search mutates the input's own labels, the class search the
+        # canonical representative's, so the same breakdown names other vertices
+        assert str(searched.value) == (
+            "mutation at 4: path 1->4->0 closed by a same-direction edge 1->0 (diagram is not of finite type)")
+        assert str(expected.value) == (
+            "mutation at 4: path 0->4->1 closed by a same-direction edge 0->1 (diagram is not of finite type)")
+    else:
+        assert str(searched.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("label", ["A5", "D5", "E6", "B/C4", "F4", "G2"])
@@ -466,24 +478,31 @@ def test_relations_hold_rejects_a_basis_that_is_no_companion():
     assert not relations_hold(simple_root_basis(build_root_system("D4")), full_presentation(cycle).relations)
 
 
-def _count_members_met(monkeypatch):
-    """Wrap the search's BFS so that each companion_basis call appends the
-    number of members it met to the returned list."""
-    met = []
-    bfs = roots._class_bfs
+def _count_labelings(monkeypatch):
+    """Wrap the canonical search to count its oriented calls, the canonical
+    forms; the unoriented ones match trees."""
+    calls = [0]
 
-    def counting(*args):
-        met.append(0)
-        for key in bfs(*args):
-            met[-1] += 1
-            yield key
-    monkeypatch.setattr(roots, "_class_bfs", counting)
-    return met
+    def counting(diagram, oriented=True):
+        calls[0] += oriented
+        return _canonical_search(diagram, oriented)
+    monkeypatch.setattr(diagram_module, "_canonical_search", counting)
+    return calls
+
+
+def _forbid(monkeypatch, module, *names):
+    """Make each named function of the module fail the test when called."""
+    for name in names:
+        def forbidden(*args, name=name):
+            raise AssertionError(f"{name} called")
+        monkeypatch.setattr(module, name, forbidden)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_every_tree_orientation_is_its_own_stop(monkeypatch, n):
-    met = _count_members_met(monkeypatch)
+    # a tree input takes the simple roots without mutating or a canonical form
+    calls = _count_labelings(monkeypatch)
+    _forbid(monkeypatch, diagram_module, "mutate_diagram")
     rng = random.Random(n)
     for label in dynkin.labels_of_rank(n):
         tree = dynkin.standard_diagram(label)
@@ -492,20 +511,23 @@ def test_every_tree_orientation_is_its_own_stop(monkeypatch, n):
                                    for e, (i, j, w) in enumerate(tree.edges)])
             diagram = _relabeled(oriented, rng)
             basis = companion_basis(diagram)
-            assert met[-1] == 1, (label, diagram.edges)
+            assert calls[0] == 0, (label, diagram.edges)
             assert basis.system.label == label
             assert sorted(basis.vectors) == sorted(basis.system.simple_root(i) for i in range(n))
             _assert_multiply_laced_companion(basis, diagram)
 
 
-def test_search_meets_few_members_on_the_e6_class(monkeypatch):
+def test_search_makes_few_canonical_searches_on_the_e6_class(monkeypatch):
     members = mutation_class(dynkin.standard_diagram("E6")).members
-    met = _count_members_met(monkeypatch)
+    calls = _count_labelings(monkeypatch)
+    counts = []
     for member in members:
+        before = calls[0]
         companion_basis(member)
-    assert len(met) == len(members) == 67
-    # 28.0 per search when it ran to the standard tree; 9.76 stopping at any tree
-    assert sum(met) / len(met) <= 9.8
+        counts.append(calls[0] - before)
+    assert len(counts) == len(members) == 67
+    # 14.76 per search when it ran over canonical representatives
+    assert sum(counts) / len(counts) <= 14.8
 
 
 @pytest.mark.parametrize("label", ["B/C5", "B/C6", "D6"])
@@ -518,37 +540,61 @@ def test_searched_basis_satisfies_every_members_relations(label):
         assert relations_hold(basis, full_presentation(member).relations), member.edges
 
 
-def _count_labelings(monkeypatch):
-    """Wrap the canonical search to count its oriented calls, the class BFS's
-    labelings; the unoriented ones match trees."""
-    calls = [0]
-
-    def counting(diagram, oriented=True):
-        calls[0] += oriented
-        return _canonical_search(diagram, oriented)
-    monkeypatch.setattr(diagram_module, "_canonical_search", counting)
-    return calls
-
-
 @pytest.mark.parametrize("label", ["E6", "D6", "B/C4"])
 def test_carrying_a_basis_makes_no_canonical_search(monkeypatch, label):
-    # the bases are carried on the labelings the class search recorded
+    # companion_bases starts from the input's member, here a tree and its own
+    # stop, and carries on the labelings the class search recorded
     calls = _count_labelings(monkeypatch)
     mclass = mutation_class(dynkin.standard_diagram(label))
     made = calls[0]
     companion_bases(mclass)
     assert calls[0] == made
+    # the search carries on the input's own labels
+    _forbid(monkeypatch, diagram_module, "_canonical_labeling", "_relabel")
     rng = random.Random(23)
     for member in rng.sample(mclass.members, 8):
         diagram = _relabeled(member, rng)
-        before = calls[0]
-        companion_basis(diagram)
-        searched, before = calls[0] - before, calls[0]
-        reps = {}
-        for key in diagram_module._class_bfs(diagram, diagram_module.DEFAULT_CLASS_CAP, reps, {}, set()):
-            if diagram_module._tree_match(reps[key]):
-                break
-        assert searched == calls[0] - before, diagram.edges
+        basis = companion_basis(diagram)
+        assert basis.system.label == label
+        _assert_multiply_laced_companion(basis, diagram)
+
+
+def _tree_distances(mclass):
+    """Each member's number of mutations to the nearest tree member, by a
+    breadth-first search over the class's edges."""
+    adjacent = {i: set() for i in range(len(mclass))}
+    for i, _, j in mclass.edges:
+        adjacent[i].add(j)
+    queue = [i for i, member in enumerate(mclass.members) if diagram_module._tree_match(member)]
+    distance = dict.fromkeys(queue, 0)
+    for i in queue:  # grows as it goes: breadth-first
+        for j in adjacent[i]:
+            if j not in distance:
+                distance[j] = distance[i] + 1
+                queue.append(j)
+    return distance
+
+
+@pytest.mark.parametrize("label, count", [
+    ("A5", None), ("D5", None), ("E6", None), ("B/C4", None), ("F4", None), ("G2", None), ("D6", None), ("E7", 24)])
+def test_search_carries_back_from_a_nearest_tree(monkeypatch, label, count):
+    # one inward mutation of the basis per step from the nearest tree member
+    mclass = mutation_class(dynkin.standard_diagram(label))
+    distance = _tree_distances(mclass)
+    steps = [0]
+
+    def counting(*args):
+        steps[0] += 1
+        return mutate_companion(*args)
+    monkeypatch.setattr(roots, "mutate_companion", counting)
+    rng = random.Random(29)
+    indices = range(len(mclass)) if count is None else rng.sample(range(len(mclass)), count)
+    for i in indices:
+        diagram = _relabeled(mclass.members[i], rng)
+        steps[0] = 0
+        basis = companion_basis(diagram)
+        assert steps[0] == distance[i], (label, diagram.edges)
+        _assert_multiply_laced_companion(basis, diagram)
 
 
 def test_companion_basis_refuses_unsupported_diagrams():
