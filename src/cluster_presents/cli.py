@@ -370,7 +370,7 @@ def _cmd_present(args, argv) -> int:
 
 
 def _cmd_order(args, argv) -> int:
-    report = _group_order(_load(args.file, load_presentation), args.strategy, _coset_cap(args))
+    report = _group_order(_load(args.file, load_presentation), "direct", _coset_cap(args))
     report["verdict"] = "overflow" if report["order"] is None else "pass"
     return _verdict(report)
 
@@ -721,7 +721,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", help="group order of a presentation by coset enumeration")
     p.add_argument("file", metavar="presentation-file")
-    p.add_argument("--strategy", choices=("direct", "tower"), default="direct")
     p.add_argument("--cap", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_order)
 

@@ -1,15 +1,15 @@
 """Skew-symmetrisable exchange matrices and quasi-Cartan companions.
 
-Everything here is exact integer arithmetic on plain Python ints; no floats
-are used anywhere in the package.  Matrices are stored as tuples of tuples
-and treated as immutable values.
+Exact arithmetic on plain Python ints: entries are read with operator.index,
+so a float, string or Fraction is refused, and matrices are immutable tuples of
+tuples.  One check, _witnesses, accepts every symmetriser, found or given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import index
 from typing import Optional, Sequence
 
 __all__ = [
@@ -30,99 +30,77 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Validate a square all-integer array and freeze it into nested tuples."""
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    n = len(out)
-    if any(len(row) != n for row in out):
+    """Freeze a square array into nested tuples of ints; an entry that is not
+    an integer (a float, a string, a Fraction) is refused, never truncated."""
+    try:
+        out = tuple(tuple(map(index, row)) for row in rows)
+    except TypeError:
+        raise ValueError("matrix entries must be integers") from None
+    if any(len(row) != len(out) for row in out):
         raise ValueError("matrix must be square")
-    for row in out:
-        for x in row:
-            if not isinstance(x, int):
-                raise ValueError("matrix entries must be integers")
     return out
 
 
-def _minimal_integer_vector(values: list[Fraction]) -> tuple[int, ...]:
-    """Scale a positive rational vector to the smallest positive integer vector."""
-    scale = lcm(*(v.denominator for v in values)) if values else 1
-    ints = [int(v * scale) for v in values]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _witnesses(entries: IntMatrix, d: Sequence[int], sign: int) -> bool:
+    """True iff d_i M_ij == sign * d_j M_ji for every pair i, j (i = j included)."""
+    n = len(entries)
+    return all(d[i] * entries[i][j] == sign * d[j] * entries[j][i] for i in range(n) for j in range(i, n))
 
 
-def _propagate_symmetriser(entries: IntMatrix, skew: bool) -> Optional[tuple[int, ...]]:
-    """Ratio propagation over the connectivity graph of a matrix.
+def _given_symmetriser(values: Sequence[int], entries: IntMatrix, sign: int) -> tuple[int, ...]:
+    """A symmetriser passed in, as ints: positive, of matching rank, and a witness for entries."""
+    try:
+        d = tuple(map(index, values))
+    except TypeError:
+        d = ()
+    if len(d) != len(entries) or any(x <= 0 for x in d):
+        raise ValueError("symmetriser must be positive integers of matching rank")
+    if not _witnesses(entries, d, sign):
+        raise ValueError("symmetriser does not witness " + ("skew-" if sign < 0 else "") + "symmetrisability")
+    return d
 
-    Looks for positive d_1..d_n with d_i M_ij = -d_j M_ji (skew) or
-    d_i M_ij = d_j M_ji (symmetric).  Each connected component of the
-    "either entry nonzero" graph determines the d ratios up to one scalar,
-    which is fixed by scaling to the componentwise-minimal integer vector.
-    Returns None when the sign pattern or a ratio cycle is inconsistent.
+
+def _propagate_symmetriser(entries: IntMatrix, sign: int) -> Optional[tuple[int, ...]]:
+    """The componentwise-minimal positive integers d with d_i M_ij = sign d_j M_ji
+    (sign -1: skew, +1: symmetric), or None when there are none.
+
+    Walks each component of the graph where M_ij and M_ji are both nonzero with
+    d_j = d_i |M_ij| / |M_ji|, scaling the component when that is no integer,
+    and divides it by its gcd.  The walk reads only magnitudes; one _witnesses
+    pass checks the signs, the zero pattern, the skew diagonal and every cycle.
     """
     n = len(entries)
-    sign = -1 if skew else 1
-    for i in range(n):
-        for j in range(n):
-            a, b = entries[i][j], entries[j][i]
-            if (a == 0) != (b == 0):
-                return None
-            if a != 0 and i != j:
-                if skew and a * b > 0:
-                    return None
-                if not skew and a * b < 0:
-                    return None
-    if skew and any(entries[i][i] != 0 for i in range(n)):
-        return None
-
-    d: list[Optional[Fraction]] = [None] * n
+    d = [0] * n
     for root in range(n):
-        if d[root] is not None:
+        if d[root]:
             continue
-        d[root] = Fraction(1)
+        d[root] = 1
         component = [root]
-        stack = [root]
-        while stack:
-            i = stack.pop()
+        for i in component:
             for j in range(n):
-                if j == i or entries[i][j] == 0:
+                a, b = abs(entries[i][j]), abs(entries[j][i])
+                if d[j] or not (a and b):
                     continue
-                # d_i * M_ij = sign * d_j * M_ji  =>  d_j = d_i * M_ij / (sign * M_ji)
-                ratio = Fraction(entries[i][j], sign * entries[j][i])
-                if ratio <= 0:
-                    return None
-                value = d[i] * ratio
-                if d[j] is None:
-                    d[j] = value
-                    component.append(j)
-                    stack.append(j)
-                elif d[j] != value:
-                    return None
-        scaled = _minimal_integer_vector([d[i] for i in component])
-        for i, v in zip(component, scaled):
-            d[i] = Fraction(v)
-    return tuple(int(v) for v in d)
+                scale = b // gcd(d[i] * a, b)
+                if scale > 1:
+                    for v in component:
+                        d[v] *= scale
+                d[j] = d[i] * a // b
+                component.append(j)
+        g = gcd(*(d[v] for v in component))
+        for v in component:
+            d[v] //= g
+    return tuple(d) if _witnesses(entries, d, sign) else None
 
 
 def find_symmetriser(entries: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """Find the minimal positive integer diagonal making D*B skew-symmetric.
+    """The minimal positive integer diagonal D making D*B skew-symmetric.
 
-    Parameters
-    ----------
-    entries : square integer array
-        The candidate exchange matrix B.
-
-    Returns
-    -------
-    tuple of int, or None
-        The componentwise-minimal positive integers d with
-        d_i B_ij = -d_j B_ji for all i, j, or None when B is not
-        skew-symmetrisable (sign violation or inconsistent ratio cycle).
+    Returns the componentwise-minimal positive integers d with
+    d_i B_ij = -d_j B_ji for all i, j, or None when the square integer array B
+    is not skew-symmetrisable (a sign, zero-pattern or ratio-cycle violation).
     """
-    return _propagate_symmetriser(_freeze(entries), skew=True)
+    return _propagate_symmetriser(_freeze(entries), -1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,17 +120,11 @@ class ExchangeMatrix:
     def __post_init__(self):
         frozen = _freeze(self.entries)
         if self.symmetriser is None:
-            found = _propagate_symmetriser(frozen, skew=True)
+            found = _propagate_symmetriser(frozen, -1)
             if found is None:
                 raise ValueError("matrix is not skew-symmetrisable")
         else:
-            found = tuple(int(x) for x in self.symmetriser)
-            if len(found) != len(frozen) or any(x <= 0 for x in found):
-                raise ValueError("symmetriser must be positive and of matching rank")
-            for i in range(len(frozen)):
-                for j in range(len(frozen)):
-                    if found[i] * frozen[i][j] != -found[j] * frozen[j][i]:
-                        raise ValueError("symmetriser does not witness skew-symmetrisability")
+            found = _given_symmetriser(self.symmetriser, frozen, -1)
         object.__setattr__(self, "n", len(frozen))
         object.__setattr__(self, "entries", frozen)
         object.__setattr__(self, "symmetriser", found)
@@ -177,7 +149,7 @@ class QuasiCartanMatrix:
         frozen = _freeze(self.entries)
         if any(frozen[i][i] != 2 for i in range(len(frozen))):
             raise ValueError("quasi-Cartan matrix must have diagonal 2")
-        found = _propagate_symmetriser(frozen, skew=False)
+        found = _propagate_symmetriser(frozen, 1)
         if found is None:
             raise ValueError("matrix is not symmetrisable")
         object.__setattr__(self, "n", len(frozen))

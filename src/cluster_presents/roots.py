@@ -41,7 +41,7 @@ from .diagram import (
     _tree_match,
     canonical_form,
 )
-from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant
+from .exchange import ExchangeMatrix, QuasiCartanMatrix, _freeze, _given_symmetriser, determinant
 
 __all__ = [
     "RootSystem",
@@ -70,8 +70,10 @@ class RootSystem:
     """A finite root system, closed under all simple reflections.
 
     roots is the full (positive and negative) root set, lexicographically
-    sorted.  Construct via build_root_system, whose cache makes one object per
-    type; equality is identity.
+    sorted.  The symmetriser must be positive integers d of rank n with
+    d_i cartan_ij = d_j cartan_ji, so the form below is symmetric.  Construct
+    via build_root_system, whose cache makes one object per type; equality is
+    identity.
     """
 
     label: str
@@ -82,9 +84,9 @@ class RootSystem:
     _root_set: frozenset[Coords] = field(init=False)
 
     def __post_init__(self):
-        cartan = tuple(tuple(row) for row in self.cartan)
+        cartan = _freeze(self.cartan)
         object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "symmetriser", tuple(self.symmetriser))
+        object.__setattr__(self, "symmetriser", _given_symmetriser(self.symmetriser, cartan, 1))
         object.__setattr__(self, "n", len(cartan))
         roots = _close_under_reflections(cartan, len(cartan))
         object.__setattr__(self, "roots", roots)
@@ -236,16 +238,14 @@ def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[b
     if det not in (1, -1):
         return False, f"not a lattice basis: determinant {det}"
     try:
-        comp = companion_matrix(basis)
+        comp = _coroot_pairings(basis)
     except ValueError as exc:
         return False, str(exc)
     for i in range(n):
         for j in range(n):
-            if i != j and abs(comp.entries[i][j]) != abs(matrix.entries[i][j]):
-                return False, (
-                    f"companion condition fails at ({i + 1},{j + 1}): "
-                    f"|{comp.entries[i][j]}| != |{matrix.entries[i][j]}|"
-                )
+            if i != j and abs(comp[i][j]) != abs(matrix.entries[i][j]):
+                return False, (f"companion condition fails at ({i + 1},{j + 1}): "
+                               f"|{comp[i][j]}| != |{matrix.entries[i][j]}|")
     return True, None
 
 

@@ -225,12 +225,15 @@ def test_order_names_an_out_of_range_letter_in_file_syntax(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {pres_path}: generator s3 out of range in (s1 s3)^2\n")
 
 
-def test_order_tower_strategy(tmp_path, capsys):
+def test_order_has_no_strategy_flag(tmp_path, capsys):
+    # a tower's product of indices only bounds the order; order always enumerates exactly
     pres_path = _write(tmp_path, "cycle.pres", (DATA / "d4_cycle_full.pres").read_text())
-    assert main(["order", pres_path, "--strategy", "tower"]) == 0
-    data = _json_out(capsys)
-    assert data["order"] == weyl_order("D4")
-    assert data["strategy"] == "tower"
+    with pytest.raises(SystemExit) as err:
+        main(["order", pres_path, "--strategy", "tower"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --strategy tower\n"
 
 
 def test_order_overflow_exit_code(tmp_path, capsys):
@@ -281,6 +284,7 @@ def test_environment_cap_below_one_is_a_usage_error(tmp_path, capsys, monkeypatc
 def test_cap_below_one_is_a_usage_error(tmp_path, capsys, command, cap):
     files = {
         "{pres}": _write(tmp_path, "cycle.pres", (DATA / "d4_cycle_full.pres").read_text()),
+        "{trivial}": _write(tmp_path, "trivial.pres", "generators 2\n(s1)^2\n(s2)^2\n(s1 s2)^3\n(s2)^1\n"),
         "{mat}": _write(tmp_path, "cycle.mat", CYCLE_MATRIX),
     }
     _assert_usage_error(capsys, [files.get(arg, arg) for arg in command] + ["--cap", cap])
@@ -658,6 +662,7 @@ D4_TOWER = (
 def _golden_files(tmp_path):
     return {
         "{pres}": _write(tmp_path, "cycle.pres", (DATA / "d4_cycle_full.pres").read_text()),
+        "{trivial}": _write(tmp_path, "trivial.pres", "generators 2\n(s1)^2\n(s2)^2\n(s1 s2)^3\n(s2)^1\n"),
         "{mat}": _write(tmp_path, "cycle.mat", CYCLE_MATRIX),
         "{basis}": _write(tmp_path, "cycle.basis", CYCLE_COMPANION_BASIS),
         "{simple}": _write(tmp_path, "simple.basis", "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"),
@@ -669,8 +674,9 @@ def _golden_files(tmp_path):
     [
         (["order", "{pres}"], 0,
          '{\n  "order": 192,\n  "strategy": "direct",\n  "cosets_defined": 360,\n  "verdict": "pass"\n}\n'),
-        (["order", "{pres}", "--strategy", "tower"], 0,
-         '{\n  "order": 192,\n  "strategy": "tower",\n  "cosets_defined": 20,\n' + D4_TOWER + '  "verdict": "pass"\n}\n'),
+        # a tower over this trivial group bounds its order by 2
+        (["order", "{trivial}"], 0,
+         '{\n  "order": 1,\n  "strategy": "direct",\n  "cosets_defined": 6,\n  "verdict": "pass"\n}\n'),
         (["order", "{pres}", "--cap", "10"], 1,
          '{\n  "order": null,\n  "strategy": "direct",\n  "cosets_defined": 10,\n  "verdict": "overflow"\n}\n'),
         (["verify-type", "{mat}"], 0,

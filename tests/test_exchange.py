@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 
@@ -89,6 +90,98 @@ def _minors_by_fractions(rows):
                     a[r][c] -= factor * a[col][c]
         out.append(int(det) if ok else 0)
     return out
+
+
+def _symmetriser_by_fractions(rows, sign):
+    """Reference: the least positive integer d with d_i M_ij = sign d_j M_ji.
+
+    A sign and zero-pattern pre-pass, then rational ratios propagated over the
+    nonzero pattern with every edge checked as it is met, each component scaled
+    by the lcm of its denominators and divided by its gcd.
+    """
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            a, b = rows[i][j], rows[j][i]
+            if (a == 0) != (b == 0) or (i != j and a * b * sign < 0) or (i == j and sign < 0 and a):
+                return None
+    d = [None] * n
+    for root in range(n):
+        if d[root] is not None:
+            continue
+        d[root], component = Fraction(1), [root]
+        for i in component:
+            for j in range(n):
+                if j == i or rows[i][j] == 0:
+                    continue
+                value = d[i] * Fraction(rows[i][j], sign * rows[j][i])
+                if d[j] is None:
+                    d[j] = value
+                    component.append(j)
+                elif d[j] != value:
+                    return None
+        scale = lcm(*(d[v].denominator for v in component))
+        g = gcd(*(int(d[v] * scale) for v in component))
+        for v in component:
+            d[v] = d[v] * scale / g
+    return tuple(int(x) for x in d)
+
+
+def _symmetrisable_rows(rng, n, sign, diagonal):
+    """A random n x n matrix with d_i M_ij = sign d_j M_ji for a random d."""
+    d = [rng.choice((1, 1, 2, 3, 6)) for _ in range(n)]
+    rows = [[diagonal] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = rng.choice((0, 1, 2, 3, 6)) * rng.choice((-1, 1))
+            rows[i][j], rows[j][i] = c * d[j], sign * c * d[i]
+    return rows
+
+
+# Each defect makes a symmetrisable matrix symmetrisable no more.
+def _zero_pattern_mismatch(rows, sign):
+    rows[0][1], rows[1][0] = 1, 0
+
+
+def _wrong_sign_pair(rows, sign):  # a same-sign pair in skew mode
+    rows[0][1], rows[1][0] = 1, -sign
+
+
+def _inconsistent_three_cycle(rows, sign):
+    rows[0][1], rows[1][2], rows[2][0] = 1, 1, 2
+    rows[1][0], rows[2][1], rows[0][2] = sign, sign, sign
+
+
+def _nonzero_skew_diagonal(rows, sign):
+    rows[0][0] = 1
+
+
+DEFECTS = (_zero_pattern_mismatch, _wrong_sign_pair, _inconsistent_three_cycle, _nonzero_skew_diagonal)
+
+
+def test_symmetrisers_match_a_fraction_reference():
+    rng = random.Random(1402)
+    refused = {defect.__name__: 0 for defect in DEFECTS}
+    for _ in range(3000):
+        n = rng.randrange(3, 6)
+        skew = rng.random() < 0.5
+        sign = -1 if skew else 1
+        rows = _symmetrisable_rows(rng, n, sign, 0 if skew else 2)
+        defect = rng.choice((None,) + (DEFECTS if skew else DEFECTS[:3]))
+        if defect is not None:
+            defect(rows, sign)
+        expected = _symmetriser_by_fractions(rows, sign)
+        if defect is not None:
+            assert expected is None, (defect.__name__, rows)
+            refused[defect.__name__] += 1
+        if skew:
+            assert find_symmetriser(rows) == expected, rows
+        elif expected is None:
+            with pytest.raises(ValueError, match="^matrix is not symmetrisable$"):
+                QuasiCartanMatrix(rows)
+        else:
+            assert QuasiCartanMatrix(rows).symmetriser == expected, rows
+    assert all(refused.values()), refused
 
 
 # ----------------------------------------------------------------- construction

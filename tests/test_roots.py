@@ -275,6 +275,18 @@ def test_companion_rejection_reasons_in_order():
     assert reason == "companion condition fails at (1,4): |1| != |0|"
 
 
+def test_is_companion_basis_searches_no_symmetriser(monkeypatch):
+    # a validated RootSystem already makes the pairings symmetrisable
+    def refuse(entries):
+        raise AssertionError("is_companion_basis built a QuasiCartanMatrix")
+
+    monkeypatch.setattr(roots, "QuasiCartanMatrix", refuse)
+    for label in ("B/C3", "F4", "G2"):
+        system = build_root_system(label)
+        ok, reason = is_companion_basis(simple_root_basis(system), dynkin.standard_exchange_matrix(label))
+        assert ok and reason is None
+
+
 def test_companion_rank_mismatch():
     system = build_root_system("A3")
     with pytest.raises(ValueError):

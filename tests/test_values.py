@@ -2,6 +2,7 @@
 validated on construction and by dataclasses.replace, with pinned reprs."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -74,3 +75,28 @@ def test_matrices_are_equal_by_entries_not_symmetriser():
     assert scaled.symmetriser != B.symmetriser
     assert scaled == B and hash(scaled) == hash(B)
     assert B[0, 1] == 1 and B.n == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ExchangeMatrix([[0, 1.9], [-1, 0]]),  # not truncated to 1
+    lambda: ExchangeMatrix([["0", "1"], ["-1", "0"]]),
+    lambda: ExchangeMatrix([[0, Fraction(1)], [-1, 0]]),
+    lambda: QuasiCartanMatrix([[2, -1.0], [-1, 2]]),
+    lambda: RootSystem("bad", [[2, -1.5], [-1, 2]], [1, 1]),
+], ids=["float", "string", "Fraction", "quasi-Cartan", "Cartan"])
+def test_matrices_refuse_non_integer_entries(make):
+    with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ExchangeMatrix([[0, 1], [-2, 0]], symmetriser=(2.5, 1)), "must be positive integers"),
+    (lambda: ExchangeMatrix([[0, 1], [-2, 0]], symmetriser=(2,)), "must be positive integers"),
+    (lambda: ExchangeMatrix([[0, 1], [-2, 0]], symmetriser=(1, 2)), "does not witness skew-symmetrisability"),
+    (lambda: RootSystem("bad", [[2, -1], [-1, 2]], [1, 2]), "does not witness symmetrisability"),
+    (lambda: RootSystem("bad", [[2, -1], [-1, 2]], [1]), "must be positive integers"),
+    (lambda: RootSystem("bad", [[2, -1], [-1, 2]], [0, 0]), "must be positive integers"),
+], ids=["exchange-float", "exchange-rank", "exchange-witness", "root-witness", "root-rank", "root-zero"])
+def test_a_given_symmetriser_is_checked_by_its_witness(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
