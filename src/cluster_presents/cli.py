@@ -49,7 +49,7 @@ from .diagram import (
     mutate_diagram,
     mutation_class,
 )
-from .exchange import ExchangeMatrix, is_two_finite, mutate_matrix
+from .exchange import ExchangeMatrix, _mutate_entries, is_two_finite, mutate_matrix
 from .formats import (
     FORMAT_VERSION,
     FormatError,
@@ -474,7 +474,10 @@ def _cmd_theorem_a(args, argv) -> int:
 
 
 def _seed_basis_path(target: ExchangeMatrix, label: str, limit: int = 100_000):
-    """BFS from the standard seed of the type to the target matrix; returns the vertex path."""
+    """BFS from the standard seed of the type to the target matrix; returns the vertex path.
+
+    The search runs on bare entries (exchange._mutate_entries); the caller
+    replays the path with mutate_matrix, which validates every step."""
     seed = dynkin.standard_exchange_matrix(label)
     if seed.n != target.n:
         _die(f"type {label} has rank {seed.n}, matrix has rank {target.n}")
@@ -484,25 +487,22 @@ def _seed_basis_path(target: ExchangeMatrix, label: str, limit: int = 100_000):
         return []
     parents: dict = {start: None}
     queue = [start]
-    matrices = {start: seed}
     while queue and len(parents) < limit:
         nxt = []
         for entries in queue:
-            current = matrices[entries]
-            for k in range(current.n):
-                child = mutate_matrix(current, k)
-                if child.entries in parents:
+            for k in range(seed.n):
+                child = _mutate_entries(entries, k)
+                if child in parents:
                     continue
-                parents[child.entries] = (entries, k)
-                matrices[child.entries] = child
-                if child.entries == goal:
+                parents[child] = (entries, k)
+                if child == goal:
                     path = []
-                    node = child.entries
+                    node = child
                     while parents[node] is not None:
                         node, step = parents[node]
                         path.append(step)
                     return list(reversed(path))
-                nxt.append(child.entries)
+                nxt.append(child)
         queue = nxt
     _die(f"matrix is not reachable from the standard {label} seed (searched {len(parents)} seeds)")
 

@@ -164,33 +164,46 @@ class QuasiCartanMatrix:
         return f"QuasiCartanMatrix({[list(r) for r in self.entries]})"
 
 
+def _mutate_entries(entries: IntMatrix, k: int) -> IntMatrix:
+    """The entries of mutate_matrix on bare tuples, with no validation.
+
+    Row k is negated.  Row i != k gains B_ik |B_kj| at every j where B_kj has
+    the sign of B_ik, which is (|B_ik| B_kj + B_ik |B_kj|) / 2, and its entry k
+    is negated; a row with B_ik = 0 is unchanged and is the same tuple object.
+    """
+    pivot = entries[k]
+    same_sign = ([(j, -c) for j, c in enumerate(pivot) if c < 0], [(j, c) for j, c in enumerate(pivot) if c > 0])
+    out = []
+    for i, row in enumerate(entries):
+        b = row[k]
+        if i == k:
+            row = tuple([-x for x in row])
+        elif b:
+            new = list(row)
+            for j, c in same_sign[b > 0]:
+                new[j] += b * c
+            new[k] = -b
+            row = tuple(new)
+        out.append(row)
+    return tuple(out)
+
+
 def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Mutate an exchange matrix at vertex k (0-based).
 
     B'_ij = -B_ij when i = k or j = k, and otherwise
     B'_ij = B_ij + (|B_ik| B_kj + B_ik |B_kj|) / 2; the division is always
     exact because the two summands share the sign pattern.  The symmetriser
-    of B remains a witness for B' and is reused.
+    of B remains a witness for B' and is reused; the constructor checks it.
 
     Raises
     ------
     IndexError
         If k is out of range.
     """
-    n = B.n
-    if not 0 <= k < n:
-        raise IndexError(f"mutation vertex {k} out of range for rank {n}")
-    old = B.entries
-    new = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-old[i][j])
-            else:
-                row.append(old[i][j] + (abs(old[i][k]) * old[k][j] + old[i][k] * abs(old[k][j])) // 2)
-        new.append(row)
-    return ExchangeMatrix(new, symmetriser=B.symmetriser)
+    if not 0 <= k < B.n:
+        raise IndexError(f"mutation vertex {k} out of range for rank {B.n}")
+    return ExchangeMatrix(_mutate_entries(B.entries, k), symmetriser=B.symmetriser)
 
 
 def cartan_counterpart(B: ExchangeMatrix) -> QuasiCartanMatrix:

@@ -41,7 +41,7 @@ from .diagram import (
     _tree_match,
     canonical_form,
 )
-from .exchange import ExchangeMatrix, QuasiCartanMatrix, _freeze, _given_symmetriser, determinant
+from .exchange import ExchangeMatrix, QuasiCartanMatrix, _freeze, _given_symmetriser, determinant, is_positive
 
 __all__ = [
     "RootSystem",
@@ -71,7 +71,8 @@ class RootSystem:
 
     roots is the full (positive and negative) root set, lexicographically
     sorted.  The symmetriser must be positive integers d of rank n with
-    d_i cartan_ij = d_j cartan_ji, so the form below is symmetric.  Construct
+    d_i cartan_ij = d_j cartan_ji, so the form below is symmetric, and the
+    form must be positive definite, so the root set is finite.  Construct
     via build_root_system, whose cache makes one object per type; equality is
     identity.
     """
@@ -87,6 +88,9 @@ class RootSystem:
         cartan = _freeze(self.cartan)
         object.__setattr__(self, "cartan", cartan)
         object.__setattr__(self, "symmetriser", _given_symmetriser(self.symmetriser, cartan, 1))
+        if not is_positive(QuasiCartanMatrix(cartan)):
+            raise ValueError(f"Cartan matrix of {self.label} is not of finite type: "
+                             "its symmetrised form is not positive definite")
         object.__setattr__(self, "n", len(cartan))
         roots = _close_under_reflections(cartan, len(cartan))
         object.__setattr__(self, "roots", roots)
@@ -146,11 +150,12 @@ def _form(system: RootSystem, w) -> tuple[list[int], int]:
     return form, sum(map(mul, w, form))
 
 
-def _coroot(v, w, form: list[int], norm: int) -> int:
-    """(v, w^check) = 2 (v, w) / (w, w) from w's _form, with copairing's errors."""
+def _coroot(v, w, vw: int, norm: int) -> int:
+    """(v, w^check) = 2 (v, w) / (w, w) from vw = (v, w) and norm = (w, w),
+    with copairing's errors."""
     if norm == 0:
         raise ValueError("coroot pairing undefined: (w, w) = 0")
-    value, remainder = divmod(2 * sum(map(mul, v, form)), norm)
+    value, remainder = divmod(2 * vw, norm)
     if remainder:
         raise ValueError(f"coroot pairing of {tuple(v)} against {tuple(w)} is not integral")
     return value
@@ -163,16 +168,26 @@ def pairing(system: RootSystem, v, w) -> int:
 
 def copairing(system: RootSystem, v, w) -> int:
     """The coroot pairing (v, w^check) = 2 (v, w) / (w, w); w must not be isotropic."""
-    return _coroot(v, w, *_form(system, w))
+    form, norm = _form(system, w)
+    return _coroot(v, w, sum(map(mul, v, form)), norm)
+
+
+def _reflector(system: RootSystem, beta) -> tuple[Coords, list[int], int]:
+    """beta, checked to be a root, with its _form: all that a reflection in it reads."""
+    beta = tuple(beta)
+    if not system.is_root(beta):
+        raise ValueError(f"{beta} is not a root of {system.label}")
+    return (beta, *_form(system, beta))
+
+
+def _reflect(v, beta, form: list[int], norm: int) -> Coords:
+    coeff = _coroot(v, beta, sum(map(mul, v, form)), norm)
+    return tuple([x - coeff * b for x, b in zip(v, beta)])
 
 
 def reflect(system: RootSystem, beta, v) -> Coords:
     """Reflection of v in the hyperplane of the root beta."""
-    beta = tuple(beta)
-    if not system.is_root(beta):
-        raise ValueError(f"{beta} is not a root of {system.label}")
-    coeff = copairing(system, v, beta)
-    return tuple([x - coeff * b for x, b in zip(v, beta)])
+    return _reflect(v, *_reflector(system, beta))
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,11 +223,17 @@ def simple_root_basis(system: RootSystem) -> CompanionBasis:
 
 def _coroot_pairings(basis: CompanionBasis) -> list[list[int]]:
     """(beta_i, beta_j^check) off the diagonal and 2 on it, raising copairing's
-    errors in its order.  Each beta_j is paired through its image under the
-    form, computed once."""
+    errors in its order.  The form is symmetric (RootSystem checks its
+    symmetriser), so the Gram matrix takes one dot product per pair i <= j,
+    each beta_j through its image under the form, computed once."""
     vectors = basis.vectors
-    forms = [_form(basis.system, w) for w in vectors]
-    return [[2 if i == j else _coroot(v, w, *forms[j]) for j, w in enumerate(vectors)]
+    n = len(vectors)
+    gram = [[0] * n for _ in range(n)]
+    for j, w in enumerate(vectors):
+        form, gram[j][j] = _form(basis.system, w)
+        for i in range(j):
+            gram[i][j] = gram[j][i] = sum(map(mul, vectors[i], form))
+    return [[2 if i == j else _coroot(v, w, gram[i][j], gram[j][j]) for j, w in enumerate(vectors)]
             for i, v in enumerate(vectors)]
 
 
@@ -263,14 +284,12 @@ def mutate_companion(basis: CompanionBasis, k: int, diagram, direction: str = "i
         raise IndexError(f"mutation vertex {k} out of range")
     if direction not in ("inward", "outward"):
         raise ValueError(f"direction must be 'inward' or 'outward', not {direction!r}")
-    beta_k = basis.vectors[k]
-    out = []
-    for i in range(n):
-        if direction == "inward":
-            hit = diagram.weight(i, k) > 0
-        else:
-            hit = diagram.weight(k, i) > 0
-        out.append(reflect(basis.system, beta_k, basis.vectors[i]) if hit else basis.vectors[i])
+    hit = diagram.in_neighbours(k) if direction == "inward" else diagram.out_neighbours(k)
+    out = list(basis.vectors)
+    if hit:
+        reflector = _reflector(basis.system, out[k])  # once for every hit vector
+        for i in hit:
+            out[i] = _reflect(out[i], *reflector)
     return CompanionBasis(basis.system, out)
 
 

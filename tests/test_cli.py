@@ -520,6 +520,68 @@ def test_pipeline_with_companion_tracking(tmp_path, capsys):
     assert len(data["results"]["final_basis"]) == 3
 
 
+def _reference_seed_path(target, label):
+    """Breadth-first search over ExchangeMatrix objects from the standard seed, by
+    mutate_matrix in vertex order: the path _seed_basis_path must return."""
+    seed = dynkin.standard_exchange_matrix(label)
+    if target == seed:
+        return []
+    parents = {seed: None}
+    queue = [seed]
+    while queue:
+        nxt = []
+        for current in queue:
+            for k in range(current.n):
+                child = mutate_matrix(current, k)
+                if child in parents:
+                    continue
+                parents[child] = (current, k)
+                if child == target:
+                    path = []
+                    while parents[child] is not None:
+                        child, step = parents[child]
+                        path.append(step)
+                    return path[::-1]
+                nxt.append(child)
+        queue = nxt
+    return None
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "E6", "B/C4"])
+def test_seed_basis_path_is_the_reference_search(label):
+    rng = random.Random(17)
+    for _ in range(6):
+        target = dynkin.standard_exchange_matrix(label)
+        for _ in range(rng.randint(0, 8)):
+            target = mutate_matrix(target, rng.randrange(target.n))
+        path = cli._seed_basis_path(target, label)
+        assert path == _reference_seed_path(target, label)
+        replayed = dynkin.standard_exchange_matrix(label)
+        for k in path:
+            replayed = mutate_matrix(replayed, k)
+        assert replayed == target
+
+
+def _pipeline_error(tmp_path, capsys, matrix, label):
+    path = _write(tmp_path, "seed.mat", dump_matrix(matrix))
+    with pytest.raises(SystemExit) as err:
+        main(["pipeline", path, "1", "--type", label])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    return captured.err
+
+
+def test_pipeline_refuses_a_matrix_of_another_type(tmp_path, capsys):
+    # the count pins how far, and in which order, the labeled-seed search runs
+    err = _pipeline_error(tmp_path, capsys, dynkin.standard_exchange_matrix("A5"), "D5")
+    assert err == "error: matrix is not reachable from the standard D5 seed (searched 2184 seeds)\n"
+
+
+def test_pipeline_refuses_a_type_of_another_rank(tmp_path, capsys):
+    err = _pipeline_error(tmp_path, capsys, dynkin.standard_exchange_matrix("E7"), "E6")
+    assert err == "error: type E6 has rank 6, matrix has rank 7\n"
+
+
 def test_pipeline_bad_script(tmp_path):
     path = _write(tmp_path, "a3.mat", A3_MATRIX)
     with pytest.raises(SystemExit) as err:

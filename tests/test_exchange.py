@@ -7,9 +7,11 @@ from math import gcd, lcm
 
 import pytest
 
+from cluster_presents import dynkin
 from cluster_presents.exchange import (
     ExchangeMatrix,
     QuasiCartanMatrix,
+    _mutate_entries,
     cartan_counterpart,
     cycle_sign_condition,
     determinant,
@@ -269,6 +271,46 @@ def test_mutation_preserves_symmetriser_witness():
         for i in range(n):
             for j in range(n):
                 assert d[i] * out.entries[i][j] == -d[j] * out.entries[j][i]
+
+
+def _dense_mutation(entries, k):
+    """The rule entry by entry, over all n^2 positions: the reference for the sparse kernel."""
+    n = len(entries)
+    new = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == k or j == k:
+                row.append(-entries[i][j])
+            else:
+                row.append(entries[i][j] + (abs(entries[i][k]) * entries[k][j] + entries[i][k] * abs(entries[k][j])) // 2)
+        new.append(tuple(row))
+    return tuple(new)
+
+
+def test_mutation_matches_the_dense_rule_and_shares_unchanged_rows():
+    rng = random.Random(15)
+    matrices = [_random_skew_symmetrisable(rng, rng.randrange(1, 9)) for _ in range(300)]
+    # walks from the weighted standard seeds: entries of weight 2 and 3 in finite type
+    for label in ("B/C4", "F4", "G2", "E8"):
+        B = dynkin.standard_exchange_matrix(label)
+        for _ in range(20):
+            B = mutate_matrix(B, rng.randrange(B.n))
+            matrices.append(B)
+    unchanged_rows, weights = 0, set()
+    for B in matrices:
+        old = B.entries
+        weights.update(abs(old[i][j] * old[j][i]) for i in range(B.n) for j in range(B.n))
+        for k in range(B.n):
+            kernel = _mutate_entries(old, k)
+            assert kernel == _dense_mutation(old, k)
+            out = mutate_matrix(B, k)
+            assert out.entries == kernel and out.symmetriser == B.symmetriser
+            for i in range(B.n):
+                if i != k and old[i][k] == 0:
+                    assert kernel[i] is old[i]
+                    unchanged_rows += 1
+    assert unchanged_rows > 1000 and {1, 2, 3} <= weights
 
 
 def test_mutation_index_out_of_range():

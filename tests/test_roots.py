@@ -18,6 +18,8 @@ from cluster_presents.exchange import ExchangeMatrix, determinant, mutate_matrix
 from cluster_presents.presentation import Relation, full_presentation
 from cluster_presents.roots import (
     CompanionBasis,
+    RootSystem,
+    _coroot_pairings,
     companion_bases,
     companion_basis,
     SignedGraph,
@@ -155,6 +157,23 @@ def test_root_counts_match_family_formulas():
         assert len(build_root_system(f"D{n}").roots) == 2 * n * (n - 1)
 
 
+def test_root_system_refuses_a_cartan_matrix_of_infinite_type():
+    # the affine A1 form (x - y)^2 is not definite: closing under reflections would never end
+    with pytest.raises(ValueError, match="not of finite type"):
+        RootSystem("affine", [[2, -2], [-2, 2]], [1, 1])
+    with pytest.raises(ValueError, match="not of finite type"):
+        RootSystem("hyperbolic", [[2, -3], [-3, 2]], [1, 1])
+    with pytest.raises(ValueError, match="diagonal 2"):
+        RootSystem("no Cartan matrix", [[3, -1], [-1, 3]], [1, 1])
+
+
+def test_every_catalogue_label_builds_a_root_system():
+    for n in range(1, 11):
+        for label in dynkin.labels_of_rank(n):
+            system = RootSystem(label, dynkin.cartan_matrix(label), dynkin.cartan_symmetriser(label))
+            assert len(system.roots) == len(build_root_system(label).roots) > 0
+
+
 def test_b_and_c_cartan_matrices_are_transposes():
     b3 = dynkin.cartan_matrix("B3")
     c3 = dynkin.cartan_matrix("C3")
@@ -204,6 +223,42 @@ def test_copairing_rejects_isotropic_and_marks_nonintegral():
     # 2 (v, w) / (w, w) = 2 * (-2) / 8 = -1/2
     with pytest.raises(ValueError, match="not integral"):
         copairing(system, (0, 1), (2, 0))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_coroot_pairings_raise_copairings_errors_in_its_order():
+    # the pairings one copairing at a time, row by row: the reference order
+    def by_copairing(basis):
+        return [[2 if i == j else copairing(basis.system, v, w) for j, w in enumerate(basis.vectors)]
+                for i, v in enumerate(basis.vectors)]
+
+    rng = random.Random(34)
+    kinds = set()
+    for label in ("A3", "B/C3", "G2", "F4"):
+        system = build_root_system(label)
+        for _ in range(400):
+            # small vectors, zero among them: isotropic and non-integral pairs both occur
+            vectors = [tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(system.n)) for _ in range(system.n)]
+            basis = CompanionBasis(system, vectors)
+            expected = _outcome(by_copairing, basis)
+            assert _outcome(_coroot_pairings, basis) == expected
+            kinds.add("undefined" if "undefined" in str(expected) else
+                      "not integral" if "not integral" in str(expected) else "pairs")
+    assert kinds == {"pairs", "undefined", "not integral"}
+    # an isotropic beta_2 is met at (1, 2), before the non-integral pair (1, 3)
+    a2 = build_root_system("A2")
+    basis = CompanionBasis(a2, [(0, 1), (0, 0), (2, 0)])
+    with pytest.raises(ValueError, match="undefined"):
+        _coroot_pairings(basis)
+    basis = CompanionBasis(a2, [(0, 1), (2, 0), (0, 0)])
+    with pytest.raises(ValueError, match="not integral"):
+        _coroot_pairings(basis)
 
 
 def test_reflection_preserves_pairing():
@@ -305,6 +360,36 @@ def test_inward_mutation_worked_example():
     # at the source nothing points inward, so the basis is untouched
     untouched = mutate_companion(basis, 0, diagram_of(B), "inward")
     assert untouched.vectors == basis.vectors
+
+
+@pytest.mark.parametrize("label", ["E6", "B/C4", "G2"])
+def test_mutate_companion_reflects_each_hit_vector(label):
+    """Both directions equal reflect applied vector by vector on every arrow into
+    (inward) or out of (outward) the mutation vertex."""
+    mclass = mutation_class(dynkin.standard_diagram(label))
+    for basis, diagram in zip(companion_bases(mclass), mclass.members):
+        for k in range(diagram.n):
+            beta_k = basis.vectors[k]
+            inward = [reflect(basis.system, beta_k, v) if diagram.weight(i, k) else v
+                      for i, v in enumerate(basis.vectors)]
+            outward = [reflect(basis.system, beta_k, v) if diagram.weight(k, i) else v
+                       for i, v in enumerate(basis.vectors)]
+            assert list(mutate_companion(basis, k, diagram, "inward").vectors) == inward
+            assert list(mutate_companion(basis, k, diagram, "outward").vectors) == outward
+
+
+def test_mutate_companion_checks_beta_k_only_when_it_reflects():
+    system = build_root_system("A2")
+    basis = CompanionBasis(system, [(2, 0), (0, 1)])  # (2, 0) is no root
+    arrow = Diagram(2, [(1, 0, 1)])
+    with pytest.raises(ValueError) as err:
+        reflect(system, (2, 0), (0, 1))
+    with pytest.raises(ValueError) as mutated:
+        mutate_companion(basis, 0, arrow, "inward")
+    assert str(mutated.value) == str(err.value) == "(2, 0) is not a root of A2"
+    # no arrow out of vertex 0, or none into it: nothing is reflected and nothing raises
+    assert mutate_companion(basis, 0, arrow, "outward").vectors == basis.vectors
+    assert mutate_companion(basis, 0, Diagram(2, [(0, 1, 1)]), "inward").vectors == basis.vectors
 
 
 def test_mutate_companion_argument_errors():
