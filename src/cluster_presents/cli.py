@@ -9,8 +9,9 @@ overrides the default live-coset cap; an explicit --cap beats both.
 
 Exit codes follow one rule.  0: a pass, or the artifact asked for.  1: a
 verdict of fail or overflow, or well-formed input that is not of finite type.
-2: a malformed file, flag, label or vertex, or input beyond the mutation-class
-enumeration (rank above 10, a disconnected diagram).  Whenever no output is
+2: a malformed file, flag, label or vertex, or input beyond the canonical
+labeling (rank above 10); the class commands (diagram class, diagram type,
+theorem-a) also refuse a disconnected diagram.  Whenever no output is
 printed, stderr holds exactly one `error:` line.
 """
 
@@ -31,6 +32,8 @@ from . import __version__, dynkin
 from .coset import (
     DEFAULT_COSET_CAP,
     CosetCapExceeded,
+    _certify,
+    _companion_entries,
     group_order,
     verify_mutation_isomorphism,
     weyl_order,
@@ -73,14 +76,13 @@ from .presentation import (
 )
 from .roots import (
     CompanionBasis,
+    _coroot_pairings,
     build_root_system,
     companion_bases,
-    companion_basis,
     companion_matrix,
     is_companion_basis,
     local_switch,
     mutate_companion,
-    relations_hold,
     signed_graph,
     simple_root_basis,
 )
@@ -182,21 +184,16 @@ def _vertex_list(text: str, name: str) -> list[int]:
         _die(f"bad {name} {text!r}; expected comma-separated vertices")
 
 
-def _classable(diagram: Diagram) -> Diagram:
-    """The diagram, if the commands that search its mutation class take it.  A
-    rank beyond the canonical labeling's is a usage error, checked before any
-    pass over the vertices, and so is a disconnected diagram, whose class
-    holds no tree to name its type by."""
+def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
+    """mutation_class for the commands that enumerate one.  A rank beyond the
+    canonical labeling's is a usage error, checked before any pass over the
+    vertices, and so is a disconnected diagram, whose class holds no tree to
+    name its type by."""
     if diagram.n > MAX_CANONICAL_RANK:
         _die(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
     if len(connected_components(diagram)) > 1:
         _die("mutation classes of disconnected diagrams are not supported")
-    return diagram
-
-
-def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
-    """mutation_class for the commands that enumerate one."""
-    return _valid(mutation_class, _classable(diagram), cap)
+    return _valid(mutation_class, diagram, cap)
 
 
 def _digest(path: str, text: str) -> dict:
@@ -220,34 +217,6 @@ def _verdict(report: dict) -> int:
     """Print a verdict report; exit 0 exactly when it passed."""
     _emit_json(report)
     return 0 if report["verdict"] == "pass" else 1
-
-
-def _order_block(order, strategy: str, cosets_defined: int) -> dict:
-    """The head of an order report; order is None after a coset overflow."""
-    return {"order": order, "strategy": strategy, "cosets_defined": cosets_defined}
-
-
-def _group_order(presentation: Presentation, strategy: str, cap: int) -> dict:
-    """group_order as the head of an order report; a tower reports its levels
-    (dropped generator 1-based), the completed ones after an overflow."""
-    stats: dict = {}
-    try:
-        order = group_order(presentation, strategy=strategy, cap=cap, stats=stats)
-    except CosetCapExceeded:
-        order = None
-    block = _order_block(order, strategy, stats.get("cosets_defined", 0))
-    if strategy == "tower":
-        block["tower"] = [{"dropped": level["dropped"] + 1, "index": level["index"]} for level in stats["tower"]]
-    return block
-
-
-def _bound_verdict(order, expected: int, lower_bound: bool) -> str:
-    """The verdict on the two bounds: overflow when the tower overflowed
-    (order None), pass when its upper bound is |W| = expected and the
-    relations hold on a companion basis, fail otherwise."""
-    if order is None:
-        return "overflow"
-    return "pass" if order == expected and lower_bound else "fail"
 
 
 def _report(argv, inputs, results, verdict, started) -> int:
@@ -370,9 +339,13 @@ def _cmd_present(args, argv) -> int:
 
 
 def _cmd_order(args, argv) -> int:
-    report = _group_order(_load(args.file, load_presentation), "direct", _coset_cap(args))
-    report["verdict"] = "overflow" if report["order"] is None else "pass"
-    return _verdict(report)
+    stats: dict = {}
+    try:
+        order = group_order(_load(args.file, load_presentation), "direct", _coset_cap(args), stats)
+    except CosetCapExceeded:
+        order = None
+    return _verdict({"order": order, "strategy": "direct", "cosets_defined": stats.get("cosets_defined", 0),
+                     "verdict": "overflow" if order is None else "pass"})
 
 
 def _cmd_verify_mutation(args, argv) -> int:
@@ -383,7 +356,7 @@ def _cmd_verify_mutation(args, argv) -> int:
     try:
         cert = verify_mutation_isomorphism(diagram, k, cap=_coset_cap(args))
     except CosetCapExceeded as exc:
-        return _verdict({**_order_block(None, "tower", exc.cosets_defined), "verdict": "overflow"})
+        return _verdict({"order": None, "strategy": "tower", "cosets_defined": exc.cosets_defined, "verdict": "overflow"})
     return _verdict(
         {
             "order": cert.order,
@@ -400,23 +373,20 @@ def _cmd_verify_mutation(args, argv) -> int:
 
 
 def _cmd_verify_type(args, argv) -> int:
-    """Certify |G| = |W| for the diagram's presented group G: the tower bounds
-    |G| from above, the relations holding on a companion basis from below
-    (roots.relations_hold).  The basis comes from a search over the diagram's
-    labeled mutations, one per canonical form, that stops at the first tree of
-    the type, in any orientation (roots.companion_basis), which names the type."""
+    """Certify |G| = |W| for the diagram's presented group G (coset._certify).
+    Each component's companion basis comes from a search that stops at the
+    first tree of its type (roots.companion_basis), which names the type."""
     diagram = _load(args.file, _diagram_or_matrix)
     cap = _coset_cap(args)
-    basis = _valid(companion_basis, _classable(diagram))
-    label = basis.system.label
-    presentation = full_presentation(diagram)
-    report = _group_order(presentation, "tower", cap)
-    lower_bound = relations_hold(basis, presentation.relations)
-    expected = weyl_order(label)
-    report["type"] = label
-    if report["order"] is not None:
+    if diagram.n > MAX_CANONICAL_RANK:  # before any pass over the vertices
+        _die(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
+    label, expected, entries, _ = _valid(_companion_entries, diagram)
+    cert = _certify(full_presentation(diagram), entries, expected, cap)
+    report = {"order": cert.order, "strategy": "tower", "cosets_defined": cert.cosets_defined,
+              "tower": cert.tower, "type": label}
+    if cert.order is not None:
         report["expected_order"] = expected
-    report.update(lower_bound=lower_bound, verdict=_bound_verdict(report["order"], expected, lower_bound))
+    report.update(lower_bound=cert.lower_bound, verdict=cert.verdict)
     return _verdict(report)
 
 
@@ -445,17 +415,12 @@ def _cmd_theorem_a(args, argv) -> int:
     if args.sample != "all" and int(args.sample) < len(indices):
         indices = sorted(random.Random(args.seed).sample(indices, int(args.sample)))
 
-    # Each member passes on two bounds: the tower's |G| <= order and the
-    # relations holding on the member's companion basis, |G| >= |W|.
     bases = companion_bases(mclass)
     members = []
     for idx in indices:
-        presentation = reduced_presentation(mclass.members[idx])
-        block = _group_order(presentation, "tower", cap)
-        order = block["order"]
-        lower_bound = relations_hold(bases[idx], presentation.relations)
-        members.append({"member": idx, "order": order, "tower": block["tower"], "lower_bound": lower_bound,
-                        "verdict": _bound_verdict(order, expected, lower_bound)})
+        cert = _certify(reduced_presentation(mclass.members[idx]), _coroot_pairings(bases[idx]), expected, cap)
+        members.append({"member": idx, "order": cert.order, "tower": cert.tower, "lower_bound": cert.lower_bound,
+                        "verdict": cert.verdict})
     verdicts = {m["verdict"] for m in members}
     verdict = "fail" if "fail" in verdicts else ("overflow" if "overflow" in verdicts else "pass")
     results = {

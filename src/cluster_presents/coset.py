@@ -12,9 +12,9 @@ of the subgroup the others generate, go on with the relations among the
 others, and multiply the indices.  Each index is exact, and each restricted
 presentation maps onto the subgroup its generators generate, so the tower
 answer is an upper bound on the order.  The certificates close it from below:
-theorem-a and verify-type check that the relations hold on a companion basis
-(roots.relations_hold), which maps the presented group onto W, and
-verify_mutation_isomorphism checks the same with the same evaluator.  An
+the relations holding on a companion basis (roots.relations_hold) map the
+presented group onto W.  _certify is the one place where the two bounds meet,
+for theorem-a, verify-type and both sides of verify_mutation_isomorphism: an
 upper bound equal to |W| (weyl_order) is then the order.
 
 Mutation certificates check the witness maps in the reflection representation
@@ -387,6 +387,54 @@ def _composites(outer, inner) -> list[Relation]:
     return [Relation(tuple(x for g in word for x in inner[g]) + (i,), 1) for i, word in enumerate(outer)]
 
 
+def _companion_entries(diagram: Diagram, k: int = -1):
+    """(label, |W|, entries, mutated): each component's companion basis on its
+    diagonal block of entries, their labels joined by "+", the product of
+    their Weyl orders, and the blocks after mutation at vertex k, or None."""
+    n = diagram.n
+    entries = [[0] * n for _ in range(n)]
+    mutated = [[0] * n for _ in range(n)] if k >= 0 else None
+    labels = []
+    for vertices, component in connected_components(diagram):
+        basis = companion_basis(component)
+        labels.append(basis.system.label)
+        _place(entries, vertices, basis)
+        if mutated is not None:
+            if k in vertices:
+                basis = mutate_companion(basis, vertices.index(k), component, "inward")
+            _place(mutated, vertices, basis)
+    return "+".join(labels), prod(map(weyl_order, labels)), entries, mutated
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    """The two bounds on a presented group and their verdict (_certify)."""
+
+    order: int | None  # the tower's upper bound, None after an overflow
+    tower: list  # the completed levels as reports print them, dropped 1-based
+    cosets_defined: int
+    lower_bound: bool
+    verdict: str  # "pass" | "fail" | "overflow"
+
+
+def _certify(presentation: Presentation, entries, expected: int, cap: int) -> _Certificate:
+    """Certify |G| = |W| = expected: the tower bounds |G| from above, and the
+    relations holding on the companion matrix entries from below
+    (roots.relations_hold), checked even after an overflow for verify-type."""
+    stats: dict = {}
+    try:
+        order = group_order(presentation, "tower", cap, stats)
+    except CosetCapExceeded:
+        order = None
+    lower_bound = _first_failing(entries, presentation.relations) is None
+    if order is None:
+        verdict = "overflow"
+    else:
+        verdict = "pass" if order == expected and lower_bound else "fail"
+    tower = [{"dropped": level["dropped"] + 1, "index": level["index"]} for level in stats["tower"]]
+    return _Certificate(order, tower, stats.get("cosets_defined", 0), lower_bound, verdict)
+
+
 def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COSET_CAP) -> MutationIsomorphismReport:
     """Certify W(diagram) = W(mutated diagram) via the witness words at k.
 
@@ -397,7 +445,7 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     (roots.companion_basis), and s'_i of the mutated diagram as the reflection
     in the basis mutated at k (mutate_companion).  Each side is one n x n
     integer matrix, the components' companion matrices on the diagonal
-    blocks, and every check is a relator evaluated on it
+    blocks (_companion_entries), and every check is a relator evaluated on it
     (roots._first_failing).  Raises CosetCapExceeded if an order computation
     overflows, NotFiniteTypeError when a component's class is of no known
     finite type, and ValueError above rank 10.
@@ -405,37 +453,23 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     Why the checks are exact.  The simple roots on any tree of the type
     generate W by their reflections, and each companion mutation keeps beta_k
     and replaces beta_i by beta_i or s_{beta_k} beta_i, so on both sides the
-    reflections generate W = prod W_c over the components.  When the
-    relations of a presentation hold in its rho, rho is onto W, so the
-    presented group G has |G| >= |W| (the closed-form weyl_order).  The
-    tower's order is an upper bound, because each restricted presentation
-    maps onto the subgroup its generators generate.  So an order equal to |W|
-    makes rho an isomorphism onto W, which acts faithfully on the lattice:
-    `faithful` records this for both sides, and `passed` requires it.
+    reflections generate W = prod W_c over the components.  A side whose
+    certificate passes (_certify) has its tower's upper bound on |G| equal to
+    |W| and its relations holding in rho, which maps G onto W; so rho is an
+    isomorphism onto W, which acts faithfully on the lattice: `faithful`
+    records this for both sides, and `passed` requires it.
     """
-    n = diagram.n
     mutated = mutate_diagram(diagram, k)
     pres = full_presentation(diagram)
     pres_mut = full_presentation(mutated)
-    entries = [[0] * n for _ in range(n)]
-    entries_mut = [[0] * n for _ in range(n)]
-    expected = 1
-    for vertices, component in connected_components(diagram):
-        basis = companion_basis(component)
-        expected *= weyl_order(basis.system.label)
-        _place(entries, vertices, basis)
-        if k in vertices:
-            basis = mutate_companion(basis, vertices.index(k), component, "inward")
-        _place(entries_mut, vertices, basis)
+    _, expected, entries, entries_mut = _companion_entries(diagram, k)
 
-    stats: dict = {}
-    order = group_order(pres, "tower", cap, stats)
-    mutated_order = group_order(pres_mut, "tower", cap, stats)
-    faithful = (
-        order == mutated_order == expected
-        and _first_failing(entries, pres.relations) is None
-        and _first_failing(entries_mut, pres_mut.relations) is None
-    )
+    side = _certify(pres, entries, expected, cap)
+    if side.order is None:
+        raise CosetCapExceeded(cap, side.cosets_defined)
+    side_mut = _certify(pres_mut, entries_mut, expected, cap)
+    if side_mut.order is None:
+        raise CosetCapExceeded(cap, side.cosets_defined + side_mut.cosets_defined)
 
     forward = mutation_witness_words(diagram, k)
     inverse = inverse_mutation_witness_words(mutated, k)
@@ -450,14 +484,14 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
 
     return MutationIsomorphismReport(
         vertex=k,
-        order=order,
-        mutated_order=mutated_order,
+        order=side.order,
+        mutated_order=side_mut.order,
         strategy="tower",
-        cosets_defined=stats["cosets_defined"],
+        cosets_defined=side.cosets_defined + side_mut.cosets_defined,
         forward_homomorphism=fwd_fail is None,
         inverse_homomorphism=inv_fail is None,
         composition_identity=comp_ok,
-        faithful=faithful,
+        faithful=side.verdict == side_mut.verdict == "pass",
         failing_relation=fwd_fail or inv_fail,
     )
 

@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 from typing import Optional
 
 from .exchange import ExchangeMatrix
@@ -68,12 +69,15 @@ class Diagram:
     _in: dict[int, tuple[int, ...]] = field(init=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
+        try:  # a float or a string is refused, never truncated
+            n = index(self.n)
+            edges = [(index(i), index(j), index(w)) for i, j, w in self.edges]
+        except TypeError:
+            raise DiagramError("vertex count and edge entries must be integers") from None
         if n < 0:
             raise DiagramError("vertex count must be nonnegative")
         weights: dict[tuple[int, int], int] = {}
-        for i, j, w in self.edges:
-            i, j, w = int(i), int(j), int(w)
+        for i, j, w in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise DiagramError(f"edge ({i},{j}) out of range for n={n}")
             if i == j:
@@ -88,6 +92,7 @@ class Diagram:
         for (i, j) in weights:
             out.setdefault(i, []).append(j)
             inc.setdefault(j, []).append(i)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted((i, j, w) for (i, j), w in weights.items())))
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_out", {v: tuple(sorted(heads)) for v, heads in out.items()})

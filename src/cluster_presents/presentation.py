@@ -18,6 +18,7 @@ vertex sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .diagram import ChordlessCycle, Diagram, DiagramError, chordless_cycles, validate_finite_type_local
 
@@ -55,6 +56,13 @@ class Relation:
     word: Word
     exponent: int
     tag: str = ""
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "word", tuple(map(index, self.word)))
+            object.__setattr__(self, "exponent", index(self.exponent))
+        except TypeError:
+            raise ValueError("relation letters and exponent must be integers") from None
 
     def letters(self) -> Word:
         """The fully expanded relator word."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 from . import dynkin
 from .diagram import (
@@ -204,7 +204,10 @@ class CompanionBasis:
     vectors: tuple[Coords, ...]
 
     def __post_init__(self):
-        vectors = tuple(tuple(int(x) for x in v) for v in self.vectors)
+        try:
+            vectors = tuple(tuple(map(index, v)) for v in self.vectors)
+        except TypeError:
+            raise ValueError("basis coordinates must be integers") from None
         for v in vectors:
             if len(v) != self.system.n:
                 raise ValueError(f"vector {v} has wrong length for rank {self.system.n}")
@@ -416,8 +419,8 @@ def relations_hold(basis: CompanionBasis, relations) -> bool:
     s_{beta_k} beta_i, so the carried reflections generate W.  When they
     satisfy the relations of a presentation, s_g |-> reflection in beta_g maps
     the presented group G onto W, so |G| >= |W| = prod d_i (coset.weyl_order).
-    The coset tower bounds |G| from above by the product of its indices
-    (coset.group_order); the two bounds meeting is the certificate |G| = |W|.
+    The tower bounds |G| from above (coset.group_order); the two bounds meet
+    in one place, coset._certify, which certifies |G| = |W|.
     """
     return _first_failing(_coroot_pairings(basis), relations) is None
 

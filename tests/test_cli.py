@@ -352,7 +352,7 @@ def test_verify_type_fails_an_added_relator_on_the_lower_bound(tmp_path, capsys,
 def test_verify_type_pass_needs_the_lower_bound(tmp_path, capsys, monkeypatch):
     # the simple roots of D4 are no companion basis of the 4-cycle: its cycle
     # relations fail on them, so the tower's order alone certifies nothing
-    monkeypatch.setattr(cli, "companion_basis", lambda diagram: simple_root_basis(build_root_system("D4")))
+    monkeypatch.setattr(coset, "companion_basis", lambda diagram: simple_root_basis(build_root_system("D4")))
     assert main(["verify-type", _write(tmp_path, "cycle.mat", CYCLE_MATRIX)]) == 1
     data = _json_out(capsys)
     assert data["order"] == data["expected_order"] == weyl_order("D4")
@@ -728,6 +728,9 @@ def _golden_files(tmp_path):
         "{mat}": _write(tmp_path, "cycle.mat", CYCLE_MATRIX),
         "{basis}": _write(tmp_path, "cycle.basis", CYCLE_COMPANION_BASIS),
         "{simple}": _write(tmp_path, "simple.basis", "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"),
+        "{a1a1}": _write(tmp_path, "a1a1.mat", "2\n0 0\n0 0\n"),
+        "{a2a1}": _write(tmp_path, "a2a1.mat", "3\n0 1 0\n-1 0 0\n0 0 0\n"),
+        "{bc3}": _write(tmp_path, "bc3.dia", "3\n1 2 2\n2 3 1\n"),
     }
 
 
@@ -758,6 +761,20 @@ def _golden_files(tmp_path):
         (["companion", "check", "D4", "{simple}", "{mat}"], 1,
          '{\n  "ok": false,\n  "reason": "companion condition fails at (1,4): |0| != |-1|",\n'
          '  "verdict": "fail"\n}\n'),
+        # disconnected: the components' types joined by "+", |W| their product
+        (["verify-type", "{a1a1}"], 0,
+         '{\n  "order": 4,\n  "strategy": "tower",\n  "cosets_defined": 4,\n  "tower": [\n    {\n      "dropped": 2,\n'
+         '      "index": 2\n    },\n    {\n      "dropped": 1,\n      "index": 2\n    }\n  ],\n  "type": "A1+A1",\n'
+         '  "expected_order": 4,\n  "lower_bound": true,\n  "verdict": "pass"\n}\n'),
+        (["verify-type", "{a2a1}"], 0,
+         '{\n  "order": 12,\n  "strategy": "tower",\n  "cosets_defined": 7,\n  "tower": [\n    {\n      "dropped": 3,\n'
+         '      "index": 2\n    },\n    {\n      "dropped": 2,\n      "index": 3\n    },\n    {\n      "dropped": 1,\n'
+         '      "index": 2\n    }\n  ],\n  "type": "A2+A1",\n  "expected_order": 12,\n  "lower_bound": true,\n'
+         '  "verdict": "pass"\n}\n'),
+        # the B/C3 tree's own tower completes in 12 cosets under a cap of 6; the
+        # mutated side's overflows, and the report counts both sides' cosets
+        (["verify-mutation", "{bc3}", "2", "--cap", "6"], 1,
+         '{\n  "order": null,\n  "strategy": "tower",\n  "cosets_defined": 18,\n  "verdict": "overflow"\n}\n'),
     ],
 )
 def test_verdict_reports_are_pinned(tmp_path, capsys, command, code, stdout):
@@ -787,6 +804,18 @@ def test_disconnected_verify_mutation_reports_are_pinned(tmp_path, capsys, text,
     assert main(["verify-mutation", _write(tmp_path, "in.mat", text), vertex]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (stdout, "")
+
+
+def test_verify_type_certifies_an_edgeless_diagram_by_components(tmp_path, capsys):
+    assert main(["verify-type", _write(tmp_path, "ten.dia", "10\n")]) == 0
+    data = _json_out(capsys)
+    assert (data["type"], data["order"], data["expected_order"]) == ("+".join(["A1"] * 10), 1024, 1024)
+    assert data["verdict"] == "pass"
+    # one vertex more is beyond the canonical labeling, refused as before
+    with pytest.raises(SystemExit) as err:
+        main(["verify-type", _write(tmp_path, "eleven.dia", "11\n")])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", "error: canonical form supports rank <= 10, not 11\n")
 
 
 @pytest.mark.parametrize("label, vertex, bound", [("E6", "1", 1_000), ("E7", "4", 5_000), ("A2+A1", "1", 24)])
@@ -1007,10 +1036,11 @@ def test_random_diagrams_end_in_output_or_one_error_line(tmp_path, monkeypatch):
         ("2\n1 2 7\n", ["present", "reduced", "{}"], 1),
         ("2\n1 2 7\n", ["verify-mutation", "{}", "1"], 1),
         ("2\n1 2 7\n", ["diagram", "class", "{}"], 1),
-        # disconnected: beyond the class enumeration, like rank 11
+        # disconnected: beyond the class enumeration, like rank 11; verify-type
+        # takes each component on its own, and one of weight 7 has no type
         ("2\n0 0\n0 0\n", ["diagram", "class", "{}"], 2),
         ("2\n0 0\n0 0\n", ["diagram", "type", "{}"], 2),
-        ("2\n0 0\n0 0\n", ["verify-type", "{}"], 2),
+        ("3\n1 2 7\n", ["verify-type", "{}"], 1),
         ("2\n0 0\n0 0\n", ["theorem-a", "{}"], 2),
         # flags
         (CYCLE_MATRIX, ["verify-type", "{}", "--cap", "x"], 2),

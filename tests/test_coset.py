@@ -433,6 +433,16 @@ def test_mutation_certificate_overflow():
         verify_mutation_isomorphism(FOUR_CYCLE, 0, cap=4)
 
 
+def test_mutation_certificate_overflow_on_the_mutated_side_counts_both_sides():
+    tree = dynkin.standard_diagram("B/C3")
+    stats: dict = {}
+    assert group_order(full_presentation(tree), "tower", 6, stats) == weyl_order("B/C3")
+    assert stats["cosets_defined"] == 12
+    with pytest.raises(CosetCapExceeded) as err:
+        verify_mutation_isomorphism(tree, 1, cap=6)
+    assert (err.value.cap, err.value.cosets_defined) == (6, 18)
+
+
 # ------------------------------------------------- label handling
 
 

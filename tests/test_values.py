@@ -100,3 +100,27 @@ def test_matrices_refuse_non_integer_entries(make):
 def test_a_given_symmetriser_is_checked_by_its_witness(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Diagram(2, [(0, 1, 1.9)]), DiagramError, "vertex count and edge entries"),  # not weight 1
+    (lambda: Diagram(2, [(0, 1.5, 1)]), DiagramError, "vertex count and edge entries"),
+    (lambda: Diagram(2.5, []), DiagramError, "vertex count and edge entries"),
+    (lambda: Diagram("2", []), DiagramError, "vertex count and edge entries"),
+    (lambda: Relation((0, 1), 2.5), ValueError, "relation letters and exponent"),
+    (lambda: Relation((0, 0.5), 2), ValueError, "relation letters and exponent"),
+    (lambda: CompanionBasis(A2, [(1.9, 0), (0, 1)]), ValueError, "basis coordinates"),  # not the simple roots
+    (lambda: CompanionBasis(A2, [(1, Fraction(0)), (0, 1)]), ValueError, "basis coordinates"),
+], ids=["diagram-weight", "diagram-vertex", "diagram-count", "diagram-string", "relation-exponent",
+        "relation-letter", "basis-float", "basis-Fraction"])
+def test_value_constructors_refuse_non_integers(make, error, message):
+    with pytest.raises(error, match=f"^{message} must be integers$"):
+        make()
+
+
+def test_value_constructors_keep_integer_values_as_ints():
+    relation = Relation([0, 1], 3)
+    assert relation == Relation((0, 1), 3) and hash(relation) == hash(Relation((0, 1), 3))
+    assert Diagram(2, [(0, 1, True)]) == Diagram(2, [(0, 1, 1)])
+    assert type(Diagram(True, []).n) is int
+    assert CompanionBasis(A2, [(True, 0), (0, 1)]).vectors == ((1, 0), (0, 1))
