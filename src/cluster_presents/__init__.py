@@ -41,13 +41,7 @@ from .presentation import (
 )
 from .coset import (
     CosetCapExceeded,
-    CosetTable,
-    PermutationRep,
-    check_homomorphism,
-    coset_enumerate,
-    evaluate_word,
     group_order,
-    perm_rep,
     verify_mutation_isomorphism,
     weyl_order,
 )

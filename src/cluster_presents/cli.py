@@ -444,8 +444,6 @@ def _seed_basis_path(target: ExchangeMatrix, label: str, limit: int = 100_000):
     The search runs on bare entries (exchange._mutate_entries); the caller
     replays the path with mutate_matrix, which validates every step."""
     seed = dynkin.standard_exchange_matrix(label)
-    if seed.n != target.n:
-        _die(f"type {label} has rank {seed.n}, matrix has rank {target.n}")
     start = seed.entries
     goal = target.entries
     if goal == start:
@@ -485,6 +483,9 @@ def _cmd_pipeline(args, argv) -> int:
     basis = None
     if args.type:
         label = _valid(dynkin.normalize_label, args.type)
+        rank = dynkin.parse_label(label)[1]
+        if rank != matrix.n:  # before the root system, whose cost grows with the rank
+            _die(f"type {label} has rank {rank}, matrix has rank {matrix.n}")
         system = build_root_system(label)
         path = _seed_basis_path(matrix, label)
         current = dynkin.standard_exchange_matrix(label)
@@ -570,8 +571,14 @@ def _cmd_roots_build(args, argv) -> int:
 
 
 def _load_companion_basis(type_label: str, basis_path: str) -> CompanionBasis:
-    system = _valid(build_root_system, type_label)
-    return _valid(CompanionBasis, system, _load(basis_path, load_basis))
+    """The basis file's vectors in the type's root system, their lengths
+    checked against the rank before the root system is built."""
+    label = _valid(dynkin.normalize_label, type_label)
+    vectors = _load(basis_path, load_basis)
+    rank = dynkin.parse_label(label)[1]
+    if len(vectors[0]) != rank:  # load_basis gives vectors of one length
+        _die(f"vector {vectors[0]} has wrong length for rank {rank}")
+    return CompanionBasis(build_root_system(label), vectors)
 
 
 def _cmd_companion_check(args, argv) -> int:

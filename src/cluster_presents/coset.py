@@ -3,8 +3,7 @@
 The enumerator is an HLT-style Todd-Coxeter procedure specialized to
 presentations in which every generator is an involution: the table keeps one
 column per generator and every table write is symmetric, so the involution
-relations are baked into the data structure.  On success the table of the
-trivial subgroup is the regular permutation representation (perm_rep).
+relations are baked into the data structure.
 
 Orders can be computed directly (enumerate cosets of the trivial subgroup) or
 by a parabolic tower: drop a generator of least degree, enumerate the cosets
@@ -23,9 +22,8 @@ matrix read off the companion matrix of a companion basis, not on |W| cosets.
 A homomorphism check there is exact once that representation is faithful, and
 it is exactly when the computed order, an upper bound, meets the lower bound
 |W| that a representation onto W gives (verify_mutation_isomorphism).
-perm_rep, evaluate_word and check_homomorphism evaluate words in the regular
-representation; no certificate uses them, and they stay as an independent
-reference to check the certificates against.
+The regular representation the tests check these certificates against lives
+in tests/reference_cosets.py, on an enumerator written apart from this one.
 
 Everything is deterministic: fixed scan order, fixed definition order, no
 randomization, so enumeration statistics are reproducible.
@@ -45,13 +43,7 @@ from .roots import _coroot_pairings, _first_failing, companion_basis, mutate_com
 __all__ = [
     "DEFAULT_COSET_CAP",
     "CosetCapExceeded",
-    "CosetTable",
-    "coset_enumerate",
     "group_order",
-    "PermutationRep",
-    "perm_rep",
-    "evaluate_word",
-    "check_homomorphism",
     "MutationIsomorphismReport",
     "verify_mutation_isomorphism",
     "weyl_order",
@@ -74,22 +66,7 @@ class CosetCapExceeded(RuntimeError):
 
 
 class _Overflow(Exception):
-    """The live-coset cap stopped an enumeration; args are (live, defined)."""
-
-
-@dataclass(frozen=True)
-class CosetTable:
-    """A completed (or aborted) enumeration.
-
-    rows[c][g] is the coset reached from c by generator g; rows are compacted
-    and only present when status == "complete".  cosets_defined counts every
-    definition made, including cosets later merged away.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-    status: str  # "complete" | "overflow"
-    coset_count: int
-    cosets_defined: int
+    """The live-coset cap stopped an enumeration; args[0] is the cosets defined."""
 
 
 def _relator_words(presentation: Presentation) -> list[Word]:
@@ -99,40 +76,19 @@ def _relator_words(presentation: Presentation) -> list[Word]:
             if len(rel.word) > 1 or rel.exponent % 2]
 
 
-def coset_enumerate(presentation: Presentation, subgroup_words=(), cap: int = DEFAULT_COSET_CAP) -> CosetTable:
-    """Enumerate cosets of the subgroup generated by the given words.
-
-    Subgroup words are tuples of 0-based generator indices; the empty list
-    enumerates the whole group.  Deterministic HLT strategy: subgroup words
-    are scanned at the base coset, then each live coset scans every relator
-    and fills its remaining entries in generator order.
-    """
-    try:
-        table, rep, live, defined = _enumerate(presentation, subgroup_words, cap)
-    except _Overflow as exc:
-        live, defined = exc.args
-        return CosetTable((), "overflow", live, defined)
-    survivors = [c for c, row in enumerate(table) if row is not None]
-    index_of = {c: i for i, c in enumerate(survivors)}
-    rows = tuple(tuple(index_of[rep(d)] for d in table[c]) for c in survivors)
-    return CosetTable(rows, "complete", live, defined)
-
-
 def _enumerate(presentation: Presentation, subgroup_words, cap: int):
-    """The enumeration of coset_enumerate, uncompacted: (table, rep, live,
-    defined).  table[c] is None once coset c is merged, and a surviving row
-    may still name merged cosets, which rep maps to survivors; live is the
-    number of survivors, the index.  Raises _Overflow when the cap stops it."""
-    if not presentation.relations:
-        raise ValueError("presentation has no relations")
+    """Enumerate the cosets of the subgroup the words generate: (live, defined).
+
+    Deterministic HLT strategy: the subgroup words are scanned at the base
+    coset, then each live coset scans every relator and fills its remaining
+    entries in generator order.  table[c] is None once coset c is merged, and
+    a surviving row may still name merged cosets, which rep maps to
+    survivors; live is the number of survivors, the index, and defined counts
+    every definition made, including cosets later merged away.  Raises
+    _Overflow when the cap stops it."""
     if cap < 1:
         raise ValueError("cap must be positive")
     ngen = presentation.n
-    for word in subgroup_words:
-        for letter in word:
-            if not 0 <= letter < ngen:
-                raise ValueError(f"subgroup word letter s{letter + 1} out of range")
-
     relators = _relator_words(presentation)
     table: list[list[int] | None] = [[-1] * ngen]
     parent = [0]
@@ -148,7 +104,7 @@ def _enumerate(presentation: Presentation, subgroup_words, cap: int):
     def define(c: int, g: int) -> int:
         nonlocal live, defined
         if live >= cap:
-            raise _Overflow(live, defined)
+            raise _Overflow(defined)
         b = len(table)
         table.append([-1] * ngen)
         parent.append(b)
@@ -233,7 +189,7 @@ def _enumerate(presentation: Presentation, subgroup_words, cap: int):
                 if row[g] == -1:
                     define(alpha, g)
         alpha += 1
-    return table, rep, live, defined
+    return live, defined
 
 
 def _degrees(presentation: Presentation) -> list[int]:
@@ -260,13 +216,11 @@ def _drop(presentation: Presentation, g: int) -> Presentation:
 
 
 def _index(presentation: Presentation, subgroup, cap: int, stats: dict) -> int:
-    """The index of the subgroup, counting the cosets defined into stats.
-
-    Reads the survivor count of _enumerate; the table is never compacted."""
+    """The index of the subgroup, counting the cosets defined into stats."""
     try:
-        _, _, index, defined = _enumerate(presentation, subgroup, cap)
+        index, defined = _enumerate(presentation, subgroup, cap)
     except _Overflow as exc:
-        index, defined = None, exc.args[1]
+        index, defined = None, exc.args[0]
     stats["cosets_defined"] = stats.get("cosets_defined", 0) + defined
     if index is None:
         raise CosetCapExceeded(cap, stats["cosets_defined"])
@@ -301,52 +255,6 @@ def group_order(presentation: Presentation, strategy: str = "direct", cap: int =
         order *= index
         presentation = _drop(presentation, g)
     return order
-
-
-@dataclass(frozen=True)
-class PermutationRep:
-    """A permutation representation: images[g][p] is the image of point p
-    under generator g (for perm_rep's regular representation, the coset p * s_g)."""
-
-    degree: int
-    images: tuple[tuple[int, ...], ...]
-
-
-def perm_rep(table: CosetTable) -> PermutationRep:
-    if table.status != "complete":
-        raise ValueError("cannot build a permutation representation from an incomplete table")
-    ngen = len(table.rows[0]) if table.rows else 0
-    images = tuple(
-        tuple(table.rows[c][g] for c in range(table.coset_count)) for g in range(ngen)
-    )
-    return PermutationRep(table.coset_count, images)
-
-
-def evaluate_word(rep: PermutationRep, word) -> tuple[int, ...]:
-    """The permutation of the word, letters applied left to right."""
-    current = list(range(rep.degree))
-    for letter in word:
-        image = rep.images[letter]
-        current = [image[c] for c in current]
-    return tuple(current)
-
-
-def _is_identity(perm: tuple[int, ...]) -> bool:
-    return all(p == c for c, p in enumerate(perm))
-
-
-def check_homomorphism(rep: PermutationRep, generator_images, relations) -> tuple[bool, Relation | None]:
-    """Does sending generator i to the word generator_images[i] kill every relation?
-
-    Returns (True, None) or (False, first failing relation).
-    """
-    for rel in relations:
-        substituted: list[int] = []
-        for letter in rel.word:
-            substituted.extend(generator_images[letter])
-        if not _is_identity(evaluate_word(rep, tuple(substituted) * rel.exponent)):
-            return False, rel
-    return True, None
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ __all__ = [
     "chordless_cycles",
     "validate_finite_type_local",
     "canonical_form",
-    "canonical_representative",
     "mutation_class",
     "identify_dynkin_type",
 ]
@@ -469,13 +468,6 @@ def canonical_form(diagram: Diagram) -> bytes:
     return bytes([diagram.n]) + bytes(codes)
 
 
-def canonical_form_unoriented(diagram: Diagram) -> bytes:
-    """Canonical byte string of the underlying weighted unoriented graph,
-    defined like canonical_form with every edge coded by its weight alone."""
-    codes, _ = _canonical_search(diagram, oriented=False)
-    return bytes([diagram.n]) + bytes(codes)
-
-
 def _relabel(diagram: Diagram, perm: list[int]) -> Diagram:
     """The copy whose vertex q is vertex perm[q] of `diagram`."""
     position = {old: new for new, old in enumerate(perm)}
@@ -487,12 +479,6 @@ def _canonical_labeling(diagram: Diagram) -> tuple[bytes, list[int]]:
     of `diagram` as q gives the canonical representative."""
     codes, perm = _canonical_search(diagram, oriented=True)
     return bytes([diagram.n]) + bytes(codes), perm
-
-
-def canonical_representative(diagram: Diagram) -> tuple[bytes, "Diagram"]:
-    """The canonical form together with a relabeled copy realizing it."""
-    key, perm = _canonical_labeling(diagram)
-    return key, _relabel(diagram, perm)
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,10 @@ class Presentation:
                     raise ValueError(f"generator s{letter + 1} out of range in {rel}")
             if len(rel.word) == 1 and rel.exponent == 2:
                 involutions.add(rel.word[0])
-        missing = [g for g in range(self.n) if g not in involutions]
-        if missing:
-            raise ValueError(f"missing involution relation for s{missing[0] + 1}")
+        # at most len(involutions) + 1 steps, however large n is
+        missing = next((g for g in range(self.n) if g not in involutions), None)
+        if missing is not None:
+            raise ValueError(f"missing involution relation for s{missing + 1}")
         object.__setattr__(self, "relations", relations)
 
     def __repr__(self):

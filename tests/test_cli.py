@@ -582,6 +582,40 @@ def test_pipeline_refuses_a_type_of_another_rank(tmp_path, capsys):
     assert err == "error: type E6 has rank 6, matrix has rank 7\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pipeline", "{mat}", "1", "--type", "A400"], "type A400 has rank 400, matrix has rank 2"),
+    (["companion", "check", "A400", "{basis}", "{mat}"], "vector (1, 0) has wrong length for rank 400"),
+    (["companion", "mutate", "A400", "{basis}", "{mat}", "1"], "vector (1, 0) has wrong length for rank 400"),
+    (["signed-graph", "A400", "{basis}"], "vector (1, 0) has wrong length for rank 400"),
+], ids=["pipeline", "companion-check", "companion-mutate", "signed-graph"])
+def test_a_rank_mismatch_is_refused_before_the_root_system_is_built(tmp_path, capsys, monkeypatch, argv, message):
+    # the root system of A400 takes minutes to build: the ranks are compared first
+    def refuse(label):
+        raise AssertionError(f"built the root system of {label}")
+
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    files = {"mat": _write(tmp_path, "a2.mat", A2_MATRIX), "basis": _write(tmp_path, "a2.basis", "1 0\n0 1\n")}
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(**files) for arg in argv])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_order_refuses_a_huge_generator_count_at_once(tmp_path, capsys):
+    # 20 million generators and one involution: refused at s2, nothing walked past it
+    path = _write(tmp_path, "big.pres", "generators 20000000\n(s1)^2\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            main(["order", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {path}: missing involution relation for s2\n")
+    assert peak < 1_000_000
+
+
 def test_pipeline_bad_script(tmp_path):
     path = _write(tmp_path, "a3.mat", A3_MATRIX)
     with pytest.raises(SystemExit) as err:
@@ -819,16 +853,13 @@ def test_verify_type_certifies_an_edgeless_diagram_by_components(tmp_path, capsy
 
 
 @pytest.mark.parametrize("label, vertex, bound", [("E6", "1", 1_000), ("E7", "4", 5_000), ("A2+A1", "1", 24)])
-def test_verify_mutation_enumerates_no_regular_representation(tmp_path, capsys, monkeypatch, label, vertex, bound):
+def test_verify_mutation_enumerates_no_regular_representation(tmp_path, capsys, label, vertex, bound):
     # |W(E6)| = 51,840 and |W(E7)| = 2,903,040: a regular representation of
     # either side would define at least that many cosets.  Every check runs on
     # the companion matrices, so no permutation representation is built, not
-    # even for the disconnected A2+A1.
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify-mutation used a permutation representation")
-
-    for name in ("PermutationRep", "perm_rep", "evaluate_word", "check_homomorphism"):
-        monkeypatch.setattr(coset, name, refuse)
+    # even for the disconnected A2+A1; the package has none to build.
+    for name in ("CosetTable", "coset_enumerate", "PermutationRep", "perm_rep", "evaluate_word", "check_homomorphism"):
+        assert not hasattr(coset, name), name
     if label == "A2+A1":
         text, order = "3\n0 1 0\n-1 0 0\n0 0 0\n", 12
     else:

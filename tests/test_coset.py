@@ -7,10 +7,14 @@ Cartan integers), and weyl_order, the product of the degrees of the basic
 invariants, which is itself checked against the classical product formulas.
 Mutation certificates, which run in the reflection representation on the root
 lattice, are checked against the same certificate computed here in the regular
-representations of both groups.
+representations of both groups, built by the reference enumerator of
+reference_cosets.py, which shares no code with the package and is itself
+checked against both order sources.
 """
 
+import ast
 import math
+import pathlib
 import random
 from collections import deque
 
@@ -19,11 +23,7 @@ import pytest
 from cluster_presents import coset, dynkin
 from cluster_presents.coset import (
     CosetCapExceeded,
-    check_homomorphism,
-    coset_enumerate,
-    evaluate_word,
     group_order,
-    perm_rep,
     verify_mutation_isomorphism,
     weyl_order,
 )
@@ -47,6 +47,7 @@ from cluster_presents.roots import (
     reflect,
     simple_root_basis,
 )
+from reference_cosets import act, enumerate_cosets, first_failing, regular_images
 
 
 FOUR_CYCLE = diagram_of(
@@ -207,12 +208,12 @@ def test_two_different_towers_agree_on_e7():
 def test_parabolic_index_times_subgroup_order():
     for label in ("A3", "B/C3", "D4", "F4"):
         pres = full_presentation(dynkin.standard_diagram(label))
-        table = coset_enumerate(pres, [(g,) for g in range(pres.n - 1)])
+        table = enumerate_cosets(pres, [(g,) for g in range(pres.n - 1)])
         sub = Presentation(
             pres.n - 1,
             [r for r in pres.relations if all(l < pres.n - 1 for l in r.word)],
         )
-        assert table.coset_count * group_order(sub, "direct") == group_order(pres, "direct")
+        assert len(table) * group_order(sub, "direct") == group_order(pres, "direct")
 
 
 def test_trivial_and_tiny_presentations():
@@ -249,48 +250,57 @@ def test_stats_accumulate_cosets_defined():
 
 def test_enumeration_overflow_status():
     pres = full_presentation(dynkin.standard_diagram("A4"))
-    table = coset_enumerate(pres, (), cap=7)
-    assert table.status == "overflow"
     with pytest.raises(CosetCapExceeded):
         group_order(pres, "direct", cap=7)
 
 
-def test_perm_rep_requires_complete_table():
-    pres = full_presentation(dynkin.standard_diagram("A4"))
-    table = coset_enumerate(pres, (), cap=7)
-    with pytest.raises(ValueError):
-        perm_rep(table)
+# ------------------------------------------------- the reference enumerator
 
 
-# ------------------------------------------------- permutation representation
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "A4", "A5", "B/C2", "B/C3", "B/C4", "D4", "D5", "G2", "F4"],
+)
+def test_reference_orders_match_both_order_sources(label):
+    pres = full_presentation(dynkin.standard_diagram(label))
+    assert len(enumerate_cosets(pres)) == _order_by_root_permutations(label) == weyl_order(label)
+
+
+def test_reference_imports_nothing_from_the_package():
+    path = pathlib.Path(__file__).with_name("reference_cosets.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported and not any(name.split(".")[0] in ("", "cluster_presents") for name in imported), imported
 
 
 def test_regular_representation_properties():
     pres = full_presentation(dynkin.standard_diagram("B/C3"))
-    table = coset_enumerate(pres)
-    rep = perm_rep(table)
-    assert rep.degree == group_order(pres, "direct")
-    identity = tuple(range(rep.degree))
+    images = regular_images(pres)
+    assert len(images[0]) == group_order(pres, "direct")
+    identity = tuple(range(len(images[0])))
     for g in range(pres.n):
-        assert evaluate_word(rep, (g, g)) == identity
-        assert evaluate_word(rep, (g,)) != identity
+        assert act(images, (g, g)) == identity
+        assert act(images, (g,)) != identity
     for rel in pres.relations:
-        assert evaluate_word(rep, rel.letters()) == identity
+        assert act(images, rel.letters()) == identity
     # the regular action is faithful: distinct short words act distinctly
-    assert evaluate_word(rep, (0, 1)) != evaluate_word(rep, (1, 0))
+    assert act(images, (0, 1)) != act(images, (1, 0))
 
 
 def test_check_homomorphism_detects_broken_braid():
     a2 = full_presentation(dynkin.standard_diagram("A2"))
     g2 = full_presentation(dynkin.standard_diagram("G2"))
-    rep = perm_rep(coset_enumerate(g2))
+    images = regular_images(g2)
     # sending both order-3 braid generators onto the order-6 pair must fail
-    ok, failing = check_homomorphism(rep, ((0,), (1,)), a2.relations)
-    assert not ok
+    failing = first_failing(images, ((0,), (1,)), a2.relations)
+    assert failing is not None
     assert failing.word == (0, 1) and failing.exponent == 3
     # collapsing to a single generator factors through the sign character
-    ok, failing = check_homomorphism(rep, ((0,), (0,)), a2.relations)
-    assert ok and failing is None
+    assert first_failing(images, ((0,), (0,)), a2.relations) is None
 
 
 # ------------------------------------------------- mutation certificates
@@ -318,21 +328,21 @@ def _regular_certificate(diagram, k, forward=None):
     enumerated in full: (order, mutated order, forward, inverse, composition)."""
     mutated = mutate_diagram(diagram, k)
     pres, pres_mut = full_presentation(diagram), full_presentation(mutated)
-    rep, rep_mut = perm_rep(coset_enumerate(pres)), perm_rep(coset_enumerate(pres_mut))
+    images, images_mut = regular_images(pres), regular_images(pres_mut)
     forward = forward or mutation_witness_words(diagram, k)
     inverse = inverse_mutation_witness_words(mutated, k)
-    fwd = check_homomorphism(rep, forward, pres_mut.relations)[0]
-    inv = check_homomorphism(rep_mut, inverse, pres.relations)[0]
+    fwd = first_failing(images, forward, pres_mut.relations) is None
+    inv = first_failing(images_mut, inverse, pres.relations) is None
 
     def composite(outer, inner, i):
         return tuple(x for letter in outer[i] for x in inner[letter])
 
     comp = fwd and inv and all(
-        evaluate_word(rep_mut, composite(forward, inverse, i)) == evaluate_word(rep_mut, (i,))
-        and evaluate_word(rep, composite(inverse, forward, i)) == evaluate_word(rep, (i,))
+        act(images_mut, composite(forward, inverse, i)) == act(images_mut, (i,))
+        and act(images, composite(inverse, forward, i)) == act(images, (i,))
         for i in range(diagram.n)
     )
-    return rep.degree, rep_mut.degree, fwd, inv, comp
+    return len(images[0]), len(images_mut[0]), fwd, inv, comp
 
 
 # Disconnected inputs with their components' vertices interleaved, so a

@@ -13,14 +13,14 @@ import pytest
 from cluster_presents import dynkin
 from cluster_presents.diagram import (
     ChordlessCycle,
+    _canonical_labeling,
+    _canonical_search,
     _relabel,
     Diagram,
     DiagramError,
     MutationClassOverflow,
     NotFiniteTypeError,
     canonical_form,
-    canonical_form_unoriented,
-    canonical_representative,
     chordless_cycles,
     diagram_of,
     identify_dynkin_type,
@@ -315,6 +315,12 @@ def _isomorphic_bruteforce(d1, d2, oriented=True):
     return False
 
 
+def _unoriented_form(d):
+    """The canonical form of the underlying weighted unoriented graph."""
+    codes, _ = _canonical_search(d, oriented=False)
+    return bytes([d.n]) + bytes(codes)
+
+
 def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(24)
     for _ in range(80):
@@ -324,7 +330,7 @@ def test_canonical_form_invariant_under_relabeling():
         rng.shuffle(perm)
         relabeled = Diagram(n, ((perm[i], perm[j], w) for i, j, w in d.edges))
         assert canonical_form(d) == canonical_form(relabeled)
-        assert canonical_form_unoriented(d) == canonical_form_unoriented(relabeled)
+        assert _unoriented_form(d) == _unoriented_form(relabeled)
 
 
 def test_canonical_form_equality_matches_isomorphism():
@@ -343,14 +349,15 @@ def test_canonical_form_unoriented_quotients_orientation():
     d1 = Diagram(3, [(0, 1, 1), (1, 2, 1)])
     d2 = Diagram(3, [(0, 1, 1), (2, 1, 1)])  # sink in the middle
     assert canonical_form(d1) != canonical_form(d2)
-    assert canonical_form_unoriented(d1) == canonical_form_unoriented(d2)
+    assert _unoriented_form(d1) == _unoriented_form(d2)
 
 
 def test_canonical_representative_realizes_key():
     rng = random.Random(26)
     for _ in range(40):
         d = _random_diagram(rng, rng.randrange(1, 7))
-        key, rep = canonical_representative(d)
+        key, perm = _canonical_labeling(d)
+        rep = _relabel(d, perm)
         assert canonical_form(rep) == key == canonical_form(d)
 
 
@@ -395,7 +402,7 @@ def test_canonical_form_is_the_least_encoding_over_rank_sorted_labelings():
     for _ in range(300):
         d = _random_diagram(rng, rng.randrange(1, 7))
         assert canonical_form(d) == _min_encoding_bruteforce(d, oriented=True)
-        assert canonical_form_unoriented(d) == _min_encoding_bruteforce(d, oriented=False)
+        assert _unoriented_form(d) == _min_encoding_bruteforce(d, oriented=False)
 
 
 def test_canonical_form_rank_cap():
@@ -496,7 +503,7 @@ def test_class_is_closed_under_mutation():
     keys = set(mc.keys)
     for member in mc.members:
         for k in range(member.n):
-            child_key, _ = canonical_representative(mutate_diagram(member, k))
+            child_key, _ = _canonical_labeling(mutate_diagram(member, k))
             assert child_key in keys
 
 

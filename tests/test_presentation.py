@@ -47,6 +47,9 @@ def test_presentation_validates_letters_and_involutions():
         Presentation(1, [Relation((0,), 2), Relation((), 1)])
     with pytest.raises(ValueError, match=r"out of range in \(s1 s3\)\^2$"):
         Presentation(2, [Relation((0,), 2), Relation((1,), 2), Relation((0, 2), 2)])
+    # refused at s2 at once, without walking the other generators
+    with pytest.raises(ValueError, match=r"^missing involution relation for s2$"):
+        Presentation(10**9, [Relation((0,), 2)])
 
 
 def test_cycle_words_around_four_cycle():
