@@ -34,7 +34,7 @@ from .coset import (
     CosetCapExceeded,
     _certify,
     _companion_entries,
-    group_order,
+    _enumerate,
     verify_mutation_isomorphism,
     weyl_order,
 )
@@ -339,12 +339,10 @@ def _cmd_present(args, argv) -> int:
 
 
 def _cmd_order(args, argv) -> int:
-    stats: dict = {}
-    try:
-        order = group_order(_load(args.file, load_presentation), "direct", _coset_cap(args), stats)
-    except CosetCapExceeded:
-        order = None
-    return _verdict({"order": order, "strategy": "direct", "cosets_defined": stats.get("cosets_defined", 0),
+    """group_order's exact enumeration with its cosets defined (none for no generators)."""
+    presentation = _load(args.file, load_presentation)
+    order, defined = _enumerate(presentation, (), _coset_cap(args)) if presentation.n else (1, 0)
+    return _verdict({"order": order, "strategy": "direct", "cosets_defined": defined,
                      "verdict": "overflow" if order is None else "pass"})
 
 
@@ -361,7 +359,7 @@ def _cmd_verify_mutation(args, argv) -> int:
         {
             "order": cert.order,
             "mutated_order": cert.mutated_order,
-            "strategy": cert.strategy,
+            "strategy": "tower",
             "cosets_defined": cert.cosets_defined,
             "vertex": args.vertex,
             "forward_homomorphism": cert.forward_homomorphism,

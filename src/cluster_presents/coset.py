@@ -5,16 +5,18 @@ presentations in which every generator is an involution: the table keeps one
 column per generator and every table write is symmetric, so the involution
 relations are baked into the data structure.
 
-Orders can be computed directly (enumerate cosets of the trivial subgroup) or
-by a parabolic tower: drop a generator of least degree, enumerate the cosets
-of the subgroup the others generate, go on with the relations among the
-others, and multiply the indices.  Each index is exact, and each restricted
-presentation maps onto the subgroup its generators generate, so the tower
-answer is an upper bound on the order.  The certificates close it from below:
-the relations holding on a companion basis (roots.relations_hold) map the
-presented group onto W.  _certify is the one place where the two bounds meet,
-for theorem-a, verify-type and both sides of verify_mutation_isomorphism: an
-upper bound equal to |W| (weyl_order) is then the order.
+group_order enumerates the cosets of the trivial subgroup, so the order it
+returns is exact.  The certificates bound the order instead, from both sides,
+in _certify, for theorem-a, verify-type and both sides of
+verify_mutation_isomorphism.  From above by a parabolic tower (_tower): drop a
+generator of least degree, enumerate the cosets of the subgroup the others
+generate, go on with the relations among the others, and multiply the
+indices.  Each index is exact, and each restricted presentation maps onto the
+subgroup its generators generate, so the product is an upper bound on the
+order, and no more: on the trivial group <s1, s2 | s1^2, s2^2, (s1 s2)^3, s2>
+the tower gives 2.  From below by the relations holding on a companion basis
+(roots.relations_hold), which map the presented group onto W.  An upper bound
+equal to |W| (weyl_order) is then the order.
 
 Mutation certificates check the witness maps in the reflection representation
 instead of the regular one: s_i acts on the root lattice by an n x n integer
@@ -65,10 +67,6 @@ class CosetCapExceeded(RuntimeError):
         self.cosets_defined = cosets_defined
 
 
-class _Overflow(Exception):
-    """The live-coset cap stopped an enumeration; args[0] is the cosets defined."""
-
-
 def _relator_words(presentation: Presentation) -> list[Word]:
     """The relators to scan: an even power of one generator holds in every
     table, whose generators are involutions; an odd one, (s)^e = s, does not."""
@@ -76,16 +74,16 @@ def _relator_words(presentation: Presentation) -> list[Word]:
             if len(rel.word) > 1 or rel.exponent % 2]
 
 
-def _enumerate(presentation: Presentation, subgroup_words, cap: int):
-    """Enumerate the cosets of the subgroup the words generate: (live, defined).
+def _enumerate(presentation: Presentation, subgroup_words, cap: int) -> tuple[int | None, int]:
+    """Enumerate the cosets of the subgroup the words generate: (index, defined).
 
     Deterministic HLT strategy: the subgroup words are scanned at the base
     coset, then each live coset scans every relator and fills its remaining
     entries in generator order.  table[c] is None once coset c is merged, and
     a surviving row may still name merged cosets, which rep maps to
     survivors; live is the number of survivors, the index, and defined counts
-    every definition made, including cosets later merged away.  Raises
-    _Overflow when the cap stops it."""
+    every definition made, including cosets later merged away.  The index is
+    None when the cap stops the enumeration."""
     if cap < 1:
         raise ValueError("cap must be positive")
     ngen = presentation.n
@@ -104,7 +102,7 @@ def _enumerate(presentation: Presentation, subgroup_words, cap: int):
     def define(c: int, g: int) -> int:
         nonlocal live, defined
         if live >= cap:
-            raise _Overflow(defined)
+            raise CosetCapExceeded(cap, defined)  # unwinds to the end of _enumerate
         b = len(table)
         table.append([-1] * ngen)
         parent.append(b)
@@ -171,24 +169,27 @@ def _enumerate(presentation: Presentation, subgroup_words, cap: int):
                 return
             define(f, word[i])
 
-    for word in subgroup_words:
-        if word:
-            scan(0, word)
-    alpha = 0
-    while alpha < len(table):
-        if parent[alpha] != alpha:
-            alpha += 1
-            continue
-        for word in relators:
-            scan(alpha, word)
+    try:
+        for word in subgroup_words:
+            if word:
+                scan(0, word)
+        alpha = 0
+        while alpha < len(table):
             if parent[alpha] != alpha:
-                break
-        if parent[alpha] == alpha:
-            row = table[alpha]
-            for g in range(ngen):
-                if row[g] == -1:
-                    define(alpha, g)
-        alpha += 1
+                alpha += 1
+                continue
+            for word in relators:
+                scan(alpha, word)
+                if parent[alpha] != alpha:
+                    break
+            if parent[alpha] == alpha:
+                row = table[alpha]
+                for g in range(ngen):
+                    if row[g] == -1:
+                        define(alpha, g)
+            alpha += 1
+    except CosetCapExceeded:
+        return None, defined
     return live, defined
 
 
@@ -215,46 +216,39 @@ def _drop(presentation: Presentation, g: int) -> Presentation:
     return Presentation(presentation.n - 1, kept)
 
 
-def _index(presentation: Presentation, subgroup, cap: int, stats: dict) -> int:
-    """The index of the subgroup, counting the cosets defined into stats."""
-    try:
-        index, defined = _enumerate(presentation, subgroup, cap)
-    except _Overflow as exc:
-        index, defined = None, exc.args[0]
-    stats["cosets_defined"] = stats.get("cosets_defined", 0) + defined
-    if index is None:
-        raise CosetCapExceeded(cap, stats["cosets_defined"])
-    return index
+def group_order(presentation: Presentation, cap: int = DEFAULT_COSET_CAP) -> int:
+    """Order of the presented group, exact: the index of the trivial subgroup.
+    Raises CosetCapExceeded when the cap stops the enumeration."""
+    order, defined = _enumerate(presentation, (), cap)
+    if order is None:
+        raise CosetCapExceeded(cap, defined)
+    return order
 
 
-def group_order(presentation: Presentation, strategy: str = "direct", cap: int = DEFAULT_COSET_CAP, stats: dict | None = None) -> int:
-    """Order of the presented group; raises CosetCapExceeded on overflow.
+def _tower(presentation: Presentation, cap: int) -> tuple[int | None, list[dict], int]:
+    """The parabolic tower's upper bound on the order: (bound, levels, defined).
 
-    strategy "direct" enumerates the trivial subgroup.  "tower" drops a
-    generator of least degree (_degrees; ties go to the highest index),
-    enumerates the cosets of the subgroup the others generate, and goes on
-    with the relations among the others until no generator is left.  stats,
-    if given, accumulates "cosets_defined", and the tower appends one
-    {"dropped": generator, "index": cosets} per level to its "tower" list,
-    the generator 0-based in the input's numbering.  On overflow the
-    exception carries the same cosets_defined total.
-    """
-    stats = {} if stats is None else stats
-    if strategy == "direct":
-        return _index(presentation, (), cap, stats) if presentation.n else 1
-    if strategy != "tower":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    tower = stats.setdefault("tower", [])
-    labels = list(range(presentation.n))  # the input's number of each generator
-    order = 1
+    Each level drops a generator of least degree (_degrees; ties go to the
+    highest index), enumerates the cosets of the subgroup the others
+    generate, and goes on with the relations among the others until no
+    generator is left.  levels holds one {"dropped": generator, "index":
+    cosets} per completed level, the generator 1-based in the input's
+    numbering; defined counts the cosets of every level.  The bound is None
+    when the cap stops a level."""
+    labels = list(range(1, presentation.n + 1))  # the input's number of each generator
+    levels: list[dict] = []
+    order, defined = 1, 0
     while presentation.n:
         degree = _degrees(presentation)
         g = min(reversed(range(presentation.n)), key=degree.__getitem__)
-        index = _index(presentation, [(h,) for h in range(presentation.n) if h != g], cap, stats)
-        tower.append({"dropped": labels.pop(g), "index": index})
+        index, count = _enumerate(presentation, [(h,) for h in range(presentation.n) if h != g], cap)
+        defined += count
+        if index is None:
+            return None, levels, defined
+        levels.append({"dropped": labels.pop(g), "index": index})
         order *= index
         presentation = _drop(presentation, g)
-    return order
+    return order, levels, defined
 
 
 @dataclass(frozen=True)
@@ -264,7 +258,6 @@ class MutationIsomorphismReport:
     vertex: int
     order: int
     mutated_order: int
-    strategy: str
     cosets_defined: int  # by both order computations
     forward_homomorphism: bool
     inverse_homomorphism: bool
@@ -319,7 +312,7 @@ class _Certificate:
     """The two bounds on a presented group and their verdict (_certify)."""
 
     order: int | None  # the tower's upper bound, None after an overflow
-    tower: list  # the completed levels as reports print them, dropped 1-based
+    tower: list[dict]  # the completed levels as reports print them
     cosets_defined: int
     lower_bound: bool
     verdict: str  # "pass" | "fail" | "overflow"
@@ -329,18 +322,13 @@ def _certify(presentation: Presentation, entries, expected: int, cap: int) -> _C
     """Certify |G| = |W| = expected: the tower bounds |G| from above, and the
     relations holding on the companion matrix entries from below
     (roots.relations_hold), checked even after an overflow for verify-type."""
-    stats: dict = {}
-    try:
-        order = group_order(presentation, "tower", cap, stats)
-    except CosetCapExceeded:
-        order = None
+    order, tower, defined = _tower(presentation, cap)
     lower_bound = _first_failing(entries, presentation.relations) is None
     if order is None:
         verdict = "overflow"
     else:
         verdict = "pass" if order == expected and lower_bound else "fail"
-    tower = [{"dropped": level["dropped"] + 1, "index": level["index"]} for level in stats["tower"]]
-    return _Certificate(order, tower, stats.get("cosets_defined", 0), lower_bound, verdict)
+    return _Certificate(order, tower, defined, lower_bound, verdict)
 
 
 def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COSET_CAP) -> MutationIsomorphismReport:
@@ -394,7 +382,6 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
         vertex=k,
         order=side.order,
         mutated_order=side_mut.order,
-        strategy="tower",
         cosets_defined=side.cosets_defined + side_mut.cosets_defined,
         forward_homomorphism=fwd_fail is None,
         inverse_homomorphism=inv_fail is None,

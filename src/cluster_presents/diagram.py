@@ -323,8 +323,13 @@ def validate_finite_type_local(diagram: Diagram) -> ValidationReport:
     witness.  The connected triples are those of two neighbours of a middle
     vertex, checked in lexicographic order.
     """
+    return _validate_local(diagram, chordless_cycles(diagram))
+
+
+def _validate_local(diagram: Diagram, cycles) -> ValidationReport:
+    """validate_finite_type_local on the diagram's chordless cycles, given."""
     violations: list[Violation] = []
-    for cycle in chordless_cycles(diagram):
+    for cycle in cycles:
         if not cycle.oriented:
             violations.append(Violation(
                 "non-oriented-cycle", cycle.vertices,

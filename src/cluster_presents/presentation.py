@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import index
 
-from .diagram import ChordlessCycle, Diagram, DiagramError, chordless_cycles, validate_finite_type_local
+from .diagram import ChordlessCycle, Diagram, DiagramError, _validate_local, chordless_cycles
 
 __all__ = [
     "MAX_PRESENTATION_RANK",
@@ -39,6 +39,10 @@ Word = tuple[int, ...]
 _BOND_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 # far above any rank of finite type a certificate reaches; R2 alone is n^2/2 relations
 MAX_PRESENTATION_RANK = 1000
+# far above any relator a diagram's presentation builds: 12 letters for a
+# braid relation, at most 3(2d - 2) < 6 MAX_PRESENTATION_RANK for a cycle of d
+# vertices; the enumerator expands every relator to this many letters
+_MAX_RELATOR_LENGTH = 100_000
 
 
 def bond_order(weight: int) -> int:
@@ -90,6 +94,8 @@ class Presentation:
                 raise TypeError("relations must be Relation instances")
             if rel.exponent < 1 or not rel.word:
                 raise ValueError(f"degenerate relation {rel}")
+            if len(rel.word) * rel.exponent > _MAX_RELATOR_LENGTH:
+                raise ValueError(f"relation {rel} expands to more than {_MAX_RELATOR_LENGTH} letters")
             for letter in rel.word:
                 if not 0 <= letter < self.n:
                     raise ValueError(f"generator s{letter + 1} out of range in {rel}")
@@ -112,16 +118,18 @@ def cycle_word(cycle: ChordlessCycle, a: int) -> Word:
     return tuple(run) + tuple(reversed(run[1 : d - 1]))
 
 
-def _checked_cycles(diagram: Diagram) -> tuple[ChordlessCycle, ...]:
+def _checked_cycles(diagram: Diagram) -> list[ChordlessCycle]:
+    """The chordless cycles, enumerated once, of a diagram that admits a presentation."""
     if diagram.n > MAX_PRESENTATION_RANK:
         raise ValueError(f"presentations support rank <= {MAX_PRESENTATION_RANK}, not {diagram.n}")
-    report = validate_finite_type_local(diagram)
+    cycles = chordless_cycles(diagram)
+    report = _validate_local(diagram, cycles)
     if not report.ok:
         raise DiagramError(f"diagram admits no presentation: {report.first.detail}")
     if diagram.max_weight() > 3:
         raise DiagramError(
             f"diagram admits no presentation: no bond order for edge weight {diagram.max_weight()}")
-    return chordless_cycles(diagram)
+    return cycles
 
 
 def _involution_and_braid_relations(diagram: Diagram) -> list[Relation]:

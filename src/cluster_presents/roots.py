@@ -419,8 +419,8 @@ def relations_hold(basis: CompanionBasis, relations) -> bool:
     s_{beta_k} beta_i, so the carried reflections generate W.  When they
     satisfy the relations of a presentation, s_g |-> reflection in beta_g maps
     the presented group G onto W, so |G| >= |W| = prod d_i (coset.weyl_order).
-    The tower bounds |G| from above (coset.group_order); the two bounds meet
-    in one place, coset._certify, which certifies |G| = |W|.
+    The parabolic tower bounds |G| from above (coset._tower); the two bounds
+    meet in one place, coset._certify, which certifies |G| = |W|.
     """
     return _first_failing(_coroot_pairings(basis), relations) is None
 

@@ -12,8 +12,9 @@ from collections import deque
 
 import pytest
 
-from cluster_presents import dynkin
+from cluster_presents import coset, dynkin
 from cluster_presents.coset import (
+    DEFAULT_COSET_CAP,
     group_order,
     verify_mutation_isomorphism,
     weyl_order,
@@ -78,6 +79,11 @@ def mutation_classes():
     return {label: mutation_class(dynkin.standard_diagram(label)) for label in CLASS_LABELS}
 
 
+def _tower_bound(presentation):
+    """The certificates' parabolic tower's upper bound on the order (coset._tower)."""
+    return coset._tower(presentation, DEFAULT_COSET_CAP)[0]
+
+
 @pytest.fixture(scope="module")
 def classes(mutation_classes):
     return {label: mclass.members for label, mclass in mutation_classes.items()}
@@ -87,7 +93,7 @@ def classes(mutation_classes):
 def reduced_orders(classes):
     # tower orders are upper bounds; criterion 01 closes them from below
     return {
-        label: [group_order(reduced_presentation(member), "tower") for member in members]
+        label: [_tower_bound(reduced_presentation(member)) for member in members]
         for label, members in classes.items()
     }
 
@@ -140,7 +146,7 @@ def test_criterion_01_every_class_member_presents_the_weyl_group(mutation_classe
 def test_criterion_02_full_and_reduced_presentations_agree(classes, reduced_orders):
     for label, members in classes.items():
         for member, reduced_order in zip(members, reduced_orders[label]):
-            full_order = group_order(full_presentation(member), "tower")
+            full_order = _tower_bound(full_presentation(member))
             assert full_order == reduced_order, f"{label}: {full_order} != {reduced_order}"
 
 
@@ -160,7 +166,7 @@ def test_criterion_03_four_cycle_presentation_matches_golden_file():
 def test_criterion_04_opposite_diagram_has_equal_order(classes, reduced_orders):
     for label, members in classes.items():
         for member, order in zip(members, reduced_orders[label]):
-            opposite_order = group_order(reduced_presentation(opposite(member)), "tower")
+            opposite_order = _tower_bound(reduced_presentation(opposite(member)))
             assert opposite_order == order, f"{label}: {opposite_order} != {order}"
 
 
@@ -252,8 +258,8 @@ def test_criterion_11_enumerator_is_self_consistent():
     rank_le5 = [l for l in RANK_LE6_LABELS if dynkin.parse_label(l)[1] <= 5]
     for label in rank_le5 + ["D6"]:
         pres = full_presentation(dynkin.standard_diagram(label))
-        direct = group_order(pres, "direct")
-        assert direct == group_order(pres, "tower"), label
+        direct = group_order(pres)
+        assert direct == _tower_bound(pres), label
         images = regular_images(pres)
         assert len(images[0]) == direct, label
         identity = tuple(range(direct))

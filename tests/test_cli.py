@@ -14,7 +14,7 @@ import pytest
 
 from cluster_presents import cli, coset, dynkin
 from cluster_presents.cli import main
-from cluster_presents.coset import group_order, weyl_order
+from cluster_presents.coset import DEFAULT_COSET_CAP, weyl_order
 from cluster_presents.diagram import diagram_of, mutate_diagram
 from cluster_presents.exchange import mutate_matrix
 from cluster_presents.formats import (
@@ -306,11 +306,9 @@ def test_verify_mutation_counts_both_enumerations(tmp_path, capsys):
     assert main(["verify-mutation", path, "1"]) == 0
     data = _json_out(capsys)
     diagram = diagram_of(load_matrix(CYCLE_MATRIX))
-    towers = [{}, {}]
-    group_order(full_presentation(diagram), "tower", stats=towers[0])
-    group_order(full_presentation(mutate_diagram(diagram, 0)), "tower", stats=towers[1])
+    towers = [coset._tower(full_presentation(d), DEFAULT_COSET_CAP) for d in (diagram, mutate_diagram(diagram, 0))]
     assert data["strategy"] == "tower"
-    assert data["cosets_defined"] == sum(stats["cosets_defined"] for stats in towers)
+    assert data["cosets_defined"] == sum(defined for _, _, defined in towers)
 
 
 def test_verify_mutation_overflow(tmp_path, capsys):
@@ -613,6 +611,26 @@ def test_order_refuses_a_huge_generator_count_at_once(tmp_path, capsys):
         tracemalloc.stop()
     assert err.value.code == 2
     assert capsys.readouterr() == ("", f"error: {path}: missing involution relation for s2\n")
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("command", ["order", "export"])
+@pytest.mark.parametrize("relations, relation", [
+    ("(s1 s2)^99999999999\n", "(s1 s2)^99999999999"),
+    ("(s1 s2)^3\n(s2)^99999999999\n", "(s2)^99999999999"),
+])
+def test_presentation_commands_refuse_a_huge_exponent_at_once(tmp_path, capsys, command, relations, relation):
+    # a relator of 10^11 letters or more, refused before anything expands it
+    path = _write(tmp_path, "huge.pres", "generators 2\n(s1)^2\n(s2)^2\n" + relations)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            main([command, path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {path}: relation {relation} expands to more than 100000 letters\n")
     assert peak < 1_000_000
 
 

@@ -22,6 +22,7 @@ import pytest
 
 from cluster_presents import coset, dynkin
 from cluster_presents.coset import (
+    DEFAULT_COSET_CAP,
     CosetCapExceeded,
     group_order,
     verify_mutation_isomorphism,
@@ -53,6 +54,11 @@ from reference_cosets import act, enumerate_cosets, first_failing, regular_image
 FOUR_CYCLE = diagram_of(
     ExchangeMatrix([[0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 1], [1, 0, -1, 0]])
 )
+
+
+def _tower_bound(presentation):
+    """The certificates' parabolic tower's upper bound on the order (coset._tower)."""
+    return coset._tower(presentation, DEFAULT_COSET_CAP)[0]
 
 
 # ------------------------------------------------- permutation-group oracle
@@ -116,17 +122,17 @@ def _order_by_root_permutations(label):
 )
 def test_direct_enumeration_matches_permutation_oracle(label):
     pres = full_presentation(dynkin.standard_diagram(label))
-    assert group_order(pres, "direct") == _order_by_root_permutations(label)
+    assert group_order(pres) == _order_by_root_permutations(label)
 
 
 def test_d6_tower_matches_permutation_oracle():
     pres = full_presentation(dynkin.standard_diagram("D6"))
-    assert group_order(pres, "tower") == _order_by_root_permutations("D6")
+    assert _tower_bound(pres) == _order_by_root_permutations("D6")
 
 
 def test_e6_tower_matches_permutation_oracle():
     pres = full_presentation(dynkin.standard_diagram("E6"))
-    assert group_order(pres, "tower") == _order_by_root_permutations("E6")
+    assert _tower_bound(pres) == _order_by_root_permutations("E6")
 
 
 def test_closed_form_symmetric_group_orders():
@@ -147,12 +153,12 @@ def test_closed_form_even_hyperoctahedral_orders():
 @pytest.mark.parametrize("label", ["A7", "B/C6", "D7", "E6", "F4", "G2"])
 def test_tree_presentation_order_is_the_degree_product(label):
     pres = full_presentation(dynkin.standard_diagram(label))
-    assert group_order(pres, "tower") == weyl_order(label)
+    assert _tower_bound(pres) == weyl_order(label)
 
 
 def test_cycle_presentation_order_equals_tree_order():
     pres = full_presentation(FOUR_CYCLE)
-    assert group_order(pres, "direct") == weyl_order("D4")
+    assert group_order(pres) == weyl_order("D4")
 
 
 # ------------------------------------------------- strategies and subgroups
@@ -161,33 +167,34 @@ def test_cycle_presentation_order_equals_tree_order():
 @pytest.mark.parametrize("label", ["A3", "A5", "B/C4", "D5", "F4", "G2"])
 def test_tower_agrees_with_direct(label):
     pres = full_presentation(dynkin.standard_diagram(label))
-    assert group_order(pres, "tower") == group_order(pres, "direct")
+    assert _tower_bound(pres) == group_order(pres)
 
 
 @pytest.mark.parametrize("label", ["A5", "D5", "B/C4", "F4", "G2"])
 def test_tower_agrees_with_direct_on_every_member(label):
     for member in mutation_class(dynkin.standard_diagram(label)).members:
         for pres in (full_presentation(member), reduced_presentation(member)):
-            assert group_order(pres, "tower") == group_order(pres, "direct") == weyl_order(label), member.edges
+            assert _tower_bound(pres) == group_order(pres) == weyl_order(label), member.edges
 
 
 def test_tower_drops_a_generator_of_least_degree():
-    # A5 chain: the ends have degree 1, and the tie goes to the highest index
-    stats = {}
-    assert group_order(full_presentation(dynkin.standard_diagram("A5")), "tower", stats=stats) == 720
-    assert stats["tower"] == [{"dropped": g, "index": g + 2} for g in (4, 3, 2, 1, 0)]
+    # A5 chain: the ends have degree 1, and the tie goes to the highest index;
+    # the levels name generators 1-based, as reports print them
+    order, levels, _ = coset._tower(full_presentation(dynkin.standard_diagram("A5")), DEFAULT_COSET_CAP)
+    assert order == 720
+    assert levels == [{"dropped": g + 1, "index": g + 2} for g in (4, 3, 2, 1, 0)]
     # an A4 member, the cycle s1 s2 s3 with a tail s3 - s4: s4 alone has
     # degree 1, whatever its index; the levels name generators in the
     # input's numbering
-    stats = {}
     triangle = diagram_of(ExchangeMatrix([[0, 1, -1, 0], [-1, 0, 1, 0], [1, -1, 0, 1], [0, 0, -1, 0]]))
     relabeled = diagram_of(ExchangeMatrix([[0, -1, 0, 0], [1, 0, 1, -1], [0, -1, 0, 1], [0, 1, -1, 0]]))
-    assert group_order(full_presentation(triangle), "tower", stats=stats) == weyl_order("A4")
-    assert stats["tower"][0]["dropped"] == 3
-    stats = {}
-    assert group_order(full_presentation(relabeled), "tower", stats=stats) == weyl_order("A4")
-    assert stats["tower"][0]["dropped"] == 0
-    assert math.prod(level["index"] for level in stats["tower"]) == weyl_order("A4")
+    order, levels, _ = coset._tower(full_presentation(triangle), DEFAULT_COSET_CAP)
+    assert order == weyl_order("A4")
+    assert levels[0]["dropped"] == 3 + 1
+    order, levels, _ = coset._tower(full_presentation(relabeled), DEFAULT_COSET_CAP)
+    assert order == weyl_order("A4")
+    assert levels[0]["dropped"] == 0 + 1
+    assert math.prod(level["index"] for level in levels) == weyl_order("A4")
 
 
 def test_two_different_towers_agree_on_e7():
@@ -202,7 +209,7 @@ def test_two_different_towers_agree_on_e7():
             for rel in pres.relations
         ],
     )
-    assert group_order(pres, "tower") == group_order(relabeled, "tower")
+    assert _tower_bound(pres) == _tower_bound(relabeled)
 
 
 def test_parabolic_index_times_subgroup_order():
@@ -213,13 +220,22 @@ def test_parabolic_index_times_subgroup_order():
             pres.n - 1,
             [r for r in pres.relations if all(l < pres.n - 1 for l in r.word)],
         )
-        assert len(table) * group_order(sub, "direct") == group_order(pres, "direct")
+        assert len(table) * group_order(sub) == group_order(pres)
 
 
 def test_trivial_and_tiny_presentations():
-    assert group_order(Presentation(0, []), "direct") == 1
-    assert group_order(Presentation(0, []), "tower") == 1
-    assert group_order(Presentation(1, [Relation((0,), 2)]), "tower") == 2
+    assert group_order(Presentation(0, [])) == 1
+    assert _tower_bound(Presentation(0, [])) == 1
+    assert _tower_bound(Presentation(1, [Relation((0,), 2)])) == 2
+
+
+def test_group_order_is_exact_where_the_tower_only_bounds():
+    # s2 = e, so s1^3 = e and s1 = e: the group is trivial.  The tower drops
+    # s2, the highest of two of degree 1, and <s1> has index 1; but the
+    # relations among s1 alone, <s1 | s1^2>, present a group of order 2.
+    pres = Presentation(2, [Relation((0,), 2), Relation((1,), 2), Relation((0, 1), 3), Relation((1,), 1)])
+    assert group_order(pres) == 1
+    assert coset._tower(pres, DEFAULT_COSET_CAP) == (2, [{"dropped": 2, "index": 1}, {"dropped": 1, "index": 2}], 5)
 
 
 @pytest.mark.parametrize("exponent, order", [(1, 1), (3, 1), (4, 6)])
@@ -227,22 +243,15 @@ def test_an_odd_power_of_a_generator_is_a_relator(exponent, order):
     # every generator is an involution in the table, so (s2)^e is s2 for odd e
     # and the group collapses; an even e adds nothing to the symmetric group S3
     relations = [Relation((0,), 2), Relation((1,), 2), Relation((0, 1), 3), Relation((1,), exponent)]
-    assert group_order(Presentation(2, relations), "direct") == order
-
-
-def test_unknown_strategy_rejected():
-    pres = full_presentation(dynkin.standard_diagram("A2"))
-    with pytest.raises(ValueError):
-        group_order(pres, "fastest")
+    assert group_order(Presentation(2, relations)) == order
 
 
 def test_stats_accumulate_cosets_defined():
     pres = full_presentation(dynkin.standard_diagram("A4"))
-    stats = {}
-    order = group_order(pres, "tower", stats=stats)
+    order, _, defined = coset._tower(pres, DEFAULT_COSET_CAP)
     assert order == math.factorial(5)
     # every coset surviving at every tower level was defined at some point
-    assert stats["cosets_defined"] >= 5 + 4 + 3 + 2
+    assert defined >= 5 + 4 + 3 + 2
 
 
 # ------------------------------------------------- overflow handling
@@ -251,7 +260,7 @@ def test_stats_accumulate_cosets_defined():
 def test_enumeration_overflow_status():
     pres = full_presentation(dynkin.standard_diagram("A4"))
     with pytest.raises(CosetCapExceeded):
-        group_order(pres, "direct", cap=7)
+        group_order(pres, cap=7)
 
 
 # ------------------------------------------------- the reference enumerator
@@ -280,7 +289,7 @@ def test_reference_imports_nothing_from_the_package():
 def test_regular_representation_properties():
     pres = full_presentation(dynkin.standard_diagram("B/C3"))
     images = regular_images(pres)
-    assert len(images[0]) == group_order(pres, "direct")
+    assert len(images[0]) == group_order(pres)
     identity = tuple(range(len(images[0])))
     for g in range(pres.n):
         assert act(images, (g, g)) == identity
@@ -320,7 +329,7 @@ def test_mutation_certificate_on_tree():
     report = verify_mutation_isomorphism(dynkin.standard_diagram("B/C3"), 1)
     assert report.passed
     assert report.order == weyl_order("B3")
-    assert (report.strategy, report.faithful) == ("tower", True)
+    assert report.faithful
 
 
 def _regular_certificate(diagram, k, forward=None):
@@ -445,9 +454,9 @@ def test_mutation_certificate_overflow():
 
 def test_mutation_certificate_overflow_on_the_mutated_side_counts_both_sides():
     tree = dynkin.standard_diagram("B/C3")
-    stats: dict = {}
-    assert group_order(full_presentation(tree), "tower", 6, stats) == weyl_order("B/C3")
-    assert stats["cosets_defined"] == 12
+    order, _, defined = coset._tower(full_presentation(tree), 6)
+    assert order == weyl_order("B/C3")
+    assert defined == 12
     with pytest.raises(CosetCapExceeded) as err:
         verify_mutation_isomorphism(tree, 1, cap=6)
     assert (err.value.cap, err.value.cosets_defined) == (6, 18)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cluster_presents import diagram, presentation
 from cluster_presents.diagram import Diagram, DiagramError, diagram_of, mutate_diagram
 from cluster_presents.dynkin import standard_diagram
 from cluster_presents.exchange import ExchangeMatrix
@@ -50,6 +51,32 @@ def test_presentation_validates_letters_and_involutions():
     # refused at s2 at once, without walking the other generators
     with pytest.raises(ValueError, match=r"^missing involution relation for s2$"):
         Presentation(10**9, [Relation((0,), 2)])
+
+
+def test_presentation_refuses_a_relator_too_long_to_expand():
+    # the enumerator expands (w)^e to len(w) * e letters
+    involutions = [Relation((0,), 2), Relation((1,), 2)]
+    longest = presentation._MAX_RELATOR_LENGTH
+    assert Presentation(2, [*involutions, Relation((0, 1), longest // 2)])
+    with pytest.raises(ValueError, match=r"^relation \(s1 s2\)\^50001 expands to more than 100000 letters$"):
+        Presentation(2, [*involutions, Relation((0, 1), longest // 2 + 1)])
+    with pytest.raises(ValueError, match=r"^relation \(s2\)\^99999999999 expands to more than 100000 letters$"):
+        Presentation(2, [*involutions, Relation((1,), 99999999999)])
+
+
+@pytest.mark.parametrize("builder", [full_presentation, reduced_presentation])
+def test_presentations_enumerate_the_chordless_cycles_once(monkeypatch, builder):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return chordless_cycles(d)
+
+    # the validator looks the name up in diagram, the builders in presentation
+    monkeypatch.setattr(diagram, "chordless_cycles", counted)
+    monkeypatch.setattr(presentation, "chordless_cycles", counted)
+    builder(FOUR_CYCLE)
+    assert calls == [FOUR_CYCLE]
 
 
 def test_cycle_words_around_four_cycle():
