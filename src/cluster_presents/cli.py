@@ -4,8 +4,9 @@ Artifact subcommands (matrix, diagram, present, roots, companion, signed-graph,
 switch, export) print the text formats by default and JSON with --json where
 applicable.  Verification subcommands (order, verify-mutation, verify-type,
 theorem-a, pipeline) print a single JSON report.  All vertices and generators
-are 1-based on the command line.  The environment variable CLUSTER_PRESENTS_CAP
-overrides the default live-coset cap; an explicit --cap beats both.
+are 1-based on the command line, and so are those an error line names.  The
+environment variable CLUSTER_PRESENTS_CAP overrides the default live-coset
+cap; an explicit --cap beats both.
 
 Exit codes follow one rule.  0: a pass, or the artifact asked for.  1: a
 verdict of fail or overflow, or well-formed input that is not of finite type.
@@ -45,6 +46,7 @@ from .diagram import (
     DiagramError,
     MutationClassOverflow,
     NotFiniteTypeError,
+    _one_based,
     chordless_cycles,
     connected_components,
     diagram_of,
@@ -168,7 +170,7 @@ def _valid(call, *args):
     try:
         return call(*args)
     except ValueError as exc:
-        _die(str(exc))
+        _die(_one_based(exc))
 
 
 def _vertex(diagram_n: int, k: int) -> int:
@@ -256,7 +258,7 @@ def _cmd_diagram_mutate(args, argv) -> int:
         try:
             diagram = mutate_diagram(diagram, _vertex(diagram.n, k))
         except DiagramError as exc:
-            print(f"error: mutation at {k} leaves finite type: {exc}", file=sys.stderr)
+            print(f"error: mutation at {k} leaves finite type: {_one_based(exc)}", file=sys.stderr)
             return 1
     return _emit_dump(dump_diagram, diagram, args.json)
 
@@ -765,7 +767,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, argv)
     except (DiagramError, NotFiniteTypeError, MutationClassOverflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_based(exc)}", file=sys.stderr)
         return 1
 
 

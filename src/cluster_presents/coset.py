@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from math import prod
 
 from . import dynkin
-from .diagram import Diagram, connected_components, mutate_diagram
+from .diagram import Diagram, NotFiniteTypeError, connected_components, mutate_diagram
 from .presentation import Presentation, Relation, Word, full_presentation, mutation_witness_words, inverse_mutation_witness_words
 from .roots import _coroot_pairings, _first_failing, companion_basis, mutate_companion
 
@@ -297,7 +297,10 @@ def _companion_entries(diagram: Diagram, k: int = -1):
     mutated = [[0] * n for _ in range(n)] if k >= 0 else None
     labels = []
     for vertices, component in connected_components(diagram):
-        basis = companion_basis(component)
+        try:
+            basis = companion_basis(component)
+        except NotFiniteTypeError as exc:  # naming the diagram's vertices, not the component's
+            raise exc.renamed(vertices.__getitem__) from None
         labels.append(basis.system.label)
         _place(entries, vertices, basis)
         if mutated is not None:

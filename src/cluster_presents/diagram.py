@@ -3,16 +3,19 @@
 A diagram has an arrow i -> j of weight |B_ij B_ji| whenever B_ij > 0.  This
 module implements the local mutation rule on diagrams, chordless-cycle
 enumeration, the finite-type local validator, canonical labelings for
-isomorphism testing (rank <= 10, dependency-free), and BFS enumeration of
-mutation classes up to isomorphism.
+isomorphism testing (rank <= 10, dependency-free), and one breadth-first
+search of a mutation class (_search): over labeled diagrams, one per
+canonical form, either to its end, which gives the class up to isomorphism
+(mutation_class), or to the first catalogue tree it meets, from which
+roots.companion_basis carries the simple roots back.
 
 Vertices are 0-based everywhere in the library; the text formats and the CLI
-translate to 1-based.
+translate to 1-based.  An error that names vertices keeps them
+(_NamesVertices), so the formats and the CLI print them 1-based.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -45,7 +48,25 @@ MAX_CANONICAL_RANK = 10
 DEFAULT_CLASS_CAP = 50000
 
 
-class DiagramError(ValueError):
+class _NamesVertices(Exception):
+    """An error whose message, a str.format template, names the vertices it
+    keeps: 0-based in str(), as the library numbers them.  renamed(f) is the
+    same error naming each vertex v as f(v), such as v + 1 (_one_based)."""
+
+    def __init__(self, template: str, *vertices: int):
+        super().__init__(template.format(*vertices))
+        self.template, self.vertices = template, vertices
+
+    def renamed(self, name):
+        return type(self)(self.template, *map(name, self.vertices))
+
+
+def _one_based(exc: Exception) -> str:
+    """The message of exc with the vertices it names 1-based, as files and the CLI number them."""
+    return str(exc.renamed(lambda v: v + 1)) if isinstance(exc, _NamesVertices) else str(exc)
+
+
+class DiagramError(_NamesVertices, ValueError):
     """A diagram operation produced or met something structurally invalid."""
 
 
@@ -78,13 +99,13 @@ class Diagram:
         weights: dict[tuple[int, int], int] = {}
         for i, j, w in edges:
             if not (0 <= i < n and 0 <= j < n):
-                raise DiagramError(f"edge ({i},{j}) out of range for n={n}")
+                raise DiagramError(f"edge ({{}},{{}}) out of range for n={n}", i, j)
             if i == j:
-                raise DiagramError(f"self-loop at vertex {i}")
+                raise DiagramError("self-loop at vertex {}", i)
             if w < 1:
-                raise DiagramError(f"edge ({i},{j}) has non-positive weight {w}")
+                raise DiagramError(f"edge ({{}},{{}}) has non-positive weight {w}", i, j)
             if (i, j) in weights or (j, i) in weights:
-                raise DiagramError(f"parallel edge between {i} and {j}")
+                raise DiagramError("parallel edge between {} and {}", i, j)
             weights[(i, j)] = w
         out: dict[int, list[int]] = {}
         inc: dict[int, list[int]] = {}
@@ -163,14 +184,14 @@ def mutate_diagram(diagram: Diagram, k: int) -> Diagram:
             b = diagram.weight(k, j)
             if diagram.weight(i, j) > 0:
                 raise DiagramError(
-                    f"mutation at {k}: path {i}->{k}->{j} closed by a same-direction "
-                    f"edge {i}->{j} (diagram is not of finite type)")
+                    "mutation at {1}: path {0}->{1}->{2} closed by a same-direction "
+                    "edge {0}->{2} (diagram is not of finite type)", i, k, j)
             c = diagram.weight(j, i)
             c_new = max(a, b) - c
             if c_new < 0:
                 raise DiagramError(
-                    f"mutation at {k}: closing weight {c} exceeds max({a},{b}) "
-                    f"on path {i}->{k}->{j}")
+                    f"mutation at {{1}}: closing weight {c} exceeds max({a},{b}) "
+                    "on path {0}->{1}->{2}", i, k, j)
             new_edges.pop((j, i), None)
             if c_new > 0:
                 new_edges[(i, j)] = c_new
@@ -499,24 +520,54 @@ class MutationClassOverflow(RuntimeError):
         self.cap = cap
 
 
-class NotFiniteTypeError(RuntimeError):
+class NotFiniteTypeError(_NamesVertices, RuntimeError):
     """Raised when mutation-class enumeration meets a non-finite-type member."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
+def _search(diagram: Diagram, cap: int, stop=None):
+    """Breadth-first search of a diagram's mutation class: (reached, mutations, hit).
 
-def _finite_mutation(diagram: Diagram, k: int) -> Diagram:
-    """mutate_diagram at k inside a class search: a breakdown of the rule or
-    an edge of weight > 3 is NotFiniteTypeError."""
-    try:
-        child = mutate_diagram(diagram, k)
-    except DiagramError as exc:
-        raise NotFiniteTypeError(str(exc)) from exc
-    if child.max_weight() > 3:
-        raise NotFiniteTypeError(f"mutation at {k} produced an edge of weight {child.max_weight()}")
-    return child
+    From the diagram, by mutate_diagram, which keeps the vertex labels, the
+    search keeps the first diagram it reaches of each canonical form, and
+    never mutates one back at the vertex that reached it.  `reached` lists
+    them in discovery order as (diagram, parent position, vertex mutated,
+    key, perm), (key, perm) being its _canonical_labeling, the input first
+    with parent and vertex -1.  `mutations` records every mutation made as
+    (position, k, key).  With `stop`, the search ends at the first diagram d
+    with hit = stop(d) true; the input is checked before any canonical
+    labeling, and a stop there returns it alone with key and perm None.
+
+    Raises NotFiniteTypeError on an input edge of weight > 3 (the rule's new
+    weights max(a, b) - c then stay <= 3) or where the mutation rule breaks
+    down, naming mutate_diagram's vertices, MutationClassOverflow when more
+    than `cap` diagrams are kept, and ValueError above MAX_CANONICAL_RANK.
+    """
+    if diagram.max_weight() > 3:
+        raise NotFiniteTypeError(f"edge of weight {diagram.max_weight()} violates 2-finiteness")
+    if stop and (hit := stop(diagram)):
+        return [(diagram, -1, -1, None, None)], [], hit
+    reached = [(diagram, -1, -1, *_canonical_labeling(diagram))]
+    seen = {reached[0][3]}
+    mutations = []
+    for position, (parent, _, skip, _, _) in enumerate(reached):  # grows as it goes
+        for k in range(diagram.n):
+            if k == skip:
+                continue
+            try:
+                child = mutate_diagram(parent, k)
+            except DiagramError as exc:
+                raise NotFiniteTypeError(exc.template, *exc.vertices) from exc
+            key, perm = _canonical_labeling(child)
+            mutations.append((position, k, key))
+            if key in seen:
+                continue
+            if len(seen) >= cap:
+                raise MutationClassOverflow(cap)
+            seen.add(key)
+            reached.append((child, position, k, key, perm))
+            if stop and (hit := stop(child)):
+                return reached, mutations, hit
+    return reached, mutations, None
 
 
 @dataclass(frozen=True)
@@ -528,10 +579,12 @@ class MutationClass:
     rank, _canonical_search), each labeled as its key lists it; `keys` are
     those forms; `edges` holds (member index, vertex, member index) mutation
     adjacencies in the representatives' labeling; `type_label` is the
-    identified Dynkin type or "unknown".  `tree`, in no == or repr, is the
-    record of how mutation_class's search first reached each member, in
-    discovery order, as (member, k', parent, perm) in member indices, the
-    input's member first.
+    identified Dynkin type or "unknown".  `tree`, in no == or repr, is how
+    the class search (_search) first reached each member, in discovery
+    order, as (member, k', parent, perm) in member indices: vertex q of the
+    member is vertex perm[q] of the parent mutated at perm[k'].  The input's
+    member comes first, as (member, -1, member, perm), and its vertex q is
+    the input's vertex perm[q].
     """
 
     members: tuple[Diagram, ...]
@@ -545,59 +598,30 @@ class MutationClass:
 
 
 def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationClass:
-    """BFS closure of a diagram under mutation, deduplicated by canonical form.
+    """The closure of a diagram under mutation, deduplicated by canonical form.
 
-    Each member is expanded once, from its canonical representative, and
-    recorded as (k', parent key, perm): the canonical labeling perm made the
-    representative from the input, whose entry is (-1, its own key, perm), or
-    else from the parent's representative mutated at k = perm[k'].  Members
-    are emitted in canonical-string order, type_label is identify_dynkin_type's,
-    and tree is that record.
-
-    Raises NotFiniteTypeError as soon as a member carries a weight > 3 edge or
-    the mutation rule breaks down, MutationClassOverflow when more than `cap`
-    members appear, and ValueError above rank MAX_CANONICAL_RANK.
-
-    Back-edge rule: when a member C is first reached from P by mutating at k,
-    k lands on vertex k' = perm.index(k) of C's representative.  Mutation is
-    involutive, so mutating C at k' gives P again; the BFS records the edge
-    (C, k', P) without mutating or canonicalizing.  The edge set is the one
-    that mutating every member at every vertex gives, and no finite-type check
-    is skipped, since the skipped mutation would reproduce P, which passed
-    them.
+    Each diagram that _search keeps, run to its end, gives the member that
+    its canonical labeling makes of it; members are emitted in canonical-form
+    order, and type_label is identify_dynkin_type's.  Vertex k of a kept
+    diagram with labeling perm is vertex perm.index(k) of its member, which
+    turns the search's mutations, and each kept diagram's mutation back to
+    its parent, into the edges (those of mutating every member at every
+    vertex) and the tree.  Raises as _search does.
     """
-    if diagram.max_weight() > 3:
-        raise NotFiniteTypeError(
-            f"edge of weight {diagram.max_weight()} violates 2-finiteness")
-    key0, perm0 = _canonical_labeling(diagram)
-    reps = {key0: _relabel(diagram, perm0)}
-    back = {key0: (-1, key0, perm0)}
-    raw_edges: set[tuple[bytes, int, bytes]] = set()
-    queue: deque[bytes] = deque([key0])
-    while queue:
-        key = queue.popleft()
-        rep = reps[key]
-        skip, parent, _ = back[key]
-        for k in range(rep.n):
-            if k == skip:
-                raw_edges.add((key, k, parent))
-                continue
-            child = _finite_mutation(rep, k)
-            ckey, perm = _canonical_labeling(child)
-            raw_edges.add((key, k, ckey))
-            if ckey not in reps:
-                if len(reps) >= cap:
-                    raise MutationClassOverflow(cap)
-                reps[ckey] = _relabel(child, perm)
-                back[ckey] = (perm.index(k), key, perm)
-                queue.append(ckey)
-    keys = tuple(sorted(reps))
+    reached, mutations, _ = _search(diagram, cap)
+    ordered = sorted(reached, key=lambda entry: entry[3])
+    keys = tuple(entry[3] for entry in ordered)
     index = {key: i for i, key in enumerate(keys)}
-    members = tuple(reps[key] for key in keys)
-    edges = frozenset((index[a], k, index[b]) for a, k, b in raw_edges)
+    member = [index[entry[3]] for entry in reached]
+    perms = [entry[4] for entry in reached]
+    edges = {(member[p], perms[p].index(k), index[key]) for p, k, key in mutations}
+    tree = [(member[0], -1, member[0], tuple(perms[0]))]
+    for c, (_, p, k, _, perm) in enumerate(reached[1:], 1):
+        edges.add((member[c], perm.index(k), member[p]))
+        tree.append((member[c], perm.index(k), member[p], tuple(perms[p].index(v) for v in perm)))
+    members = tuple(_relabel(d, perm) for d, _, _, _, perm in ordered)
     label = next((match[0] for match in map(_tree_match, members) if match), "unknown")
-    tree = tuple((index[key], k, index[parent], tuple(perm)) for key, (k, parent, perm) in back.items())
-    return MutationClass(members, keys, edges, label, tree)
+    return MutationClass(members, keys, frozenset(edges), label, tuple(tree))
 
 
 @lru_cache(maxsize=None)

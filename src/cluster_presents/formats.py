@@ -19,7 +19,7 @@ import functools
 import json
 import re
 
-from .diagram import Diagram
+from .diagram import Diagram, _one_based
 from .exchange import ExchangeMatrix
 from .presentation import Presentation, Relation
 from .roots import SignedGraph
@@ -48,9 +48,9 @@ class FormatError(ValueError):
 def _loader(parse):
     """`parse`, raising FormatError and nothing else on malformed text.
 
-    A value class refusing what was read (ValueError) and JSON of the wrong
-    shape (TypeError, LookupError, AttributeError, OverflowError) both become
-    FormatError.
+    A value class refusing what was read (ValueError, the vertices it names
+    1-based, as on disk) and JSON of the wrong shape (TypeError, LookupError,
+    AttributeError, OverflowError) both become FormatError.
     """
 
     @functools.wraps(parse)
@@ -60,7 +60,7 @@ def _loader(parse):
         except FormatError:
             raise
         except ValueError as exc:
-            raise FormatError(str(exc)) from None
+            raise FormatError(_one_based(exc)) from None
         except (TypeError, LookupError, AttributeError, OverflowError) as exc:
             raise FormatError(f"malformed input ({type(exc).__name__}: {exc})") from None
 

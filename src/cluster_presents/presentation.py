@@ -43,6 +43,10 @@ MAX_PRESENTATION_RANK = 1000
 # braid relation, at most 3(2d - 2) < 6 MAX_PRESENTATION_RANK for a cycle of d
 # vertices; the enumerator expands every relator to this many letters
 _MAX_RELATOR_LENGTH = 100_000
+# far above the letters of all a diagram's relators: about 2 M at rank
+# MAX_PRESENTATION_RANK, nearly all in its n^2/2 braid relations of 4 letters;
+# the enumerator holds every relator expanded, 8 bytes a letter
+_MAX_PRESENTATION_LENGTH = 20_000_000
 
 
 def bond_order(weight: int) -> int:
@@ -89,6 +93,7 @@ class Presentation:
         if self.n < 0:
             raise ValueError("generator count must be nonnegative")
         involutions = set()
+        letters = 0
         for rel in relations:
             if not isinstance(rel, Relation):
                 raise TypeError("relations must be Relation instances")
@@ -96,6 +101,9 @@ class Presentation:
                 raise ValueError(f"degenerate relation {rel}")
             if len(rel.word) * rel.exponent > _MAX_RELATOR_LENGTH:
                 raise ValueError(f"relation {rel} expands to more than {_MAX_RELATOR_LENGTH} letters")
+            letters += len(rel.word) * rel.exponent
+            if letters > _MAX_PRESENTATION_LENGTH:
+                raise ValueError(f"relations expand to more than {_MAX_PRESENTATION_LENGTH} letters in all")
             for letter in rel.word:
                 if not 0 <= letter < self.n:
                     raise ValueError(f"generator s{letter + 1} out of range in {rel}")

@@ -10,13 +10,14 @@ A companion basis for an exchange matrix B is a Z-basis of the root lattice
 made of roots whose mutual pairings reproduce |B| off the diagonal; it is
 mutated by reflecting the vectors attached to arrows into (or out of) the
 mutation vertex.  The simple roots are one for every orientation of the
-type's tree.  companion_basis finds one for a diagram by a breadth-first
-search over its labeled mutations, one per canonical form, that stops at the
-first tree it meets, in any orientation, and carries the simple roots back
-along the search's steps.  companion_bases finds one for every member of a
+type's tree.  companion_basis finds one for a diagram by the class search
+(diagram._search) that mutation_class runs, stopped at the first tree it
+meets, in any orientation, and carries the simple roots back along the
+search's steps.  companion_bases finds one for every member of a
 finite-type mutation class: the input member's, carried forward along the
-record of the BFS that found the class, each step relabeled by the canonical
-labeling that search recorded, so carrying runs no canonical search.
+record of the search that found the class (MutationClass.tree), each step
+relabeled by the canonical labeling that search recorded, so carrying runs
+no canonical search.
 relations_hold checks a presentation on the reflections in such a basis, the
 lower bound of the certificates, by integer matrices read off its companion
 matrix (_first_failing, which also checks the mutation certificates' witness
@@ -31,16 +32,7 @@ from functools import lru_cache
 from operator import index, mul
 
 from . import dynkin
-from .diagram import (
-    DEFAULT_CLASS_CAP,
-    Diagram,
-    MutationClass,
-    MutationClassOverflow,
-    NotFiniteTypeError,
-    _finite_mutation,
-    _tree_match,
-    canonical_form,
-)
+from .diagram import DEFAULT_CLASS_CAP, Diagram, MutationClass, NotFiniteTypeError, _NamesVertices, _search, _tree_match
 from .exchange import ExchangeMatrix, QuasiCartanMatrix, _freeze, _given_symmetriser, determinant, is_positive
 
 __all__ = [
@@ -63,6 +55,10 @@ __all__ = [
 ]
 
 Coords = tuple[int, ...]
+
+
+class _SignedGraphError(_NamesVertices, ValueError):
+    """A signed graph or a switching move refused, naming its vertices."""
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -116,15 +112,21 @@ class RootSystem:
 
 
 def _close_under_reflections(cartan, n: int) -> tuple[Coords, ...]:
+    """The roots: the simple roots closed under the simple reflections.  Each
+    reflection reads only the nonzero entries of its Cartan row, and one whose
+    coefficient is 0 fixes the root."""
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     seen = set(simples)
     frontier = list(simples)
     while frontier:
         new = []
         for v in frontier:
-            for i in range(n):
-                coeff = sum(cartan[i][j] * v[j] for j in range(n))
-                w = tuple(v[j] - coeff if j == i else v[j] for j in range(n))
+            for i, row in enumerate(rows):
+                coeff = sum(a * v[j] for j, a in row)
+                if not coeff:
+                    continue
+                w = (*v[:i], v[i] - coeff, *v[i + 1:])
                 if w not in seen:
                     seen.add(w)
                     new.append(w)
@@ -317,56 +319,34 @@ def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
 def companion_basis(diagram: Diagram) -> CompanionBasis:
     """A companion basis for a connected diagram of finite type and rank <= 10.
 
-    A breadth-first search over labeled diagrams, from the diagram and by
-    mutate_diagram, which keeps the vertex labels, skips every diagram whose
-    canonical form it has already reached, and stops at the first one that is
-    a catalogue tree in any orientation (diagram._tree_match); that tree names
-    the type, because a class of finite type holds all its type's trees and no
-    other.  A tree input is its own stop and runs no search.  The simple roots
-    on the tree's vertices, a companion basis of every orientation of the
-    tree, are mutated inward back along the search's steps to the input.
+    The class search of mutation_class (diagram._search), from the diagram
+    over its labeled mutations, stopped at the first diagram that is a
+    catalogue tree in any orientation (diagram._tree_match); that tree names
+    the type, because a class of finite type holds all its type's trees and
+    no other.  A tree input is its own stop and runs no canonical search.
+    The simple roots on the tree's vertices, a companion basis of every
+    orientation of the tree, are mutated inward back along the search's
+    steps to the input.
 
     A class that holds no catalogue tree is searched to its end, so the input
-    fails as mutation_class fails on it, naming the input's own vertices:
-    NotFiniteTypeError when the class is not of finite type (or, once
-    exhausted, of no catalogued type), MutationClassOverflow past the class
-    cap, and ValueError above rank 10.
+    fails as mutation_class fails on it, with the same error naming the same
+    vertices: NotFiniteTypeError when the class is not of finite type (or,
+    once exhausted, of no catalogued type), MutationClassOverflow past the
+    class cap, and ValueError above rank 10.
     """
-    if diagram.max_weight() > 3:
-        raise NotFiniteTypeError(
-            f"edge of weight {diagram.max_weight()} violates 2-finiteness")
-    reached = [(diagram, -1, -1)]  # (diagram, position of its parent, vertex mutated)
-    match = _tree_match(diagram)
-    seen = set() if match else {canonical_form(diagram)}
-    position = 0
-    while not match:
-        if position == len(reached):
-            raise NotFiniteTypeError("mutation class of no known finite type")
-        parent, _, skip = reached[position]
-        for k in range(diagram.n):
-            if k == skip:
-                continue  # mutating back gives the parent
-            child = _finite_mutation(parent, k)
-            key = canonical_form(child)
-            if key in seen:
-                continue
-            if len(seen) >= DEFAULT_CLASS_CAP:
-                raise MutationClassOverflow(DEFAULT_CLASS_CAP)
-            seen.add(key)
-            reached.append((child, position, k))
-            if match := _tree_match(child):
-                break
-        position += 1
+    reached, _, match = _search(diagram, DEFAULT_CLASS_CAP, _tree_match)
+    if not match:
+        raise NotFiniteTypeError("mutation class of no known finite type")
     label, sperm, uperm = match
     system = build_root_system(label)
     vectors = [()] * diagram.n
     for s, u in zip(sperm, uperm):
         vectors[u] = system.simple_root(s)
     basis = CompanionBasis(system, vectors)
-    current, position, k = reached[-1]
+    current, position, k, _, _ = reached[-1]
     while position >= 0:
         basis = mutate_companion(basis, k, current, "inward")
-        current, position, k = reached[position]
+        current, position, k, _, _ = reached[position]
     return basis
 
 
@@ -436,11 +416,11 @@ class SignedGraph:
         seen = set()
         for i, j, s in self.edges:
             if not (0 <= i < j < self.n):
-                raise ValueError(f"bad signed edge ({i}, {j})")
+                raise _SignedGraphError("bad signed edge ({}, {})", i, j)
             if s not in (1, -1):
                 raise ValueError(f"edge sign must be +1 or -1, not {s}")
             if (i, j) in seen:
-                raise ValueError(f"duplicate signed edge ({i}, {j})")
+                raise _SignedGraphError("duplicate signed edge ({}, {})", i, j)
             seen.add((i, j))
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
@@ -486,7 +466,7 @@ def local_switch(graph: SignedGraph, k: int, in_set) -> SignedGraph:
     nbrs = set(graph.neighbours(k))
     if not in_set <= nbrs:
         stray = sorted(in_set - nbrs)[0]
-        raise ValueError(f"vertex {stray} is not a neighbour of {k}")
+        raise _SignedGraphError("vertex {} is not a neighbour of {}", stray, k)
     if k in in_set:
         raise ValueError("the switching set cannot contain the switching vertex")
     out_set = nbrs - in_set

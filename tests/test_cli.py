@@ -138,17 +138,84 @@ def test_diagram_type_names_every_catalogue_type(tmp_path, capsys, label):
     assert capsys.readouterr().out == label + "\n"
 
 
+STAR_DIAGRAM = "5\n1 2 1\n1 3 1\n1 4 1\n1 5 1\n"  # the affine D4 star
+# the input's own vertices, 1-based
+STAR_BREAKDOWN = "mutation at 5: path 2->5->1 closed by a same-direction edge 2->1 (diagram is not of finite type)"
+
+
 def test_diagram_type_refuses_the_affine_d4_star(tmp_path, capsys):
-    assert main(["diagram", "type", _write(tmp_path, "star.dia", "5\n1 2 1\n1 3 1\n1 4 1\n1 5 1\n")]) == 1
+    assert main(["diagram", "type", _write(tmp_path, "star.dia", STAR_DIAGRAM)]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (
-        "", "error: mutation at 4: path 0->4->1 closed by a same-direction edge 0->1 (diagram is not of finite type)\n")
+    assert (captured.out, captured.err) == ("", f"error: {STAR_BREAKDOWN}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["diagram", "class", "{}"], ["theorem-a", "{}"], ["verify-type", "{}"], ["verify-mutation", "{}", "1"]])
+def test_every_class_command_names_the_inputs_vertices_one_based(tmp_path, capsys, command):
+    # as diagram type does (test_diagram_type_refuses_the_affine_d4_star)
+    path = _write(tmp_path, "star.dia", STAR_DIAGRAM)
+    assert main([arg.format(path) for arg in command]) == 1
+    assert capsys.readouterr() == ("", f"error: {STAR_BREAKDOWN}\n")
+
+
+@pytest.mark.parametrize("command", [["verify-type", "{}"], ["verify-mutation", "{}", "1"]])
+def test_a_components_breakdown_names_the_inputs_vertices(tmp_path, capsys, command):
+    # the star on vertices 2..6, beside an isolated vertex 1: the component's
+    # 0-based vertex a is the input's 1-based vertex a + 2
+    path = _write(tmp_path, "star6.dia", "6\n2 3 1\n2 4 1\n2 5 1\n2 6 1\n")
+    assert main([arg.format(path) for arg in command]) == 1
+    assert capsys.readouterr() == (
+        "", "error: mutation at 6: path 3->6->2 closed by a same-direction edge 3->2 (diagram is not of finite type)\n")
+
+
+def test_diagram_mutate_names_the_breakdown_one_based(tmp_path, capsys):
+    path = _write(tmp_path, "triangle.dia", "3\n1 2 1\n2 3 1\n1 3 1\n")
+    assert main(["diagram", "mutate", path, "2"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: mutation at 2 leaves finite type: mutation at 2: path 1->2->3 closed by a same-direction "
+        "edge 1->3 (diagram is not of finite type)\n"))
+
+
+@pytest.mark.parametrize("text, diagram_error, matrix_error", [
+    ("2\n1 1 1\n", "self-loop at vertex 1", "expected 2 matrix rows, found 1"),
+    ("3\n1 2 1\n2 1 1\n", "parallel edge between 2 and 1", "expected 3 matrix rows, found 2"),
+    ("2\n1 2 0\n", "edge (1,2) has non-positive weight 0", "expected 2 matrix rows, found 1"),
+])
+def test_a_malformed_diagram_file_names_its_vertices_one_based(tmp_path, capsys, text, diagram_error, matrix_error):
+    path = _write(tmp_path, "bad.dia", text)
+    with pytest.raises(SystemExit) as err:
+        main(["diagram", "cycles", path])
+    assert err.value.code == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: neither a diagram ({diagram_error}) nor a matrix ({matrix_error})\n")
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("3\n1 2 +\n2 3 -\n", ["1", "--in-set", "3"], "vertex 3 is not a neighbour of 1"),
+    ("3\n1 2 +\n2 1 -\n", ["1"], "{}: duplicate signed edge (1, 2)"),
+])
+def test_switch_names_signed_graph_vertices_one_based(tmp_path, capsys, text, argv, message):
+    path = _write(tmp_path, "graph.sg", text)
+    with pytest.raises(SystemExit) as err:
+        main(["switch", path, *argv])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(path)}\n")
 
 
 def test_diagram_cycles(tmp_path, capsys):
     path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
     assert main(["diagram", "cycles", path]) == 0
     assert capsys.readouterr().out == "cycle 1 2 3 4 weights 1 1 1 1 oriented yes\n"
+
+
+def test_diagram_type_and_cycles_json(tmp_path, capsys):
+    path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
+    assert main(["diagram", "type", path, "--json"]) == 0
+    assert capsys.readouterr().out == '{\n  "type": "D4"\n}\n'
+    assert main(["diagram", "cycles", path, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"cycles": [{"vertices": [1, 2, 3, 4], "weights": [1, 1, 1, 1], "oriented": True}]}
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # ------------------------------------------------------------ present / export
@@ -173,6 +240,14 @@ def test_present_ti_words(tmp_path, capsys):
     path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
     assert main(["present", "ti", path, "1"]) == 0
     assert capsys.readouterr().out == "t1 = s1\nt2 = s2\nt3 = s3\nt4 = s1 s4 s1\n"
+
+
+def test_present_ti_json(tmp_path, capsys):
+    path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
+    assert main(["present", "ti", path, "1", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"vertex": 1, "words": [[1], [2], [3], [1, 4, 1]]}
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_export_generic_fp_grammar(tmp_path, capsys):
@@ -518,6 +593,51 @@ def test_pipeline_with_companion_tracking(tmp_path, capsys):
     assert len(data["results"]["final_basis"]) == 3
 
 
+def test_pipeline_replays_the_seed_path_to_a_mutated_seed(tmp_path, capsys):
+    # A3's seed mutated at 1 and 3: the basis is carried two steps from the seed
+    path = _write(tmp_path, "a3m.mat", "3\n0 -1 0\n1 0 -1\n0 1 0\n")
+    assert cli._seed_basis_path(load_matrix((tmp_path / "a3m.mat").read_text()), "A3") == [0, 2]
+    assert main(["pipeline", path, "2,1", "--type", "A3"]) == 0
+    data = _json_out(capsys)
+    checks = {"two_finite": True, "diagram_commutes": True, "involution": True,
+              "companion_ok": True, "companion_restored": True}
+    assert (data["results"], data["verdict"]) == ({
+        "steps": [{"step": 1, "vertex": 2, **checks}, {"step": 2, "vertex": 1, **checks}],
+        "final_matrix": {"n": 3, "rows": [[0, -1, 1], [1, 0, 0], [-1, 0, 0]]},
+        "final_diagram": {"n": 3, "edges": [[1, 3, 1], [2, 1, 1]]},
+        "final_basis": [[1, 0, 0], [0, 1, 1], [-1, -1, 0]],
+    }, "pass")
+
+
+def test_pipeline_stops_where_the_diagram_breaks_down(tmp_path, capsys):
+    # the acyclic triangle 1 -> 2 -> 3, 1 -> 3: mutating at 2 meets the edge
+    # 1 -> 3; the report's diagram_error names the library's 0-based vertices
+    path = _write(tmp_path, "acyclic.mat", "3\n0 1 1\n-1 0 1\n-1 -1 0\n")
+    assert main(["pipeline", path, "2,1"]) == 1
+    data = _json_out(capsys)
+    assert (data["results"], data["verdict"]) == ({
+        "steps": [{"step": 1, "vertex": 2, "diagram_error": (
+            "mutation at 1: path 0->1->2 closed by a same-direction edge 0->2 (diagram is not of finite type)")}],
+        "final_matrix": {"n": 3, "rows": [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]},
+        "final_diagram": {"n": 3, "edges": [[1, 2, 1], [1, 3, 1], [2, 3, 1]]},
+        "failed_step": 1,
+    }, "fail")
+
+
+def test_pipeline_stops_after_a_step_that_is_not_two_finite(tmp_path, capsys):
+    # two weight-2 edges through vertex 2: the matrix gains a weight-4 entry
+    # that the diagram rule does not, and the step after it is not run
+    path = _write(tmp_path, "affine.mat", "3\n0 -2 0\n1 0 -2\n0 1 0\n")
+    assert main(["pipeline", path, "2,1"]) == 1
+    data = _json_out(capsys)
+    assert (data["results"], data["verdict"]) == ({
+        "steps": [{"step": 1, "vertex": 2, "two_finite": False, "diagram_commutes": False, "involution": True}],
+        "final_matrix": {"n": 3, "rows": [[0, 2, -4], [-1, 0, 2], [1, -1, 0]]},
+        "final_diagram": {"n": 3, "edges": [[1, 2, 2], [2, 3, 2], [3, 1, 2]]},
+        "failed_step": 1,
+    }, "fail")
+
+
 def _reference_seed_path(target, label):
     """Breadth-first search over ExchangeMatrix objects from the standard seed, by
     mutate_matrix in vertex order: the path _seed_basis_path must return."""
@@ -632,6 +752,22 @@ def test_presentation_commands_refuse_a_huge_exponent_at_once(tmp_path, capsys, 
     assert err.value.code == 2
     assert capsys.readouterr() == ("", f"error: {path}: relation {relation} expands to more than 100000 letters\n")
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("command", ["order", "export"])
+def test_presentation_commands_refuse_many_long_relators_at_once(tmp_path, capsys, command):
+    # 2,000 relators of 100,000 letters: 200 M letters, 1.6 GB expanded
+    path = _write(tmp_path, "long.pres", "generators 2\n(s1)^2\n(s2)^2\n" + "(s1 s2)^50000\n" * 2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            main([command, path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {path}: relations expand to more than 20000000 letters in all\n")
+    assert peak < 2_000_000
 
 
 def test_pipeline_bad_script(tmp_path):

@@ -97,6 +97,27 @@ def test_diagram_rejects_bad_edges():
         Diagram(2, [(0, 2, 1)])
 
 
+def test_diagram_errors_keep_the_vertices_they_name():
+    # str() names the library's 0-based vertices; renamed names them anew
+    with pytest.raises(DiagramError) as loop:
+        Diagram(2, [(0, 0, 1)])
+    assert (str(loop.value), loop.value.vertices) == ("self-loop at vertex 0", (0,))
+    assert str(loop.value.renamed(lambda v: v + 1)) == "self-loop at vertex 1"
+    with pytest.raises(DiagramError) as parallel:
+        Diagram(3, [(0, 1, 1), (1, 0, 1)])
+    assert str(parallel.value) == "parallel edge between 1 and 0"
+    with pytest.raises(DiagramError) as breakdown:
+        mutate_diagram(Diagram(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), 1)
+    assert str(breakdown.value) == (
+        "mutation at 1: path 0->1->2 closed by a same-direction edge 0->2 (diagram is not of finite type)")
+    assert str(breakdown.value.renamed([7, 8, 9].__getitem__)) == (
+        "mutation at 8: path 7->8->9 closed by a same-direction edge 7->9 (diagram is not of finite type)")
+    # inside a class search the breakdown is NotFiniteTypeError naming the same vertices
+    with pytest.raises(NotFiniteTypeError) as search:
+        mutation_class(Diagram(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]))
+    assert search.value.vertices and search.value.template == breakdown.value.template
+
+
 def test_diagram_of_examples():
     assert diagram_of(ExchangeMatrix([[0, 1], [-1, 0]])).edges == ((0, 1, 1),)
     assert diagram_of(ExchangeMatrix([[0, 2], [-1, 0]])).edges == ((0, 1, 2),)

@@ -64,6 +64,17 @@ def test_presentation_refuses_a_relator_too_long_to_expand():
         Presentation(2, [*involutions, Relation((1,), 99999999999)])
 
 
+def test_presentation_refuses_relators_too_long_to_expand_in_all():
+    # the enumerator expands every relator: beside the involutions 199 of
+    # 100,000 letters fit in the bound, and 200 do not
+    involutions = [Relation((0,), 2), Relation((1,), 2)]
+    longest = Relation((0, 1), presentation._MAX_RELATOR_LENGTH // 2)
+    room = (presentation._MAX_PRESENTATION_LENGTH - 4) // presentation._MAX_RELATOR_LENGTH
+    assert Presentation(2, [*involutions, *[longest] * room])
+    with pytest.raises(ValueError, match=r"^relations expand to more than 20000000 letters in all$"):
+        Presentation(2, [*involutions, *[longest] * (room + 1)])
+
+
 @pytest.mark.parametrize("builder", [full_presentation, reduced_presentation])
 def test_presentations_enumerate_the_chordless_cycles_once(monkeypatch, builder):
     calls = []
