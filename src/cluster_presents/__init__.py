@@ -35,7 +35,6 @@ from .presentation import (
     Relation,
     bond_order,
     full_presentation,
-    inverse_mutation_witness_words,
     mutation_witness_words,
     reduced_presentation,
 )

@@ -13,7 +13,8 @@ verdict of fail or overflow, or well-formed input that is not of finite type.
 2: a malformed file, flag, label or vertex, or input beyond the canonical
 labeling (rank above 10); the class commands (diagram class, diagram type,
 theorem-a) also refuse a disconnected diagram.  Whenever no output is
-printed, stderr holds exactly one `error:` line.
+printed, stderr holds exactly one `error:` line.  A reader that closes the
+pipe early gets exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -513,7 +514,7 @@ def _cmd_pipeline(args, argv) -> int:
         try:
             new_diagram = mutate_diagram(diagram, k)
         except DiagramError as exc:
-            step_info["diagram_error"] = str(exc)
+            step_info["diagram_error"] = _one_based(exc)
             steps.append(step_info)
             verdict = "fail"
             fail_step = idx
@@ -765,9 +766,17 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, argv)
+        code = args.func(args, argv)
+        if sys.stdout is not None:  # None when the command started with stdout closed
+            sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
     except (DiagramError, NotFiniteTypeError, MutationClassOverflow) as exc:
         print(f"error: {_one_based(exc)}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed the pipe: the rest of the output goes nowhere, and
+        # the flush at exit cannot fail again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

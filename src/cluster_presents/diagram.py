@@ -255,36 +255,39 @@ def chordless_cycles(diagram: Diagram) -> list[ChordlessCycle]:
     validator turns the flag into a failure.  Output is sorted
     lexicographically by vertex sequence.
     """
-    adj: dict[int, set[int]] = {}  # only the vertices with edges
-    for i, j, _ in diagram.edges:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
+    ordered = {v: diagram.neighbours(v) for v in sorted({*diagram._out, *diagram._in})}  # vertices with edges
+    # per vertex, how many interior vertices of the path (all but its ends)
+    # it is adjacent to: a vertex with a count above 0 would make a chord
+    inner = dict.fromkeys(ordered, 0)
     found: list[tuple[int, ...]] = []
-
-    def extend(path: list[int], members: set[int]) -> None:
-        s = path[0]
-        last = path[-1]
-        for v in sorted(adj[last]):
-            if v <= s or v in members:
+    for s, around in ordered.items():
+        closing = set(around)
+        for t in around:
+            if t < s:
                 continue
-            # chord check against interior vertices (everything but s and last)
-            if any(v in adj[u] for u in path[1:-1]):
-                continue
-            if v in adj[s]:
-                if len(path) >= 2 and path[1] < v:
-                    found.append(tuple(path) + (v,))
-                # extending past v would keep the chord v--s
-                continue
-            path.append(v)
-            members.add(v)
-            extend(path, members)
-            members.remove(v)
-            path.pop()
-
-    for s in sorted(adj):
-        for t in sorted(adj[s]):
-            if t > s:
-                extend([s, t], {s, t})
+            # depth-first over chordless paths s, t, ...: one neighbour
+            # iterator per path vertex after s, so no recursion
+            path, members, stack = [s, t], {s, t}, [iter(ordered[t])]
+            while stack:
+                for v in stack[-1]:
+                    if v <= s or v in members or inner[v]:
+                        continue
+                    if v in closing:
+                        if path[1] < v:
+                            found.append((*path, v))
+                        continue  # extending past v would keep the chord v--s
+                    for u in ordered[path[-1]]:
+                        inner[u] += 1
+                    path.append(v)
+                    members.add(v)
+                    stack.append(iter(ordered[v]))
+                    break
+                else:
+                    stack.pop()
+                    members.remove(path.pop())
+                    if len(path) > 1:
+                        for u in ordered[path[-1]]:
+                            inner[u] -= 1
 
     cycles = []
     for vs in found:

@@ -31,7 +31,6 @@ __all__ = [
     "full_presentation",
     "reduced_presentation",
     "mutation_witness_words",
-    "inverse_mutation_witness_words",
 ]
 
 Word = tuple[int, ...]
@@ -181,21 +180,10 @@ def mutation_witness_words(diagram: Diagram, k: int) -> tuple[Word, ...]:
     """Words t_i in the generators of W(diagram) witnessing mutation at k.
 
     t_i = s_k s_i s_k when the diagram has an arrow i -> k, else t_i = s_i.
+    Read on the mutated diagram, whose arrows at k are reversed, they are the inverse's t'_i.
     """
     if not 0 <= k < diagram.n:
         raise IndexError(f"mutation vertex {k} out of range")
     return tuple(
         (k, i, k) if diagram.weight(i, k) > 0 else (i,) for i in range(diagram.n)
-    )
-
-
-def inverse_mutation_witness_words(mutated: Diagram, k: int) -> tuple[Word, ...]:
-    """Words t'_i in the generators of W(mutated diagram) inverting the witness map.
-
-    t'_i = s'_k s'_i s'_k when the mutated diagram has an arrow k -> i, else s'_i.
-    """
-    if not 0 <= k < mutated.n:
-        raise IndexError(f"mutation vertex {k} out of range")
-    return tuple(
-        (k, i, k) if mutated.weight(k, i) > 0 else (i,) for i in range(mutated.n)
     )

@@ -4,9 +4,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -611,17 +614,30 @@ def test_pipeline_replays_the_seed_path_to_a_mutated_seed(tmp_path, capsys):
 
 def test_pipeline_stops_where_the_diagram_breaks_down(tmp_path, capsys):
     # the acyclic triangle 1 -> 2 -> 3, 1 -> 3: mutating at 2 meets the edge
-    # 1 -> 3; the report's diagram_error names the library's 0-based vertices
+    # 1 -> 3; the report's diagram_error names the vertices 1-based, as the script does
     path = _write(tmp_path, "acyclic.mat", "3\n0 1 1\n-1 0 1\n-1 -1 0\n")
     assert main(["pipeline", path, "2,1"]) == 1
     data = _json_out(capsys)
     assert (data["results"], data["verdict"]) == ({
         "steps": [{"step": 1, "vertex": 2, "diagram_error": (
-            "mutation at 1: path 0->1->2 closed by a same-direction edge 0->2 (diagram is not of finite type)")}],
+            "mutation at 2: path 1->2->3 closed by a same-direction edge 1->3 (diagram is not of finite type)")}],
         "final_matrix": {"n": 3, "rows": [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]},
         "final_diagram": {"n": 3, "edges": [[1, 2, 1], [1, 3, 1], [2, 3, 1]]},
         "failed_step": 1,
     }, "fail")
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path):
+    # the A7 class prints about 113 kB, more than a pipe holds, so the command
+    # is still writing when the reader has taken one line and gone
+    path = _write(tmp_path, "a7.dia", "7\n" + "".join(f"{i} {i + 1} 1\n" for i in range(1, 7)))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "cluster_presents.cli", "diagram", "class", path, "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_pipeline_stops_after_a_step_that_is_not_two_finite(tmp_path, capsys):

@@ -34,8 +34,6 @@ from cluster_presents.presentation import (
     Presentation,
     Relation,
     full_presentation,
-    inverse_mutation_witness_words,
-    mutation_witness_words,
     reduced_presentation,
 )
 from cluster_presents.roots import (
@@ -334,12 +332,18 @@ def test_mutation_certificate_on_tree():
 
 def _regular_certificate(diagram, k, forward=None):
     """The certificate in the regular representations of both groups, each
-    enumerated in full: (order, mutated order, forward, inverse, composition)."""
+    enumerated in full: (order, mutated order, forward, inverse, composition).
+
+    The witness words are read off the edges here: t_i = s_k s_i s_k when the
+    diagram has an arrow i -> k, and t'_i = s'_k s'_i s'_k when the mutated
+    diagram has an arrow k -> i."""
     mutated = mutate_diagram(diagram, k)
     pres, pres_mut = full_presentation(diagram), full_presentation(mutated)
     images, images_mut = regular_images(pres), regular_images(pres_mut)
-    forward = forward or mutation_witness_words(diagram, k)
-    inverse = inverse_mutation_witness_words(mutated, k)
+    into_k = {i for i, j, _ in diagram.edges if j == k}
+    out_of_k = {j for i, j, _ in mutated.edges if i == k}
+    forward = forward or tuple((k, i, k) if i in into_k else (i,) for i in range(diagram.n))
+    inverse = tuple((k, i, k) if i in out_of_k else (i,) for i in range(mutated.n))
     fwd = first_failing(images, forward, pres_mut.relations) is None
     inv = first_failing(images_mut, inverse, pres.relations) is None
 
@@ -397,6 +401,25 @@ def test_root_certificate_rejects_a_wrong_witness(monkeypatch):
     assert not report.forward_homomorphism
     assert report.failing_relation is not None
     assert not report.passed
+
+
+def test_root_certificate_checks_one_word_list_both_ways(monkeypatch):
+    # one call for the words, and two relation checks beyond the two sides' own
+    calls = {"words": 0, "checks": 0}
+    words, check = coset.mutation_witness_words, coset._first_failing
+
+    def counted_words(diagram, k):
+        calls["words"] += 1
+        return words(diagram, k)
+
+    def counted_checks(*args):
+        calls["checks"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(coset, "mutation_witness_words", counted_words)
+    monkeypatch.setattr(coset, "_first_failing", counted_checks)
+    assert verify_mutation_isomorphism(FOUR_CYCLE, 0).passed
+    assert calls == {"words": 1, "checks": 4}
 
 
 def test_root_certificate_needs_a_faithful_representation(monkeypatch):

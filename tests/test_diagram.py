@@ -35,7 +35,7 @@ from cluster_presents.exchange import ExchangeMatrix, mutate_matrix
 FOUR_CYCLE_MATRIX = ExchangeMatrix([[0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 1], [1, 0, -1, 0]])
 
 
-def _random_diagram(rng, n, max_weight=3, p=0.5):
+def _random_edges(rng, n, max_weight=3, p=0.5):
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -45,31 +45,46 @@ def _random_diagram(rng, n, max_weight=3, p=0.5):
                     edges.append((i, j, w))
                 else:
                     edges.append((j, i, w))
-    return Diagram(n, edges)
+    return edges
 
 
-def _chordless_by_subsets(diagram):
-    """Oracle: a vertex subset is a chordless cycle iff its induced graph is a cycle."""
-    n = diagram.n
-    adjacent = [[diagram.weight_between(i, j) > 0 for j in range(n)] for i in range(n)]
+def _random_diagram(rng, n, max_weight=3, p=0.5):
+    return Diagram(n, _random_edges(rng, n, max_weight, p))
+
+
+def _induced_cycles(n, edges):
+    """Oracle on a plain edge list (i, j, weight), sharing no code with the
+    package: a vertex subset is a chordless cycle iff its induced graph is a
+    cycle.  Each comes as (vertices, weights, oriented) in the form
+    chordless_cycles reports: smallest vertex first, along the arrows when
+    they run around the cycle, else towards its smaller neighbour; weights[a]
+    on the edge between vertices[a-1] and vertices[a]."""
+    arrow = {(i, j): w for i, j, w in edges}
+    weight = {**arrow, **{(j, i): w for (i, j), w in arrow.items()}}
     out = set()
     for size in range(3, n + 1):
         for subset in combinations(range(n), size):
-            degs = [sum(adjacent[v][u] for u in subset if u != v) for v in subset]
-            if any(d != 2 for d in degs):
+            neighbours = {v: sorted(u for u in subset if (v, u) in weight) for v in subset}
+            if any(len(us) != 2 for us in neighbours.values()):
                 continue
-            # all degree 2: the induced graph is a disjoint union of cycles;
-            # connectivity makes it a single cycle
-            seen = {subset[0]}
-            stack = [subset[0]]
-            while stack:
-                v = stack.pop()
-                for u in subset:
-                    if u != v and adjacent[v][u] and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) == size:
-                out.add(frozenset(subset))
+            # all degree 2: walk from the smallest vertex towards its smaller
+            # neighbour; the subset is one cycle when the walk takes it all
+            walk = [subset[0], neighbours[subset[0]][0]]
+            while True:
+                a, b = neighbours[walk[-1]]
+                step = b if a == walk[-2] else a
+                if step == walk[0]:
+                    break
+                walk.append(step)
+            if len(walk) != size:
+                continue
+            pairs = list(zip(walk, walk[1:] + walk[:1]))
+            forward = all(pair in arrow for pair in pairs)
+            backward = all((v, u) in arrow for u, v in pairs)
+            if backward and not forward:
+                walk = walk[:1] + walk[:0:-1]
+            weights = tuple(weight[walk[a - 1], walk[a]] for a in range(size))
+            out.add((tuple(walk), weights, forward or backward))
     return out
 
 
@@ -218,21 +233,19 @@ def test_triangle_with_chord_square():
 
 def test_chordless_cycles_against_subset_oracle():
     rng = random.Random(23)
-    for _ in range(120):
+    for _ in range(400):
         n = rng.randrange(3, 8)
-        d = _random_diagram(rng, n, p=rng.choice([0.3, 0.5, 0.7]))
-        expected = _chordless_by_subsets(d)
-        got = chordless_cycles(d)
-        assert {frozenset(c.vertices) for c in got} == expected
-        assert len(got) == len(expected)  # each cycle reported exactly once
-        for c in got:
-            verts = c.vertices
-            assert verts[0] == min(verts)
-            dsize = len(verts)
-            for a in range(dsize):
-                assert d.weight_between(verts[a - 1], verts[a]) == c.weights[a]
-            if c.oriented:
-                assert all(d.weight(verts[a], verts[(a + 1) % dsize]) > 0 for a in range(dsize))
+        edges = _random_edges(rng, n, p=rng.choice([0.3, 0.5, 0.7]))
+        got = [(c.vertices, c.weights, c.oriented) for c in chordless_cycles(Diagram(n, edges))]
+        assert got == sorted(_induced_cycles(n, edges)), edges  # each cycle once, sorted
+
+
+def test_chordless_cycles_walk_long_paths_without_recursion():
+    # a chain and an oriented cycle of 1,000 vertices, the presentations' rank limit
+    n = 1000
+    assert chordless_cycles(Diagram(n, [(i, i + 1, 1) for i in range(n - 1)])) == []
+    (cycle,) = chordless_cycles(Diagram(n, [(i, (i + 1) % n, 1) for i in range(n)]))
+    assert cycle.vertices == tuple(range(n)) and cycle.oriented
 
 
 # ----------------------------------------------------------------- validation

@@ -3,7 +3,7 @@
 import pytest
 
 from cluster_presents import diagram, presentation
-from cluster_presents.diagram import Diagram, DiagramError, diagram_of, mutate_diagram
+from cluster_presents.diagram import Diagram, DiagramError, diagram_of, mutate_diagram, mutation_class
 from cluster_presents.dynkin import standard_diagram
 from cluster_presents.exchange import ExchangeMatrix
 from cluster_presents.presentation import (
@@ -12,7 +12,6 @@ from cluster_presents.presentation import (
     bond_order,
     cycle_word,
     full_presentation,
-    inverse_mutation_witness_words,
     mutation_witness_words,
     reduced_presentation,
 )
@@ -178,14 +177,48 @@ def test_witness_words_conjugate_arrow_sources():
     assert mutation_witness_words(FOUR_CYCLE, 2) == ((0,), (2, 1, 2), (2,), (3,))
 
 
-def test_inverse_witness_words_follow_mutated_arrows():
-    mutated = mutate_diagram(FOUR_CYCLE, 0)
-    # the mutated diagram has the single arrow 0 -> 3 out of vertex 0
-    assert inverse_mutation_witness_words(mutated, 0) == ((0,), (1,), (2,), (0, 3, 0))
-
-
 def test_witness_words_index_errors():
     with pytest.raises(IndexError):
         mutation_witness_words(FOUR_CYCLE, 4)
     with pytest.raises(IndexError):
-        inverse_mutation_witness_words(FOUR_CYCLE, -1)
+        mutation_witness_words(FOUR_CYCLE, -1)
+
+
+WITNESS_CLASSES = ["A5", "B/C4", "D5", "E6", "F4", "G2"]
+
+
+def _inverse_words(mutated, k):
+    """t'_i read off the mutated diagram's edges: s'_k s'_i s'_k when it has an arrow k -> i."""
+    heads = {j for i, j, _ in mutated.edges if i == k}
+    return tuple((k, i, k) if i in heads else (i,) for i in range(mutated.n))
+
+
+@pytest.mark.parametrize("label", WITNESS_CLASSES)
+def test_one_word_list_gives_the_inverse_witness_map(label):
+    for member in mutation_class(standard_diagram(label)).members:
+        for k in range(member.n):
+            assert _inverse_words(mutate_diagram(member, k), k) == mutation_witness_words(member, k), (
+                member.edges, k)
+
+
+def _free_reduce(word):
+    """The word with equal adjacent letters cancelled, as the involutions allow."""
+    reduced = []
+    for x in word:
+        if reduced and reduced[-1] == x:
+            reduced.pop()
+        else:
+            reduced.append(x)
+    return reduced
+
+
+@pytest.mark.parametrize("label", WITNESS_CLASSES)
+def test_witness_composites_cancel_by_the_involutions(label):
+    # both composites substitute the one word list into itself: s_i goes to
+    # t_i with each letter g replaced by t_g, and that word times s_i is a relator
+    for member in mutation_class(standard_diagram(label)).members:
+        for k in range(member.n):
+            words = mutation_witness_words(member, k)
+            for i, word in enumerate(words):
+                composite = tuple(x for g in word for x in words[g])
+                assert _free_reduce(composite + (i,)) == [], (member.edges, k, i)
