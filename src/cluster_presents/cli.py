@@ -14,7 +14,8 @@ verdict of fail or overflow, or well-formed input that is not of finite type.
 labeling (rank above 10); the class commands (diagram class, diagram type,
 theorem-a) also refuse a disconnected diagram.  Whenever no output is
 printed, stderr holds exactly one `error:` line.  A reader that closes the
-pipe early gets exit 1 and nothing on stderr.
+pipe early gets exit 1 and nothing on stderr; a command started with stdout
+closed exits as it would have, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def _digest(path: str, text: str) -> dict:
 
 
 def _emit(text: str) -> int:
-    sys.stdout.write(text)
+    print(text, end="")
     return 0
 
 
@@ -344,7 +345,8 @@ def _cmd_present(args, argv) -> int:
 def _cmd_order(args, argv) -> int:
     """group_order's exact enumeration with its cosets defined (none for no generators)."""
     presentation = _load(args.file, load_presentation)
-    order, defined = _enumerate(presentation, (), _coset_cap(args)) if presentation.n else (1, 0)
+    n = presentation.n
+    order, defined = _enumerate(presentation.relations, range(n), (), _coset_cap(args)) if n else (1, 0)
     return _verdict({"order": order, "strategy": "direct", "cosets_defined": defined,
                      "verdict": "overflow" if order is None else "pass"})
 

@@ -3,7 +3,9 @@
 The enumerator is an HLT-style Todd-Coxeter procedure specialized to
 presentations in which every generator is an involution: the table keeps one
 column per generator and every table write is symmetric, so the involution
-relations are baked into the data structure.
+relations are baked into the data structure.  Coincidences are processed as in
+the COINCIDENCE routine of Holt, Eick and O'Brien ("Handbook of Computational
+Group Theory", 2005, section 5.1), so a live row names only live cosets.
 
 group_order enumerates the cosets of the trivial subgroup, so the order it
 returns is exact.  The certificates bound the order instead, from both sides,
@@ -68,58 +70,56 @@ class CosetCapExceeded(RuntimeError):
         self.cosets_defined = cosets_defined
 
 
-def _relator_words(presentation: Presentation) -> list[Word]:
-    """The relators to scan: an even power of one generator holds in every
-    table, whose generators are involutions; an odd one, (s)^e = s, does not."""
-    return [rel.word * rel.exponent for rel in presentation.relations
-            if len(rel.word) > 1 or rel.exponent % 2]
+def _enumerate(relations, gens, subgroup, cap: int) -> tuple[int | None, int]:
+    """Enumerate the cosets of <s_h : h in subgroup> in the group that the
+    relations present on the generators gens: (index, defined).
 
-
-def _enumerate(presentation: Presentation, subgroup_words, cap: int) -> tuple[int | None, int]:
-    """Enumerate the cosets of the subgroup the words generate: (index, defined).
-
-    Deterministic HLT strategy: the subgroup words are scanned at the base
-    coset, then each live coset scans every relator and fills its remaining
-    entries in generator order.  table[c] is None once coset c is merged, and
-    a surviving row may still name merged cosets, which rep maps to
-    survivors; live is the number of survivors, the index, and defined counts
-    every definition made, including cosets later merged away.  The index is
-    None when the cap stops the enumeration."""
+    Deterministic HLT strategy: the subgroup enters as table[0][h] = 0, then
+    each live coset scans every relator and fills its remaining entries in
+    generator order.  Only the columns in gens are filled, so a generator
+    keeps its number in the input.  When a coset dies in a coincidence, every
+    entry naming it is cleared, then re-pointed at the survivor or left to a
+    queued coincidence (the Handbook's COINCIDENCE, section 5.1), so a live
+    row names only live cosets and scan reads the table as it stands.
+    table[c] is None once coset c is merged; live is the number of survivors,
+    the index, and defined counts every definition made, including cosets
+    later merged away.  The index is None when the cap stops the
+    enumeration."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    ngen = presentation.n
-    relators = _relator_words(presentation)
-    table: list[list[int] | None] = [[-1] * ngen]
+    # an even power of one generator holds in every table, whose generators
+    # are involutions; an odd one, (s)^e = s, does not
+    relators = [rel.word * rel.exponent for rel in relations if len(rel.word) > 1 or rel.exponent % 2]
+    width = max(gens, default=-1) + 1
+    table: list[list[int] | None] = [[-1] * width]
+    for h in subgroup:
+        table[0][h] = 0
     parent = [0]
     live = 1
     defined = 1
 
-    def rep(c: int) -> int:
+    def find(c: int) -> int:
         while parent[c] != c:
-            parent[c] = parent[parent[c]]
             c = parent[c]
         return c
 
-    def define(c: int, g: int) -> int:
+    def define(c: int, g: int) -> None:
         nonlocal live, defined
         if live >= cap:
             raise CosetCapExceeded(cap, defined)  # unwinds to the end of _enumerate
         b = len(table)
-        table.append([-1] * ngen)
+        table.append([-1] * width)
         parent.append(b)
         table[c][g] = b
         table[b][g] = c
         live += 1
         defined += 1
-        return b
 
     def coincide(x: int, y: int) -> None:
         nonlocal live
         queue = deque([(x, y)])
         while queue:
-            a, b = queue.popleft()
-            a = rep(a)
-            b = rep(b)
+            a, b = map(find, queue.popleft())
             if a == b:
                 continue
             if b < a:
@@ -129,13 +129,17 @@ def _enumerate(presentation: Presentation, subgroup_words, cap: int) -> tuple[in
             row_b = table[b]
             table[b] = None
             row_a = table[a]
-            for g in range(ngen):
-                d = row_b[g]
+            for g, d in enumerate(row_b):
                 if d == -1:
                     continue
+                if d == b:
+                    d = a
+                else:
+                    table[d][g] = -1  # d s_g was b, s_g being its own inverse
                 e = row_a[g]
                 if e == -1:
                     row_a[g] = d
+                    table[d][g] = a
                 else:
                     queue.append((e, d))
 
@@ -145,21 +149,15 @@ def _enumerate(presentation: Presentation, subgroup_words, cap: int) -> tuple[in
         b = c
         j = len(word) - 1
         while True:
-            while i <= j:
-                t = table[f][word[i]]
-                if t == -1:
-                    break
-                f = t if parent[t] == t else rep(t)
+            while i <= j and (t := table[f][word[i]]) != -1:
+                f = t
                 i += 1
             if i > j:
                 if f != b:
                     coincide(f, b)
                 return
-            while j >= i:
-                t = table[b][word[j]]
-                if t == -1:
-                    break
-                b = t if parent[t] == t else rep(t)
+            while j >= i and (t := table[b][word[j]]) != -1:
+                b = t
                 j -= 1
             if j < i:
                 coincide(f, b)
@@ -171,34 +169,29 @@ def _enumerate(presentation: Presentation, subgroup_words, cap: int) -> tuple[in
             define(f, word[i])
 
     try:
-        for word in subgroup_words:
-            if word:
-                scan(0, word)
         alpha = 0
         while alpha < len(table):
-            if parent[alpha] != alpha:
-                alpha += 1
-                continue
-            for word in relators:
-                scan(alpha, word)
-                if parent[alpha] != alpha:
-                    break
             if parent[alpha] == alpha:
-                row = table[alpha]
-                for g in range(ngen):
-                    if row[g] == -1:
-                        define(alpha, g)
+                for word in relators:
+                    scan(alpha, word)
+                    if parent[alpha] != alpha:
+                        break
+                else:  # alpha survived its scans
+                    row = table[alpha]
+                    for g in gens:
+                        if row[g] == -1:
+                            define(alpha, g)
             alpha += 1
     except CosetCapExceeded:
         return None, defined
     return live, defined
 
 
-def _degrees(presentation: Presentation) -> list[int]:
+def _degrees(n: int, relations) -> list[int]:
     """Per generator, how many others share a relator with it; the commuting
     pairs (s_i s_j)^2 do not link."""
-    linked: list[set[int]] = [set() for _ in range(presentation.n)]
-    for rel in presentation.relations:
+    linked: list[set[int]] = [set() for _ in range(n)]
+    for rel in relations:
         if len(rel.word) == 2 and rel.exponent == 2:
             continue
         letters = set(rel.word)
@@ -207,20 +200,10 @@ def _degrees(presentation: Presentation) -> list[int]:
     return [len(others) for others in linked]
 
 
-def _drop(presentation: Presentation, g: int) -> Presentation:
-    """The relations without s_g, over the other generators renumbered in order."""
-    kept = [
-        Relation(tuple(x - (x > g) for x in rel.word), rel.exponent, rel.tag)
-        for rel in presentation.relations
-        if g not in rel.word
-    ]
-    return Presentation(presentation.n - 1, kept)
-
-
 def group_order(presentation: Presentation, cap: int = DEFAULT_COSET_CAP) -> int:
     """Order of the presented group, exact: the index of the trivial subgroup.
     Raises CosetCapExceeded when the cap stops the enumeration."""
-    order, defined = _enumerate(presentation, (), cap)
+    order, defined = _enumerate(presentation.relations, range(presentation.n), (), cap)
     if order is None:
         raise CosetCapExceeded(cap, defined)
     return order
@@ -232,23 +215,28 @@ def _tower(presentation: Presentation, cap: int) -> tuple[int | None, list[dict]
     Each level drops a generator of least degree (_degrees; ties go to the
     highest index), enumerates the cosets of the subgroup the others
     generate, and goes on with the relations among the others until no
-    generator is left.  levels holds one {"dropped": generator, "index":
-    cosets} per completed level, the generator 1-based in the input's
-    numbering; defined counts the cosets of every level.  The bound is None
-    when the cap stops a level."""
-    labels = list(range(1, presentation.n + 1))  # the input's number of each generator
+    generator is left.  The generators keep their numbers in the input at
+    every level, and no presentation is rebuilt: a level only drops the
+    relations that name its generator.  levels holds one {"dropped":
+    generator, "index": cosets} per completed level, the generator 1-based;
+    defined counts the cosets of every level.  The bound is None when the
+    cap stops a level."""
+    gens = list(range(presentation.n))
+    relations = presentation.relations
     levels: list[dict] = []
     order, defined = 1, 0
-    while presentation.n:
-        degree = _degrees(presentation)
-        g = min(reversed(range(presentation.n)), key=degree.__getitem__)
-        index, count = _enumerate(presentation, [(h,) for h in range(presentation.n) if h != g], cap)
+    while gens:
+        degree = _degrees(presentation.n, relations)
+        g = min(reversed(gens), key=degree.__getitem__)
+        rest = [h for h in gens if h != g]
+        index, count = _enumerate(relations, gens, rest, cap)
         defined += count
         if index is None:
             return None, levels, defined
-        levels.append({"dropped": labels.pop(g), "index": index})
+        levels.append({"dropped": g + 1, "index": index})
         order *= index
-        presentation = _drop(presentation, g)
+        gens = rest
+        relations = [rel for rel in relations if g not in rel.word]
     return order, levels, defined
 
 

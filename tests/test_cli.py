@@ -640,6 +640,16 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path):
     assert (proc.returncode, err) == (1, b"")
 
 
+@pytest.mark.parametrize("command", [["diagram", "cycles"], ["present", "full"]])
+def test_an_artifact_command_started_with_stdout_closed_exits_quietly(tmp_path, command):
+    # as `>&-` does: fd 1 is closed, so sys.stdout is None in the child
+    path = _write(tmp_path, "a6.dia", "6\n" + "".join(f"{i} {i + 1} 1\n" for i in range(1, 6)))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "cluster_presents.cli", *command, path]
+    proc = subprocess.run(argv, stderr=subprocess.PIPE, env=env, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_pipeline_stops_after_a_step_that_is_not_two_finite(tmp_path, capsys):
     # two weight-2 edges through vertex 2: the matrix gains a weight-4 entry
     # that the diagram rule does not, and the step after it is not run

@@ -9,7 +9,8 @@ Mutation certificates, which run in the reflection representation on the root
 lattice, are checked against the same certificate computed here in the regular
 representations of both groups, built by the reference enumerator of
 reference_cosets.py, which shares no code with the package and is itself
-checked against both order sources.
+checked against both order sources; the same enumerator replays every level of
+the parabolic towers of the E7 class.
 """
 
 import ast
@@ -17,6 +18,7 @@ import math
 import pathlib
 import random
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -210,6 +212,41 @@ def test_two_different_towers_agree_on_e7():
     assert _tower_bound(pres) == _tower_bound(relabeled)
 
 
+def _replayed_index(relations, gens, dropped):
+    """A tower level's index by the reference enumerator: the cosets of the
+    subgroup the gens other than dropped generate, in the group the relations
+    present on gens, renumbered here 0, 1, ... in order."""
+    number = {g: i for i, g in enumerate(gens)}
+    restricted = SimpleNamespace(n=len(gens), relations=[
+        SimpleNamespace(word=tuple(number[x] for x in rel.word), exponent=rel.exponent) for rel in relations
+    ])
+    return len(enumerate_cosets(restricted, [(number[h],) for h in gens if h != dropped]))
+
+
+def test_every_e7_tower_replays_on_the_reference_enumerator():
+    members = mutation_class(dynkin.standard_diagram("E7")).members
+    assert len(members) == 416
+    replayed, defined = 0, 0
+    for member in members:
+        pres = reduced_presentation(member)
+        order, levels, count = coset._tower(pres, DEFAULT_COSET_CAP)
+        defined += count
+        assert order == math.prod(level["index"] for level in levels) == 2_903_040, member.edges
+        gens, relations = list(range(pres.n)), pres.relations
+        for level in levels:
+            g = level["dropped"] - 1
+            assert _replayed_index(relations, gens, g) == level["index"], (member.edges, level)
+            gens.remove(g)
+            relations = [rel for rel in relations if g not in rel.word]
+            replayed += 1
+        assert gens == []
+    assert replayed == 2_912
+    # the class totals of the towers' definitions, merged cosets included
+    assert defined == 96_436
+    e6 = mutation_class(dynkin.standard_diagram("E6")).members
+    assert sum(coset._tower(reduced_presentation(m), DEFAULT_COSET_CAP)[2] for m in e6) == 4_586
+
+
 def test_parabolic_index_times_subgroup_order():
     for label in ("A3", "B/C3", "D4", "F4"):
         pres = full_presentation(dynkin.standard_diagram(label))
@@ -244,12 +281,13 @@ def test_an_odd_power_of_a_generator_is_a_relator(exponent, order):
     assert group_order(Presentation(2, relations)) == order
 
 
-def test_stats_accumulate_cosets_defined():
+def test_tower_counts_the_cosets_defined_at_every_level():
     pres = full_presentation(dynkin.standard_diagram("A4"))
-    order, _, defined = coset._tower(pres, DEFAULT_COSET_CAP)
+    order, levels, defined = coset._tower(pres, DEFAULT_COSET_CAP)
     assert order == math.factorial(5)
-    # every coset surviving at every tower level was defined at some point
-    assert defined >= 5 + 4 + 3 + 2
+    # the four levels define 5 + 4 + 3 + 2 cosets and merge none
+    assert [level["index"] for level in levels] == [5, 4, 3, 2]
+    assert defined == 14
 
 
 # ------------------------------------------------- overflow handling
