@@ -401,22 +401,25 @@ def _refined_ranks(code: list[list[int]]) -> list[int]:
     """Colour refinement of the vertices by iterated neighbourhood signatures.
 
     Every vertex starts in one cell; each round splits the cells by the
-    sorted (code, cell) pairs of a vertex's edges until nothing splits, and
-    numbers the cells in signature order.  Computed from the code values
-    only, so an isomorphism of diagrams maps each vertex to one of the same
-    rank: the ranks are part of the canonical form (_canonical_search).
+    sorted (code, cell) pairs of a vertex's edges, and numbers the cells in
+    signature order.  It stops when a round splits no cell, or when every
+    cell is a singleton: a signature starts with the vertex's cell, so a
+    round that splits nothing renumbers nothing.  Computed from the code
+    values only, so an isomorphism of diagrams maps each vertex to one of the
+    same rank: the ranks are part of the canonical form (_canonical_search).
     """
     n = len(code)
     edges = [[(u, c) for u, c in enumerate(row) if c] for row in code]
     rank = [0] * n
-    for _ in range(max(1, n)):
+    cells = 1
+    while cells < n:
         sigs = [(rank[v], tuple(sorted([(c, rank[u]) for u, c in edges[v]])))
                 for v in range(n)]
         position = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new_rank = [position[s] for s in sigs]
-        if new_rank == rank:
+        if len(position) == cells:
             break
-        rank = new_rank
+        cells = len(position)
+        rank = [position[s] for s in sigs]
     return rank
 
 
@@ -443,6 +446,16 @@ def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int
     at depth d loses to a smaller one after the same prefix whatever follows.
     Of the least labelings the search returns the first in vertex order.
 
+    Two shortcuts keep that labeling.  When the ranks are all distinct, the
+    one rank-sorted labeling is returned without a search.  And u < v are
+    twins when swapping them fixes the code matrix (equal codes against
+    every other vertex, and code[u][v] == code[v][u]): that swap is an
+    automorphism fixing everything placed, so v's subtree mirrors u's, which
+    comes first, and the search skips v while a lower twin is unused
+    (pruning by automorphisms, as McKay and Piperno, arXiv:1301.1493).  A
+    cell that never splits, such as the leaves of a star, then costs one
+    branch per depth, not every order of its vertices.
+
     A block is held as one integer, its codes as digits in base _CODE_BASE,
     which compares like the tuple of codes among blocks of one length.
     """
@@ -452,6 +465,14 @@ def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int
     if diagram.max_weight() > 4:
         raise ValueError("edge weight too large to encode")
     code = _code_matrix(diagram, oriented)
+    rank = _refined_ranks(code)
+    if len(set(rank)) == n:
+        perm = sorted(range(n), key=rank.__getitem__)
+        return [code[perm[p]][perm[q]] for q in range(n) for p in range(q)], perm
+    twins = [[u for u in range(v) if rank[u] == rank[v] and code[u][v] == code[v][u]
+              and all(code[u][w] == code[v][w] and code[w][u] == code[w][v]
+                      for w in range(n) if w != u and w != v)]
+             for v in range(n)]
     best: list[int] = []  # blocks of the best encoding so far, one per depth
     best_perm: list[int] = []
     blocks: list[int] = []
@@ -471,7 +492,7 @@ def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int
             bounded = low == best[len(blocks)]
         blocks.append(low)
         for v, block in unused.items():
-            if block != low:
+            if block != low or any(u in unused for u in twins[v]):
                 continue
             row = code[v]
             perm.append(v)
@@ -480,7 +501,7 @@ def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int
             bounded = True  # the branch just searched left best[:depth + 1] equal to ours
         blocks.pop()
 
-    search(dict(enumerate(_refined_ranks(code))), False)
+    search(dict(enumerate(rank)), False)
     codes = [code[best_perm[p]][best_perm[q]] for q in range(n) for p in range(q)]
     return codes, best_perm
 
@@ -531,14 +552,25 @@ def _search(diagram: Diagram, cap: int, stop=None):
     """Breadth-first search of a diagram's mutation class: (reached, mutations, hit).
 
     From the diagram, by mutate_diagram, which keeps the vertex labels, the
-    search keeps the first diagram it reaches of each canonical form, and
-    never mutates one back at the vertex that reached it.  `reached` lists
-    them in discovery order as (diagram, parent position, vertex mutated,
-    key, perm), (key, perm) being its _canonical_labeling, the input first
-    with parent and vertex -1.  `mutations` records every mutation made as
-    (position, k, key).  With `stop`, the search ends at the first diagram d
-    with hit = stop(d) true; the input is checked before any canonical
-    labeling, and a stop there returns it alone with key and perm None.
+    search keeps the first diagram it reaches of each canonical form.
+    `reached` lists them in discovery order as (diagram, parent position,
+    vertex mutated, key, perm), (key, perm) being its _canonical_labeling,
+    the input first with parent and vertex -1.  `mutations` records the
+    mutation of each kept diagram at each vertex as (position, k, key).
+    With `stop`, the search ends at the first diagram d with hit = stop(d)
+    true; the input is checked before any canonical labeling, and a stop
+    there returns it alone with key and perm None.
+
+    Each mutation edge is labeled once, from the end expanded first.
+    Mutation is an involution, so when reached[p] mutated at k has the key
+    of reached[j] with j >= p, the two labelings map k to the vertex
+    x = reached[j]'s perm[perm.index(k)] at which reached[j] mutates back to
+    reached[p]'s key; `known` holds that key for (j, x) until reached[j] is
+    expanded, which then neither mutates nor labels at x.  (For j == p
+    that is only news when x > k; a new child's x is the vertex that
+    reached it.)  Such a mutation is the inverse of one that succeeded, so
+    it cannot fail, and the search raises where one mutating every kept
+    diagram at every vertex would.
 
     Raises NotFiniteTypeError on an input edge of weight > 3 (the rule's new
     weights max(a, b) - c then stay <= 3) or where the mutation rule breaks
@@ -550,11 +582,13 @@ def _search(diagram: Diagram, cap: int, stop=None):
     if stop and (hit := stop(diagram)):
         return [(diagram, -1, -1, None, None)], [], hit
     reached = [(diagram, -1, -1, *_canonical_labeling(diagram))]
-    seen = {reached[0][3]}
+    seen = {reached[0][3]: 0}  # key -> position in reached
+    known = {}  # (position, x) -> key of reached[position] mutated at x
     mutations = []
-    for position, (parent, _, skip, _, _) in enumerate(reached):  # grows as it goes
+    for position, (parent, _, _, near, _) in enumerate(reached):  # grows as it goes
         for k in range(diagram.n):
-            if k == skip:
+            if (position, k) in known:
+                mutations.append((position, k, known.pop((position, k))))
                 continue
             try:
                 child = mutate_diagram(parent, k)
@@ -562,14 +596,17 @@ def _search(diagram: Diagram, cap: int, stop=None):
                 raise NotFiniteTypeError(exc.template, *exc.vertices) from exc
             key, perm = _canonical_labeling(child)
             mutations.append((position, k, key))
-            if key in seen:
-                continue
-            if len(seen) >= cap:
-                raise MutationClassOverflow(cap)
-            seen.add(key)
-            reached.append((child, position, k, key, perm))
-            if stop and (hit := stop(child)):
-                return reached, mutations, hit
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise MutationClassOverflow(cap)
+                seen[key] = len(reached)
+                reached.append((child, position, k, key, perm))
+                if stop and (hit := stop(child)):
+                    return reached, mutations, hit
+            j = seen[key]
+            x = reached[j][4][perm.index(k)]
+            if j > position or (j == position and x > k):
+                known[(j, x)] = near
     return reached, mutations, None
 
 
@@ -607,9 +644,10 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
     its canonical labeling makes of it; members are emitted in canonical-form
     order, and type_label is identify_dynkin_type's.  Vertex k of a kept
     diagram with labeling perm is vertex perm.index(k) of its member, which
-    turns the search's mutations, and each kept diagram's mutation back to
-    its parent, into the edges (those of mutating every member at every
-    vertex) and the tree.  Raises as _search does.
+    turns the search's mutations into the edges (those of mutating every
+    member at every vertex; the search records each kept diagram's mutation
+    back to its parent among them) and each kept diagram's parent into the
+    tree.  Raises as _search does.
     """
     reached, mutations, _ = _search(diagram, cap)
     ordered = sorted(reached, key=lambda entry: entry[3])
@@ -617,14 +655,13 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
     index = {key: i for i, key in enumerate(keys)}
     member = [index[entry[3]] for entry in reached]
     perms = [entry[4] for entry in reached]
-    edges = {(member[p], perms[p].index(k), index[key]) for p, k, key in mutations}
+    edges = frozenset((member[p], perms[p].index(k), index[key]) for p, k, key in mutations)
     tree = [(member[0], -1, member[0], tuple(perms[0]))]
     for c, (_, p, k, _, perm) in enumerate(reached[1:], 1):
-        edges.add((member[c], perm.index(k), member[p]))
         tree.append((member[c], perm.index(k), member[p], tuple(perms[p].index(v) for v in perm)))
     members = tuple(_relabel(d, perm) for d, _, _, _, perm in ordered)
     label = next((match[0] for match in map(_tree_match, members) if match), "unknown")
-    return MutationClass(members, keys, frozenset(edges), label, tuple(tree))
+    return MutationClass(members, keys, edges, label, tuple(tree))
 
 
 @lru_cache(maxsize=None)

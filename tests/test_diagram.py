@@ -6,6 +6,7 @@ labeled-state BFS for mutation-class sizes.
 """
 
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -15,6 +16,8 @@ from cluster_presents.diagram import (
     ChordlessCycle,
     _canonical_labeling,
     _canonical_search,
+    _code_matrix,
+    _refined_ranks,
     _relabel,
     Diagram,
     DiagramError,
@@ -417,18 +420,23 @@ def _colour_ranks_bruteforce(d, oriented):
         colour = refined
 
 
-def _min_encoding_bruteforce(d, oriented):
-    """Oracle: the least encoding over the n! labelings that list the vertices
-    in non-decreasing colour rank, read off the edge weights."""
+def _least_labeling_bruteforce(d, oriented):
+    """Oracle: the first least encoding, in permutations order, over the n!
+    labelings that list the vertices in non-decreasing colour rank, read off
+    the edge weights; (codes, perm) as _canonical_search returns them."""
     rank = _colour_ranks_bruteforce(d, oriented)
     best = None
     for perm in permutations(range(d.n)):
         if any(rank[perm[q - 1]] > rank[perm[q]] for q in range(1, d.n)):
             continue
         codes = [_code_bruteforce(d, perm[p], perm[q], oriented) for q in range(d.n) for p in range(q)]
-        if best is None or codes < best:
-            best = codes
-    return bytes([d.n]) + bytes(best)
+        if best is None or codes < best[0]:
+            best = codes, list(perm)
+    return best
+
+
+def _min_encoding_bruteforce(d, oriented):
+    return bytes([d.n]) + bytes(_least_labeling_bruteforce(d, oriented)[0])
 
 
 def test_canonical_form_is_the_least_encoding_over_rank_sorted_labelings():
@@ -437,6 +445,33 @@ def test_canonical_form_is_the_least_encoding_over_rank_sorted_labelings():
         d = _random_diagram(rng, rng.randrange(1, 7))
         assert canonical_form(d) == _min_encoding_bruteforce(d, oriented=True)
         assert _unoriented_form(d) == _min_encoding_bruteforce(d, oriented=False)
+
+
+def test_canonical_search_returns_the_first_least_rank_sorted_labeling():
+    # the search's shortcuts (the discrete partition, refinement that stops
+    # once nothing splits, twins skipped) keep its labeling: the oracle has
+    # none of them.  Sparse diagrams and stars have twins; dense ones
+    # often refine to singletons.
+    rng = random.Random(31)
+    diagrams = [Diagram(6, []), Diagram(6, [(0, v, 1) for v in range(1, 6)]),
+                Diagram(6, [(0, 1, 2), (2, 0, 1), (0, 3, 1), (4, 0, 1), (0, 5, 1)])]
+    diagrams += [_random_diagram(rng, rng.randrange(1, 7), p=rng.choice((0.1, 0.3, 0.5, 0.8)))
+                 for _ in range(200)]
+    for d in diagrams:
+        for oriented in (True, False):
+            assert _refined_ranks(_code_matrix(d, oriented)) == _colour_ranks_bruteforce(d, oriented)
+            assert _canonical_search(d, oriented) == _least_labeling_bruteforce(d, oriented), (d, oriented)
+
+
+@pytest.mark.parametrize("diagram", [
+    Diagram(10, []), Diagram(10, [(0, v, 1) for v in range(1, 10)]),
+    Diagram(10, [(v, 0, 1) for v in range(1, 10)])], ids=["edgeless", "out-star", "in-star"])
+def test_canonical_search_skips_twins(diagram):
+    # every order of a cell that never splits would be 9! or 10! labelings
+    start = time.perf_counter()
+    canonical_form(diagram)
+    _canonical_search(diagram, oriented=False)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_canonical_form_rank_cap():
@@ -505,8 +540,10 @@ def test_class_sizes_match_published_counts(label, size):
     assert len(mutation_class(dynkin.standard_diagram(label))) == size
 
 
-@pytest.mark.parametrize("label", ["A5", "D5", "B/C4", "F4", "E6"])
+@pytest.mark.parametrize("label", ["A5", "D5", "B/C4", "F4", "E6", "D6", "E7"])
 def test_class_edges_are_every_mutation_of_every_member(label):
+    # the search labels each edge from one end and reads the other end off
+    # it; E7 has members with mu_k(M) isomorphic to M by a map that moves k
     mc = mutation_class(dynkin.standard_diagram(label))
     index = {key: i for i, key in enumerate(mc.keys)}
     expected = {(i, k, index[canonical_form(mutate_diagram(member, k))])

@@ -626,8 +626,17 @@ def test_search_makes_few_canonical_searches_on_the_e6_class(monkeypatch):
         companion_basis(member)
         counts.append(calls[0] - before)
     assert len(counts) == len(members) == 67
-    # 14.76 per search when it ran over canonical representatives
-    assert sum(counts) / len(counts) <= 14.8
+    # 14.76 per search when it ran over canonical representatives, 13.49
+    # once each edge is labeled from one end
+    assert sum(counts) / len(counts) <= 13.5
+
+
+@pytest.mark.parametrize("label, bound", [("E6", 217), ("E7", 1457)])
+def test_class_search_labels_each_edge_once(monkeypatch, label, bound):
+    # 337 and 2,498 when both ends of every edge were labeled
+    calls = _count_labelings(monkeypatch)
+    mutation_class(dynkin.standard_diagram(label))
+    assert calls[0] <= bound
 
 
 @pytest.mark.parametrize("label", ["B/C5", "B/C6", "D6"])
