@@ -23,10 +23,12 @@ equal to |W| (weyl_order) is then the order.
 Mutation certificates check the two witness maps, one word list giving both,
 in the reflection representation instead of the regular one: s_i acts on the
 root lattice by an n x n integer matrix read off the companion matrix of a
-companion basis, not on |W| cosets.  A homomorphism check there is exact once
-that representation is faithful, and it is exactly when the computed order, an
-upper bound, meets the lower bound |W| that a representation onto W gives; the
-composites of the maps need no check (verify_mutation_isomorphism).
+companion basis, not on |W| cosets; roots._first_failing, the kernel of the
+lower bound too, evaluates each relator there on packed integer rows.  A
+homomorphism check there is exact once that representation is faithful, and it
+is exactly when the computed order, an upper bound, meets the lower bound |W|
+that a representation onto W gives; the composites of the maps need no check
+(verify_mutation_isomorphism).
 The regular representation the tests check these certificates against lives
 in tests/reference_cosets.py, on an enumerator written apart from this one.
 

@@ -20,9 +20,10 @@ relabeled by the canonical labeling that search recorded, so carrying runs
 no canonical search.
 relations_hold checks a presentation on the reflections in such a basis, the
 lower bound of the certificates, by integer matrices read off its companion
-matrix (_first_failing, which also checks the mutation certificates' witness
-maps).  The sign pattern of a basis is tracked by its signed graph, with
-one switching move that rewires the neighbourhood of a vertex.
+matrix, each row packed into one int (_first_failing, which also checks the
+mutation certificates' witness maps).  The sign pattern of a basis is tracked
+by its signed graph, with one switching move that rewires the neighbourhood of
+a vertex.
 """
 
 from __future__ import annotations
@@ -350,6 +351,9 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
     return basis
 
 
+_BLOCK = 256  # letters evaluated at one digit width (_first_failing)
+
+
 def _first_failing(entries, relations, images=None):
     """The first relation that the reflections of a pairing matrix do not
     satisfy, or None when all hold.
@@ -362,35 +366,75 @@ def _first_failing(entries, relations, images=None):
     images, generator g of the relations stands for the word images[g] in the
     reflections, so this checks that g |-> images[g] is a homomorphism.  A
     relator holds when its word fixes every unit vector.
+
+    Rows are packed.  Row g of the word's matrix, coordinate g of the images
+    of the n unit vectors, is one int whose balanced base-2^bits digits are
+    its entries: sum_c x_c 2^(bits c).  Packing is linear, so a letter g
+    subtracts entries[j][g] times row j from row g, one small-int multiply per
+    nonzero entry of column g, and the relator holds when each row g is
+    1 << bits * g.  That test is exact when every entry is below 2^(bits - 1)
+    in size, where packing is injective.  A letter g changes only row g, to
+    entries at most growth = |1 - entries[g][g]| + sum over j != g of
+    |entries[j][g]| times the largest entry in size, so it multiplies the
+    largest entry's size by at most 2^grow[g], grow[g] =
+    (growth - 1).bit_length(); bits is the bit length of the largest entry,
+    plus grow over the letters, plus 1.  It is taken per _BLOCK letters, each
+    time from the largest entry that the rows reached (read off their digits),
+    so a long relator whose entries stay small is checked in time linear in
+    its length.
     """
     n = len(entries)
     column = [[(j, entries[j][g]) for j in range(n) if entries[j][g]] for g in range(n)]
-    identity = [[int(r == c) for c in range(n)] for r in range(n)]
+    grow = [(abs(1 - entries[g][g]) + sum(abs(a) for j, a in column[g] if j != g) - 1).bit_length()
+            for g in range(n)]
+    identities = {}  # bits -> the packed identity rows
     for rel in relations:
         word = rel.word
         if images is not None:
             word = tuple(x for g in word for x in images[g])
         elif len(word) == 2 and rel.exponent == 2 and not entries[word[0]][word[1]] \
-                and not entries[word[1]][word[0]]:
-            continue  # neither reflection reads the other's coordinate: they commute
-        # rows[r][c] is coordinate r of the image of unit vector c; only the
-        # word's letters change a coordinate
-        rows = {}
-        for g in word * rel.exponent:
-            row = rows.get(g, identity[g])
-            for j, a in column[g]:
-                row = [x - a * y for x, y in zip(row, rows.get(j, identity[j]))]
-            rows[g] = row
-        if any(row != identity[g] for g, row in rows.items()):
+                and not entries[word[1]][word[0]] and entries[word[0]][word[0]] == entries[word[1]][word[1]] == 2:
+            continue  # two involutions that read neither's coordinate: they commute
+        word *= rel.exponent
+        block = word[:_BLOCK]
+        bits = sum(map(grow.__getitem__, block)) + 2  # the identity's entries are at most 1
+        identity = identities.get(bits) or identities.setdefault(bits, [1 << bits * g for g in range(n)])
+        rows = identity[:]
+        for start in range(0, len(word), _BLOCK):
+            if start:
+                block = word[start:start + _BLOCK]
+                digits = [_unpack(row, bits, n) for row in rows]
+                top = max(1, *(abs(x) for row in digits for x in row))
+                bits = top.bit_length() + sum(map(grow.__getitem__, block)) + 1
+                rows = [sum(x << bits * c for c, x in enumerate(row)) for row in digits]
+                identity = [1 << bits * g for g in range(n)]
+            for g in block:
+                row = rows[g]
+                for j, a in column[g]:
+                    row -= a * rows[j]
+                rows[g] = row
+        if rows != identity:
             return rel
     return None
+
+
+def _unpack(row: int, bits: int, n: int) -> list[int]:
+    """The n balanced base-2^bits digits of a packed row, lowest first."""
+    half, mask = 1 << bits - 1, (1 << bits) - 1
+    digits = []
+    for _ in range(n):
+        x = ((row + half) & mask) - half
+        digits.append(x)
+        row = (row - x) >> bits
+    return digits
 
 
 def relations_hold(basis: CompanionBasis, relations) -> bool:
     """Do the reflections in the basis vectors satisfy every relation?
 
     Evaluated on A = companion_matrix(basis) in integer coordinates over the
-    basis (_first_failing).
+    basis, on packed rows (_first_failing, the one kernel of every relation
+    check).
 
     Why this bounds a presented group from below.  A basis of companion_bases
     or companion_basis is carried by mutations from the simple roots on a tree

@@ -7,6 +7,7 @@ and a coordinate-to-vector bijection.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -576,6 +577,117 @@ def test_relations_hold_rejects_a_basis_that_is_no_companion():
     # relations fail on them
     cycle = Diagram(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     assert not relations_hold(simple_root_basis(build_root_system("D4")), full_presentation(cycle).relations)
+
+
+def _plain_first_failing(entries, relations, images=None):
+    """The first relation whose word's matrix is not the identity, or None:
+    n x n integer matrices multiplied letter by letter, the reflection of
+    letter g being the identity with column g of entries subtracted from row g."""
+    n = len(entries)
+    identity = [[int(r == c) for c in range(n)] for r in range(n)]
+    reflections = [[[identity[r][c] - (entries[c][g] if r == g else 0) for c in range(n)] for r in range(n)]
+                   for g in range(n)]
+    for rel in relations:
+        word = rel.letters()
+        if images is not None:
+            word = tuple(x for g in word for x in images[g])
+        matrix = identity
+        for g in word:
+            matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*matrix)] for row in reflections[g]]
+        if matrix != identity:
+            return rel
+    return None
+
+
+def _involutive_relations(rng, n, involutions, count, longest):
+    """Relations over n generators, some holding by construction on the
+    involutions among them (s^2, a word followed by its reverse) and the rest
+    random words, with exponents."""
+    relations = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0 and involutions:
+            relations.append(Relation((rng.choice(involutions),), 2))
+        elif kind == 1 and involutions:
+            half = tuple(rng.choice(involutions) for _ in range(rng.randint(1, longest // 2)))
+            relations.append(Relation(half + half[::-1], rng.randint(1, 2)))
+        else:
+            relations.append(Relation(tuple(rng.randrange(n) for _ in range(rng.randint(1, 8))), rng.randint(1, 4)))
+    return relations
+
+
+def _assert_matches_plain(entries, relations, images=None):
+    for rel in relations:
+        assert roots._first_failing(entries, (rel,), images) == _plain_first_failing(entries, (rel,), images), \
+            (entries, rel, images)
+    assert roots._first_failing(entries, relations, images) == _plain_first_failing(entries, relations, images)
+
+
+def test_first_failing_matches_plain_matrices_on_random_integer_matrices():
+    # entries -3..3 with diagonals other than 2 among them, and relators up to a
+    # few hundred letters, so that their evaluation crosses width blocks
+    rng = random.Random(2011)
+    verdicts = []
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        entries = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        for g in range(n):
+            entries[g][g] = 2 if rng.random() < 0.7 else rng.randint(-3, 3)
+        involutions = [g for g in range(n) if entries[g][g] == 2]
+        relations = _involutive_relations(rng, n, involutions, 12, 360)
+        _assert_matches_plain(entries, relations)
+        verdicts += [_plain_first_failing(entries, (rel,)) is None for rel in relations]
+    assert 0.3 < sum(verdicts) / len(verdicts) < 0.7  # both verdicts, in numbers
+
+
+def test_first_failing_matches_plain_matrices_on_images():
+    # generator g stands for a palindrome around an involution, itself an
+    # involution, so the relators built to hold on involutions hold on images
+    rng = random.Random(1112)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        entries = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        for g in range(n):
+            entries[g][g] = 2
+        images = []
+        for _ in range(n):
+            half = tuple(rng.randrange(n) for _ in range(rng.randint(0, 2)))
+            images.append(half + (rng.randrange(n),) + half[::-1])
+        _assert_matches_plain(entries, _involutive_relations(rng, n, list(range(n)), 10, 120), images)
+
+
+def test_first_failing_is_exact_past_a_thousand_bits():
+    # a hyperbolic pair: (s1 s2) has infinite order and its entries grow about
+    # 2.8 bits a step; words that reach 1,000 bits, then hold or fail
+    hyperbolic = [[2, -3], [-3, 2]]
+    climb = (0, 1) * 380
+    reflection = [[-1, 3], [0, 1]], [[1, 0], [3, -1]]
+    matrix = [[1, 0], [0, 1]]
+    for g in climb:
+        matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*matrix)] for row in reflection[g]]
+    assert max(abs(x) for row in matrix for x in row).bit_length() > 1000
+    holds = Relation(climb + climb[::-1], 1)
+    fails_at_the_top = Relation(climb, 1)
+    fails_after = Relation(climb + climb[:0:-1], 1)  # one letter short of holding
+    fails_later = Relation(climb + climb[::-1] + (0, 1), 2)
+    relations = (holds, fails_at_the_top, fails_after, fails_later)
+    _assert_matches_plain(hyperbolic, relations)
+    assert [roots._first_failing(hyperbolic, (rel,)) is None for rel in relations] == [True, False, False, False]
+
+
+def test_relations_hold_takes_time_linear_in_a_relators_length():
+    # a relator of 300,000 letters that holds on A2, and one of 300,001 that
+    # fails on a hyperbolic pair after its entries climb to ~400 bits and back,
+    # 500 times; a width taken over the whole relator would cost its square
+    a2 = simple_root_basis(build_root_system("A2"))
+    started = time.perf_counter()
+    assert relations_hold(a2, (Relation((0, 1), 3 * 50000),))
+    assert time.perf_counter() - started < 3
+    climb = (0, 1) * 150
+    fails = Relation((climb + climb[::-1]) * 500 + (0,), 1)
+    started = time.perf_counter()
+    assert roots._first_failing([[2, -3], [-3, 2]], (fails,)) is fails
+    assert time.perf_counter() - started < 3
 
 
 def _count_labelings(monkeypatch):
