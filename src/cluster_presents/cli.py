@@ -384,7 +384,7 @@ def _cmd_verify_type(args, argv) -> int:
     if diagram.n > MAX_CANONICAL_RANK:  # before any pass over the vertices
         _die(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
     label, expected, entries, _ = _valid(_companion_entries, diagram)
-    cert = _certify(full_presentation(diagram), entries, expected, cap)
+    cert = _certify(diagram, entries, expected, cap)
     report = {"order": cert.order, "strategy": "tower", "cosets_defined": cert.cosets_defined,
               "tower": cert.tower, "type": label}
     if cert.order is not None:
@@ -421,7 +421,7 @@ def _cmd_theorem_a(args, argv) -> int:
     bases = companion_bases(mclass)
     members = []
     for idx in indices:
-        cert = _certify(reduced_presentation(mclass.members[idx]), _coroot_pairings(bases[idx]), expected, cap)
+        cert = _certify(mclass.members[idx], _coroot_pairings(bases[idx]), expected, cap)
         members.append({"member": idx, "order": cert.order, "tower": cert.tower, "lower_bound": cert.lower_bound,
                         "verdict": cert.verdict})
     verdicts = {m["verdict"] for m in members}
@@ -499,16 +499,14 @@ def _cmd_pipeline(args, argv) -> int:
 
     diagram = diagram_of(matrix)
     steps = []
-    verdict = "pass"
-    fail_step = None
+    fail_step = None  # the first step that fails, 0 for the input's basis
     if basis is not None:
         ok, reason = is_companion_basis(basis, matrix)
         if not ok:
-            verdict = "fail"
             fail_step = 0
             steps.append({"step": 0, "vertex": None, "companion_ok": False, "reason": reason})
     for idx, k1 in enumerate(script, start=1):
-        if verdict == "fail":
+        if fail_step is not None:
             break
         k = _vertex(matrix.n, k1)
         step_info: dict = {"step": idx, "vertex": k1}
@@ -518,7 +516,6 @@ def _cmd_pipeline(args, argv) -> int:
         except DiagramError as exc:
             step_info["diagram_error"] = _one_based(exc)
             steps.append(step_info)
-            verdict = "fail"
             fail_step = idx
             break
         step_info["two_finite"] = is_two_finite(new_matrix)
@@ -533,11 +530,8 @@ def _cmd_pipeline(args, argv) -> int:
             restored = mutate_companion(new_basis, k, new_diagram, "outward")
             step_info["companion_restored"] = restored.vectors == basis.vectors
             basis = new_basis
-            if not (ok and step_info["companion_restored"]):
-                verdict = "fail"
-                fail_step = idx
-        if not (step_info["two_finite"] and step_info["diagram_commutes"] and step_info["involution"]):
-            verdict = "fail"
+        checks = ("two_finite", "diagram_commutes", "involution", "companion_ok", "companion_restored")
+        if not all(step_info.get(check, True) for check in checks):
             fail_step = idx
         steps.append(step_info)
         matrix = new_matrix
@@ -552,7 +546,7 @@ def _cmd_pipeline(args, argv) -> int:
         results["final_basis"] = [list(v) for v in basis.vectors]
     if fail_step is not None:
         results["failed_step"] = fail_step
-    return _report(argv, inputs, results, verdict, started)
+    return _report(argv, inputs, results, "pass" if fail_step is None else "fail", started)
 
 
 # ---------------------------------------------------------------- roots / companion

@@ -9,16 +9,18 @@ Group Theory", 2005, section 5.1), so a live row names only live cosets.
 
 group_order enumerates the cosets of the trivial subgroup, so the order it
 returns is exact.  The certificates bound the order instead, from both sides,
-in _certify, for theorem-a, verify-type and both sides of
-verify_mutation_isomorphism.  From above by a parabolic tower (_tower): drop a
-generator of least degree, enumerate the cosets of the subgroup the others
-generate, go on with the relations among the others, and multiply the
-indices.  Each index is exact, and each restricted presentation maps onto the
-subgroup its generators generate, so the product is an upper bound on the
-order, and no more: on the trivial group <s1, s2 | s1^2, s2^2, (s1 s2)^3, s2>
-the tower gives 2.  From below by the relations holding on a companion basis
-(roots.relations_hold), which map the presented group onto W.  An upper bound
-equal to |W| (weyl_order) is then the order.
+in _certify, the one place that picks their presentations, for theorem-a,
+verify-type and both sides of verify_mutation_isomorphism.  From above by a
+parabolic tower (_tower) on the reduced presentation: drop a generator of
+least degree, enumerate the cosets of the subgroup the others generate, go on
+with the relations among the others, and multiply the indices.  Each index is
+exact, and each restricted presentation maps onto the subgroup its generators
+generate, so the product is an upper bound on the order, and no more: on the
+trivial group <s1, s2 | s1^2, s2^2, (s1 s2)^3, s2> the tower gives 2.  From
+below by the full presentation's relations holding on a companion basis
+(roots.relations_hold), which map G_full onto W.  The reduced relations are
+full ones, so |W| <= |G_full| <= |G_reduced| <= the tower's bound, and a bound
+equal to |W| (weyl_order) is the order of both presented groups.
 
 Mutation certificates check the two witness maps, one word list giving both,
 in the reflection representation instead of the regular one: s_i acts on the
@@ -44,7 +46,7 @@ from math import prod
 
 from . import dynkin
 from .diagram import Diagram, NotFiniteTypeError, connected_components, mutate_diagram
-from .presentation import Presentation, Relation, Word, full_presentation, mutation_witness_words
+from .presentation import Presentation, Relation, Word, _presentations, mutation_witness_words
 from .roots import _coroot_pairings, _first_failing, companion_basis, mutate_companion
 
 __all__ = [
@@ -304,19 +306,22 @@ class _Certificate:
     cosets_defined: int
     lower_bound: bool
     verdict: str  # "pass" | "fail" | "overflow"
+    relations: tuple[Relation, ...]  # the full presentation's, which lower_bound read
 
 
-def _certify(presentation: Presentation, entries, expected: int, cap: int) -> _Certificate:
-    """Certify |G| = |W| = expected: the tower bounds |G| from above, and the
-    relations holding on the companion matrix entries from below
-    (roots.relations_hold), checked even after an overflow for verify-type."""
-    order, tower, defined = _tower(presentation, cap)
-    lower_bound = _first_failing(entries, presentation.relations) is None
+def _certify(diagram: Diagram, entries, expected: int, cap: int) -> _Certificate:
+    """Certify |G| = |W| = expected for both of the diagram's presentations:
+    the tower on the reduced one bounds both from above, and the full relations
+    holding on the companion matrix entries from below (roots.relations_hold),
+    checked even after an overflow for verify-type."""
+    full, reduced = _presentations(diagram)
+    order, tower, defined = _tower(reduced, cap)
+    lower_bound = _first_failing(entries, full.relations) is None
     if order is None:
         verdict = "overflow"
     else:
         verdict = "pass" if order == expected and lower_bound else "fail"
-    return _Certificate(order, tower, defined, lower_bound, verdict)
+    return _Certificate(order, tower, defined, lower_bound, verdict, full.relations)
 
 
 def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COSET_CAP) -> MutationIsomorphismReport:
@@ -331,9 +336,10 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     in the basis mutated at k (mutate_companion).  Each side is one n x n
     integer matrix, the components' companion matrices on the diagonal blocks
     (_companion_entries), and every check is a relator evaluated on it
-    (roots._first_failing).  Raises CosetCapExceeded if an order computation
-    overflows, NotFiniteTypeError when a component's class is of no known
-    finite type, and ValueError above rank 10.
+    (roots._first_failing), the full relations each side's certificate carries.
+    Raises CosetCapExceeded if an order computation overflows,
+    NotFiniteTypeError when a component's class is of no known finite type, and
+    ValueError above rank 10.
 
     Why the checks are exact.  The simple roots on any tree of the type
     generate W by their reflections, and each companion mutation keeps beta_k
@@ -345,14 +351,12 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     records this for both sides, and `passed` requires it.
     """
     mutated = mutate_diagram(diagram, k)
-    pres = full_presentation(diagram)
-    pres_mut = full_presentation(mutated)
     _, expected, entries, entries_mut = _companion_entries(diagram, k)
 
-    side = _certify(pres, entries, expected, cap)
+    side = _certify(diagram, entries, expected, cap)
     if side.order is None:
         raise CosetCapExceeded(cap, side.cosets_defined)
-    side_mut = _certify(pres_mut, entries_mut, expected, cap)
+    side_mut = _certify(mutated, entries_mut, expected, cap)
     if side_mut.order is None:
         raise CosetCapExceeded(cap, side.cosets_defined + side_mut.cosets_defined)
 
@@ -360,8 +364,8 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     # so each composite sends s_i to s_i or s_k s_k s_i s_k s_k, and every reflection
     # _first_failing builds is an involution (a pairing matrix has 2 on its diagonal).
     words = mutation_witness_words(diagram, k)
-    fwd_fail = _first_failing(entries, pres_mut.relations, words)
-    inv_fail = _first_failing(entries_mut, pres.relations, words)
+    fwd_fail = _first_failing(entries, side_mut.relations, words)
+    inv_fail = _first_failing(entries_mut, side.relations, words)
 
     return MutationIsomorphismReport(
         vertex=k,

@@ -58,7 +58,8 @@ def bond_order(weight: int) -> int:
 
 @dataclass(frozen=True)
 class Relation:
-    """A relator (word)^exponent; letters are 0-based generator indices."""
+    """A relator (word)^exponent, the word nonempty and the exponent positive;
+    letters are 0-based generator indices."""
 
     word: Word
     exponent: int
@@ -70,6 +71,8 @@ class Relation:
             object.__setattr__(self, "exponent", index(self.exponent))
         except TypeError:
             raise ValueError("relation letters and exponent must be integers") from None
+        if self.exponent < 1 or not self.word:
+            raise ValueError(f"degenerate relation {self}")
 
     def letters(self) -> Word:
         """The fully expanded relator word."""
@@ -96,8 +99,6 @@ class Presentation:
         for rel in relations:
             if not isinstance(rel, Relation):
                 raise TypeError("relations must be Relation instances")
-            if rel.exponent < 1 or not rel.word:
-                raise ValueError(f"degenerate relation {rel}")
             if len(rel.word) * rel.exponent > _MAX_RELATOR_LENGTH:
                 raise ValueError(f"relation {rel} expands to more than {_MAX_RELATOR_LENGTH} letters")
             letters += len(rel.word) * rel.exponent
@@ -139,41 +140,40 @@ def _checked_cycles(diagram: Diagram) -> list[ChordlessCycle]:
     return cycles
 
 
-def _involution_and_braid_relations(diagram: Diagram) -> list[Relation]:
-    """R1 for every vertex, then R2 for every pair i < j in lexicographic order."""
-    rels = [Relation((i,), 2, "R1") for i in range(diagram.n)]
-    for i in range(diagram.n):
-        for j in range(i + 1, diagram.n):
-            rels.append(Relation((i, j), bond_order(diagram.weight_between(i, j)), "R2"))
-    return rels
-
-
-def full_presentation(diagram: Diagram) -> Presentation:
-    """All relations: involutions, pairwise orders, and every cycle rotation."""
+def _presentations(diagram: Diagram) -> tuple[Presentation, Presentation]:
+    """(full, reduced) from one cycle enumeration: R1 for every vertex, R2 for
+    every pair i < j in lexicographic order, then each cycle's rotations, all
+    in full and one of exponent 2 in reduced, so the reduced relations are
+    full ones (coset._certify rests on this)."""
     cycles = _checked_cycles(diagram)
-    rels = _involution_and_braid_relations(diagram)
+    n = diagram.n
+    full = [Relation((i,), 2, "R1") for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            full.append(Relation((i, j), bond_order(diagram.weight_between(i, j)), "R2"))
+    reduced = full[:]
     for cycle in cycles:
         d = len(cycle.vertices)
         plain = all(w == 1 for w in cycle.weights)
         for a in range(d):
             if plain:
-                rels.append(Relation(cycle_word(cycle, a), 2, "R3a"))
+                full.append(Relation(cycle_word(cycle, a), 2, "R3a"))
             else:
-                rels.append(Relation(cycle_word(cycle, a), 4 - cycle.weights[a], "R3b"))
-    return Presentation(diagram.n, rels)
+                full.append(Relation(cycle_word(cycle, a), 4 - cycle.weights[a], "R3b"))
+        admissible = [a for a in range(d) if plain or cycle.weights[a] == 2]
+        best = min(admissible, key=lambda a: [cycle.vertices[(a + t) % d] for t in range(d)])
+        reduced.append(Relation(cycle_word(cycle, best), 2, "R3-reduced"))
+    return Presentation(n, full), Presentation(n, reduced)
+
+
+def full_presentation(diagram: Diagram) -> Presentation:
+    """All relations: involutions, pairwise orders, and every cycle rotation."""
+    return _presentations(diagram)[0]
 
 
 def reduced_presentation(diagram: Diagram) -> Presentation:
     """One exponent-2 cycle relation per cycle, anchored at an admissible rotation."""
-    cycles = _checked_cycles(diagram)
-    rels = _involution_and_braid_relations(diagram)
-    for cycle in cycles:
-        d = len(cycle.vertices)
-        plain = all(w == 1 for w in cycle.weights)
-        admissible = [a for a in range(d) if plain or cycle.weights[a] == 2]
-        best = min(admissible, key=lambda a: [cycle.vertices[(a + t) % d] for t in range(d)])
-        rels.append(Relation(cycle_word(cycle, best), 2, "R3-reduced"))
-    return Presentation(diagram.n, rels)
+    return _presentations(diagram)[1]
 
 
 def mutation_witness_words(diagram: Diagram, k: int) -> tuple[Word, ...]:

@@ -443,8 +443,10 @@ def relations_hold(basis: CompanionBasis, relations) -> bool:
     s_{beta_k} beta_i, so the carried reflections generate W.  When they
     satisfy the relations of a presentation, s_g |-> reflection in beta_g maps
     the presented group G onto W, so |G| >= |W| = prod d_i (coset.weyl_order).
-    The parabolic tower bounds |G| from above (coset._tower); the two bounds
-    meet in one place, coset._certify, which certifies |G| = |W|.
+    The two bounds meet in one place, coset._certify: it checks the full
+    presentation's relations here and runs the parabolic tower
+    (coset._tower) on the reduced one, whose relations are among them, so one
+    tower reaching |W| certifies |G| = |W| for both presentations.
     """
     return _first_failing(_coroot_pairings(basis), relations) is None
 

@@ -29,7 +29,7 @@ from cluster_presents.formats import (
     load_presentation,
     load_signed_graph,
 )
-from cluster_presents.presentation import Presentation, Relation, full_presentation
+from cluster_presents.presentation import Presentation, Relation, _presentations, full_presentation, reduced_presentation
 from cluster_presents.roots import build_root_system, simple_root_basis
 
 
@@ -384,7 +384,7 @@ def test_verify_mutation_counts_both_enumerations(tmp_path, capsys):
     assert main(["verify-mutation", path, "1"]) == 0
     data = _json_out(capsys)
     diagram = diagram_of(load_matrix(CYCLE_MATRIX))
-    towers = [coset._tower(full_presentation(d), DEFAULT_COSET_CAP) for d in (diagram, mutate_diagram(diagram, 0))]
+    towers = [coset._tower(reduced_presentation(d), DEFAULT_COSET_CAP) for d in (diagram, mutate_diagram(diagram, 0))]
     assert data["strategy"] == "tower"
     assert data["cosets_defined"] == sum(defined for _, _, defined in towers)
 
@@ -410,16 +410,20 @@ def test_verify_type(tmp_path, capsys):
     assert math.prod(level["index"] for level in data["tower"]) == data["order"]
 
 
-def _with_relator_s1_s2(builder):
-    """The builder's presentation with the relator s1 s2 added."""
-    def build(diagram):
-        pres = builder(diagram)
-        return Presentation(pres.n, pres.relations + (Relation((0, 1), 1),))
-    return build
+def _full_with_relator_s1_s2(monkeypatch, only=None):
+    """Certificates read full presentations with the relator s1 s2 added (on
+    the diagram only, if given) and reduced presentations as they are, so the
+    towers still reach |W| and only the lower bound can fail."""
+    def presentations(diagram):
+        full, reduced = _presentations(diagram)
+        if only is None or diagram == only:
+            full = Presentation(full.n, full.relations + (Relation((0, 1), 1),))
+        return full, reduced
+    monkeypatch.setattr(coset, "_presentations", presentations)
 
 
 def test_verify_type_fails_an_added_relator_on_the_lower_bound(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "full_presentation", _with_relator_s1_s2(full_presentation))
+    _full_with_relator_s1_s2(monkeypatch)
     assert main(["verify-type", _write(tmp_path, "cycle.mat", CYCLE_MATRIX)]) == 1
     data = _json_out(capsys)
     assert (data["lower_bound"], data["verdict"]) == (False, "fail")
@@ -437,11 +441,24 @@ def test_verify_type_pass_needs_the_lower_bound(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("label", ["A6", "B/C4", "D5", "E6", "F4", "G2"])
 def test_theorem_a_fails_an_added_relator_on_the_lower_bound(capsys, monkeypatch, label):
-    monkeypatch.setattr(cli, "reduced_presentation", _with_relator_s1_s2(cli.reduced_presentation))
+    # theorem-a certifies the full presentation, the statement of Theorem A
+    _full_with_relator_s1_s2(monkeypatch)
     assert main(["theorem-a", label]) == 1
     data = _json_out(capsys)
     assert data["verdict"] == "fail"
     assert all((m["lower_bound"], m["verdict"]) == (False, "fail") for m in data["results"]["members"])
+    assert all(m["order"] == data["results"]["expected_order"] for m in data["results"]["members"])
+
+
+@pytest.mark.parametrize("side", ["input", "mutated"])
+def test_verify_mutation_fails_an_added_relator_on_either_lower_bound(tmp_path, capsys, monkeypatch, side):
+    diagram = diagram_of(load_matrix(CYCLE_MATRIX))
+    _full_with_relator_s1_s2(monkeypatch, diagram if side == "input" else mutate_diagram(diagram, 0))
+    report = coset.verify_mutation_isomorphism(diagram, 0)
+    assert report.order == report.mutated_order == weyl_order("D4")
+    assert not report.faithful and not report.passed
+    assert main(["verify-mutation", _write(tmp_path, "cycle.mat", CYCLE_MATRIX), "1"]) == 1
+    assert _json_out(capsys)["verdict"] == "fail"
 
 
 def test_theorem_a_certifies_the_whole_e7_class(capsys):
@@ -944,7 +961,7 @@ def _golden_files(tmp_path):
         "{simple}": _write(tmp_path, "simple.basis", "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"),
         "{a1a1}": _write(tmp_path, "a1a1.mat", "2\n0 0\n0 0\n"),
         "{a2a1}": _write(tmp_path, "a2a1.mat", "3\n0 1 0\n-1 0 0\n0 0 0\n"),
-        "{bc3}": _write(tmp_path, "bc3.dia", "3\n1 2 2\n2 3 1\n"),
+        "{bc4}": _write(tmp_path, "bc4.dia", "4\n1 4 1\n2 1 1\n3 2 2\n"),
     }
 
 
@@ -959,13 +976,13 @@ def _golden_files(tmp_path):
         (["order", "{pres}", "--cap", "10"], 1,
          '{\n  "order": null,\n  "strategy": "direct",\n  "cosets_defined": 10,\n  "verdict": "overflow"\n}\n'),
         (["verify-type", "{mat}"], 0,
-         '{\n  "order": 192,\n  "strategy": "tower",\n  "cosets_defined": 20,\n' + D4_TOWER + '  "type": "D4",\n'
+         '{\n  "order": 192,\n  "strategy": "tower",\n  "cosets_defined": 21,\n' + D4_TOWER + '  "type": "D4",\n'
          '  "expected_order": 192,\n  "lower_bound": true,\n  "verdict": "pass"\n}\n'),
         (["verify-type", "{mat}", "--cap", "4"], 1,
          '{\n  "order": null,\n  "strategy": "tower",\n  "cosets_defined": 4,\n  "tower": [],\n  "type": "D4",\n'
          '  "lower_bound": true,\n  "verdict": "overflow"\n}\n'),
         (["verify-mutation", "{mat}", "1"], 0,
-         '{\n  "order": 192,\n  "mutated_order": 192,\n  "strategy": "tower",\n  "cosets_defined": 37,\n'
+         '{\n  "order": 192,\n  "mutated_order": 192,\n  "strategy": "tower",\n  "cosets_defined": 38,\n'
          '  "vertex": 1,\n  "forward_homomorphism": true,\n  "inverse_homomorphism": true,\n'
          '  "composition_identity": true,\n  "verdict": "pass"\n}\n'),
         (["verify-mutation", "{mat}", "1", "--cap", "4"], 1,
@@ -985,10 +1002,10 @@ def _golden_files(tmp_path):
          '      "index": 2\n    },\n    {\n      "dropped": 2,\n      "index": 3\n    },\n    {\n      "dropped": 1,\n'
          '      "index": 2\n    }\n  ],\n  "type": "A2+A1",\n  "expected_order": 12,\n  "lower_bound": true,\n'
          '  "verdict": "pass"\n}\n'),
-        # the B/C3 tree's own tower completes in 12 cosets under a cap of 6; the
+        # the B/C4 tree's own tower completes in 21 cosets under a cap of 8; the
         # mutated side's overflows, and the report counts both sides' cosets
-        (["verify-mutation", "{bc3}", "2", "--cap", "6"], 1,
-         '{\n  "order": null,\n  "strategy": "tower",\n  "cosets_defined": 18,\n  "verdict": "overflow"\n}\n'),
+        (["verify-mutation", "{bc4}", "1", "--cap", "8"], 1,
+         '{\n  "order": null,\n  "strategy": "tower",\n  "cosets_defined": 29,\n  "verdict": "overflow"\n}\n'),
     ],
 )
 def test_verdict_reports_are_pinned(tmp_path, capsys, command, code, stdout):

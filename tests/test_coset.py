@@ -514,13 +514,15 @@ def test_mutation_certificate_overflow():
 
 
 def test_mutation_certificate_overflow_on_the_mutated_side_counts_both_sides():
-    tree = dynkin.standard_diagram("B/C3")
-    order, _, defined = coset._tower(full_presentation(tree), 6)
-    assert order == weyl_order("B/C3")
-    assert defined == 12
+    # the B/C4 tree 4 - 1 - 2 = 3; mutation at 1 closes the triangle 1, 2, 4
+    tree = Diagram(4, [(0, 3, 1), (1, 0, 1), (2, 1, 2)])
+    order, _, defined = coset._tower(reduced_presentation(tree), 8)
+    assert order == weyl_order("B/C4")
+    assert defined == 21
+    assert coset._tower(reduced_presentation(mutate_diagram(tree, 0)), 8)[0] is None
     with pytest.raises(CosetCapExceeded) as err:
-        verify_mutation_isomorphism(tree, 1, cap=6)
-    assert (err.value.cap, err.value.cosets_defined) == (6, 18)
+        verify_mutation_isomorphism(tree, 0, cap=8)
+    assert (err.value.cap, err.value.cosets_defined) == (8, 29)
 
 
 # ------------------------------------------------- label handling

@@ -1,5 +1,7 @@
 """Presentation builder: involutions, pairwise orders, cycle relations, witnesses."""
 
+import re
+
 import pytest
 
 from cluster_presents import diagram, presentation
@@ -40,6 +42,15 @@ def test_relation_prints_in_file_syntax():
     assert str(Relation((4,), 3)) == "(s5)^3"
 
 
+@pytest.mark.parametrize("word, exponent, text", [
+    ((0, 1), 0, "(s1 s2)^0"), ((0, 1), -1, "(s1 s2)^-1"), ((), 2, "()^2"), ((), 0, "()^0"),
+])
+def test_relation_refuses_a_degenerate_relator(word, exponent, text):
+    # each would expand to the empty word, which every relation check passes
+    with pytest.raises(ValueError, match=f"^degenerate relation {re.escape(text)}$"):
+        Relation(word, exponent)
+
+
 def test_presentation_validates_letters_and_involutions():
     with pytest.raises(ValueError):
         Presentation(2, [Relation((0,), 2)])  # s2 has no involution
@@ -74,7 +85,7 @@ def test_presentation_refuses_relators_too_long_to_expand_in_all():
         Presentation(2, [*involutions, *[longest] * (room + 1)])
 
 
-@pytest.mark.parametrize("builder", [full_presentation, reduced_presentation])
+@pytest.mark.parametrize("builder", [full_presentation, reduced_presentation, presentation._presentations])
 def test_presentations_enumerate_the_chordless_cycles_once(monkeypatch, builder):
     calls = []
 
@@ -150,6 +161,19 @@ def test_reduced_four_cycle_single_relation():
     p = reduced_presentation(FOUR_CYCLE)
     r3 = [r for r in p.relations if r.tag == "R3-reduced"]
     assert [(r.word, r.exponent) for r in r3] == [((0, 1, 2, 3, 2, 1), 2)]
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B/C2", "B/C3", "B/C4", "B/C5", "B/C6",
+    "D4", "D5", "D6", "E6", "E7", "F4", "G2",
+])
+def test_reduced_relations_are_full_relations(label):
+    # the certificates run the tower on the reduced presentation and check
+    # the full relations on a companion basis: G_full is then a quotient of
+    # G_reduced, and one tower reaching |W| bounds both
+    for member in mutation_class(standard_diagram(label)).members:
+        full, reduced = full_presentation(member), reduced_presentation(member)
+        assert {(r.word, r.exponent) for r in reduced.relations} <= {(r.word, r.exponent) for r in full.relations}
 
 
 def test_presentation_rejects_invalid_diagram():
