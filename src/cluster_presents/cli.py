@@ -494,7 +494,7 @@ def _cmd_pipeline(args, argv) -> int:
         current = dynkin.standard_exchange_matrix(label)
         basis = simple_root_basis(system)
         for k in path:
-            basis = mutate_companion(basis, k, diagram_of(current), "inward")
+            basis = mutate_companion(basis, k, diagram_of(current))
             current = mutate_matrix(current, k)
 
     diagram = diagram_of(matrix)
@@ -520,14 +520,14 @@ def _cmd_pipeline(args, argv) -> int:
             break
         step_info["two_finite"] = is_two_finite(new_matrix)
         step_info["diagram_commutes"] = diagram_of(new_matrix) == new_diagram
-        step_info["involution"] = mutate_matrix(new_matrix, k).entries == matrix.entries
+        step_info["involution"] = _mutate_entries(new_matrix.entries, k) == matrix.entries
         if basis is not None:
-            new_basis = mutate_companion(basis, k, diagram, "inward")
+            new_basis = mutate_companion(basis, k, diagram)
             ok, reason = is_companion_basis(new_basis, new_matrix)
             step_info["companion_ok"] = ok
             if reason:
                 step_info["reason"] = reason
-            restored = mutate_companion(new_basis, k, new_diagram, "outward")
+            restored = mutate_companion(new_basis, k, diagram)
             step_info["companion_restored"] = restored.vectors == basis.vectors
             basis = new_basis
         checks = ("two_finite", "diagram_commutes", "involution", "companion_ok", "companion_restored")
@@ -588,8 +588,9 @@ def _cmd_companion_mutate(args, argv) -> int:
     basis = _load_companion_basis(args.type, args.basis)
     matrix = _load(args.matrix, load_matrix)
     k = _vertex(matrix.n, args.vertex)
-    direction = "outward" if args.outward else "inward"
-    return _emit(dump_basis(_valid(mutate_companion, basis, k, diagram_of(matrix), direction).vectors))
+    if args.outward:
+        matrix = mutate_matrix(matrix, k)
+    return _emit(dump_basis(_valid(mutate_companion, basis, k, diagram_of(matrix)).vectors))
 
 
 def _cmd_signed_graph(args, argv) -> int:
@@ -610,11 +611,11 @@ def _cmd_switch(args, argv) -> int:
 
 def _generic_fp(pres: Presentation) -> str:
     lines = [f"F := FreeGroup({pres.n});", "rels := ["]
-    body = []
     for rel in pres.relations:
         word = "*".join(f"s{x + 1}" for x in rel.word)
-        body.append(f"  ({word})^{rel.exponent}")
-    lines.append(",\n".join(body))
+        lines.append(f"  ({word})^{rel.exponent},")
+    if pres.relations:
+        lines[-1] = lines[-1][:-1]  # no comma after the last relation
     lines.append("];")
     return "\n".join(lines) + "\n"
 

@@ -292,7 +292,7 @@ def _companion_entries(diagram: Diagram, k: int = -1):
         _place(entries, vertices, basis)
         if mutated is not None:
             if k in vertices:
-                basis = mutate_companion(basis, vertices.index(k), component, "inward")
+                basis = mutate_companion(basis, vertices.index(k), component)
             _place(mutated, vertices, basis)
     return "+".join(labels), prod(map(weyl_order, labels)), entries, mutated
 

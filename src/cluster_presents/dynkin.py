@@ -25,7 +25,6 @@ __all__ = [
     "normalize_label",
     "labels_of_rank",
     "cartan_matrix",
-    "cartan_symmetriser",
     "standard_exchange_matrix",
     "standard_diagram",
 ]
@@ -113,12 +112,6 @@ def cartan_matrix(label: str) -> tuple[tuple[int, ...], ...]:
         rows[i][j] = 2 * inner // (2 * d[i])
         rows[j][i] = 2 * inner // (2 * d[j])
     return tuple(tuple(r) for r in rows)
-
-
-@lru_cache(maxsize=None)
-def cartan_symmetriser(label: str) -> tuple[int, ...]:
-    family, rank = parse_label(label)
-    return tuple(_lengths(family, rank))
 
 
 @lru_cache(maxsize=None)

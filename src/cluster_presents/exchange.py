@@ -2,7 +2,8 @@
 
 Exact arithmetic on plain Python ints: entries are read with operator.index,
 so a float, string or Fraction is refused, and matrices are immutable tuples of
-tuples.  One check, _witnesses, accepts every symmetriser, found or given.
+tuples.  No symmetriser is passed in: each matrix computes its least positive
+one (_propagate_symmetriser), which one check, _witnesses, accepts.
 """
 
 from __future__ import annotations
@@ -45,19 +46,6 @@ def _witnesses(entries: IntMatrix, d: Sequence[int], sign: int) -> bool:
     """True iff d_i M_ij == sign * d_j M_ji for every pair i, j (i = j included)."""
     n = len(entries)
     return all(d[i] * entries[i][j] == sign * d[j] * entries[j][i] for i in range(n) for j in range(i, n))
-
-
-def _given_symmetriser(values: Sequence[int], entries: IntMatrix, sign: int) -> tuple[int, ...]:
-    """A symmetriser passed in, as ints: positive, of matching rank, and a witness for entries."""
-    try:
-        d = tuple(map(index, values))
-    except TypeError:
-        d = ()
-    if len(d) != len(entries) or any(x <= 0 for x in d):
-        raise ValueError("symmetriser must be positive integers of matching rank")
-    if not _witnesses(entries, d, sign):
-        raise ValueError("symmetriser does not witness " + ("skew-" if sign < 0 else "") + "symmetrisability")
-    return d
 
 
 def _propagate_symmetriser(entries: IntMatrix, sign: int) -> Optional[tuple[int, ...]]:
@@ -105,26 +93,23 @@ def find_symmetriser(entries: Sequence[Sequence[int]]) -> Optional[tuple[int, ..
 
 @dataclass(frozen=True, slots=True)
 class ExchangeMatrix:
-    """An n x n skew-symmetrisable integer matrix B with a cached symmetriser.
+    """An n x n skew-symmetrisable integer matrix B with its symmetriser.
 
     Invariants enforced at construction: zero diagonal, opposite signs in
     opposite positions, and existence of a positive integer diagonal D with
-    D*B skew-symmetric.  Instances are immutable values, equal when their
-    entries are.
+    D*B skew-symmetric; the least such D on each component is computed and
+    cached.  Instances are immutable values, equal when their entries are.
     """
 
     entries: IntMatrix
-    symmetriser: Optional[tuple[int, ...]] = field(default=None, compare=False)
+    symmetriser: tuple[int, ...] = field(init=False, compare=False)
     n: int = field(init=False, compare=False)
 
     def __post_init__(self):
         frozen = _freeze(self.entries)
-        if self.symmetriser is None:
-            found = _propagate_symmetriser(frozen, -1)
-            if found is None:
-                raise ValueError("matrix is not skew-symmetrisable")
-        else:
-            found = _given_symmetriser(self.symmetriser, frozen, -1)
+        found = _propagate_symmetriser(frozen, -1)
+        if found is None:
+            raise ValueError("matrix is not skew-symmetrisable")
         object.__setattr__(self, "n", len(frozen))
         object.__setattr__(self, "entries", frozen)
         object.__setattr__(self, "symmetriser", found)
@@ -193,8 +178,8 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
     B'_ij = -B_ij when i = k or j = k, and otherwise
     B'_ij = B_ij + (|B_ik| B_kj + B_ik |B_kj|) / 2; the division is always
-    exact because the two summands share the sign pattern.  The symmetriser
-    of B remains a witness for B' and is reused; the constructor checks it.
+    exact because the two summands share the sign pattern.  B' has the
+    symmetriser of B, which its constructor computes again.
 
     Raises
     ------
@@ -203,7 +188,7 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """
     if not 0 <= k < B.n:
         raise IndexError(f"mutation vertex {k} out of range for rank {B.n}")
-    return ExchangeMatrix(_mutate_entries(B.entries, k), symmetriser=B.symmetriser)
+    return ExchangeMatrix(_mutate_entries(B.entries, k))
 
 
 def cartan_counterpart(B: ExchangeMatrix) -> QuasiCartanMatrix:

@@ -140,11 +140,11 @@ def _checked_cycles(diagram: Diagram) -> list[ChordlessCycle]:
     return cycles
 
 
-def _presentations(diagram: Diagram) -> tuple[Presentation, Presentation]:
-    """(full, reduced) from one cycle enumeration: R1 for every vertex, R2 for
-    every pair i < j in lexicographic order, then each cycle's rotations, all
-    in full and one of exponent 2 in reduced, so the reduced relations are
-    full ones (coset._certify rests on this)."""
+def _relations(diagram: Diagram) -> tuple[list[Relation], list[Relation]]:
+    """The (full, reduced) relations from one cycle enumeration: R1 for every
+    vertex, R2 for every pair i < j in lexicographic order, then each cycle's
+    rotations, all in full and one of exponent 2 in reduced, so the reduced
+    relations are full ones (coset._certify rests on this)."""
     cycles = _checked_cycles(diagram)
     n = diagram.n
     full = [Relation((i,), 2, "R1") for i in range(n)]
@@ -163,17 +163,23 @@ def _presentations(diagram: Diagram) -> tuple[Presentation, Presentation]:
         admissible = [a for a in range(d) if plain or cycle.weights[a] == 2]
         best = min(admissible, key=lambda a: [cycle.vertices[(a + t) % d] for t in range(d)])
         reduced.append(Relation(cycle_word(cycle, best), 2, "R3-reduced"))
-    return Presentation(n, full), Presentation(n, reduced)
+    return full, reduced
+
+
+def _presentations(diagram: Diagram) -> tuple[Presentation, Presentation]:
+    """(full, reduced), both validated, from one cycle enumeration (_relations)."""
+    full, reduced = _relations(diagram)
+    return Presentation(diagram.n, full), Presentation(diagram.n, reduced)
 
 
 def full_presentation(diagram: Diagram) -> Presentation:
     """All relations: involutions, pairwise orders, and every cycle rotation."""
-    return _presentations(diagram)[0]
+    return Presentation(diagram.n, _relations(diagram)[0])
 
 
 def reduced_presentation(diagram: Diagram) -> Presentation:
     """One exponent-2 cycle relation per cycle, anchored at an admissible rotation."""
-    return _presentations(diagram)[1]
+    return Presentation(diagram.n, _relations(diagram)[1])
 
 
 def mutation_witness_words(diagram: Diagram, k: int) -> tuple[Word, ...]:

@@ -8,8 +8,8 @@ stay in exact integer arithmetic.
 
 A companion basis for an exchange matrix B is a Z-basis of the root lattice
 made of roots whose mutual pairings reproduce |B| off the diagonal; it is
-mutated by reflecting the vectors attached to arrows into (or out of) the
-mutation vertex.  The simple roots are one for every orientation of the
+mutated by reflecting the vectors attached to arrows into the mutation
+vertex.  The simple roots are one for every orientation of the
 type's tree.  companion_basis finds one for a diagram by the class search
 (diagram._search) that mutation_class runs, stopped at the first tree it
 meets, in any orientation, and carries the simple roots back along the
@@ -34,7 +34,7 @@ from operator import index, mul
 
 from . import dynkin
 from .diagram import DEFAULT_CLASS_CAP, Diagram, MutationClass, NotFiniteTypeError, _NamesVertices, _search, _tree_match
-from .exchange import ExchangeMatrix, QuasiCartanMatrix, _freeze, _given_symmetriser, determinant, is_positive
+from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant, is_positive
 
 __all__ = [
     "RootSystem",
@@ -67,29 +67,30 @@ class RootSystem:
     """A finite root system, closed under all simple reflections.
 
     roots is the full (positive and negative) root set, lexicographically
-    sorted.  The symmetriser must be positive integers d of rank n with
-    d_i cartan_ij = d_j cartan_ji, so the form below is symmetric, and the
-    form must be positive definite, so the root set is finite.  Construct
-    via build_root_system, whose cache makes one object per type; equality is
+    sorted.  The symmetriser is computed: the least positive integers d with
+    d_i cartan_ij = d_j cartan_ji on each component, so the form below is
+    symmetric (for a Dynkin type, d_i = (a_i, a_i)/2, short roots at 1).  The form must be
+    positive definite, so the root set is finite.  Construct via
+    build_root_system, whose cache makes one object per type; equality is
     identity.
     """
 
     label: str
     cartan: tuple[tuple[int, ...], ...]
-    symmetriser: tuple[int, ...]
+    symmetriser: tuple[int, ...] = field(init=False)
     n: int = field(init=False)
     roots: tuple[Coords, ...] = field(init=False)
     _root_set: frozenset[Coords] = field(init=False)
 
     def __post_init__(self):
-        cartan = _freeze(self.cartan)
-        object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "symmetriser", _given_symmetriser(self.symmetriser, cartan, 1))
-        if not is_positive(QuasiCartanMatrix(cartan)):
+        quasi = QuasiCartanMatrix(self.cartan)
+        if not is_positive(quasi):
             raise ValueError(f"Cartan matrix of {self.label} is not of finite type: "
                              "its symmetrised form is not positive definite")
-        object.__setattr__(self, "n", len(cartan))
-        roots = _close_under_reflections(cartan, len(cartan))
+        object.__setattr__(self, "cartan", quasi.entries)
+        object.__setattr__(self, "symmetriser", quasi.symmetriser)
+        object.__setattr__(self, "n", quasi.n)
+        roots = _close_under_reflections(quasi.entries, quasi.n)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "_root_set", frozenset(roots))
 
@@ -139,11 +140,7 @@ def _close_under_reflections(cartan, n: int) -> tuple[Coords, ...]:
 def build_root_system(label: str) -> RootSystem:
     """The root system of a Dynkin type label such as "A3" or "B/C2"."""
     normalized = dynkin.normalize_label(label)
-    return RootSystem(
-        normalized,
-        dynkin.cartan_matrix(normalized),
-        dynkin.cartan_symmetriser(normalized),
-    )
+    return RootSystem(normalized, dynkin.cartan_matrix(normalized))
 
 
 def _form(system: RootSystem, w) -> tuple[list[int], int]:
@@ -276,21 +273,20 @@ def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[b
     return True, None
 
 
-def mutate_companion(basis: CompanionBasis, k: int, diagram, direction: str = "inward") -> CompanionBasis:
-    """Mutate the basis at vertex k, guided by the arrows of the diagram.
+def mutate_companion(basis: CompanionBasis, k: int, diagram) -> CompanionBasis:
+    """Mutate the basis at vertex k, guided by the arrows of the diagram:
+    reflect beta_i in beta_k for each arrow i -> k.
 
-    Inward mutation reflects beta_i in beta_k when the diagram has an arrow
-    i -> k; outward when the arrow is k -> i.  The two are mutually inverse
-    across a mutation step.
+    beta_k is kept and each reflection is an involution, so the step on the
+    same diagram undoes it.  On the mutated diagram, whose arrows at k are
+    reversed, it reflects the beta_i of the arrows k -> i instead.
     """
     n = len(basis.vectors)
     if diagram.n != n:
         raise ValueError(f"rank mismatch: diagram on {diagram.n} vertices, basis of {n} vectors")
     if not 0 <= k < n:
         raise IndexError(f"mutation vertex {k} out of range")
-    if direction not in ("inward", "outward"):
-        raise ValueError(f"direction must be 'inward' or 'outward', not {direction!r}")
-    hit = diagram.in_neighbours(k) if direction == "inward" else diagram.out_neighbours(k)
+    hit = diagram.in_neighbours(k)
     out = list(basis.vectors)
     if hit:
         reflector = _reflector(basis.system, out[k])  # once for every hit vector
@@ -312,7 +308,7 @@ def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
     bases = {root: companion_basis(mclass.members[root])}
     for member, k, parent, perm in mclass.tree[1:]:
         # vertex q of the member is vertex perm[q] of the parent mutated at perm[k]
-        mutated = mutate_companion(bases[parent], perm[k], mclass.members[parent], "inward").vectors
+        mutated = mutate_companion(bases[parent], perm[k], mclass.members[parent]).vectors
         bases[member] = CompanionBasis(bases[root].system, [mutated[v] for v in perm])
     return tuple(bases[i] for i in range(len(mclass)))
 
@@ -346,7 +342,7 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
     basis = CompanionBasis(system, vectors)
     current, position, k, _, _ = reached[-1]
     while position >= 0:
-        basis = mutate_companion(basis, k, current, "inward")
+        basis = mutate_companion(basis, k, current)
         current, position, k, _, _ = reached[position]
     return basis
 

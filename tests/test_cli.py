@@ -266,6 +266,10 @@ def test_export_generic_fp_grammar(tmp_path, capsys):
         "  (s1*s2)^3\n"
         "];\n"
     )
+    # no relations: no line between the brackets
+    empty = _write(tmp_path, "empty.pres", "generators 0\n")
+    assert main(["export", empty, "--format", "generic-fp"]) == 0
+    assert capsys.readouterr().out == "F := FreeGroup(0);\nrels := [\n];\n"
 
 
 def test_export_native_round_trips(tmp_path, capsys):

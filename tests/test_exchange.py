@@ -273,6 +273,15 @@ def test_mutation_preserves_symmetriser_witness():
                 assert d[i] * out.entries[i][j] == -d[j] * out.entries[j][i]
 
 
+@pytest.mark.parametrize("label", ["E7", "B/C5", "G2"])
+def test_mutated_matrices_compute_the_least_symmetriser(label):
+    rng = random.Random(25)
+    B = dynkin.standard_exchange_matrix(label)
+    for _ in range(50):
+        B = mutate_matrix(B, rng.randrange(B.n))
+        assert B.symmetriser == find_symmetriser(B.entries)
+
+
 def _dense_mutation(entries, k):
     """The rule entry by entry, over all n^2 positions: the reference for the sparse kernel."""
     n = len(entries)

@@ -168,18 +168,29 @@ def test_large_root_systems_have_their_family_counts():
 def test_root_system_refuses_a_cartan_matrix_of_infinite_type():
     # the affine A1 form (x - y)^2 is not definite: closing under reflections would never end
     with pytest.raises(ValueError, match="not of finite type"):
-        RootSystem("affine", [[2, -2], [-2, 2]], [1, 1])
+        RootSystem("affine", [[2, -2], [-2, 2]])
     with pytest.raises(ValueError, match="not of finite type"):
-        RootSystem("hyperbolic", [[2, -3], [-3, 2]], [1, 1])
+        RootSystem("hyperbolic", [[2, -3], [-3, 2]])
     with pytest.raises(ValueError, match="diagonal 2"):
-        RootSystem("no Cartan matrix", [[3, -1], [-1, 3]], [1, 1])
+        RootSystem("no Cartan matrix", [[3, -1], [-1, 3]])
+    with pytest.raises(ValueError, match="^matrix is not symmetrisable$"):
+        RootSystem("no symmetriser", [[2, -1, -1], [-1, 2, -1], [-2, -1, 2]])
+
+
+def _root_lengths(label):
+    """(a_i, a_i)/2 per simple root, from the classification, short roots at 1."""
+    family, n = dynkin.parse_label(label)
+    return {"A": (1,) * n, "D": (1,) * n, "E": (1,) * n, "B": (1,) + (2,) * (n - 1), "B/C": (1,) + (2,) * (n - 1),
+            "C": (2,) + (1,) * (n - 1), "F": (2, 2, 1, 1), "G": (1, 3)}[family]
 
 
 def test_every_catalogue_label_builds_a_root_system():
     for n in range(1, 11):
-        for label in dynkin.labels_of_rank(n):
-            system = RootSystem(label, dynkin.cartan_matrix(label), dynkin.cartan_symmetriser(label))
+        for label in dynkin.labels_of_rank(n) + ((f"B{n}", f"C{n}") if n > 1 else ()):
+            system = RootSystem(label, dynkin.cartan_matrix(label))
             assert len(system.roots) == len(build_root_system(label).roots) > 0
+            # the computed symmetriser is the root lengths' table
+            assert system.symmetriser == build_root_system(label).symmetriser == _root_lengths(label), label
 
 
 def test_b_and_c_cartan_matrices_are_transposes():
@@ -361,19 +372,19 @@ def test_inward_mutation_worked_example():
     system = build_root_system("A2")
     B = dynkin.standard_exchange_matrix("A2")
     basis = simple_root_basis(system)
-    mutated = mutate_companion(basis, 1, diagram_of(B), "inward")
+    mutated = mutate_companion(basis, 1, diagram_of(B))
     assert mutated.vectors == ((1, 1), (0, 1))
     ok, reason = is_companion_basis(mutated, mutate_matrix(B, 1))
     assert ok, reason
     # at the source nothing points inward, so the basis is untouched
-    untouched = mutate_companion(basis, 0, diagram_of(B), "inward")
+    untouched = mutate_companion(basis, 0, diagram_of(B))
     assert untouched.vectors == basis.vectors
 
 
 @pytest.mark.parametrize("label", ["E6", "B/C4", "G2"])
 def test_mutate_companion_reflects_each_hit_vector(label):
-    """Both directions equal reflect applied vector by vector on every arrow into
-    (inward) or out of (outward) the mutation vertex."""
+    """The step equals reflect applied vector by vector on every arrow into the
+    mutation vertex, and on the mutated diagram on every arrow out of it."""
     mclass = mutation_class(dynkin.standard_diagram(label))
     for basis, diagram in zip(companion_bases(mclass), mclass.members):
         for k in range(diagram.n):
@@ -382,8 +393,8 @@ def test_mutate_companion_reflects_each_hit_vector(label):
                       for i, v in enumerate(basis.vectors)]
             outward = [reflect(basis.system, beta_k, v) if diagram.weight(k, i) else v
                        for i, v in enumerate(basis.vectors)]
-            assert list(mutate_companion(basis, k, diagram, "inward").vectors) == inward
-            assert list(mutate_companion(basis, k, diagram, "outward").vectors) == outward
+            assert list(mutate_companion(basis, k, diagram).vectors) == inward
+            assert list(mutate_companion(basis, k, mutate_diagram(diagram, k)).vectors) == outward
 
 
 def test_mutate_companion_checks_beta_k_only_when_it_reflects():
@@ -393,11 +404,10 @@ def test_mutate_companion_checks_beta_k_only_when_it_reflects():
     with pytest.raises(ValueError) as err:
         reflect(system, (2, 0), (0, 1))
     with pytest.raises(ValueError) as mutated:
-        mutate_companion(basis, 0, arrow, "inward")
+        mutate_companion(basis, 0, arrow)
     assert str(mutated.value) == str(err.value) == "(2, 0) is not a root of A2"
-    # no arrow out of vertex 0, or none into it: nothing is reflected and nothing raises
-    assert mutate_companion(basis, 0, arrow, "outward").vectors == basis.vectors
-    assert mutate_companion(basis, 0, Diagram(2, [(0, 1, 1)]), "inward").vectors == basis.vectors
+    # no arrow into vertex 0 once mutated at 0: nothing is reflected and nothing raises
+    assert mutate_companion(basis, 0, mutate_diagram(arrow, 0)).vectors == basis.vectors
 
 
 def test_mutate_companion_argument_errors():
@@ -406,8 +416,6 @@ def test_mutate_companion_argument_errors():
     d = diagram_of(dynkin.standard_exchange_matrix("A2"))
     with pytest.raises(IndexError):
         mutate_companion(basis, 2, d)
-    with pytest.raises(ValueError):
-        mutate_companion(basis, 0, d, "sideways")
     with pytest.raises(ValueError):
         mutate_companion(basis, 0, diagram_of(dynkin.standard_exchange_matrix("A3")))
 
@@ -422,12 +430,12 @@ def test_random_walks_stay_companion_and_invert():
             for _ in range(rng.randrange(1, 7)):
                 d = diagram_of(B)
                 k = rng.randrange(B.n)
-                mutated = mutate_companion(basis, k, d, "inward")
+                mutated = mutate_companion(basis, k, d)
                 B_next = mutate_matrix(B, k)
                 ok, reason = is_companion_basis(mutated, B_next)
                 assert ok, reason
-                # outward with respect to the mutated arrows undoes the step
-                back = mutate_companion(mutated, k, diagram_of(B_next), "outward")
+                # the same step on the old diagram undoes it
+                back = mutate_companion(mutated, k, d)
                 assert back == basis
                 basis, B = mutated, B_next
 
@@ -890,7 +898,7 @@ def test_simply_laced_mutation_acts_by_local_switching():
             for _ in range(rng.randrange(1, 8)):
                 d = diagram_of(B)
                 k = rng.randrange(B.n)
-                mutated = mutate_companion(basis, k, d, "inward")
+                mutated = mutate_companion(basis, k, d)
                 old_graph = signed_graph(companion_matrix(basis))
                 new_graph = signed_graph(companion_matrix(mutated))
                 sources = tuple(i for i in range(d.n) if d.weight(i, k) > 0)
