@@ -21,14 +21,11 @@ from .diagram import (
     MutationClass,
     MutationClassOverflow,
     NotFiniteTypeError,
-    canonical_form,
     chordless_cycles,
     diagram_of,
-    identify_dynkin_type,
     mutate_diagram,
     mutation_class,
     opposite,
-    validate_finite_type_local,
 )
 from .presentation import (
     Presentation,
@@ -52,13 +49,9 @@ from .roots import (
     companion_bases,
     companion_basis,
     companion_matrix,
-    copairing,
     is_companion_basis,
     local_switch,
     mutate_companion,
-    pairing,
-    reflect,
-    relations_hold,
     signed_graph,
     simple_root_basis,
 )

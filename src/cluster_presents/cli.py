@@ -52,7 +52,6 @@ from .diagram import (
     chordless_cycles,
     connected_components,
     diagram_of,
-    identify_dynkin_type,
     mutate_diagram,
     mutation_class,
 )
@@ -281,7 +280,7 @@ def _cmd_diagram_class(args, argv) -> int:
 
 
 def _cmd_diagram_type(args, argv) -> int:
-    label = identify_dynkin_type(_mutation_class(_load(args.file, _diagram_or_matrix), args.cap))
+    label = _mutation_class(_load(args.file, _diagram_or_matrix), args.cap).type_label
     if args.json:
         _emit_json({"type": label})
         return 0
@@ -409,7 +408,7 @@ def _cmd_theorem_a(args, argv) -> int:
         diagram = dynkin.standard_diagram(label)
 
     mclass = _mutation_class(diagram)
-    label = identify_dynkin_type(mclass)
+    label = mclass.type_label
     if label == "unknown":
         return _report(argv, inputs, {"type": label, "reason": "unidentified mutation class"}, "fail", started)
     expected = weyl_order(label)

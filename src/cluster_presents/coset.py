@@ -18,9 +18,10 @@ exact, and each restricted presentation maps onto the subgroup its generators
 generate, so the product is an upper bound on the order, and no more: on the
 trivial group <s1, s2 | s1^2, s2^2, (s1 s2)^3, s2> the tower gives 2.  From
 below by the full presentation's relations holding on a companion basis
-(roots.relations_hold), which map G_full onto W.  The reduced relations are
-full ones, so |W| <= |G_full| <= |G_reduced| <= the tower's bound, and a bound
-equal to |W| (weyl_order) is the order of both presented groups.
+(roots._first_failing on its companion matrix), which map G_full onto W.  The
+reduced relations are full ones, so |W| <= |G_full| <= |G_reduced| <= the
+tower's bound, and a bound equal to |W| (weyl_order) is the order of both
+presented groups.
 
 Mutation certificates check the two witness maps, one word list giving both,
 in the reflection representation instead of the regular one: s_i acts on the
@@ -312,8 +313,19 @@ class _Certificate:
 def _certify(diagram: Diagram, entries, expected: int, cap: int) -> _Certificate:
     """Certify |G| = |W| = expected for both of the diagram's presentations:
     the tower on the reduced one bounds both from above, and the full relations
-    holding on the companion matrix entries from below (roots.relations_hold),
-    checked even after an overflow for verify-type."""
+    holding on the companion matrix entries from below (roots._first_failing),
+    checked even after an overflow for verify-type.
+
+    Why the relations bound G from below.  A basis of roots.companion_bases or
+    roots.companion_basis is carried by mutations from the simple roots on a
+    tree of the type, in any orientation, whose reflections generate the Weyl
+    group W.  Each mutation keeps beta_k and replaces beta_i by beta_i or
+    s_{beta_k} beta_i, so the carried reflections generate W.  When they
+    satisfy the full relations, s_g |-> reflection in beta_g maps G_full onto
+    W, so |G_full| >= |W| = prod d_i (weyl_order).  The reduced relations are
+    among the full ones, so one tower reaching |W| certifies |G| = |W| for
+    both presentations.
+    """
     full, reduced = _presentations(diagram)
     order, tower, defined = _tower(reduced, cap)
     lower_bound = _first_failing(entries, full.relations) is None

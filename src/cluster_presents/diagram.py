@@ -31,17 +31,12 @@ __all__ = [
     "MutationClass",
     "MutationClassOverflow",
     "NotFiniteTypeError",
-    "ValidationReport",
-    "Violation",
     "diagram_of",
     "mutate_diagram",
     "opposite",
     "connected_components",
     "chordless_cycles",
-    "validate_finite_type_local",
-    "canonical_form",
     "mutation_class",
-    "identify_dynkin_type",
 ]
 
 MAX_CANONICAL_RANK = 10
@@ -307,23 +302,6 @@ def chordless_cycles(diagram: Diagram) -> list[ChordlessCycle]:
 # finite-type local validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    vertices: tuple[int, ...]
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
-
-    @property
-    def first(self) -> Optional[Violation]:
-        return self.violations[0] if self.violations else None
-
-
 def _cycle_weights_allowed(weights: tuple[int, ...]) -> bool:
     d = len(weights)
     if all(w == 1 for w in weights):
@@ -336,32 +314,23 @@ def _cycle_weights_allowed(weights: tuple[int, ...]) -> bool:
     return False
 
 
-def validate_finite_type_local(diagram: Diagram) -> ValidationReport:
-    """Local finite-type checks on cycles and 3-vertex subdiagrams.
+def _validate_local(diagram: Diagram, cycles) -> Optional[str]:
+    """Local finite-type checks on the diagram's chordless cycles, given, and
+    on its 3-vertex subdiagrams: the first violation's description, or None.
 
     Checks that (i) every chordless cycle is cyclically oriented, (ii) cycle
     weights are all 1, a (2,2,1) triangle, or an alternating (1,2,1,2)
     4-cycle, and (iii) every connected induced 3-vertex subdiagram is one of:
     path with weights {1,1} or {1,2}, triangle with weights {1,1,1} or
-    {2,2,1}.  The report lists every violation; `first` is the canonical
-    witness.  The connected triples are those of two neighbours of a middle
-    vertex, checked in lexicographic order.
+    {2,2,1}.  The cycles are checked first, in their order; then the
+    connected triples, those of two neighbours of a middle vertex, in
+    lexicographic order.
     """
-    return _validate_local(diagram, chordless_cycles(diagram))
-
-
-def _validate_local(diagram: Diagram, cycles) -> ValidationReport:
-    """validate_finite_type_local on the diagram's chordless cycles, given."""
-    violations: list[Violation] = []
     for cycle in cycles:
         if not cycle.oriented:
-            violations.append(Violation(
-                "non-oriented-cycle", cycle.vertices,
-                "chordless cycle is not cyclically oriented"))
-        elif not _cycle_weights_allowed(cycle.weights):
-            violations.append(Violation(
-                "cycle-weights", cycle.vertices,
-                f"cycle weights {cycle.weights} outside the finite-type catalog"))
+            return "chordless cycle is not cyclically oriented"
+        if not _cycle_weights_allowed(cycle.weights):
+            return f"cycle weights {cycle.weights} outside the finite-type catalog"
     triples = {tuple(sorted((m, a, b))) for m in {*diagram._out, *diagram._in}
                for a, b in combinations(diagram.neighbours(m), 2)}
     for i, j, k in sorted(triples):
@@ -371,10 +340,8 @@ def _validate_local(diagram: Diagram, cycles) -> ValidationReport:
         ok = (ws == [1, 1] or ws == [1, 2]) if len(ws) == 2 \
             else (ws == [1, 1, 1] or ws == [1, 2, 2])
         if not ok:
-            violations.append(Violation(
-                "three-vertex", (i, j, k),
-                f"induced subdiagram weights {tuple(ws)} outside the catalog"))
-    return ValidationReport(not violations, tuple(violations))
+            return f"induced subdiagram weights {tuple(ws)} outside the catalog"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +473,6 @@ def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int
     return codes, best_perm
 
 
-def canonical_form(diagram: Diagram) -> bytes:
-    """Canonical byte string; equal iff diagrams are isomorphic.
-
-    Isomorphism here is as weighted oriented graphs (simultaneous relabeling).
-    The string is the rank n, then the least edge-code encoding over the
-    labelings that list the vertices in non-decreasing refinement rank
-    (_canonical_search).  Supported for rank <= 10 and edge weights <= 4.
-    """
-    codes, _ = _canonical_search(diagram, oriented=True)
-    return bytes([diagram.n]) + bytes(codes)
-
-
 def _relabel(diagram: Diagram, perm: list[int]) -> Diagram:
     """The copy whose vertex q is vertex perm[q] of `diagram`."""
     position = {old: new for new, old in enumerate(perm)}
@@ -619,12 +574,16 @@ class MutationClass:
     rank, _canonical_search), each labeled as its key lists it; `keys` are
     those forms; `edges` holds (member index, vertex, member index) mutation
     adjacencies in the representatives' labeling; `type_label` is the
-    identified Dynkin type or "unknown".  `tree`, in no == or repr, is how
-    the class search (_search) first reached each member, in discovery
-    order, as (member, k', parent, perm) in member indices: vertex q of the
-    member is vertex perm[q] of the parent mutated at perm[k'].  The input's
-    member comes first, as (member, -1, member, perm), and its vertex q is
-    the input's vertex perm[q].
+    Dynkin type of the first member that is a catalogue tree in any
+    orientation (_tree_match).  A class of finite type holds every
+    orientation of its type's tree and no other tree.  B_n and C_n share a
+    diagram, so they are reported merged as "B/Cn"; "unknown" when the class
+    holds no such tree (a disconnected diagram's class, say).  `tree`, in no
+    == or repr, is how the class search (_search) first reached each member,
+    in discovery order, as (member, k', parent, perm) in member indices:
+    vertex q of the member is vertex perm[q] of the parent mutated at
+    perm[k'].  The input's member comes first, as (member, -1, member, perm),
+    and its vertex q is the input's vertex perm[q].
     """
 
     members: tuple[Diagram, ...]
@@ -642,12 +601,12 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
 
     Each diagram that _search keeps, run to its end, gives the member that
     its canonical labeling makes of it; members are emitted in canonical-form
-    order, and type_label is identify_dynkin_type's.  Vertex k of a kept
-    diagram with labeling perm is vertex perm.index(k) of its member, which
-    turns the search's mutations into the edges (those of mutating every
-    member at every vertex; the search records each kept diagram's mutation
-    back to its parent among them) and each kept diagram's parent into the
-    tree.  Raises as _search does.
+    order, and type_label names the first catalogue tree among them.  Vertex
+    k of a kept diagram with labeling perm is vertex perm.index(k) of its
+    member, which turns the search's mutations into the edges (those of
+    mutating every member at every vertex; the search records each kept
+    diagram's mutation back to its parent among them) and each kept diagram's
+    parent into the tree.  Raises as _search does.
     """
     reached, mutations, _ = _search(diagram, cap)
     ordered = sorted(reached, key=lambda entry: entry[3])
@@ -687,14 +646,3 @@ def _tree_match(diagram: Diagram) -> Optional[tuple[str, list[int], list[int]]]:
     hit = _tree_table(diagram.n).get(bytes(codes))
     return hit and (*hit, uperm)
 
-
-def identify_dynkin_type(mclass: MutationClass) -> str:
-    """Dynkin type of a mutation class: the type of the first member that is a
-    catalogue tree in any orientation (mutation_class's type_label).
-
-    A class of finite type holds every orientation of its type's tree and no
-    other tree.  B_n and C_n share a diagram, so they are reported merged as
-    "B/Cn".  "unknown" when the class holds no such tree (a disconnected
-    diagram's class, say).
-    """
-    return mclass.type_label

@@ -131,9 +131,9 @@ def _checked_cycles(diagram: Diagram) -> list[ChordlessCycle]:
     if diagram.n > MAX_PRESENTATION_RANK:
         raise ValueError(f"presentations support rank <= {MAX_PRESENTATION_RANK}, not {diagram.n}")
     cycles = chordless_cycles(diagram)
-    report = _validate_local(diagram, cycles)
-    if not report.ok:
-        raise DiagramError(f"diagram admits no presentation: {report.first.detail}")
+    violation = _validate_local(diagram, cycles)
+    if violation:
+        raise DiagramError(f"diagram admits no presentation: {violation}")
     if diagram.max_weight() > 3:
         raise DiagramError(
             f"diagram admits no presentation: no bond order for edge weight {diagram.max_weight()}")

@@ -18,10 +18,10 @@ finite-type mutation class: the input member's, carried forward along the
 record of the search that found the class (MutationClass.tree), each step
 relabeled by the canonical labeling that search recorded, so carrying runs
 no canonical search.
-relations_hold checks a presentation on the reflections in such a basis, the
-lower bound of the certificates, by integer matrices read off its companion
-matrix, each row packed into one int (_first_failing, which also checks the
-mutation certificates' witness maps).  The sign pattern of a basis is tracked
+_first_failing checks a presentation on the reflections in such a basis, the
+lower bound of the certificates (coset._certify), by integer matrices read off
+its companion matrix, each row packed into one int; it also checks the
+mutation certificates' witness maps.  The sign pattern of a basis is tracked
 by its signed graph, with one switching move that rewires the neighbourhood of
 a vertex.
 """
@@ -39,9 +39,6 @@ from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant, is_positiv
 __all__ = [
     "RootSystem",
     "build_root_system",
-    "pairing",
-    "copairing",
-    "reflect",
     "CompanionBasis",
     "simple_root_basis",
     "companion_matrix",
@@ -49,7 +46,6 @@ __all__ = [
     "mutate_companion",
     "companion_bases",
     "companion_basis",
-    "relations_hold",
     "SignedGraph",
     "signed_graph",
     "local_switch",
@@ -102,13 +98,6 @@ class RootSystem:
             raise IndexError(f"simple root index {i} out of range")
         return tuple(1 if j == i else 0 for j in range(self.n))
 
-    def simple_reflection(self, i: int, v) -> Coords:
-        """s_i(v), subtracting <v, a_i^check> from coordinate i."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"simple reflection index {i} out of range")
-        coeff = sum(self.cartan[i][j] * v[j] for j in range(self.n))
-        return tuple(v[j] - coeff if j == i else v[j] for j in range(self.n))
-
     def __repr__(self):
         return f"RootSystem({self.label}, {len(self.roots)} roots)"
 
@@ -151,25 +140,14 @@ def _form(system: RootSystem, w) -> tuple[list[int], int]:
 
 
 def _coroot(v, w, vw: int, norm: int) -> int:
-    """(v, w^check) = 2 (v, w) / (w, w) from vw = (v, w) and norm = (w, w),
-    with copairing's errors."""
+    """(v, w^check) = 2 (v, w) / (w, w) from vw = (v, w) and norm = (w, w).
+    Raises ValueError when w is isotropic or the pairing is not integral."""
     if norm == 0:
         raise ValueError("coroot pairing undefined: (w, w) = 0")
     value, remainder = divmod(2 * vw, norm)
     if remainder:
         raise ValueError(f"coroot pairing of {tuple(v)} against {tuple(w)} is not integral")
     return value
-
-
-def pairing(system: RootSystem, v, w) -> int:
-    """The symmetric bilinear form (v, w)."""
-    return sum(map(mul, v, _form(system, w)[0]))
-
-
-def copairing(system: RootSystem, v, w) -> int:
-    """The coroot pairing (v, w^check) = 2 (v, w) / (w, w); w must not be isotropic."""
-    form, norm = _form(system, w)
-    return _coroot(v, w, sum(map(mul, v, form)), norm)
 
 
 def _reflector(system: RootSystem, beta) -> tuple[Coords, list[int], int]:
@@ -183,11 +161,6 @@ def _reflector(system: RootSystem, beta) -> tuple[Coords, list[int], int]:
 def _reflect(v, beta, form: list[int], norm: int) -> Coords:
     coeff = _coroot(v, beta, sum(map(mul, v, form)), norm)
     return tuple([x - coeff * b for x, b in zip(v, beta)])
-
-
-def reflect(system: RootSystem, beta, v) -> Coords:
-    """Reflection of v in the hyperplane of the root beta."""
-    return _reflect(v, *_reflector(system, beta))
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,10 +198,11 @@ def simple_root_basis(system: RootSystem) -> CompanionBasis:
 
 
 def _coroot_pairings(basis: CompanionBasis) -> list[list[int]]:
-    """(beta_i, beta_j^check) off the diagonal and 2 on it, raising copairing's
-    errors in its order.  The form is symmetric (RootSystem checks its
-    symmetriser), so the Gram matrix takes one dot product per pair i <= j,
-    each beta_j through its image under the form, computed once."""
+    """(beta_i, beta_j^check) off the diagonal and 2 on it, raising _coroot's
+    error at the first failing pair, row by row.  The form is symmetric
+    (RootSystem checks its symmetriser), so the Gram matrix takes one dot
+    product per pair i <= j, each beta_j through its image under the form,
+    computed once."""
     vectors = basis.vectors
     n = len(vectors)
     gram = [[0] * n for _ in range(n)]
@@ -425,28 +399,6 @@ def _unpack(row: int, bits: int, n: int) -> list[int]:
     return digits
 
 
-def relations_hold(basis: CompanionBasis, relations) -> bool:
-    """Do the reflections in the basis vectors satisfy every relation?
-
-    Evaluated on A = companion_matrix(basis) in integer coordinates over the
-    basis, on packed rows (_first_failing, the one kernel of every relation
-    check).
-
-    Why this bounds a presented group from below.  A basis of companion_bases
-    or companion_basis is carried by mutations from the simple roots on a tree
-    of the type, in any orientation, whose reflections generate the Weyl group
-    W.  Each mutation keeps beta_k and replaces beta_i by beta_i or
-    s_{beta_k} beta_i, so the carried reflections generate W.  When they
-    satisfy the relations of a presentation, s_g |-> reflection in beta_g maps
-    the presented group G onto W, so |G| >= |W| = prod d_i (coset.weyl_order).
-    The two bounds meet in one place, coset._certify: it checks the full
-    presentation's relations here and runs the parabolic tower
-    (coset._tower) on the reduced one, whose relations are among them, so one
-    tower reaching |W| certifies |G| = |W| for both presentations.
-    """
-    return _first_failing(_coroot_pairings(basis), relations) is None
-
-
 @dataclass(frozen=True)
 class SignedGraph:
     """An undirected graph with +1/-1 edge signs; edges are (i, j, sign), i < j."""
@@ -465,14 +417,6 @@ class SignedGraph:
                 raise _SignedGraphError("duplicate signed edge ({}, {})", i, j)
             seen.add((i, j))
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-
-    def sign(self, i: int, j: int) -> int:
-        """Sign of edge {i, j}, or 0 when absent."""
-        a, b = (i, j) if i < j else (j, i)
-        for x, y, s in self.edges:
-            if (x, y) == (a, b):
-                return s
-        return 0
 
     def neighbours(self, k: int) -> tuple[int, ...]:
         out = set()

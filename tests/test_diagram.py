@@ -19,18 +19,16 @@ from cluster_presents.diagram import (
     _code_matrix,
     _refined_ranks,
     _relabel,
+    _validate_local,
     Diagram,
     DiagramError,
     MutationClassOverflow,
     NotFiniteTypeError,
-    canonical_form,
     chordless_cycles,
     diagram_of,
-    identify_dynkin_type,
     mutate_diagram,
     mutation_class,
     opposite,
-    validate_finite_type_local,
 )
 from cluster_presents.exchange import ExchangeMatrix, mutate_matrix
 
@@ -254,75 +252,79 @@ def test_chordless_cycles_walk_long_paths_without_recursion():
 # ----------------------------------------------------------------- validation
 
 
+def _first_violation(diagram):
+    """_validate_local on the diagram's own chordless cycles."""
+    return _validate_local(diagram, chordless_cycles(diagram))
+
+
 def test_validator_accepts_finite_type_catalog():
-    assert validate_finite_type_local(dynkin.standard_diagram("F4")).ok
-    assert validate_finite_type_local(diagram_of(FOUR_CYCLE_MATRIX)).ok
+    assert _first_violation(dynkin.standard_diagram("F4")) is None
+    assert _first_violation(diagram_of(FOUR_CYCLE_MATRIX)) is None
     tri221 = Diagram(3, [(0, 1, 2), (1, 2, 2), (2, 0, 1)])
-    assert validate_finite_type_local(tri221).ok
+    assert _first_violation(tri221) is None
 
 
 def test_validator_rejects_non_oriented_cycle():
     bad = Diagram(3, [(0, 1, 1), (0, 2, 1), (2, 1, 1)])
-    report = validate_finite_type_local(bad)
-    assert not report.ok
-    assert report.first.kind == "non-oriented-cycle"
+    assert _first_violation(bad) == "chordless cycle is not cyclically oriented"
 
 
 def test_validator_rejects_bad_cycle_weights():
+    # its triple (2, 2, 2) fails too; the cycle is checked first
     bad = Diagram(3, [(0, 1, 2), (1, 2, 2), (2, 0, 2)])
-    report = validate_finite_type_local(bad)
-    assert not report.ok
-    kinds = {v.kind for v in report.violations}
-    assert "cycle-weights" in kinds or "three-vertex" in kinds
+    assert _first_violation(bad) == "cycle weights (2, 2, 2) outside the finite-type catalog"
 
 
 def test_validator_rejects_bad_three_vertex_path():
     bad = Diagram(3, [(0, 1, 2), (1, 2, 2)])  # path with weights {2,2}
-    report = validate_finite_type_local(bad)
-    assert not report.ok
-    assert report.first.kind == "three-vertex"
+    assert _first_violation(bad) == "induced subdiagram weights (2, 2) outside the catalog"
 
 
 def test_validator_rejects_weight3_in_company():
     bad = Diagram(3, [(0, 1, 3), (1, 2, 1)])  # G2 edge with a neighbour
-    assert not validate_finite_type_local(bad).ok
+    assert _first_violation(bad) is not None
     alone = Diagram(2, [(0, 1, 3)])
-    assert validate_finite_type_local(alone).ok
+    assert _first_violation(alone) is None
 
 
-def _three_vertex_violations_by_triples(diagram):
-    """Oracle: every vertex triple in lexicographic order, kept when connected."""
+def _violations_by_full_scan(diagram):
+    """Oracle: each chordless cycle's violation in order, then every vertex
+    triple in lexicographic order, kept when connected and outside the catalog."""
     found = []
-    for triple in combinations(range(diagram.n), 3):
-        i, j, k = triple
+    for cycle in chordless_cycles(diagram):
+        w = cycle.weights
+        allowed = (all(x == 1 for x in w) or (len(w) == 3 and sorted(w) == [1, 2, 2])
+                   or (len(w) == 4 and w[0] == w[2] != w[1] == w[3] and {w[0], w[1]} == {1, 2}))
+        if not cycle.oriented:
+            found.append("chordless cycle is not cyclically oriented")
+        elif not allowed:
+            found.append(f"cycle weights {w} outside the finite-type catalog")
+    for i, j, k in combinations(range(diagram.n), 3):
         ws = sorted(w for w in (diagram.weight_between(i, j), diagram.weight_between(j, k),
                                 diagram.weight_between(i, k)) if w)
         allowed = ([1, 1], [1, 2]) if len(ws) == 2 else ([1, 1, 1], [1, 2, 2])
         if len(ws) >= 2 and ws not in allowed:
-            found.append((triple, tuple(ws)))
+            found.append(f"induced subdiagram weights {tuple(ws)} outside the catalog")
     return found
 
 
 def test_validator_reports_the_triples_of_a_full_scan_in_order():
-    # the validator visits only connected triples; it must report what a
-    # scan of all triples reports, in the same order, after the cycle checks
+    # the validator visits only connected triples; its first violation must be
+    # the first of a scan of all triples, after the cycle checks
     rng = random.Random(29)
+    kinds = set()
     for _ in range(300):
         diagram = _random_diagram(rng, rng.randrange(0, 9), p=rng.choice((0.2, 0.4, 0.7)))
-        report = validate_finite_type_local(diagram)
-        cycles = [v for v in report.violations if v.kind != "three-vertex"]
-        triples = [v for v in report.violations if v.kind == "three-vertex"]
-        assert report.violations == tuple(cycles + triples)
-        assert [(v.vertices, v.detail) for v in triples] == [
-            (t, f"induced subdiagram weights {ws} outside the catalog")
-            for t, ws in _three_vertex_violations_by_triples(diagram)]
-        assert report.ok == (not report.violations)
+        expected = _violations_by_full_scan(diagram)
+        assert _first_violation(diagram) == (expected[0] if expected else None)
+        kinds.add(expected[0].split()[0] if expected else None)
+    assert kinds == {None, "chordless", "cycle", "induced"}
 
 
 def test_validator_skips_the_vertices_without_edges():
     # a huge edgeless diagram is checked at once: no pass over all triples
-    assert validate_finite_type_local(Diagram(300_000, [])).ok
-    assert validate_finite_type_local(Diagram(300_000, [(0, 1, 1), (1, 299_999, 2)])).ok
+    assert _first_violation(Diagram(300_000, [])) is None
+    assert _first_violation(Diagram(300_000, [(0, 1, 1), (1, 299_999, 2)])) is None
 
 
 # ----------------------------------------------------------------- canonical forms
@@ -352,6 +354,11 @@ def _isomorphic_bruteforce(d1, d2, oriented=True):
     return False
 
 
+def _canonical_form(d):
+    """The canonical form, the class search's key (_canonical_labeling)."""
+    return _canonical_labeling(d)[0]
+
+
 def _unoriented_form(d):
     """The canonical form of the underlying weighted unoriented graph."""
     codes, _ = _canonical_search(d, oriented=False)
@@ -366,7 +373,7 @@ def test_canonical_form_invariant_under_relabeling():
         perm = list(range(n))
         rng.shuffle(perm)
         relabeled = Diagram(n, ((perm[i], perm[j], w) for i, j, w in d.edges))
-        assert canonical_form(d) == canonical_form(relabeled)
+        assert _canonical_form(d) == _canonical_form(relabeled)
         assert _unoriented_form(d) == _unoriented_form(relabeled)
 
 
@@ -375,17 +382,17 @@ def test_canonical_form_equality_matches_isomorphism():
     pool = [_random_diagram(rng, 4) for _ in range(40)]
     for a in pool:
         for b in pool:
-            same = canonical_form(a) == canonical_form(b)
+            same = _canonical_form(a) == _canonical_form(b)
             assert same == _isomorphic_bruteforce(a, b, oriented=True)
 
 
 def test_canonical_form_unoriented_quotients_orientation():
     path_fwd = Diagram(2, [(0, 1, 2)])
     path_bwd = Diagram(2, [(1, 0, 2)])
-    assert canonical_form(path_fwd) == canonical_form(path_bwd)  # swap vertices
+    assert _canonical_form(path_fwd) == _canonical_form(path_bwd)  # swap vertices
     d1 = Diagram(3, [(0, 1, 1), (1, 2, 1)])
     d2 = Diagram(3, [(0, 1, 1), (2, 1, 1)])  # sink in the middle
-    assert canonical_form(d1) != canonical_form(d2)
+    assert _canonical_form(d1) != _canonical_form(d2)
     assert _unoriented_form(d1) == _unoriented_form(d2)
 
 
@@ -395,7 +402,7 @@ def test_canonical_representative_realizes_key():
         d = _random_diagram(rng, rng.randrange(1, 7))
         key, perm = _canonical_labeling(d)
         rep = _relabel(d, perm)
-        assert canonical_form(rep) == key == canonical_form(d)
+        assert _canonical_form(rep) == key == _canonical_form(d)
 
 
 def _code_bruteforce(d, i, j, oriented):
@@ -443,7 +450,7 @@ def test_canonical_form_is_the_least_encoding_over_rank_sorted_labelings():
     rng = random.Random(27)
     for _ in range(300):
         d = _random_diagram(rng, rng.randrange(1, 7))
-        assert canonical_form(d) == _min_encoding_bruteforce(d, oriented=True)
+        assert _canonical_form(d) == _min_encoding_bruteforce(d, oriented=True)
         assert _unoriented_form(d) == _min_encoding_bruteforce(d, oriented=False)
 
 
@@ -469,7 +476,7 @@ def test_canonical_search_returns_the_first_least_rank_sorted_labeling():
 def test_canonical_search_skips_twins(diagram):
     # every order of a cell that never splits would be 9! or 10! labelings
     start = time.perf_counter()
-    canonical_form(diagram)
+    _canonical_form(diagram)
     _canonical_search(diagram, oriented=False)
     assert time.perf_counter() - start < 0.1
 
@@ -477,15 +484,15 @@ def test_canonical_search_skips_twins(diagram):
 def test_canonical_form_rank_cap():
     big = Diagram(11, [])
     with pytest.raises(ValueError):
-        canonical_form(big)
+        _canonical_form(big)
 
 
 def test_canonical_form_rejects_weights_above_four():
     # a backward edge of weight w is coded w + 4, so a forward weight 5 would
     # read like a backward weight 1: these two diagrams are not isomorphic
     with pytest.raises(ValueError):
-        canonical_form(Diagram(3, [(0, 2, 1), (1, 2, 5)]))
-    assert canonical_form(Diagram(3, [(0, 2, 1), (2, 1, 1)])) == b"\x03\x01\x00\x01"
+        _canonical_form(Diagram(3, [(0, 2, 1), (1, 2, 5)]))
+    assert _canonical_form(Diagram(3, [(0, 2, 1), (2, 1, 1)])) == b"\x03\x01\x00\x01"
 
 
 def test_canonical_form_equality_matches_isomorphism_up_to_weight_four():
@@ -493,13 +500,13 @@ def test_canonical_form_equality_matches_isomorphism_up_to_weight_four():
     pool = [_random_diagram(rng, 3, max_weight=4, p=0.7) for _ in range(60)]
     for a in pool:
         for b in pool:
-            same = canonical_form(a) == canonical_form(b)
+            same = _canonical_form(a) == _canonical_form(b)
             assert same == _isomorphic_bruteforce(a, b, oriented=True)
 
 
 def test_opposite_of_four_cycle_is_isomorphic():
     d = diagram_of(FOUR_CYCLE_MATRIX)
-    assert canonical_form(d) == canonical_form(opposite(d))
+    assert _canonical_form(d) == _canonical_form(opposite(d))
 
 
 # ----------------------------------------------------------------- mutation classes
@@ -546,7 +553,7 @@ def test_class_edges_are_every_mutation_of_every_member(label):
     # it; E7 has members with mu_k(M) isomorphic to M by a map that moves k
     mc = mutation_class(dynkin.standard_diagram(label))
     index = {key: i for i, key in enumerate(mc.keys)}
-    expected = {(i, k, index[canonical_form(mutate_diagram(member, k))])
+    expected = {(i, k, index[_canonical_form(mutate_diagram(member, k))])
                 for i, member in enumerate(mc.members) for k in range(member.n)}
     assert mc.edges == expected
 
@@ -584,18 +591,14 @@ def test_class_type_identification():
     assert mutation_class(dynkin.standard_diagram("B3")).type_label == "B/C3"
     assert mutation_class(dynkin.standard_diagram("C3")).type_label == "B/C3"
     assert mutation_class(dynkin.standard_diagram("F4")).type_label == "F4"
-
-
-def test_identify_from_class_object():
-    mc = mutation_class(dynkin.standard_diagram("G2"))
-    assert identify_dynkin_type(mc) == "G2"
+    assert mutation_class(dynkin.standard_diagram("G2")).type_label == "G2"
 
 
 def test_class_without_a_standard_tree_is_unknown():
     # A1+A1 and A2+A1: finite classes whose members are no trees
     for diagram in (Diagram(2, []), Diagram(3, [(0, 1, 1)])):
         mc = mutation_class(diagram)
-        assert mc.type_label == identify_dynkin_type(mc) == "unknown"
+        assert mc.type_label == "unknown"
 
 
 def test_class_overflow():
