@@ -440,7 +440,11 @@ def _cmd_theorem_a(args, argv) -> int:
 # ---------------------------------------------------------------- pipeline
 
 
-def _seed_basis_path(target: ExchangeMatrix, label: str, limit: int = 100_000):
+# labeled seeds the search of pipeline --type reaches before it gives up
+_SEED_SEARCH_LIMIT = 100_000
+
+
+def _seed_basis_path(target: ExchangeMatrix, label: str):
     """BFS from the standard seed of the type to the target matrix; returns the vertex path.
 
     The search runs on bare entries (exchange._mutate_entries); the caller
@@ -452,7 +456,7 @@ def _seed_basis_path(target: ExchangeMatrix, label: str, limit: int = 100_000):
         return []
     parents: dict = {start: None}
     queue = [start]
-    while queue and len(parents) < limit:
+    while queue and len(parents) < _SEED_SEARCH_LIMIT:
         nxt = []
         for entries in queue:
             for k in range(seed.n):

@@ -47,7 +47,7 @@ from math import prod
 
 from . import dynkin
 from .diagram import Diagram, NotFiniteTypeError, connected_components, mutate_diagram
-from .presentation import Presentation, Relation, Word, _presentations, mutation_witness_words
+from .presentation import Presentation, Relation, Word, _relations, mutation_witness_words
 from .roots import _coroot_pairings, _first_failing, companion_basis, mutate_companion
 
 __all__ = [
@@ -214,24 +214,23 @@ def group_order(presentation: Presentation, cap: int = DEFAULT_COSET_CAP) -> int
     return order
 
 
-def _tower(presentation: Presentation, cap: int) -> tuple[int | None, list[dict], int]:
-    """The parabolic tower's upper bound on the order: (bound, levels, defined).
+def _tower(n: int, relations, cap: int) -> tuple[int | None, list[dict], int]:
+    """The parabolic tower's upper bound on the order of the group the
+    relations present on n involutions: (bound, levels, defined).
 
     Each level drops a generator of least degree (_degrees; ties go to the
     highest index), enumerates the cosets of the subgroup the others
     generate, and goes on with the relations among the others until no
     generator is left.  The generators keep their numbers in the input at
-    every level, and no presentation is rebuilt: a level only drops the
-    relations that name its generator.  levels holds one {"dropped":
-    generator, "index": cosets} per completed level, the generator 1-based;
-    defined counts the cosets of every level.  The bound is None when the
-    cap stops a level."""
-    gens = list(range(presentation.n))
-    relations = presentation.relations
+    every level: a level only drops the relations that name its generator.
+    levels holds one {"dropped": generator, "index": cosets} per completed
+    level, the generator 1-based; defined counts the cosets of every level.
+    The bound is None when the cap stops a level."""
+    gens = list(range(n))
     levels: list[dict] = []
     order, defined = 1, 0
     while gens:
-        degree = _degrees(presentation.n, relations)
+        degree = _degrees(n, relations)
         g = min(reversed(gens), key=degree.__getitem__)
         rest = [h for h in gens if h != g]
         index, count = _enumerate(relations, gens, rest, cap)
@@ -307,7 +306,7 @@ class _Certificate:
     cosets_defined: int
     lower_bound: bool
     verdict: str  # "pass" | "fail" | "overflow"
-    relations: tuple[Relation, ...]  # the full presentation's, which lower_bound read
+    relations: list[Relation]  # the full presentation's, which lower_bound read
 
 
 def _certify(diagram: Diagram, entries, expected: int, cap: int) -> _Certificate:
@@ -326,14 +325,14 @@ def _certify(diagram: Diagram, entries, expected: int, cap: int) -> _Certificate
     among the full ones, so one tower reaching |W| certifies |G| = |W| for
     both presentations.
     """
-    full, reduced = _presentations(diagram)
-    order, tower, defined = _tower(reduced, cap)
-    lower_bound = _first_failing(entries, full.relations) is None
+    full, reduced = _relations(diagram)
+    order, tower, defined = _tower(diagram.n, reduced, cap)
+    lower_bound = _first_failing(entries, full) is None
     if order is None:
         verdict = "overflow"
     else:
         verdict = "pass" if order == expected and lower_bound else "fail"
-    return _Certificate(order, tower, defined, lower_bound, verdict, full.relations)
+    return _Certificate(order, tower, defined, lower_bound, verdict, full)
 
 
 def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COSET_CAP) -> MutationIsomorphismReport:

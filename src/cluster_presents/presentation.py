@@ -144,7 +144,9 @@ def _relations(diagram: Diagram) -> tuple[list[Relation], list[Relation]]:
     """The (full, reduced) relations from one cycle enumeration: R1 for every
     vertex, R2 for every pair i < j in lexicographic order, then each cycle's
     rotations, all in full and one of exponent 2 in reduced, so the reduced
-    relations are full ones (coset._certify rests on this)."""
+    relations are full ones (coset._certify rests on this).  The
+    certificates read these lists as they stand, each relation validated by
+    Relation alone; full_presentation and reduced_presentation wrap them."""
     cycles = _checked_cycles(diagram)
     n = diagram.n
     full = [Relation((i,), 2, "R1") for i in range(n)]
@@ -164,12 +166,6 @@ def _relations(diagram: Diagram) -> tuple[list[Relation], list[Relation]]:
         best = min(admissible, key=lambda a: [cycle.vertices[(a + t) % d] for t in range(d)])
         reduced.append(Relation(cycle_word(cycle, best), 2, "R3-reduced"))
     return full, reduced
-
-
-def _presentations(diagram: Diagram) -> tuple[Presentation, Presentation]:
-    """(full, reduced), both validated, from one cycle enumeration (_relations)."""
-    full, reduced = _relations(diagram)
-    return Presentation(diagram.n, full), Presentation(diagram.n, reduced)
 
 
 def full_presentation(diagram: Diagram) -> Presentation:

@@ -321,9 +321,6 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
     return basis
 
 
-_BLOCK = 256  # letters evaluated at one digit width (_first_failing)
-
-
 def _first_failing(entries, relations, images=None):
     """The first relation that the reflections of a pairing matrix do not
     satisfy, or None when all hold.
@@ -347,17 +344,15 @@ def _first_failing(entries, relations, images=None):
     entries at most growth = |1 - entries[g][g]| + sum over j != g of
     |entries[j][g]| times the largest entry in size, so it multiplies the
     largest entry's size by at most 2^grow[g], grow[g] =
-    (growth - 1).bit_length(); bits is the bit length of the largest entry,
-    plus grow over the letters, plus 1.  It is taken per _BLOCK letters, each
-    time from the largest entry that the rows reached (read off their digits),
-    so a long relator whose entries stay small is checked in time linear in
-    its length.
+    (growth - 1).bit_length(); the identity's entries are at most 1, so bits
+    is 2 plus grow over the relator's letters.  The rows thus widen with the
+    relator's length; the relators a certificate reads, under witness images
+    too, stay below 256 letters at rank <= 10.
     """
     n = len(entries)
     column = [[(j, entries[j][g]) for j in range(n) if entries[j][g]] for g in range(n)]
     grow = [(abs(1 - entries[g][g]) + sum(abs(a) for j, a in column[g] if j != g) - 1).bit_length()
             for g in range(n)]
-    identities = {}  # bits -> the packed identity rows
     for rel in relations:
         word = rel.word
         if images is not None:
@@ -366,37 +361,17 @@ def _first_failing(entries, relations, images=None):
                 and not entries[word[1]][word[0]] and entries[word[0]][word[0]] == entries[word[1]][word[1]] == 2:
             continue  # two involutions that read neither's coordinate: they commute
         word *= rel.exponent
-        block = word[:_BLOCK]
-        bits = sum(map(grow.__getitem__, block)) + 2  # the identity's entries are at most 1
-        identity = identities.get(bits) or identities.setdefault(bits, [1 << bits * g for g in range(n)])
+        bits = sum(map(grow.__getitem__, word)) + 2
+        identity = [1 << bits * g for g in range(n)]
         rows = identity[:]
-        for start in range(0, len(word), _BLOCK):
-            if start:
-                block = word[start:start + _BLOCK]
-                digits = [_unpack(row, bits, n) for row in rows]
-                top = max(1, *(abs(x) for row in digits for x in row))
-                bits = top.bit_length() + sum(map(grow.__getitem__, block)) + 1
-                rows = [sum(x << bits * c for c, x in enumerate(row)) for row in digits]
-                identity = [1 << bits * g for g in range(n)]
-            for g in block:
-                row = rows[g]
-                for j, a in column[g]:
-                    row -= a * rows[j]
-                rows[g] = row
+        for g in word:
+            row = rows[g]
+            for j, a in column[g]:
+                row -= a * rows[j]
+            rows[g] = row
         if rows != identity:
             return rel
     return None
-
-
-def _unpack(row: int, bits: int, n: int) -> list[int]:
-    """The n balanced base-2^bits digits of a packed row, lowest first."""
-    half, mask = 1 << bits - 1, (1 << bits) - 1
-    digits = []
-    for _ in range(n):
-        x = ((row + half) & mask) - half
-        digits.append(x)
-        row = (row - x) >> bits
-    return digits
 
 
 @dataclass(frozen=True)
@@ -407,16 +382,22 @@ class SignedGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        try:  # a float or a string is refused, never truncated
+            n = index(self.n)
+            edges = [(index(i), index(j), index(s)) for i, j, s in self.edges]
+        except TypeError:
+            raise ValueError("vertex count and signed edge entries must be integers") from None
         seen = set()
-        for i, j, s in self.edges:
-            if not (0 <= i < j < self.n):
+        for i, j, s in edges:
+            if not (0 <= i < j < n):
                 raise _SignedGraphError("bad signed edge ({}, {})", i, j)
             if s not in (1, -1):
                 raise ValueError(f"edge sign must be +1 or -1, not {s}")
             if (i, j) in seen:
                 raise _SignedGraphError("duplicate signed edge ({}, {})", i, j)
             seen.add((i, j))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     def neighbours(self, k: int) -> tuple[int, ...]:
         out = set()
@@ -449,12 +430,12 @@ def local_switch(graph: SignedGraph, k: int, in_set) -> SignedGraph:
     and everything else is untouched.
     """
     in_set = set(in_set)
+    if k in in_set:
+        raise ValueError("the switching set cannot contain the switching vertex")
     nbrs = set(graph.neighbours(k))
     if not in_set <= nbrs:
         stray = sorted(in_set - nbrs)[0]
         raise _SignedGraphError("vertex {} is not a neighbour of {}", stray, k)
-    if k in in_set:
-        raise ValueError("the switching set cannot contain the switching vertex")
     out_set = nbrs - in_set
 
     edges = {(i, j): s for i, j, s in graph.edges}

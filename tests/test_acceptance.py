@@ -83,7 +83,7 @@ def mutation_classes():
 
 def _tower_bound(presentation):
     """The certificates' parabolic tower's upper bound on the order (coset._tower)."""
-    return coset._tower(presentation, DEFAULT_COSET_CAP)[0]
+    return coset._tower(presentation.n, presentation.relations, DEFAULT_COSET_CAP)[0]
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,7 @@ from cluster_presents.formats import (
     load_presentation,
     load_signed_graph,
 )
-from cluster_presents.presentation import Presentation, Relation, _presentations, full_presentation, reduced_presentation
+from cluster_presents.presentation import Presentation, Relation, _relations, full_presentation
 from cluster_presents.roots import build_root_system, simple_root_basis
 
 
@@ -196,6 +196,7 @@ def test_a_malformed_diagram_file_names_its_vertices_one_based(tmp_path, capsys,
 @pytest.mark.parametrize("text, argv, message", [
     ("3\n1 2 +\n2 3 -\n", ["1", "--in-set", "3"], "vertex 3 is not a neighbour of 1"),
     ("3\n1 2 +\n2 1 -\n", ["1"], "{}: duplicate signed edge (1, 2)"),
+    ("3\n1 2 +\n2 3 -\n", ["1", "--in-set", "1"], "the switching set cannot contain the switching vertex"),
 ])
 def test_switch_names_signed_graph_vertices_one_based(tmp_path, capsys, text, argv, message):
     path = _write(tmp_path, "graph.sg", text)
@@ -388,7 +389,7 @@ def test_verify_mutation_counts_both_enumerations(tmp_path, capsys):
     assert main(["verify-mutation", path, "1"]) == 0
     data = _json_out(capsys)
     diagram = diagram_of(load_matrix(CYCLE_MATRIX))
-    towers = [coset._tower(reduced_presentation(d), DEFAULT_COSET_CAP) for d in (diagram, mutate_diagram(diagram, 0))]
+    towers = [coset._tower(d.n, _relations(d)[1], DEFAULT_COSET_CAP) for d in (diagram, mutate_diagram(diagram, 0))]
     assert data["strategy"] == "tower"
     assert data["cosets_defined"] == sum(defined for _, _, defined in towers)
 
@@ -415,15 +416,27 @@ def test_verify_type(tmp_path, capsys):
 
 
 def _full_with_relator_s1_s2(monkeypatch, only=None):
-    """Certificates read full presentations with the relator s1 s2 added (on
-    the diagram only, if given) and reduced presentations as they are, so the
-    towers still reach |W| and only the lower bound can fail."""
-    def presentations(diagram):
-        full, reduced = _presentations(diagram)
+    """Certificates read full relations with the relator s1 s2 added (on the
+    diagram only, if given) and reduced relations as they are, so the towers
+    still reach |W| and only the lower bound can fail."""
+    def relations(diagram):
+        full, reduced = _relations(diagram)
         if only is None or diagram == only:
-            full = Presentation(full.n, full.relations + (Relation((0, 1), 1),))
+            full = [*full, Relation((0, 1), 1)]
         return full, reduced
-    monkeypatch.setattr(coset, "_presentations", presentations)
+    monkeypatch.setattr(coset, "_relations", relations)
+
+
+def test_certificates_build_no_presentation(tmp_path, capsys, monkeypatch):
+    # the certificates read presentation._relations as they stand, each
+    # relation validated by Relation alone; only present and export wrap them
+    def refused(self):
+        raise AssertionError("a certificate built a Presentation")
+    monkeypatch.setattr(Presentation, "__post_init__", refused)
+    assert main(["theorem-a", "A5"]) == 0
+    assert _json_out(capsys)["verdict"] == "pass"
+    assert main(["verify-mutation", _write(tmp_path, "cycle.mat", CYCLE_MATRIX), "1"]) == 0
+    assert _json_out(capsys)["verdict"] == "pass"
 
 
 def test_verify_type_fails_an_added_relator_on_the_lower_bound(tmp_path, capsys, monkeypatch):

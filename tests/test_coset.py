@@ -53,9 +53,15 @@ FOUR_CYCLE = diagram_of(
 )
 
 
+def _tower_of(presentation, cap=DEFAULT_COSET_CAP):
+    """The certificates' parabolic tower (coset._tower) on a presentation's
+    relations: (upper bound on the order, levels, cosets defined)."""
+    return coset._tower(presentation.n, presentation.relations, cap)
+
+
 def _tower_bound(presentation):
-    """The certificates' parabolic tower's upper bound on the order (coset._tower)."""
-    return coset._tower(presentation, DEFAULT_COSET_CAP)[0]
+    """The certificates' parabolic tower's upper bound on the order."""
+    return _tower_of(presentation)[0]
 
 
 # ------------------------------------------------- permutation-group oracle
@@ -177,7 +183,7 @@ def test_tower_agrees_with_direct_on_every_member(label):
 def test_tower_drops_a_generator_of_least_degree():
     # A5 chain: the ends have degree 1, and the tie goes to the highest index;
     # the levels name generators 1-based, as reports print them
-    order, levels, _ = coset._tower(full_presentation(dynkin.standard_diagram("A5")), DEFAULT_COSET_CAP)
+    order, levels, _ = _tower_of(full_presentation(dynkin.standard_diagram("A5")))
     assert order == 720
     assert levels == [{"dropped": g + 1, "index": g + 2} for g in (4, 3, 2, 1, 0)]
     # an A4 member, the cycle s1 s2 s3 with a tail s3 - s4: s4 alone has
@@ -185,10 +191,10 @@ def test_tower_drops_a_generator_of_least_degree():
     # input's numbering
     triangle = diagram_of(ExchangeMatrix([[0, 1, -1, 0], [-1, 0, 1, 0], [1, -1, 0, 1], [0, 0, -1, 0]]))
     relabeled = diagram_of(ExchangeMatrix([[0, -1, 0, 0], [1, 0, 1, -1], [0, -1, 0, 1], [0, 1, -1, 0]]))
-    order, levels, _ = coset._tower(full_presentation(triangle), DEFAULT_COSET_CAP)
+    order, levels, _ = _tower_of(full_presentation(triangle))
     assert order == weyl_order("A4")
     assert levels[0]["dropped"] == 3 + 1
-    order, levels, _ = coset._tower(full_presentation(relabeled), DEFAULT_COSET_CAP)
+    order, levels, _ = _tower_of(full_presentation(relabeled))
     assert order == weyl_order("A4")
     assert levels[0]["dropped"] == 0 + 1
     assert math.prod(level["index"] for level in levels) == weyl_order("A4")
@@ -226,7 +232,7 @@ def test_every_e7_tower_replays_on_the_reference_enumerator():
     replayed, defined = 0, 0
     for member in members:
         pres = reduced_presentation(member)
-        order, levels, count = coset._tower(pres, DEFAULT_COSET_CAP)
+        order, levels, count = _tower_of(pres)
         defined += count
         assert order == math.prod(level["index"] for level in levels) == 2_903_040, member.edges
         gens, relations = list(range(pres.n)), pres.relations
@@ -241,7 +247,7 @@ def test_every_e7_tower_replays_on_the_reference_enumerator():
     # the class totals of the towers' definitions, merged cosets included
     assert defined == 96_436
     e6 = mutation_class(dynkin.standard_diagram("E6")).members
-    assert sum(coset._tower(reduced_presentation(m), DEFAULT_COSET_CAP)[2] for m in e6) == 4_586
+    assert sum(_tower_of(reduced_presentation(m))[2] for m in e6) == 4_586
 
 
 def test_parabolic_index_times_subgroup_order():
@@ -267,7 +273,7 @@ def test_group_order_is_exact_where_the_tower_only_bounds():
     # relations among s1 alone, <s1 | s1^2>, present a group of order 2.
     pres = Presentation(2, [Relation((0,), 2), Relation((1,), 2), Relation((0, 1), 3), Relation((1,), 1)])
     assert group_order(pres) == 1
-    assert coset._tower(pres, DEFAULT_COSET_CAP) == (2, [{"dropped": 2, "index": 1}, {"dropped": 1, "index": 2}], 5)
+    assert _tower_of(pres) == (2, [{"dropped": 2, "index": 1}, {"dropped": 1, "index": 2}], 5)
 
 
 @pytest.mark.parametrize("exponent, order", [(1, 1), (3, 1), (4, 6)])
@@ -280,7 +286,7 @@ def test_an_odd_power_of_a_generator_is_a_relator(exponent, order):
 
 def test_tower_counts_the_cosets_defined_at_every_level():
     pres = full_presentation(dynkin.standard_diagram("A4"))
-    order, levels, defined = coset._tower(pres, DEFAULT_COSET_CAP)
+    order, levels, defined = _tower_of(pres)
     assert order == math.factorial(5)
     # the four levels define 5 + 4 + 3 + 2 cosets and merge none
     assert [level["index"] for level in levels] == [5, 4, 3, 2]
@@ -523,10 +529,10 @@ def test_mutation_certificate_overflow():
 def test_mutation_certificate_overflow_on_the_mutated_side_counts_both_sides():
     # the B/C4 tree 4 - 1 - 2 = 3; mutation at 1 closes the triangle 1, 2, 4
     tree = Diagram(4, [(0, 3, 1), (1, 0, 1), (2, 1, 2)])
-    order, _, defined = coset._tower(reduced_presentation(tree), 8)
+    order, _, defined = _tower_of(reduced_presentation(tree), 8)
     assert order == weyl_order("B/C4")
     assert defined == 21
-    assert coset._tower(reduced_presentation(mutate_diagram(tree, 0)), 8)[0] is None
+    assert _tower_of(reduced_presentation(mutate_diagram(tree, 0)), 8)[0] is None
     with pytest.raises(CosetCapExceeded) as err:
         verify_mutation_isomorphism(tree, 0, cap=8)
     assert (err.value.cap, err.value.cosets_defined) == (8, 29)

@@ -85,7 +85,7 @@ def test_presentation_refuses_relators_too_long_to_expand_in_all():
         Presentation(2, [*involutions, *[longest] * (room + 1)])
 
 
-@pytest.mark.parametrize("builder", [full_presentation, reduced_presentation, presentation._presentations])
+@pytest.mark.parametrize("builder", [full_presentation, reduced_presentation, presentation._relations])
 def test_presentations_enumerate_the_chordless_cycles_once(monkeypatch, builder):
     calls = []
 

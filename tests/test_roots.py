@@ -7,7 +7,6 @@ and a coordinate-to-vector bijection.
 """
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,7 @@ from cluster_presents import diagram as diagram_module, dynkin, roots
 from cluster_presents.diagram import _canonical_search
 from cluster_presents.diagram import Diagram, NotFiniteTypeError, diagram_of, mutate_diagram, mutation_class
 from cluster_presents.exchange import ExchangeMatrix, determinant, mutate_matrix
-from cluster_presents.presentation import Relation, full_presentation
+from cluster_presents.presentation import Relation, _relations, full_presentation, mutation_witness_words
 from cluster_presents.roots import (
     CompanionBasis,
     RootSystem,
@@ -703,19 +702,22 @@ def test_first_failing_is_exact_past_a_thousand_bits():
     assert [roots._first_failing(hyperbolic, (rel,)) is None for rel in relations] == [True, False, False, False]
 
 
-def test_relations_hold_takes_time_linear_in_a_relators_length():
-    # a relator of 300,000 letters that holds on A2, and one of 300,001 that
-    # fails on a hyperbolic pair after its entries climb to ~400 bits and back,
-    # 500 times; a width taken over the whole relator would cost its square
-    a2 = simple_root_basis(build_root_system("A2"))
-    started = time.perf_counter()
-    assert _relations_hold(a2, (Relation((0, 1), 3 * 50000),))
-    assert time.perf_counter() - started < 3
-    climb = (0, 1) * 150
-    fails = Relation((climb + climb[::-1]) * 500 + (0,), 1)
-    started = time.perf_counter()
-    assert roots._first_failing([[2, -3], [-3, 2]], (fails,)) is fails
-    assert time.perf_counter() - started < 3
+def test_certificate_relators_stay_within_256_letters_on_the_oriented_d10_cycle():
+    # _first_failing packs a relator at one width, 2 plus grow over its
+    # letters, so its rows widen with the relator's length.  The relators the
+    # certificates read on this D10 member, the longest cycle at rank <= 10:
+    # both sides' full relations, on their own and under the witness images of
+    # mutation at every vertex (coset.verify_mutation_isomorphism)
+    cycle = Diagram(10, [(i, (i + 1) % 10, 1) for i in range(10)])
+    assert companion_basis(cycle).system.label == "D10"
+    lengths = []
+    for k in range(10):
+        words = mutation_witness_words(cycle, k)
+        for side in (cycle, mutate_diagram(cycle, k)):
+            full, _ = _relations(side)
+            lengths += [len(rel.word) * rel.exponent for rel in full]
+            lengths += [sum(len(words[g]) for g in rel.word) * rel.exponent for rel in full]
+    assert max(lengths) <= 256
 
 
 def _count_labelings(monkeypatch):

@@ -15,6 +15,7 @@ from cluster_presents import (
     QuasiCartanMatrix,
     Relation,
     RootSystem,
+    SignedGraph,
     build_root_system,
 )
 
@@ -96,8 +97,15 @@ def test_matrices_refuse_non_integer_entries(make):
     (lambda: Relation((0, 0.5), 2), ValueError, "relation letters and exponent"),
     (lambda: CompanionBasis(A2, [(1.9, 0), (0, 1)]), ValueError, "basis coordinates"),  # not the simple roots
     (lambda: CompanionBasis(A2, [(1, Fraction(0)), (0, 1)]), ValueError, "basis coordinates"),
+    (lambda: SignedGraph(3, ((0.5, 2, -1),)), ValueError, "vertex count and signed edge entries"),
+    (lambda: SignedGraph(2, ((0.0, 1.0, 1),)), ValueError, "vertex count and signed edge entries"),  # not 1 2 +
+    (lambda: SignedGraph(2, ((0, 1, 1.0),)), ValueError, "vertex count and signed edge entries"),
+    (lambda: SignedGraph(2.5, ()), ValueError, "vertex count and signed edge entries"),
+    (lambda: SignedGraph("2", ()), ValueError, "vertex count and signed edge entries"),
+    (lambda: SignedGraph(2, ((0, 1, Fraction(1)),)), ValueError, "vertex count and signed edge entries"),
 ], ids=["diagram-weight", "diagram-vertex", "diagram-count", "diagram-string", "relation-exponent",
-        "relation-letter", "basis-float", "basis-Fraction"])
+        "relation-letter", "basis-float", "basis-Fraction", "signed-vertex", "signed-float-edge",
+        "signed-sign", "signed-count", "signed-string", "signed-Fraction"])
 def test_value_constructors_refuse_non_integers(make, error, message):
     with pytest.raises(error, match=f"^{message} must be integers$"):
         make()
@@ -109,3 +117,5 @@ def test_value_constructors_keep_integer_values_as_ints():
     assert Diagram(2, [(0, 1, True)]) == Diagram(2, [(0, 1, 1)])
     assert type(Diagram(True, []).n) is int
     assert CompanionBasis(A2, [(True, 0), (0, 1)]).vectors == ((1, 0), (0, 1))
+    assert type(SignedGraph(True, ()).n) is int
+    assert SignedGraph(2, [(False, True, True)]).edges == ((0, 1, 1),)
