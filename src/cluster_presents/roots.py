@@ -4,7 +4,9 @@ Vectors are integer coordinate tuples over the simple roots of a fixed type.
 With cartan[i][j] = 2(a_i, a_j)/(a_i, a_i) and d_i = (a_i, a_i)/2, the
 symmetric form is (v, w) = sum_ij v_i d_i cartan[i][j] w_j and the simple
 reflection s_i subtracts (cartan row i) . v from coordinate i.  All values
-stay in exact integer arithmetic.
+stay in exact integer arithmetic.  Each root carries its form and norm: its
+image under the form and (w, w), stored when the root system is built, so
+every pairing and reflection in a root reads them rather than computing them.
 
 A companion basis for an exchange matrix B is a Z-basis of the root lattice
 made of roots whose mutual pairings reproduce |B| off the diagonal; it is
@@ -66,9 +68,11 @@ class RootSystem:
     sorted.  The symmetriser is computed: the least positive integers d with
     d_i cartan_ij = d_j cartan_ji on each component, so the form below is
     symmetric (for a Dynkin type, d_i = (a_i, a_i)/2, short roots at 1).  The form must be
-    positive definite, so the root set is finite.  Construct via
-    build_root_system, whose cache makes one object per type; equality is
-    identity.
+    positive definite, so the root set is finite.  Each root carries its form
+    and norm: _forms maps a root to (its image under the form, its norm), as
+    _form returns them, filled while the roots are closed under reflections.
+    Construct via build_root_system, whose cache makes one object per type;
+    equality is identity.
     """
 
     label: str
@@ -76,7 +80,7 @@ class RootSystem:
     symmetriser: tuple[int, ...] = field(init=False)
     n: int = field(init=False)
     roots: tuple[Coords, ...] = field(init=False)
-    _root_set: frozenset[Coords] = field(init=False)
+    _forms: dict[Coords, tuple[Coords, int]] = field(init=False)
 
     def __post_init__(self):
         quasi = QuasiCartanMatrix(self.cartan)
@@ -86,12 +90,12 @@ class RootSystem:
         object.__setattr__(self, "cartan", quasi.entries)
         object.__setattr__(self, "symmetriser", quasi.symmetriser)
         object.__setattr__(self, "n", quasi.n)
-        roots = _close_under_reflections(quasi.entries, quasi.n)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "_root_set", frozenset(roots))
+        forms = _close_under_reflections(quasi.entries, quasi.symmetriser)
+        object.__setattr__(self, "roots", tuple(sorted(forms)))
+        object.__setattr__(self, "_forms", forms)
 
     def is_root(self, v) -> bool:
-        return tuple(v) in self._root_set
+        return tuple(v) in self._forms
 
     def simple_root(self, i: int) -> Coords:
         if not 0 <= i < self.n:
@@ -102,27 +106,34 @@ class RootSystem:
         return f"RootSystem({self.label}, {len(self.roots)} roots)"
 
 
-def _close_under_reflections(cartan, n: int) -> tuple[Coords, ...]:
-    """The roots: the simple roots closed under the simple reflections.  Each
-    reflection reads only the nonzero entries of its Cartan row, and one whose
-    coefficient is 0 fixes the root."""
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen = set(simples)
-    frontier = list(simples)
+def _close_under_reflections(cartan, symmetriser) -> dict[Coords, tuple[Coords, int]]:
+    """The roots, each with its form and norm: the simple roots closed under
+    the simple reflections.  With S_i = d_i cartan_i, row i of the symmetric
+    matrix of the form, the simple root a_i has form S_i and norm 2 d_i.  The
+    reflection s_i sends v to w = v - c a_i with c = (cartan row i) . v =
+    form(v)_i / d_i, so w's form is form(v) - c S_i, changed only where S_i
+    is nonzero, and its norm is v's; c = 0 fixes the root."""
+    n = len(cartan)
+    rows = [[(j, d * a) for j, a in enumerate(row) if a] for row, d in zip(cartan, symmetriser)]
+    forms = {tuple(1 if j == i else 0 for j in range(n)): (tuple(d * a for a in row), 2 * d)
+             for i, (row, d) in enumerate(zip(cartan, symmetriser))}
+    frontier = list(forms.items())
     while frontier:
         new = []
-        for v in frontier:
-            for i, row in enumerate(rows):
-                coeff = sum(a * v[j] for j, a in row)
+        for v, (form, norm) in frontier:
+            for i, (row, d) in enumerate(zip(rows, symmetriser)):
+                coeff = form[i] // d
                 if not coeff:
                     continue
                 w = (*v[:i], v[i] - coeff, *v[i + 1:])
-                if w not in seen:
-                    seen.add(w)
-                    new.append(w)
+                if w not in forms:
+                    wform = list(form)
+                    for j, s in row:
+                        wform[j] -= coeff * s
+                    forms[w] = entry = (tuple(wform), norm)
+                    new.append((w, entry))
         frontier = new
-    return tuple(sorted(seen))
+    return forms
 
 
 @lru_cache(maxsize=None)
@@ -132,10 +143,15 @@ def build_root_system(label: str) -> RootSystem:
     return RootSystem(normalized, dynkin.cartan_matrix(normalized))
 
 
-def _form(system: RootSystem, w) -> tuple[list[int], int]:
+def _form(system: RootSystem, w: Coords) -> tuple[Coords, int]:
     """w's image under the form, form_i = d_i (cartan_i . w), and its norm
-    (w, w) = w . form, so that (v, w) = v . form is one length-n dot product."""
-    form = [d * sum(map(mul, row, w)) for row, d in zip(system.cartan, system.symmetriser)]
+    (w, w) = w . form, so that (v, w) = v . form is one length-n dot product.
+    A root's pair is the one stored with the root system; only a vector that
+    is no root has its pair computed here."""
+    stored = system._forms.get(w)
+    if stored is not None:
+        return stored
+    form = tuple([d * sum(map(mul, row, w)) for row, d in zip(system.cartan, system.symmetriser)])
     return form, sum(map(mul, w, form))
 
 
@@ -150,15 +166,17 @@ def _coroot(v, w, vw: int, norm: int) -> int:
     return value
 
 
-def _reflector(system: RootSystem, beta) -> tuple[Coords, list[int], int]:
-    """beta, checked to be a root, with its _form: all that a reflection in it reads."""
+def _reflector(system: RootSystem, beta) -> tuple[Coords, Coords, int]:
+    """beta, checked to be a root, with its stored form and norm: all that a
+    reflection in it reads."""
     beta = tuple(beta)
-    if not system.is_root(beta):
-        raise ValueError(f"{beta} is not a root of {system.label}")
-    return (beta, *_form(system, beta))
+    try:
+        return (beta, *system._forms[beta])
+    except KeyError:
+        raise ValueError(f"{beta} is not a root of {system.label}") from None
 
 
-def _reflect(v, beta, form: list[int], norm: int) -> Coords:
+def _reflect(v, beta, form: Coords, norm: int) -> Coords:
     coeff = _coroot(v, beta, sum(map(mul, v, form)), norm)
     return tuple([x - coeff * b for x, b in zip(v, beta)])
 
@@ -202,7 +220,8 @@ def _coroot_pairings(basis: CompanionBasis) -> list[list[int]]:
     error at the first failing pair, row by row.  The form is symmetric
     (RootSystem checks its symmetriser), so the Gram matrix takes one dot
     product per pair i <= j, each beta_j through its image under the form,
-    computed once."""
+    computed once: stored with the root system for a root, and computed by
+    _form only for a vector that is no root."""
     vectors = basis.vectors
     n = len(vectors)
     gram = [[0] * n for _ in range(n)]
@@ -387,6 +406,8 @@ class SignedGraph:
             edges = [(index(i), index(j), index(s)) for i, j, s in self.edges]
         except TypeError:
             raise ValueError("vertex count and signed edge entries must be integers") from None
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         seen = set()
         for i, j, s in edges:
             if not (0 <= i < j < n):
@@ -429,6 +450,8 @@ def local_switch(graph: SignedGraph, k: int, in_set) -> SignedGraph:
     -sign(i,k) * sign(j,k) where absent, signs of edges from k into I flip,
     and everything else is untouched.
     """
+    if not 0 <= k < graph.n:
+        raise IndexError(f"switching vertex {k} out of range")
     in_set = set(in_set)
     if k in in_set:
         raise ValueError("the switching set cannot contain the switching vertex")

@@ -226,6 +226,24 @@ def test_roots_closed_under_negation_and_reflection():
             assert system.is_root(tuple(x - coeff if j == i else x for j, x in enumerate(root)))
 
 
+def _form_by_entries(system, w):
+    """w's image under the form and its norm, entry by entry:
+    form_i = sum_j d_i cartan[i][j] w_j and (w, w) = sum_i w_i form_i."""
+    n = system.n
+    form = tuple(sum(system.symmetriser[i] * system.cartan[i][j] * w[j] for j in range(n)) for i in range(n))
+    return form, sum(w[i] * form[i] for i in range(n))
+
+
+@pytest.mark.parametrize("label", [*(label for n in range(1, 9) for label in dynkin.labels_of_rank(n)),
+                                   "B/C10", "A30"])
+def test_each_root_carries_its_form_and_norm(label):
+    system = build_root_system(label)
+    assert set(system._forms) == set(system.roots)
+    for root, (form, norm) in system._forms.items():
+        assert type(form) is tuple
+        assert (form, norm) == _form_by_entries(system, root), (label, root)
+
+
 # ------------------------------------------------------ pairings
 
 
@@ -258,9 +276,12 @@ def test_copairing_rejects_isotropic_and_marks_nonintegral():
     system = build_root_system("A2")
     with pytest.raises(ValueError):
         _copairing(system, (1, 0), (0, 0))
-    # 2 (v, w) / (w, w) = 2 * (-2) / 8 = -1/2
+    # 2 (v, w) / (w, w) = 2 * (-2) / 8 = -1/2; (2, 0) is no root, so its
+    # form and norm are computed, not stored
     with pytest.raises(ValueError, match="not integral"):
         _copairing(system, (0, 1), (2, 0))
+    assert not system.is_root((2, 0))
+    assert roots._form(system, (2, 0)) == _form_by_entries(system, (2, 0)) == ((4, -2), 8)
 
 
 def _outcome(f, *args):
@@ -882,6 +903,8 @@ def test_signed_graph_validation():
         SignedGraph(2, ((1, 0, 1),))
     with pytest.raises(ValueError):
         SignedGraph(3, ((0, 1, 1), (0, 1, -1)))
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        SignedGraph(-1, ())
 
 
 def test_local_switch_hand_example():
@@ -906,6 +929,9 @@ def test_local_switch_argument_errors():
         local_switch(chain, 1, [2, 0, 1])  # contains the vertex itself... caught as k in I
     with pytest.raises(ValueError):
         local_switch(chain, 0, [2])  # 2 is not a neighbour of 0
+    for k in (7, -1, 3):  # a switching vertex out of range, as mutate_companion's
+        with pytest.raises(IndexError, match=f"^switching vertex {k} out of range$"):
+            local_switch(chain, k, [])
 
 
 def test_simply_laced_mutation_acts_by_local_switching():
