@@ -5,7 +5,9 @@ presentations in which every generator is an involution: the table keeps one
 column per generator and every table write is symmetric, so the involution
 relations are baked into the data structure.  Coincidences are processed as in
 the COINCIDENCE routine of Holt, Eick and O'Brien ("Handbook of Computational
-Group Theory", 2005, section 5.1), so a live row names only live cosets.
+Group Theory", 2005, section 5.1), so a live row names only live cosets.  A
+relator whose forward trace from a coset is complete and closed, as most are
+once the table fills, is checked inline and never reaches scan.
 
 group_order enumerates the cosets of the trivial subgroup, so the order it
 returns is exact.  The certificates bound the order instead, from both sides,
@@ -47,7 +49,7 @@ from math import prod
 
 from . import dynkin
 from .diagram import Diagram, NotFiniteTypeError, connected_components, mutate_diagram
-from .presentation import Presentation, Relation, Word, _relations, mutation_witness_words
+from .presentation import Presentation, Relation, Relator, Word, _relations, mutation_witness_words
 from .roots import _coroot_pairings, _first_failing, companion_basis, mutate_companion
 
 __all__ = [
@@ -77,24 +79,27 @@ class CosetCapExceeded(RuntimeError):
 
 def _enumerate(relations, gens, subgroup, cap: int) -> tuple[int | None, int]:
     """Enumerate the cosets of <s_h : h in subgroup> in the group that the
-    relations present on the generators gens: (index, defined).
+    relations, (word, exponent, tag) triples or Relations, present on the
+    generators gens: (index, defined).
 
     Deterministic HLT strategy: the subgroup enters as table[0][h] = 0, then
     each live coset scans every relator and fills its remaining entries in
-    generator order.  Only the columns in gens are filled, so a generator
-    keeps its number in the input.  When a coset dies in a coincidence, every
-    entry naming it is cleared, then re-pointed at the survivor or left to a
-    queued coincidence (the Handbook's COINCIDENCE, section 5.1), so a live
-    row names only live cosets and scan reads the table as it stands.
-    table[c] is None once coset c is merged; live is the number of survivors,
-    the index, and defined counts every definition made, including cosets
-    later merged away.  The index is None when the cap stops the
-    enumeration."""
+    generator order; scan runs only where the relator's forward trace from
+    the coset stops at an undefined entry or ends at another coset, since a
+    closed trace leaves nothing to fill.  Only the columns in gens are
+    filled, so a generator keeps its number in the input.  When a coset
+    dies in a coincidence, every entry naming it is cleared, then re-pointed
+    at the survivor or left to a queued coincidence (the Handbook's
+    COINCIDENCE, section 5.1), so a live row names only live cosets and the
+    traces and scan read the table as it stands.  table[c] is None once
+    coset c is merged; live is the number of survivors, the index, and
+    defined counts every definition made, including cosets later merged
+    away.  The index is None when the cap stops the enumeration."""
     if cap < 1:
         raise ValueError("cap must be positive")
     # an even power of one generator holds in every table, whose generators
     # are involutions; an odd one, (s)^e = s, does not
-    relators = [rel.word * rel.exponent for rel in relations if len(rel.word) > 1 or rel.exponent % 2]
+    relators = [word * exponent for word, exponent, _ in relations if len(word) > 1 or exponent % 2]
     width = max(gens, default=-1) + 1
     table: list[list[int] | None] = [[-1] * width]
     for h in subgroup:
@@ -178,6 +183,13 @@ def _enumerate(relations, gens, subgroup, cap: int) -> tuple[int | None, int]:
         while alpha < len(table):
             if parent[alpha] == alpha:
                 for word in relators:
+                    f = alpha
+                    for g in word:
+                        f = table[f][g]
+                        if f < 0:
+                            break
+                    if f == alpha:
+                        continue
                     scan(alpha, word)
                     if parent[alpha] != alpha:
                         break
@@ -196,10 +208,10 @@ def _degrees(n: int, relations) -> list[int]:
     """Per generator, how many others share a relator with it; the commuting
     pairs (s_i s_j)^2 do not link."""
     linked: list[set[int]] = [set() for _ in range(n)]
-    for rel in relations:
-        if len(rel.word) == 2 and rel.exponent == 2:
+    for word, exponent, _ in relations:
+        if len(word) == 2 and exponent == 2:
             continue
-        letters = set(rel.word)
+        letters = set(word)
         for g in letters:
             linked[g] |= letters - {g}
     return [len(others) for others in linked]
@@ -240,7 +252,7 @@ def _tower(n: int, relations, cap: int) -> tuple[int | None, list[dict], int]:
         levels.append({"dropped": g + 1, "index": index})
         order *= index
         gens = rest
-        relations = [rel for rel in relations if g not in rel.word]
+        relations = [(word, exponent, tag) for word, exponent, tag in relations if g not in word]
     return order, levels, defined
 
 
@@ -306,7 +318,7 @@ class _Certificate:
     cosets_defined: int
     lower_bound: bool
     verdict: str  # "pass" | "fail" | "overflow"
-    relations: list[Relation]  # the full presentation's, which lower_bound read
+    relations: list[Relator]  # the full presentation's, which lower_bound read
 
 
 def _certify(diagram: Diagram, entries, expected: int, cap: int) -> _Certificate:
@@ -377,6 +389,7 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     words = mutation_witness_words(diagram, k)
     fwd_fail = _first_failing(entries, side_mut.relations, words)
     inv_fail = _first_failing(entries_mut, side.relations, words)
+    failing = fwd_fail or inv_fail
 
     return MutationIsomorphismReport(
         vertex=k,
@@ -387,7 +400,7 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
         inverse_homomorphism=inv_fail is None,
         composition_identity=fwd_fail is None and inv_fail is None,
         faithful=side.verdict == side_mut.verdict == "pass",
-        failing_relation=fwd_fail or inv_fail,
+        failing_relation=failing and Relation(*failing),
     )
 
 

@@ -167,21 +167,30 @@ def mutate_diagram(diagram: Diagram, k: int) -> Diagram:
     n = diagram.n
     if not 0 <= k < n:
         raise IndexError(f"mutation vertex {k} out of range for rank {n}")
-    new_edges: dict[tuple[int, int], int] = {}
-    for i, j, w in diagram.edges:
+    return Diagram(n, _mutated_edges(diagram, k))
+
+
+def _mutated_edges(diagram: Diagram, k: int) -> tuple[tuple[int, int, int], ...]:
+    """The sorted edges of the diagram mutated at vertex k, a vertex of it:
+    mutate_diagram's rule and errors, and the edges a Diagram of them stores.
+    An edge the mutation keeps is the diagram's own (i, j, w) object."""
+    weights = diagram._weights
+    new_edges: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for edge in diagram.edges:
+        i, j, w = edge
         if i == k or j == k:
-            new_edges[(j, i)] = w
+            new_edges[(j, i)] = (j, i, w)
         else:
-            new_edges[(i, j)] = w
-    for i in diagram.in_neighbours(k):
-        a = diagram.weight(i, k)
-        for j in diagram.out_neighbours(k):
-            b = diagram.weight(k, j)
-            if diagram.weight(i, j) > 0:
+            new_edges[(i, j)] = edge
+    for i in diagram._in.get(k, ()):
+        a = weights[(i, k)]
+        for j in diagram._out.get(k, ()):
+            b = weights[(k, j)]
+            if (i, j) in weights:
                 raise DiagramError(
                     "mutation at {1}: path {0}->{1}->{2} closed by a same-direction "
                     "edge {0}->{2} (diagram is not of finite type)", i, k, j)
-            c = diagram.weight(j, i)
+            c = weights.get((j, i), 0)
             c_new = max(a, b) - c
             if c_new < 0:
                 raise DiagramError(
@@ -189,8 +198,8 @@ def mutate_diagram(diagram: Diagram, k: int) -> Diagram:
                     "on path {0}->{1}->{2}", i, k, j)
             new_edges.pop((j, i), None)
             if c_new > 0:
-                new_edges[(i, j)] = c_new
-    return Diagram(n, ((i, j, w) for (i, j), w in new_edges.items()))
+                new_edges[(i, j)] = (i, j, c_new)
+    return tuple(sorted(new_edges.values()))
 
 
 def connected_components(diagram: Diagram) -> list[tuple[tuple[int, ...], Diagram]]:
@@ -352,13 +361,15 @@ def _validate_local(diagram: Diagram, cycles) -> Optional[str]:
 _CODE_BASE = 128
 
 
-def _code_matrix(diagram: Diagram, oriented: bool) -> list[list[int]]:
-    """code[p][q]: w for an edge p -> q of weight w, w + 4 (or w when
-    unoriented) for an edge q -> p, 0 for no edge."""
-    n = diagram.n
+def _code_matrix(n: int, edges, oriented: bool) -> list[list[int]]:
+    """code[p][q] over the n vertices of the edges (i, j, w): w for an edge
+    p -> q of weight w, w + 4 (or w when unoriented) for an edge q -> p, 0
+    for no edge.  Raises ValueError on a weight above 4."""
     shift = 4 if oriented else 0
     code = [[0] * n for _ in range(n)]
-    for i, j, w in diagram.edges:
+    for i, j, w in edges:
+        if w > 4:
+            raise ValueError("edge weight too large to encode")
         code[i][j] = w
         code[j][i] = w + shift
     return code
@@ -390,8 +401,9 @@ def _refined_ranks(code: list[list[int]]) -> list[int]:
     return rank
 
 
-def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int], list[int]]:
-    """Minimal edge-code sequence over the rank-sorted labelings, with its permutation.
+def _canonical_search(n: int, edges, oriented: bool = True) -> tuple[list[int], list[int]]:
+    """Minimal edge-code sequence over the rank-sorted labelings, with its
+    permutation, of the diagram on n vertices with the edges (i, j, w).
 
     The encoding lists, for each position q in turn, the block of codes
     code[perm[p]][perm[q]] against the already-placed positions p < q.  The
@@ -426,12 +438,9 @@ def _canonical_search(diagram: Diagram, oriented: bool = True) -> tuple[list[int
     A block is held as one integer, its codes as digits in base _CODE_BASE,
     which compares like the tuple of codes among blocks of one length.
     """
-    n = diagram.n
     if n > MAX_CANONICAL_RANK:
         raise ValueError(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {n}")
-    if diagram.max_weight() > 4:
-        raise ValueError("edge weight too large to encode")
-    code = _code_matrix(diagram, oriented)
+    code = _code_matrix(n, edges, oriented)
     rank = _refined_ranks(code)
     if len(set(rank)) == n:
         perm = sorted(range(n), key=rank.__getitem__)
@@ -479,11 +488,12 @@ def _relabel(diagram: Diagram, perm: list[int]) -> Diagram:
     return Diagram(diagram.n, ((position[i], position[j], w) for i, j, w in diagram.edges))
 
 
-def _canonical_labeling(diagram: Diagram) -> tuple[bytes, list[int]]:
-    """Canonical form and a labeling realizing it: relabeling vertex perm[q]
-    of `diagram` as q gives the canonical representative."""
-    codes, perm = _canonical_search(diagram, oriented=True)
-    return bytes([diagram.n]) + bytes(codes), perm
+def _canonical_labeling(n: int, edges) -> tuple[bytes, list[int]]:
+    """Canonical form and a labeling realizing it, of the diagram on n
+    vertices with the edges (i, j, w): relabeling its vertex perm[q] as q
+    gives the canonical representative."""
+    codes, perm = _canonical_search(n, edges, oriented=True)
+    return bytes([n]) + bytes(codes), perm
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +516,13 @@ class NotFiniteTypeError(_NamesVertices, RuntimeError):
 def _search(diagram: Diagram, cap: int, stop=None):
     """Breadth-first search of a diagram's mutation class: (reached, mutations, hit).
 
-    From the diagram, by mutate_diagram, which keeps the vertex labels, the
-    search keeps the first diagram it reaches of each canonical form.
-    `reached` lists them in discovery order as (diagram, parent position,
-    vertex mutated, key, perm), (key, perm) being its _canonical_labeling,
-    the input first with parent and vertex -1.  `mutations` records the
-    mutation of each kept diagram at each vertex as (position, k, key).
+    From the diagram, by mutate_diagram's rule (_mutated_edges), which keeps
+    the vertex labels, the search keeps the first diagram it reaches of each
+    canonical form.  `reached` lists them in discovery order as (diagram,
+    parent position, vertex mutated, key, perm), (key, perm) being its
+    _canonical_labeling, the input first with parent and vertex -1.
+    `mutations` lists the key of each kept diagram mutated at each vertex,
+    that of reached[p] at k at mutations[p * n + k], n the rank.
     With `stop`, the search ends at the first diagram d with hit = stop(d)
     true; the input is checked before any canonical labeling, and a stop
     there returns it alone with key and perm None.
@@ -527,6 +538,13 @@ def _search(diagram: Diagram, cap: int, stop=None):
     it cannot fail, and the search raises where one mutating every kept
     diagram at every vertex would.
 
+    A child is labeled from its sorted edges, and two parents of one BFS
+    layer often mutate to the same labeled child.  So `labels` holds the
+    _canonical_labeling of each child that the layer being expanded reached,
+    by its edges, and is emptied when the next layer starts: it never holds
+    more than one layer.  A Diagram is built only for a child with a new key;
+    a repeated one stays a tuple of edges, most of them its parent's.
+
     Raises NotFiniteTypeError on an input edge of weight > 3 (the rule's new
     weights max(a, b) - c then stay <= 3) or where the mutation rule breaks
     down, naming mutate_diagram's vertices, MutationClassOverflow when more
@@ -536,25 +554,35 @@ def _search(diagram: Diagram, cap: int, stop=None):
         raise NotFiniteTypeError(f"edge of weight {diagram.max_weight()} violates 2-finiteness")
     if stop and (hit := stop(diagram)):
         return [(diagram, -1, -1, None, None)], [], hit
-    reached = [(diagram, -1, -1, *_canonical_labeling(diagram))]
+    n = diagram.n
+    reached = [(diagram, -1, -1, *_canonical_labeling(n, diagram.edges))]
     seen = {reached[0][3]: 0}  # key -> position in reached
     known = {}  # (position, x) -> key of reached[position] mutated at x
+    labels = {}  # sorted edges -> _canonical_labeling, of this layer's children
+    layer_end = 1  # the position where the layer being expanded ends
     mutations = []
     for position, (parent, _, _, near, _) in enumerate(reached):  # grows as it goes
-        for k in range(diagram.n):
+        if position == layer_end:
+            labels.clear()
+            layer_end = len(reached)
+        for k in range(n):
             if (position, k) in known:
-                mutations.append((position, k, known.pop((position, k))))
+                mutations.append(known.pop((position, k)))
                 continue
             try:
-                child = mutate_diagram(parent, k)
+                edges = _mutated_edges(parent, k)
             except DiagramError as exc:
                 raise NotFiniteTypeError(exc.template, *exc.vertices) from exc
-            key, perm = _canonical_labeling(child)
-            mutations.append((position, k, key))
+            labeled = labels.get(edges)
+            if labeled is None:
+                labeled = labels[edges] = _canonical_labeling(n, edges)
+            key, perm = labeled
+            mutations.append(key)
             if key not in seen:
                 if len(seen) >= cap:
                     raise MutationClassOverflow(cap)
                 seen[key] = len(reached)
+                child = Diagram(n, edges)
                 reached.append((child, position, k, key, perm))
                 if stop and (hit := stop(child)):
                     return reached, mutations, hit
@@ -614,7 +642,9 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
     index = {key: i for i, key in enumerate(keys)}
     member = [index[entry[3]] for entry in reached]
     perms = [entry[4] for entry in reached]
-    edges = frozenset((member[p], perms[p].index(k), index[key]) for p, k, key in mutations)
+    n = diagram.n
+    edges = frozenset((member[e // n], perms[e // n].index(e % n), index[key])
+                      for e, key in enumerate(mutations))
     tree = [(member[0], -1, member[0], tuple(perms[0]))]
     for c, (_, p, k, _, perm) in enumerate(reached[1:], 1):
         tree.append((member[c], perm.index(k), member[p], tuple(perms[p].index(v) for v in perm)))
@@ -631,7 +661,8 @@ def _tree_table(n: int) -> dict[bytes, tuple[str, list[int]]]:
 
     table = {}
     for label in dynkin.labels_of_rank(n):
-        codes, perm = _canonical_search(dynkin.standard_diagram(label), oriented=False)
+        tree = dynkin.standard_diagram(label)
+        codes, perm = _canonical_search(tree.n, tree.edges, oriented=False)
         table[bytes(codes)] = (label, perm)
     return table
 
@@ -642,7 +673,7 @@ def _tree_match(diagram: Diagram) -> Optional[tuple[str, list[int], list[int]]]:
     tree, as unoriented weighted graphs.  None otherwise."""
     if len(diagram.edges) != diagram.n - 1:
         return None
-    codes, uperm = _canonical_search(diagram, oriented=False)
+    codes, uperm = _canonical_search(diagram.n, diagram.edges, oriented=False)
     hit = _tree_table(diagram.n).get(bytes(codes))
     return hit and (*hit, uperm)
 

@@ -74,6 +74,11 @@ class Relation:
         if self.exponent < 1 or not self.word:
             raise ValueError(f"degenerate relation {self}")
 
+    def __iter__(self):
+        """A Relation unpacks as (word, exponent, tag), like the plain triples
+        of _relations, so the certificate kernels read either."""
+        return iter((self.word, self.exponent, self.tag))
+
     def letters(self) -> Word:
         """The fully expanded relator word."""
         return self.word * self.exponent
@@ -92,7 +97,11 @@ class Presentation:
 
     def __post_init__(self):
         relations = tuple(self.relations)
-        if self.n < 0:
+        try:  # a float or a string is refused, never truncated
+            n = index(self.n)
+        except TypeError:
+            raise ValueError("generator count and relation letters must be integers") from None
+        if n < 0:
             raise ValueError("generator count must be nonnegative")
         involutions = set()
         letters = 0
@@ -105,14 +114,15 @@ class Presentation:
             if letters > _MAX_PRESENTATION_LENGTH:
                 raise ValueError(f"relations expand to more than {_MAX_PRESENTATION_LENGTH} letters in all")
             for letter in rel.word:
-                if not 0 <= letter < self.n:
+                if not 0 <= letter < n:
                     raise ValueError(f"generator s{letter + 1} out of range in {rel}")
             if len(rel.word) == 1 and rel.exponent == 2:
                 involutions.add(rel.word[0])
         # at most len(involutions) + 1 steps, however large n is
-        missing = next((g for g in range(self.n) if g not in involutions), None)
+        missing = next((g for g in range(n) if g not in involutions), None)
         if missing is not None:
             raise ValueError(f"missing involution relation for s{missing + 1}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "relations", relations)
 
     def __repr__(self):
@@ -140,42 +150,46 @@ def _checked_cycles(diagram: Diagram) -> list[ChordlessCycle]:
     return cycles
 
 
-def _relations(diagram: Diagram) -> tuple[list[Relation], list[Relation]]:
+Relator = tuple[Word, int, str]  # (word, exponent, tag), as a Relation unpacks
+
+
+def _relations(diagram: Diagram) -> tuple[list[Relator], list[Relator]]:
     """The (full, reduced) relations from one cycle enumeration: R1 for every
     vertex, R2 for every pair i < j in lexicographic order, then each cycle's
     rotations, all in full and one of exponent 2 in reduced, so the reduced
-    relations are full ones (coset._certify rests on this).  The
-    certificates read these lists as they stand, each relation validated by
-    Relation alone; full_presentation and reduced_presentation wrap them."""
+    relations are full ones (coset._certify rests on this).  Each is a plain
+    (word, exponent, tag) triple, valid by construction, which the
+    certificates read as it stands; full_presentation and
+    reduced_presentation make Relations of them."""
     cycles = _checked_cycles(diagram)
     n = diagram.n
-    full = [Relation((i,), 2, "R1") for i in range(n)]
+    full = [((i,), 2, "R1") for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            full.append(Relation((i, j), bond_order(diagram.weight_between(i, j)), "R2"))
+            full.append(((i, j), bond_order(diagram.weight_between(i, j)), "R2"))
     reduced = full[:]
     for cycle in cycles:
         d = len(cycle.vertices)
         plain = all(w == 1 for w in cycle.weights)
         for a in range(d):
             if plain:
-                full.append(Relation(cycle_word(cycle, a), 2, "R3a"))
+                full.append((cycle_word(cycle, a), 2, "R3a"))
             else:
-                full.append(Relation(cycle_word(cycle, a), 4 - cycle.weights[a], "R3b"))
+                full.append((cycle_word(cycle, a), 4 - cycle.weights[a], "R3b"))
         admissible = [a for a in range(d) if plain or cycle.weights[a] == 2]
         best = min(admissible, key=lambda a: [cycle.vertices[(a + t) % d] for t in range(d)])
-        reduced.append(Relation(cycle_word(cycle, best), 2, "R3-reduced"))
+        reduced.append((cycle_word(cycle, best), 2, "R3-reduced"))
     return full, reduced
 
 
 def full_presentation(diagram: Diagram) -> Presentation:
     """All relations: involutions, pairwise orders, and every cycle rotation."""
-    return Presentation(diagram.n, _relations(diagram)[0])
+    return Presentation(diagram.n, [Relation(*rel) for rel in _relations(diagram)[0]])
 
 
 def reduced_presentation(diagram: Diagram) -> Presentation:
     """One exponent-2 cycle relation per cycle, anchored at an admissible rotation."""
-    return Presentation(diagram.n, _relations(diagram)[1])
+    return Presentation(diagram.n, [Relation(*rel) for rel in _relations(diagram)[1]])
 
 
 def mutation_witness_words(diagram: Diagram, k: int) -> tuple[Word, ...]:

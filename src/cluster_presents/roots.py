@@ -342,7 +342,8 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
 
 def _first_failing(entries, relations, images=None):
     """The first relation that the reflections of a pairing matrix do not
-    satisfy, or None when all hold.
+    satisfy, or None when all hold; a relation is a (word, exponent, tag)
+    triple, as presentation._relations gives it, or a Relation.
 
     Integers only, in coordinates over the basis: with entries[i][j] =
     (beta_i, beta_j^check), the reflection in beta_g sends x to
@@ -373,13 +374,13 @@ def _first_failing(entries, relations, images=None):
     grow = [(abs(1 - entries[g][g]) + sum(abs(a) for j, a in column[g] if j != g) - 1).bit_length()
             for g in range(n)]
     for rel in relations:
-        word = rel.word
+        word, exponent, _ = rel
         if images is not None:
             word = tuple(x for g in word for x in images[g])
-        elif len(word) == 2 and rel.exponent == 2 and not entries[word[0]][word[1]] \
+        elif len(word) == 2 and exponent == 2 and not entries[word[0]][word[1]] \
                 and not entries[word[1]][word[0]] and entries[word[0]][word[0]] == entries[word[1]][word[1]] == 2:
             continue  # two involutions that read neither's coordinate: they commute
-        word *= rel.exponent
+        word *= exponent
         bits = sum(map(grow.__getitem__, word)) + 2
         identity = [1 << bits * g for g in range(n)]
         rows = identity[:]

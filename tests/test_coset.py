@@ -14,6 +14,8 @@ the parabolic towers of the E7 class.
 """
 
 import ast
+import hashlib
+import json
 import math
 import pathlib
 import random
@@ -274,6 +276,61 @@ def test_group_order_is_exact_where_the_tower_only_bounds():
     pres = Presentation(2, [Relation((0,), 2), Relation((1,), 2), Relation((0, 1), 3), Relation((1,), 1)])
     assert group_order(pres) == 1
     assert _tower_of(pres) == (2, [{"dropped": 2, "index": 1}, {"dropped": 1, "index": 2}], 5)
+
+
+@pytest.mark.parametrize("relations, subgroup, defined", [
+    ([((0,), 2, ""), ((1,), 2, ""), ((0, 1), 3, ""), ((1,), 1, "")], (), 6),
+    ([((0,), 2, ""), ((1,), 2, ""), ((1,), 1, ""), ((0, 1), 3, "")], (), 3),
+    ([((0,), 2, ""), ((1,), 2, ""), ((0, 1), 3, ""), ((1,), 1, "")], (0,), 3),
+])
+def test_a_complete_trace_to_another_coset_is_a_coincidence(relations, subgroup, defined):
+    # <s1, s2 | s1^2, s2^2, (s1 s2)^3, s2> is trivial.  Once (s1 s2)^3 has
+    # defined c s2 for a coset c, the trace of s2 from c is complete but ends
+    # at another coset, so it is no closed relator: scan must still run and
+    # merge the two.  An enumerator that skipped every complete trace would
+    # give 6, 3 and 3.
+    assert coset._enumerate(relations, range(2), subgroup, DEFAULT_COSET_CAP) == (1, defined)
+
+
+# Each class's tower totals, as the enumerator gave them when it scanned
+# every relator at every coset: the cosets the members' towers defined, and
+# the first 16 hex digits of the sha256 of the JSON list of their levels.
+CLASS_TOWERS = [
+    ("A1", 2, "009a5e0cf21f4c7f"),
+    ("A2", 5, "9ed48db092f2a91d"),
+    ("B/C2", 6, "201db205dd45aabb"),
+    ("G2", 8, "117655a4fc9bc54d"),
+    ("A3", 36, "b68966c0edeb69a5"),
+    ("B/C3", 64, "0cb55d0794a44809"),
+    ("A4", 84, "d05b705027ace1a5"),
+    ("B/C4", 341, "f85519c2d915e41a"),
+    ("D4", 106, "1eb98e1c9996ceff"),
+    ("F4", 321, "f997075f9ae55575"),
+    ("A5", 380, "ae88b75d313dcca5"),
+    ("B/C5", 1826, "c38a7a392fbcc226"),
+    ("D5", 774, "8fd097d576c93029"),
+    ("A6", 1323, "2579d5137acdd1d7"),
+    ("B/C6", 10072, "6574e0d61a0c0282"),
+    ("D6", 3824, "54e0799ff0885683"),
+    ("E6", 4586, "190d6f1924815fc3"),
+]
+
+
+def test_class_towers_cover_every_label_through_rank_six():
+    assert [label for label, _, _ in CLASS_TOWERS] == [
+        label for n in range(1, 7) for label in dynkin.labels_of_rank(n)]
+
+
+@pytest.mark.parametrize("label, defined, digest", CLASS_TOWERS)
+def test_class_tower_totals_are_pinned(label, defined, digest):
+    count, levels = 0, []
+    for member in mutation_class(dynkin.standard_diagram(label)).members:
+        order, member_levels, member_defined = _tower_of(reduced_presentation(member))
+        assert order == weyl_order(label), member.edges
+        count += member_defined
+        levels.append(member_levels)
+    assert count == defined
+    assert hashlib.sha256(json.dumps(levels).encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("exponent, order", [(1, 1), (3, 1), (4, 6)])

@@ -19,6 +19,8 @@ from cluster_presents.diagram import (
     _code_matrix,
     _refined_ranks,
     _relabel,
+    _search,
+    _tree_match,
     _validate_local,
     Diagram,
     DiagramError,
@@ -356,12 +358,12 @@ def _isomorphic_bruteforce(d1, d2, oriented=True):
 
 def _canonical_form(d):
     """The canonical form, the class search's key (_canonical_labeling)."""
-    return _canonical_labeling(d)[0]
+    return _canonical_labeling(d.n, d.edges)[0]
 
 
 def _unoriented_form(d):
     """The canonical form of the underlying weighted unoriented graph."""
-    codes, _ = _canonical_search(d, oriented=False)
+    codes, _ = _canonical_search(d.n, d.edges, oriented=False)
     return bytes([d.n]) + bytes(codes)
 
 
@@ -400,7 +402,7 @@ def test_canonical_representative_realizes_key():
     rng = random.Random(26)
     for _ in range(40):
         d = _random_diagram(rng, rng.randrange(1, 7))
-        key, perm = _canonical_labeling(d)
+        key, perm = _canonical_labeling(d.n, d.edges)
         rep = _relabel(d, perm)
         assert _canonical_form(rep) == key == _canonical_form(d)
 
@@ -466,8 +468,8 @@ def test_canonical_search_returns_the_first_least_rank_sorted_labeling():
                  for _ in range(200)]
     for d in diagrams:
         for oriented in (True, False):
-            assert _refined_ranks(_code_matrix(d, oriented)) == _colour_ranks_bruteforce(d, oriented)
-            assert _canonical_search(d, oriented) == _least_labeling_bruteforce(d, oriented), (d, oriented)
+            assert _refined_ranks(_code_matrix(d.n, d.edges, oriented)) == _colour_ranks_bruteforce(d, oriented)
+            assert _canonical_search(d.n, d.edges, oriented) == _least_labeling_bruteforce(d, oriented), (d, oriented)
 
 
 @pytest.mark.parametrize("diagram", [
@@ -477,7 +479,7 @@ def test_canonical_search_skips_twins(diagram):
     # every order of a cell that never splits would be 9! or 10! labelings
     start = time.perf_counter()
     _canonical_form(diagram)
-    _canonical_search(diagram, oriented=False)
+    _canonical_search(diagram.n, diagram.edges, oriented=False)
     assert time.perf_counter() - start < 0.1
 
 
@@ -576,13 +578,80 @@ def test_class_tree_records_the_search(label):
     assert mutation_class(_relabel(diagram, rng.sample(range(diagram.n), diagram.n))) == mc
 
 
+def _search_without_memo(diagram, cap, stop=None):
+    """Reference for _search: the same breadth-first search and `known` rule,
+    but every child the rule does not skip is a Diagram from mutate_diagram,
+    labeled by its own canonical search, with no memo."""
+    if stop and (hit := stop(diagram)):
+        return [(diagram, -1, -1, None, None)], [], hit
+    reached = [(diagram, -1, -1, *_canonical_labeling(diagram.n, diagram.edges))]
+    seen = {reached[0][3]: 0}
+    known, mutations = {}, []
+    for position, (parent, _, _, near, _) in enumerate(reached):
+        for k in range(diagram.n):
+            if (position, k) in known:
+                mutations.append(known.pop((position, k)))
+                continue
+            child = mutate_diagram(parent, k)
+            key, perm = _canonical_labeling(child.n, child.edges)
+            mutations.append(key)
+            if key not in seen:
+                assert len(seen) < cap
+                seen[key] = len(reached)
+                reached.append((child, position, k, key, perm))
+                if stop and (hit := stop(child)):
+                    return reached, mutations, hit
+            j = seen[key]
+            x = reached[j][4][perm.index(k)]
+            if j > position or (j == position and x > k):
+                known[(j, x)] = near
+    return reached, mutations, None
+
+
+def _search_inputs():
+    """Every standard diagram of rank <= 6 and E7, and relabeled mutation walks from them."""
+    rng = random.Random(41)
+    labels = [label for n in range(1, 7) for label in dynkin.labels_of_rank(n)] + ["E7"]
+    inputs = []
+    for label in labels:
+        diagram = dynkin.standard_diagram(label)
+        inputs.append((label, diagram))
+        for _ in range(3):
+            for _ in range(rng.randrange(1, 12)):
+                diagram = mutate_diagram(diagram, rng.randrange(diagram.n))
+            inputs.append((label, _relabel(diagram, rng.sample(range(diagram.n), diagram.n))))
+    return inputs
+
+
+@pytest.mark.parametrize("label, diagram", _search_inputs())
+def test_search_matches_the_search_without_a_memo(label, diagram):
+    # to its end, as mutation_class runs it, and stopped at the first tree, as
+    # roots.companion_basis runs it
+    for stop in (None, _tree_match):
+        assert _search(diagram, 50000, stop) == _search_without_memo(diagram, 50000, stop), (label, stop)
+
+
+@pytest.mark.parametrize("label", ["D5", "E6", "B/C6", "E7"])
+def test_search_builds_one_diagram_per_kept_member(monkeypatch, label):
+    # a child whose key is known stays a tuple of edges
+    built = [0]
+    post_init = Diagram.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+    diagram = dynkin.standard_diagram(label)
+    monkeypatch.setattr(Diagram, "__post_init__", counting)
+    reached, _, _ = _search(diagram, 50000)
+    assert built[0] == len(reached) - 1  # the input is given
+
+
 def test_class_is_closed_under_mutation():
     mc = mutation_class(dynkin.standard_diagram("A4"))
     keys = set(mc.keys)
     for member in mc.members:
         for k in range(member.n):
-            child_key, _ = _canonical_labeling(mutate_diagram(member, k))
-            assert child_key in keys
+            assert _canonical_form(mutate_diagram(member, k)) in keys
 
 
 def test_class_type_identification():

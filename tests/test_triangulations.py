@@ -71,7 +71,8 @@ def _type_a_keys(n):
         b = _exchange(m, triangles)
         orbits = sorted({(d,) for d, _ in b}, key=lambda orbit: sorted(orbit[0]))
         assert len(orbits) == n  # from n = 2 on, every diagonal meets another
-        keys.add(_canonical_labeling(_diagram(orbits, b))[0])
+        diagram = _diagram(orbits, b)
+        keys.add(_canonical_labeling(diagram.n, diagram.edges)[0])
     return keys
 
 
@@ -94,7 +95,8 @@ def _type_bc_keys(n):
         orbits = sorted({tuple(sorted({d, frozenset(turn(d))}, key=sorted)) for d, _ in b},
                         key=lambda orbit: sorted(orbit[0]))
         assert len(orbits) == n  # the diameter alone, and n - 1 pairs
-        keys.add(_canonical_labeling(_diagram(orbits, b))[0])
+        diagram = _diagram(orbits, b)
+        keys.add(_canonical_labeling(diagram.n, diagram.edges)[0])
     return keys
 
 

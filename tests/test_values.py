@@ -93,6 +93,10 @@ def test_matrices_refuse_non_integer_entries(make):
     (lambda: Diagram(2, [(0, 1.5, 1)]), DiagramError, "vertex count and edge entries"),
     (lambda: Diagram(2.5, []), DiagramError, "vertex count and edge entries"),
     (lambda: Diagram("2", []), DiagramError, "vertex count and edge entries"),
+    (lambda: Presentation(2.0, [Relation((0,), 2), Relation((1,), 2)]), ValueError,
+     "generator count and relation letters"),
+    (lambda: Presentation("2", [Relation((0,), 2), Relation((1,), 2)]), ValueError,
+     "generator count and relation letters"),
     (lambda: Relation((0, 1), 2.5), ValueError, "relation letters and exponent"),
     (lambda: Relation((0, 0.5), 2), ValueError, "relation letters and exponent"),
     (lambda: CompanionBasis(A2, [(1.9, 0), (0, 1)]), ValueError, "basis coordinates"),  # not the simple roots
@@ -103,7 +107,8 @@ def test_matrices_refuse_non_integer_entries(make):
     (lambda: SignedGraph(2.5, ()), ValueError, "vertex count and signed edge entries"),
     (lambda: SignedGraph("2", ()), ValueError, "vertex count and signed edge entries"),
     (lambda: SignedGraph(2, ((0, 1, Fraction(1)),)), ValueError, "vertex count and signed edge entries"),
-], ids=["diagram-weight", "diagram-vertex", "diagram-count", "diagram-string", "relation-exponent",
+], ids=["diagram-weight", "diagram-vertex", "diagram-count", "diagram-string", "presentation-count",
+        "presentation-string", "relation-exponent",
         "relation-letter", "basis-float", "basis-Fraction", "signed-vertex", "signed-float-edge",
         "signed-sign", "signed-count", "signed-string", "signed-Fraction"])
 def test_value_constructors_refuse_non_integers(make, error, message):
