@@ -80,6 +80,7 @@ from .presentation import (
 from .roots import (
     CompanionBasis,
     _coroot_pairings,
+    _root_masks,
     build_root_system,
     companion_bases,
     companion_matrix,
@@ -382,8 +383,8 @@ def _cmd_verify_type(args, argv) -> int:
     cap = _coset_cap(args)
     if diagram.n > MAX_CANONICAL_RANK:  # before any pass over the vertices
         _die(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
-    label, expected, entries, _ = _valid(_companion_entries, diagram)
-    cert = _certify(diagram, entries, expected, cap)
+    label, expected, (entries, masks), _ = _valid(_companion_entries, diagram)
+    cert = _certify(diagram, entries, masks, expected, cap)
     report = {"order": cert.order, "strategy": "tower", "cosets_defined": cert.cosets_defined,
               "tower": cert.tower, "type": label}
     if cert.order is not None:
@@ -420,7 +421,8 @@ def _cmd_theorem_a(args, argv) -> int:
     bases = companion_bases(mclass)
     members = []
     for idx in indices:
-        cert = _certify(mclass.members[idx], _coroot_pairings(bases[idx]), expected, cap)
+        basis = bases[idx]
+        cert = _certify(mclass.members[idx], _coroot_pairings(basis), _root_masks(basis), expected, cap)
         members.append({"member": idx, "order": cert.order, "tower": cert.tower, "lower_bound": cert.lower_bound,
                         "verdict": cert.verdict})
     verdicts = {m["verdict"] for m in members}

@@ -13,9 +13,12 @@ group_order enumerates the cosets of the trivial subgroup, so the order it
 returns is exact.  The certificates bound the order instead, from both sides,
 in _certify, the one place that picks their presentations, for theorem-a,
 verify-type and both sides of verify_mutation_isomorphism.  From above by a
-parabolic tower (_tower) on the reduced presentation: drop a generator of
-least degree, enumerate the cosets of the subgroup the others generate, go on
-with the relations among the others, and multiply the indices.  Each index is
+parabolic tower (_tower) on the reduced presentation: drop the generator
+that leaves the most positive roots with coordinate 0 at it and at every
+generator dropped before, in coordinates over the companion basis (the root
+subsystem of the others; roots._root_masks), enumerate the cosets of the
+subgroup the others generate, go on with the relations among the others,
+and multiply the indices.  The rule only picks the drop: each index is
 exact, and each restricted presentation maps onto the subgroup its generators
 generate, so the product is an upper bound on the order, and no more: on the
 trivial group <s1, s2 | s1^2, s2^2, (s1 s2)^3, s2> the tower gives 2.  From
@@ -45,12 +48,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
+from operator import or_
 
 from . import dynkin
 from .diagram import Diagram, NotFiniteTypeError, connected_components, mutate_diagram
 from .presentation import Presentation, Relation, Relator, Word, _relations, mutation_witness_words
-from .roots import _coroot_pairings, _first_failing, companion_basis, mutate_companion
+from .roots import _coroot_pairings, _first_failing, _root_masks, companion_basis, mutate_companion
 
 __all__ = [
     "DEFAULT_COSET_CAP",
@@ -204,19 +209,6 @@ def _enumerate(relations, gens, subgroup, cap: int) -> tuple[int | None, int]:
     return live, defined
 
 
-def _degrees(n: int, relations) -> list[int]:
-    """Per generator, how many others share a relator with it; the commuting
-    pairs (s_i s_j)^2 do not link."""
-    linked: list[set[int]] = [set() for _ in range(n)]
-    for word, exponent, _ in relations:
-        if len(word) == 2 and exponent == 2:
-            continue
-        letters = set(word)
-        for g in letters:
-            linked[g] |= letters - {g}
-    return [len(others) for others in linked]
-
-
 def group_order(presentation: Presentation, cap: int = DEFAULT_COSET_CAP) -> int:
     """Order of the presented group, exact: the index of the trivial subgroup.
     Raises CosetCapExceeded when the cap stops the enumeration."""
@@ -226,24 +218,30 @@ def group_order(presentation: Presentation, cap: int = DEFAULT_COSET_CAP) -> int
     return order
 
 
-def _tower(n: int, relations, cap: int) -> tuple[int | None, list[dict], int]:
+def _tower(n: int, relations, cap: int, masks) -> tuple[int | None, list[dict], int]:
     """The parabolic tower's upper bound on the order of the group the
     relations present on n involutions: (bound, levels, defined).
 
-    Each level drops a generator of least degree (_degrees; ties go to the
-    highest index), enumerates the cosets of the subgroup the others
-    generate, and goes on with the relations among the others until no
-    generator is left.  The generators keep their numbers in the input at
-    every level: a level only drops the relations that name its generator.
+    masks[g] has bit r set when root r has a nonzero coordinate g over the
+    companion basis (roots._root_masks), one root of each +- pair.  Each
+    level drops the generator g that leaves the most roots with coordinate 0
+    at g and at every generator already dropped (ties go to the highest
+    index): the roots in the span of the others, so the drop keeps the
+    largest root subsystem and a small index.  The level enumerates the
+    cosets of the subgroup the others generate, keeps those roots only, and
+    goes on with the relations among the others until no generator is left.
+    The generators keep their numbers in the input at every level: a level
+    only drops the relations that name its generator.
     levels holds one {"dropped": generator, "index": cosets} per completed
     level, the generator 1-based; defined counts the cosets of every level.
     The bound is None when the cap stops a level."""
     gens = list(range(n))
     levels: list[dict] = []
     order, defined = 1, 0
+    alive = reduce(or_, masks, 0)
     while gens:
-        degree = _degrees(n, relations)
-        g = min(reversed(gens), key=degree.__getitem__)
+        g = max(reversed(gens), key=lambda h: (alive & ~masks[h]).bit_count())
+        alive &= ~masks[g]
         rest = [h for h in gens if h != g]
         index, count = _enumerate(relations, gens, rest, cap)
         defined += count
@@ -280,33 +278,42 @@ class MutationIsomorphismReport:
         )
 
 
-def _place(entries, vertices, basis) -> None:
-    """Write the basis's pairing matrix into entries at the component's vertices."""
+def _place(side, vertices, basis, offset: int) -> None:
+    """Write the basis's pairing matrix into the side's entries at the
+    component's vertices, and its root masks into the side's masks, shifted
+    past the offset bits that earlier components' roots fill."""
+    entries, masks = side
     for u, row in zip(vertices, _coroot_pairings(basis)):
         for v, a in zip(vertices, row):
             entries[u][v] = a
+    for u, mask in zip(vertices, _root_masks(basis)):
+        masks[u] = mask << offset
 
 
 def _companion_entries(diagram: Diagram, k: int = -1):
-    """(label, |W|, entries, mutated): each component's companion basis on its
-    diagonal block of entries, their labels joined by "+", the product of
-    their Weyl orders, and the blocks after mutation at vertex k, or None."""
+    """(label, |W|, side, mutated): side is (entries, masks), each component's
+    companion basis's pairing matrix on its diagonal block of entries and its
+    root masks (roots._root_masks) at its vertices, each component's roots on
+    bits of their own; then the components' labels joined by "+", the product
+    of their Weyl orders, and the side after mutation at vertex k, or None."""
     n = diagram.n
-    entries = [[0] * n for _ in range(n)]
-    mutated = [[0] * n for _ in range(n)] if k >= 0 else None
+    side = ([[0] * n for _ in range(n)], [0] * n)
+    mutated = ([[0] * n for _ in range(n)], [0] * n) if k >= 0 else None
     labels = []
+    offset = 0
     for vertices, component in connected_components(diagram):
         try:
             basis = companion_basis(component)
         except NotFiniteTypeError as exc:  # naming the diagram's vertices, not the component's
             raise exc.renamed(vertices.__getitem__) from None
         labels.append(basis.system.label)
-        _place(entries, vertices, basis)
+        _place(side, vertices, basis, offset)
         if mutated is not None:
             if k in vertices:
                 basis = mutate_companion(basis, vertices.index(k), component)
-            _place(mutated, vertices, basis)
-    return "+".join(labels), prod(map(weyl_order, labels)), entries, mutated
+            _place(mutated, vertices, basis, offset)
+        offset += len(basis.system.roots) // 2
+    return "+".join(labels), prod(map(weyl_order, labels)), side, mutated
 
 
 @dataclass(frozen=True)
@@ -321,11 +328,12 @@ class _Certificate:
     relations: list[Relator]  # the full presentation's, which lower_bound read
 
 
-def _certify(diagram: Diagram, entries, expected: int, cap: int) -> _Certificate:
+def _certify(diagram: Diagram, entries, masks, expected: int, cap: int) -> _Certificate:
     """Certify |G| = |W| = expected for both of the diagram's presentations:
-    the tower on the reduced one bounds both from above, and the full relations
-    holding on the companion matrix entries from below (roots._first_failing),
-    checked even after an overflow for verify-type.
+    the tower on the reduced one, dropping by the root masks of the companion
+    basis, bounds both from above, and the full relations holding on the
+    companion matrix entries from below (roots._first_failing), checked even
+    after an overflow for verify-type.
 
     Why the relations bound G from below.  A basis of roots.companion_bases or
     roots.companion_basis is carried by mutations from the simple roots on a
@@ -338,7 +346,7 @@ def _certify(diagram: Diagram, entries, expected: int, cap: int) -> _Certificate
     both presentations.
     """
     full, reduced = _relations(diagram)
-    order, tower, defined = _tower(diagram.n, reduced, cap)
+    order, tower, defined = _tower(diagram.n, reduced, cap, masks)
     lower_bound = _first_failing(entries, full) is None
     if order is None:
         verdict = "overflow"
@@ -374,12 +382,12 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     records this for both sides, and `passed` requires it.
     """
     mutated = mutate_diagram(diagram, k)
-    _, expected, entries, entries_mut = _companion_entries(diagram, k)
+    _, expected, (entries, masks), (entries_mut, masks_mut) = _companion_entries(diagram, k)
 
-    side = _certify(diagram, entries, expected, cap)
+    side = _certify(diagram, entries, masks, expected, cap)
     if side.order is None:
         raise CosetCapExceeded(cap, side.cosets_defined)
-    side_mut = _certify(mutated, entries_mut, expected, cap)
+    side_mut = _certify(mutated, entries_mut, masks_mut, expected, cap)
     if side_mut.order is None:
         raise CosetCapExceeded(cap, side.cosets_defined + side_mut.cosets_defined)
 

@@ -38,7 +38,7 @@ __all__ = [
     "dump_signed_graph",
 ]
 
-FORMAT_VERSION = "5"
+FORMAT_VERSION = "6"
 
 
 class FormatError(ValueError):

@@ -19,7 +19,12 @@ search's steps.  companion_bases finds one for every member of a
 finite-type mutation class: the input member's, carried forward along the
 record of the search that found the class (MutationClass.tree), each step
 relabeled by the canonical labeling that search recorded, so carrying runs
-no canonical search.
+no canonical search.  Both carry the positive roots along with the basis,
+in coordinates over it, with a mask per vertex of the roots whose
+coordinate there is nonzero (CompanionBasis._carry): a mutation step
+changes one coordinate of each root, so no certificate closes a root
+system, and the certificates' towers pick their drops by the masks
+(_root_masks, coset._tower).
 _first_failing checks a presentation on the reflections in such a basis, the
 lower bound of the certificates (coset._certify), by integer matrices read off
 its companion matrix, each row packed into one int; it also checks the
@@ -176,9 +181,11 @@ def _reflector(system: RootSystem, beta) -> tuple[Coords, Coords, int]:
         raise ValueError(f"{beta} is not a root of {system.label}") from None
 
 
-def _reflect(v, beta, form: Coords, norm: int) -> Coords:
+def _reflect(v, beta, form: Coords, norm: int) -> tuple[int, Coords]:
+    """(a, v - a beta), a = (v, beta^check): the reflection of v in beta and
+    the pairing it subtracted."""
     coeff = _coroot(v, beta, sum(map(mul, v, form)), norm)
-    return tuple([x - coeff * b for x, b in zip(v, beta)])
+    return coeff, tuple([x - coeff * b for x, b in zip(v, beta)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,10 +196,18 @@ class CompanionBasis:
     a separate check (is_companion_basis), so near-miss candidates can be
     built and interrogated.  Two bases are equal when they hold the same
     vectors in the same RootSystem object.
+
+    A basis that companion_basis or companion_bases returns carries the
+    positive roots with it, and so does mutate_companion's step from such a
+    basis: _carry[g] is (column, mask), the column holding coordinate g over
+    the basis of each positive root of the system, in the order of
+    system.roots, and the mask the int with bit r set when root r's
+    coordinate is nonzero (_mask).  Any other basis has _carry None.
     """
 
     system: RootSystem
     vectors: tuple[Coords, ...]
+    _carry: tuple[tuple[Coords, int], ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -213,6 +228,46 @@ class CompanionBasis:
 
 def simple_root_basis(system: RootSystem) -> CompanionBasis:
     return CompanionBasis(system, [system.simple_root(i) for i in range(system.n)])
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(column: Coords) -> int:
+    """The int with bit r set when entry r of the column is nonzero."""
+    return int(bytes(map(bool, reversed(column))).translate(_BINARY_DIGITS), 2)  # read as a binary numeral
+
+
+@lru_cache(maxsize=None)
+def _carried_simple_roots(system: RootSystem) -> CompanionBasis:
+    """The simple roots, carrying the positive roots: column i holds the
+    coefficient of the simple root a_i in each of them."""
+    zero = (0,) * system.n
+    columns = zip(*(r for r in system.roots if r > zero))
+    return _carried(system, simple_root_basis(system).vectors, tuple((c, _mask(c)) for c in columns))
+
+
+def _carried(system: RootSystem, vectors, carry) -> CompanionBasis:
+    """The basis of the vectors with the carry attached
+    (CompanionBasis._carry), unless it is None."""
+    basis = CompanionBasis(system, vectors)
+    if carry is not None:
+        object.__setattr__(basis, "_carry", carry)
+    return basis
+
+
+def _relabeled(basis: CompanionBasis, perm) -> CompanionBasis:
+    """Vector and carried column q of the result are vector and column
+    perm[q] of the basis."""
+    carry = None if basis._carry is None else tuple(basis._carry[v] for v in perm)
+    return _carried(basis.system, [basis.vectors[v] for v in perm], carry)
+
+
+def _root_masks(basis: CompanionBasis) -> list[int]:
+    """One int per vertex g of a carried basis, with bit r set when positive
+    root r has a nonzero coordinate g over the basis: the root subsystems the
+    certificates' towers drop by (coset._tower)."""
+    return [mask for _, mask in basis._carry]
 
 
 def _coroot_pairings(basis: CompanionBasis) -> list[list[int]]:
@@ -273,6 +328,12 @@ def mutate_companion(basis: CompanionBasis, k: int, diagram) -> CompanionBasis:
     beta_k is kept and each reflection is an involution, so the step on the
     same diagram undoes it.  On the mutated diagram, whose arrows at k are
     reversed, it reflects the beta_i of the arrows k -> i instead.
+
+    A carried basis stays carried.  beta_i becomes beta_i - a_i beta_k with
+    a_i = (beta_i, beta_k^check), so a root's coordinate k over the basis
+    gains a_i times its coordinate i, for each reflected beta_i, and no other
+    coordinate changes: column k gains sum a_i column i, and only its mask
+    is computed again.
     """
     n = len(basis.vectors)
     if diagram.n != n:
@@ -281,11 +342,18 @@ def mutate_companion(basis: CompanionBasis, k: int, diagram) -> CompanionBasis:
         raise IndexError(f"mutation vertex {k} out of range")
     hit = diagram.in_neighbours(k)
     out = list(basis.vectors)
+    carry = basis._carry
     if hit:
         reflector = _reflector(basis.system, out[k])  # once for every hit vector
+        gained = carry[k][0] if carry else ()
         for i in hit:
-            out[i] = _reflect(out[i], *reflector)
-    return CompanionBasis(basis.system, out)
+            a, out[i] = _reflect(out[i], *reflector)
+            if carry:
+                gained = [x + a * y for x, y in zip(gained, carry[i][0])]
+        if carry:
+            gained = tuple(gained)
+            carry = (*carry[:k], (gained, _mask(gained)), *carry[k + 1:])
+    return _carried(basis.system, out, carry)
 
 
 def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
@@ -294,15 +362,15 @@ def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
     The input's member takes companion_basis's basis, which is mutated inward
     forward along the class's BFS record (MutationClass.tree) to every member,
     each step relabeled by the labeling the search recorded.  The vectors live
-    in build_root_system(type label).  Raises NotFiniteTypeError when the
-    class is of no catalogued finite type.
+    in build_root_system(type label).  Every basis is carried, its positive
+    roots' coordinates with it (CompanionBasis._carry).  Raises
+    NotFiniteTypeError when the class is of no catalogued finite type.
     """
     root = mclass.tree[0][0]
     bases = {root: companion_basis(mclass.members[root])}
     for member, k, parent, perm in mclass.tree[1:]:
         # vertex q of the member is vertex perm[q] of the parent mutated at perm[k]
-        mutated = mutate_companion(bases[parent], perm[k], mclass.members[parent]).vectors
-        bases[member] = CompanionBasis(bases[root].system, [mutated[v] for v in perm])
+        bases[member] = _relabeled(mutate_companion(bases[parent], perm[k], mclass.members[parent]), perm)
     return tuple(bases[i] for i in range(len(mclass)))
 
 
@@ -316,7 +384,9 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
     no other.  A tree input is its own stop and runs no canonical search.
     The simple roots on the tree's vertices, a companion basis of every
     orientation of the tree, are mutated inward back along the search's
-    steps to the input.
+    steps to the input, carrying the positive roots' coordinates
+    (CompanionBasis._carry): on the tree, coordinate g of a root is its
+    coefficient of the simple root placed on vertex g.
 
     A class that holds no catalogue tree is searched to its end, so the input
     fails as mutation_class fails on it, with the same error naming the same
@@ -328,11 +398,10 @@ def companion_basis(diagram: Diagram) -> CompanionBasis:
     if not match:
         raise NotFiniteTypeError("mutation class of no known finite type")
     label, sperm, uperm = match
-    system = build_root_system(label)
-    vectors = [()] * diagram.n
+    placed = [0] * diagram.n  # vertex u of the tree is vertex placed[u] of the standard tree
     for s, u in zip(sperm, uperm):
-        vectors[u] = system.simple_root(s)
-    basis = CompanionBasis(system, vectors)
+        placed[u] = s
+    basis = _relabeled(_carried_simple_roots(build_root_system(label)), placed)
     current, position, k, _, _ = reached[-1]
     while position >= 0:
         basis = mutate_companion(basis, k, current)

@@ -39,8 +39,10 @@ from cluster_presents.formats import dump_presentation
 from cluster_presents.presentation import full_presentation, reduced_presentation
 from cluster_presents.roots import (
     CompanionBasis,
+    _carried_simple_roots,
     _coroot_pairings,
     _first_failing,
+    _root_masks,
     build_root_system,
     companion_bases,
     companion_matrix,
@@ -81,9 +83,10 @@ def mutation_classes():
     return {label: mutation_class(dynkin.standard_diagram(label)) for label in CLASS_LABELS}
 
 
-def _tower_bound(presentation):
-    """The certificates' parabolic tower's upper bound on the order (coset._tower)."""
-    return coset._tower(presentation.n, presentation.relations, DEFAULT_COSET_CAP)[0]
+def _tower_bound(presentation, masks):
+    """The certificates' parabolic tower's upper bound on the order
+    (coset._tower), dropping by the root masks."""
+    return coset._tower(presentation.n, presentation.relations, DEFAULT_COSET_CAP, masks)[0]
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +95,18 @@ def classes(mutation_classes):
 
 
 @pytest.fixture(scope="module")
-def reduced_orders(classes):
+def class_masks(mutation_classes):
+    """Each member's root masks, as theorem-a gives them to its tower."""
+    return {label: [_root_masks(basis) for basis in companion_bases(mclass)]
+            for label, mclass in mutation_classes.items()}
+
+
+@pytest.fixture(scope="module")
+def reduced_orders(classes, class_masks):
     # tower orders are upper bounds; criterion 01 closes them from below
     return {
-        label: [_tower_bound(reduced_presentation(member)) for member in members]
+        label: [_tower_bound(reduced_presentation(member), masks)
+                for member, masks in zip(members, class_masks[label])]
         for label, members in classes.items()
     }
 
@@ -145,10 +156,10 @@ def test_criterion_01_every_class_member_presents_the_weyl_group(mutation_classe
                                   reduced_presentation(members[idx]).relations) is None, (label, idx)
 
 
-def test_criterion_02_full_and_reduced_presentations_agree(classes, reduced_orders):
+def test_criterion_02_full_and_reduced_presentations_agree(classes, class_masks, reduced_orders):
     for label, members in classes.items():
-        for member, reduced_order in zip(members, reduced_orders[label]):
-            full_order = _tower_bound(full_presentation(member))
+        for member, masks, reduced_order in zip(members, class_masks[label], reduced_orders[label]):
+            full_order = _tower_bound(full_presentation(member), masks)
             assert full_order == reduced_order, f"{label}: {full_order} != {reduced_order}"
 
 
@@ -165,10 +176,11 @@ def test_criterion_03_four_cycle_presentation_matches_golden_file():
     ]
 
 
-def test_criterion_04_opposite_diagram_has_equal_order(classes, reduced_orders):
+def test_criterion_04_opposite_diagram_has_equal_order(classes, class_masks, reduced_orders):
+    # reversing every arrow keeps |B|, so the member's basis and its masks serve
     for label, members in classes.items():
-        for member, order in zip(members, reduced_orders[label]):
-            opposite_order = _tower_bound(reduced_presentation(opposite(member)))
+        for member, masks, order in zip(members, class_masks[label], reduced_orders[label]):
+            opposite_order = _tower_bound(reduced_presentation(opposite(member)), masks)
             assert opposite_order == order, f"{label}: {opposite_order} != {order}"
 
 
@@ -261,7 +273,7 @@ def test_criterion_11_enumerator_is_self_consistent():
     for label in rank_le5 + ["D6"]:
         pres = full_presentation(dynkin.standard_diagram(label))
         direct = group_order(pres)
-        assert direct == _tower_bound(pres), label
+        assert direct == _tower_bound(pres, _root_masks(_carried_simple_roots(build_root_system(label)))), label
         images = regular_images(pres)
         assert len(images[0]) == direct, label
         identity = tuple(range(direct))

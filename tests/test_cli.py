@@ -30,7 +30,7 @@ from cluster_presents.formats import (
     load_signed_graph,
 )
 from cluster_presents.presentation import Presentation, Relation, _relations, full_presentation
-from cluster_presents.roots import build_root_system, simple_root_basis
+from cluster_presents.roots import _carried_simple_roots, build_root_system
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -389,7 +389,9 @@ def test_verify_mutation_counts_both_enumerations(tmp_path, capsys):
     assert main(["verify-mutation", path, "1"]) == 0
     data = _json_out(capsys)
     diagram = diagram_of(load_matrix(CYCLE_MATRIX))
-    towers = [coset._tower(d.n, _relations(d)[1], DEFAULT_COSET_CAP) for d in (diagram, mutate_diagram(diagram, 0))]
+    sides = coset._companion_entries(diagram, 0)[2:]
+    towers = [coset._tower(d.n, _relations(d)[1], DEFAULT_COSET_CAP, masks)
+              for d, (_, masks) in zip((diagram, mutate_diagram(diagram, 0)), sides)]
     assert data["strategy"] == "tower"
     assert data["cosets_defined"] == sum(defined for _, _, defined in towers)
 
@@ -449,7 +451,7 @@ def test_verify_type_fails_an_added_relator_on_the_lower_bound(tmp_path, capsys,
 def test_verify_type_pass_needs_the_lower_bound(tmp_path, capsys, monkeypatch):
     # the simple roots of D4 are no companion basis of the 4-cycle: its cycle
     # relations fail on them, so the tower's order alone certifies nothing
-    monkeypatch.setattr(coset, "companion_basis", lambda diagram: simple_root_basis(build_root_system("D4")))
+    monkeypatch.setattr(coset, "companion_basis", lambda diagram: _carried_simple_roots(build_root_system("D4")))
     assert main(["verify-type", _write(tmp_path, "cycle.mat", CYCLE_MATRIX)]) == 1
     data = _json_out(capsys)
     assert data["order"] == data["expected_order"] == weyl_order("D4")
@@ -1019,10 +1021,10 @@ def _golden_files(tmp_path):
          '      "index": 2\n    },\n    {\n      "dropped": 2,\n      "index": 3\n    },\n    {\n      "dropped": 1,\n'
          '      "index": 2\n    }\n  ],\n  "type": "A2+A1",\n  "expected_order": 12,\n  "lower_bound": true,\n'
          '  "verdict": "pass"\n}\n'),
-        # the B/C4 tree's own tower completes in 21 cosets under a cap of 8; the
-        # mutated side's overflows, and the report counts both sides' cosets
-        (["verify-mutation", "{bc4}", "1", "--cap", "8"], 1,
-         '{\n  "order": null,\n  "strategy": "tower",\n  "cosets_defined": 29,\n  "verdict": "overflow"\n}\n'),
+        # the B/C4 tree's own tower completes in 20 cosets under a cap of 8; the
+        # side mutated at 2 overflows, and the report counts both sides' cosets
+        (["verify-mutation", "{bc4}", "2", "--cap", "8"], 1,
+         '{\n  "order": null,\n  "strategy": "tower",\n  "cosets_defined": 36,\n  "verdict": "overflow"\n}\n'),
     ],
 )
 def test_verdict_reports_are_pinned(tmp_path, capsys, command, code, stdout):

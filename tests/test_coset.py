@@ -42,10 +42,12 @@ from cluster_presents.presentation import (
 )
 from cluster_presents.roots import (
     CompanionBasis,
+    _carried_simple_roots,
+    _root_masks,
     build_root_system,
+    companion_bases,
     companion_basis,
     companion_matrix,
-    simple_root_basis,
 )
 from reference_cosets import act, enumerate_cosets, first_failing, regular_images
 
@@ -55,15 +57,30 @@ FOUR_CYCLE = diagram_of(
 )
 
 
-def _tower_of(presentation, cap=DEFAULT_COSET_CAP):
+def _tower_of(presentation, masks, cap=DEFAULT_COSET_CAP):
     """The certificates' parabolic tower (coset._tower) on a presentation's
-    relations: (upper bound on the order, levels, cosets defined)."""
-    return coset._tower(presentation.n, presentation.relations, cap)
+    relations, dropping by the root masks: (upper bound on the order, levels,
+    cosets defined)."""
+    return coset._tower(presentation.n, presentation.relations, cap, masks)
 
 
-def _tower_bound(presentation):
+def _tower_bound(presentation, masks):
     """The certificates' parabolic tower's upper bound on the order."""
-    return _tower_of(presentation)[0]
+    return _tower_of(presentation, masks)[0]
+
+
+def _masks(diagram, k=-1):
+    """The root masks the certificates give the diagram's tower, or the
+    tower of the diagram mutated at k (coset._companion_entries)."""
+    side, mutated = coset._companion_entries(diagram, k)[2:]
+    return (side if k < 0 else mutated)[1]
+
+
+def _class_towers(label):
+    """(member, root masks) over the type's mutation class, as theorem-a
+    gives them to the towers (roots.companion_bases)."""
+    mclass = mutation_class(dynkin.standard_diagram(label))
+    return [(member, _root_masks(basis)) for member, basis in zip(mclass.members, companion_bases(mclass))]
 
 
 # ------------------------------------------------- permutation-group oracle
@@ -131,13 +148,13 @@ def test_direct_enumeration_matches_permutation_oracle(label):
 
 
 def test_d6_tower_matches_permutation_oracle():
-    pres = full_presentation(dynkin.standard_diagram("D6"))
-    assert _tower_bound(pres) == _order_by_root_permutations("D6")
+    tree = dynkin.standard_diagram("D6")
+    assert _tower_bound(full_presentation(tree), _masks(tree)) == _order_by_root_permutations("D6")
 
 
 def test_e6_tower_matches_permutation_oracle():
-    pres = full_presentation(dynkin.standard_diagram("E6"))
-    assert _tower_bound(pres) == _order_by_root_permutations("E6")
+    tree = dynkin.standard_diagram("E6")
+    assert _tower_bound(full_presentation(tree), _masks(tree)) == _order_by_root_permutations("E6")
 
 
 def test_closed_form_symmetric_group_orders():
@@ -157,8 +174,8 @@ def test_closed_form_even_hyperoctahedral_orders():
 
 @pytest.mark.parametrize("label", ["A7", "B/C6", "D7", "E6", "F4", "G2"])
 def test_tree_presentation_order_is_the_degree_product(label):
-    pres = full_presentation(dynkin.standard_diagram(label))
-    assert _tower_bound(pres) == weyl_order(label)
+    tree = dynkin.standard_diagram(label)
+    assert _tower_bound(full_presentation(tree), _masks(tree)) == weyl_order(label)
 
 
 def test_cycle_presentation_order_equals_tree_order():
@@ -171,40 +188,58 @@ def test_cycle_presentation_order_equals_tree_order():
 
 @pytest.mark.parametrize("label", ["A3", "A5", "B/C4", "D5", "F4", "G2"])
 def test_tower_agrees_with_direct(label):
-    pres = full_presentation(dynkin.standard_diagram(label))
-    assert _tower_bound(pres) == group_order(pres)
+    tree = dynkin.standard_diagram(label)
+    pres = full_presentation(tree)
+    assert _tower_bound(pres, _masks(tree)) == group_order(pres)
 
 
 @pytest.mark.parametrize("label", ["A5", "D5", "B/C4", "F4", "G2"])
 def test_tower_agrees_with_direct_on_every_member(label):
-    for member in mutation_class(dynkin.standard_diagram(label)).members:
+    for member, masks in _class_towers(label):
         for pres in (full_presentation(member), reduced_presentation(member)):
-            assert _tower_bound(pres) == group_order(pres) == weyl_order(label), member.edges
+            assert _tower_bound(pres, masks) == group_order(pres) == weyl_order(label), member.edges
 
 
-def test_tower_drops_a_generator_of_least_degree():
-    # A5 chain: the ends have degree 1, and the tie goes to the highest index;
-    # the levels name generators 1-based, as reports print them
-    order, levels, _ = _tower_of(full_presentation(dynkin.standard_diagram("A5")))
+def test_tower_drops_by_the_roots_it_keeps():
+    # A5 chain: dropping an end keeps the 10 positive roots of A4, more than
+    # any other drop, and the tie goes to the highest index; the levels name
+    # generators 1-based, as reports print them
+    chain = dynkin.standard_diagram("A5")
+    order, levels, _ = _tower_of(full_presentation(chain), _masks(chain))
     assert order == 720
     assert levels == [{"dropped": g + 1, "index": g + 2} for g in (4, 3, 2, 1, 0)]
-    # an A4 member, the cycle s1 s2 s3 with a tail s3 - s4: s4 alone has
-    # degree 1, whatever its index; the levels name generators in the
-    # input's numbering
+    # with no roots to count, every drop ties and the highest index goes first
+    assert _tower_of(full_presentation(chain), [0] * 5)[1] == levels
+    # an A4 member, the cycle s1 s2 s3 with a tail s3 - s4, and the same
+    # diagram with the tail s1 - s2 on the cycle s2 s3 s4: dropping the
+    # cycle's vertex on the tail keeps A2 + A1, 4 roots, and any other drop
+    # an A3's 6, so the tie goes to s4 in both numberings
     triangle = diagram_of(ExchangeMatrix([[0, 1, -1, 0], [-1, 0, 1, 0], [1, -1, 0, 1], [0, 0, -1, 0]]))
     relabeled = diagram_of(ExchangeMatrix([[0, -1, 0, 0], [1, 0, 1, -1], [0, -1, 0, 1], [0, 1, -1, 0]]))
-    order, levels, _ = _tower_of(full_presentation(triangle))
-    assert order == weyl_order("A4")
-    assert levels[0]["dropped"] == 3 + 1
-    order, levels, _ = _tower_of(full_presentation(relabeled))
-    assert order == weyl_order("A4")
-    assert levels[0]["dropped"] == 0 + 1
-    assert math.prod(level["index"] for level in levels) == weyl_order("A4")
+    for diagram, joint in ((triangle, 2), (relabeled, 1)):
+        masks = _masks(diagram)
+        assert [(1023 & ~m).bit_count() for m in masks] == [4 if g == joint else 6 for g in range(4)]
+        order, levels, _ = _tower_of(full_presentation(diagram), masks)
+        assert order == weyl_order("A4")
+        assert levels[0] == {"dropped": 4, "index": 5}
+
+
+@pytest.mark.parametrize("label", ["E6", "D5", "D6", "A6", "B/C4", "F4"])
+def test_tower_drop_attains_the_least_top_index(label):
+    # the oracle counts no roots: it enumerates the index of every candidate
+    # top drop on the reference enumerator
+    for member, masks in _class_towers(label):
+        pres = reduced_presentation(member)
+        levels = _tower_of(pres, masks)[1]
+        gens = list(range(pres.n))
+        least = min(_replayed_index(pres.relations, gens, g) for g in gens)
+        assert levels[0]["index"] == least, member.edges
 
 
 def test_two_different_towers_agree_on_e7():
     pres = full_presentation(dynkin.standard_diagram("E7"))
-    # moving vertex 0 to the end changes which parabolic chain the tower climbs
+    # with no roots to count, each tower drops the highest index left, so
+    # moving vertex 0 to the end changes which parabolic chain it climbs
     perm = list(range(1, pres.n)) + [0]
     inverse = [perm.index(g) for g in range(pres.n)]
     relabeled = Presentation(
@@ -214,7 +249,7 @@ def test_two_different_towers_agree_on_e7():
             for rel in pres.relations
         ],
     )
-    assert _tower_bound(pres) == _tower_bound(relabeled)
+    assert _tower_bound(pres, [0] * pres.n) == _tower_bound(relabeled, [0] * pres.n)
 
 
 def _replayed_index(relations, gens, dropped):
@@ -229,12 +264,12 @@ def _replayed_index(relations, gens, dropped):
 
 
 def test_every_e7_tower_replays_on_the_reference_enumerator():
-    members = mutation_class(dynkin.standard_diagram("E7")).members
+    members = _class_towers("E7")
     assert len(members) == 416
     replayed, defined = 0, 0
-    for member in members:
+    for member, masks in members:
         pres = reduced_presentation(member)
-        order, levels, count = _tower_of(pres)
+        order, levels, count = _tower_of(pres, masks)
         defined += count
         assert order == math.prod(level["index"] for level in levels) == 2_903_040, member.edges
         gens, relations = list(range(pres.n)), pres.relations
@@ -247,9 +282,8 @@ def test_every_e7_tower_replays_on_the_reference_enumerator():
         assert gens == []
     assert replayed == 2_912
     # the class totals of the towers' definitions, merged cosets included
-    assert defined == 96_436
-    e6 = mutation_class(dynkin.standard_diagram("E6")).members
-    assert sum(_tower_of(reduced_presentation(m))[2] for m in e6) == 4_586
+    assert defined == 51_313
+    assert sum(_tower_of(reduced_presentation(m), masks)[2] for m, masks in _class_towers("E6")) == 3_909
 
 
 def test_parabolic_index_times_subgroup_order():
@@ -265,17 +299,17 @@ def test_parabolic_index_times_subgroup_order():
 
 def test_trivial_and_tiny_presentations():
     assert group_order(Presentation(0, [])) == 1
-    assert _tower_bound(Presentation(0, [])) == 1
-    assert _tower_bound(Presentation(1, [Relation((0,), 2)])) == 2
+    assert _tower_bound(Presentation(0, []), []) == 1
+    assert _tower_bound(Presentation(1, [Relation((0,), 2)]), [1]) == 2
 
 
 def test_group_order_is_exact_where_the_tower_only_bounds():
-    # s2 = e, so s1^3 = e and s1 = e: the group is trivial.  The tower drops
-    # s2, the highest of two of degree 1, and <s1> has index 1; but the
-    # relations among s1 alone, <s1 | s1^2>, present a group of order 2.
+    # s2 = e, so s1^3 = e and s1 = e: the group is trivial.  The tower, with
+    # no roots to count, drops s2, the highest index, and <s1> has index 1;
+    # but the relations among s1 alone, <s1 | s1^2>, present a group of order 2.
     pres = Presentation(2, [Relation((0,), 2), Relation((1,), 2), Relation((0, 1), 3), Relation((1,), 1)])
     assert group_order(pres) == 1
-    assert _tower_of(pres) == (2, [{"dropped": 2, "index": 1}, {"dropped": 1, "index": 2}], 5)
+    assert _tower_of(pres, [0, 0]) == (2, [{"dropped": 2, "index": 1}, {"dropped": 1, "index": 2}], 5)
 
 
 @pytest.mark.parametrize("relations, subgroup, defined", [
@@ -292,27 +326,27 @@ def test_a_complete_trace_to_another_coset_is_a_coincidence(relations, subgroup,
     assert coset._enumerate(relations, range(2), subgroup, DEFAULT_COSET_CAP) == (1, defined)
 
 
-# Each class's tower totals, as the enumerator gave them when it scanned
-# every relator at every coset: the cosets the members' towers defined, and
-# the first 16 hex digits of the sha256 of the JSON list of their levels.
+# Each class's tower totals, the towers dropping by the root masks theorem-a
+# gives them (roots.companion_bases): the cosets the members' towers defined,
+# and the first 16 hex digits of the sha256 of the JSON list of their levels.
 CLASS_TOWERS = [
     ("A1", 2, "009a5e0cf21f4c7f"),
     ("A2", 5, "9ed48db092f2a91d"),
     ("B/C2", 6, "201db205dd45aabb"),
     ("G2", 8, "117655a4fc9bc54d"),
     ("A3", 36, "b68966c0edeb69a5"),
-    ("B/C3", 64, "0cb55d0794a44809"),
-    ("A4", 84, "d05b705027ace1a5"),
-    ("B/C4", 341, "f85519c2d915e41a"),
-    ("D4", 106, "1eb98e1c9996ceff"),
-    ("F4", 321, "f997075f9ae55575"),
-    ("A5", 380, "ae88b75d313dcca5"),
-    ("B/C5", 1826, "c38a7a392fbcc226"),
-    ("D5", 774, "8fd097d576c93029"),
-    ("A6", 1323, "2579d5137acdd1d7"),
-    ("B/C6", 10072, "6574e0d61a0c0282"),
-    ("D6", 3824, "54e0799ff0885683"),
-    ("E6", 4586, "190d6f1924815fc3"),
+    ("B/C3", 64, "55136690df884e02"),
+    ("A4", 84, "e69f73665bb9b0b6"),
+    ("B/C4", 292, "62ad4b7f3df86c61"),
+    ("D4", 105, "aaf8bb5f93e2e57c"),
+    ("F4", 314, "da98a72142966c85"),
+    ("A5", 380, "63416d11bdb83c9a"),
+    ("B/C5", 1312, "bbb2ebd7e900d61c"),
+    ("D5", 737, "dce37b394c17e403"),
+    ("A6", 1323, "11b8ef203524e878"),
+    ("B/C6", 5748, "daecf584f75e388f"),
+    ("D6", 3283, "6b88037f6976bab9"),
+    ("E6", 3909, "da61d359b7936782"),
 ]
 
 
@@ -324,8 +358,8 @@ def test_class_towers_cover_every_label_through_rank_six():
 @pytest.mark.parametrize("label, defined, digest", CLASS_TOWERS)
 def test_class_tower_totals_are_pinned(label, defined, digest):
     count, levels = 0, []
-    for member in mutation_class(dynkin.standard_diagram(label)).members:
-        order, member_levels, member_defined = _tower_of(reduced_presentation(member))
+    for member, masks in _class_towers(label):
+        order, member_levels, member_defined = _tower_of(reduced_presentation(member), masks)
         assert order == weyl_order(label), member.edges
         count += member_defined
         levels.append(member_levels)
@@ -342,8 +376,8 @@ def test_an_odd_power_of_a_generator_is_a_relator(exponent, order):
 
 
 def test_tower_counts_the_cosets_defined_at_every_level():
-    pres = full_presentation(dynkin.standard_diagram("A4"))
-    order, levels, defined = _tower_of(pres)
+    chain = dynkin.standard_diagram("A4")
+    order, levels, defined = _tower_of(full_presentation(chain), _masks(chain))
     assert order == math.factorial(5)
     # the four levels define 5 + 4 + 3 + 2 cosets and merge none
     assert [level["index"] for level in levels] == [5, 4, 3, 2]
@@ -523,7 +557,7 @@ def test_root_certificate_checks_one_word_list_both_ways(monkeypatch):
 def test_root_certificate_needs_a_faithful_representation(monkeypatch):
     # the simple roots of D4 are no companion basis of the 4-cycle: the cycle's
     # braid relations fail on them, so the orders certify nothing
-    monkeypatch.setattr(coset, "companion_basis", lambda diagram: simple_root_basis(build_root_system("D4")))
+    monkeypatch.setattr(coset, "companion_basis", lambda diagram: _carried_simple_roots(build_root_system("D4")))
     report = verify_mutation_isomorphism(FOUR_CYCLE, 0)
     assert report.order == report.mutated_order == weyl_order("D4")
     assert not report.faithful
@@ -544,7 +578,7 @@ def _copairing(system, v, w):
 
 def _reflect(system, beta, v):
     """v reflected in the root beta by the kernels of mutate_companion."""
-    return roots._reflect(v, *roots._reflector(system, beta))
+    return roots._reflect(v, *roots._reflector(system, beta))[1]
 
 
 @pytest.mark.parametrize("label", ["E6", "F4", "B/C4", "G2"])
@@ -584,15 +618,15 @@ def test_mutation_certificate_overflow():
 
 
 def test_mutation_certificate_overflow_on_the_mutated_side_counts_both_sides():
-    # the B/C4 tree 4 - 1 - 2 = 3; mutation at 1 closes the triangle 1, 2, 4
+    # the B/C4 tree 4 - 1 - 2 = 3; mutation at 2 closes the triangle 1, 2, 3
     tree = Diagram(4, [(0, 3, 1), (1, 0, 1), (2, 1, 2)])
-    order, _, defined = _tower_of(reduced_presentation(tree), 8)
+    order, _, defined = _tower_of(reduced_presentation(tree), _masks(tree), 8)
     assert order == weyl_order("B/C4")
-    assert defined == 21
-    assert _tower_of(reduced_presentation(mutate_diagram(tree, 0)), 8)[0] is None
+    assert defined == 20
+    assert _tower_of(reduced_presentation(mutate_diagram(tree, 1)), _masks(tree, 1), 8)[0] is None
     with pytest.raises(CosetCapExceeded) as err:
-        verify_mutation_isomorphism(tree, 0, cap=8)
-    assert (err.value.cap, err.value.cosets_defined) == (8, 29)
+        verify_mutation_isomorphism(tree, 1, cap=8)
+    assert (err.value.cap, err.value.cosets_defined) == (8, 36)
 
 
 # ------------------------------------------------- label handling

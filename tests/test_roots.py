@@ -8,10 +8,12 @@ and a coordinate-to-vector bijection.
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
-from cluster_presents import diagram as diagram_module, dynkin, roots
+from cluster_presents import coset, diagram as diagram_module, dynkin, roots
 from cluster_presents.diagram import _canonical_search
 from cluster_presents.diagram import Diagram, NotFiniteTypeError, diagram_of, mutate_diagram, mutation_class
 from cluster_presents.exchange import ExchangeMatrix, determinant, mutate_matrix
@@ -46,7 +48,7 @@ def _copairing(system, v, w):
 
 def _reflect(system, beta, v):
     """v reflected in the root beta, by the kernels of mutate_companion."""
-    return roots._reflect(v, *roots._reflector(system, beta))
+    return roots._reflect(v, *roots._reflector(system, beta))[1]
 
 
 def _relations_hold(basis, relations):
@@ -878,6 +880,95 @@ def test_companion_basis_refuses_unsupported_diagrams():
     star = Diagram(5, [(0, v, 1) for v in range(1, 5)])
     with pytest.raises(NotFiniteTypeError):
         companion_basis(star)  # the affine D4 tree
+
+
+# ------------------------------------------------------ carried positive roots
+
+
+def _closed_roots(entries):
+    """The roots in coordinates over a companion basis, one of each +- pair,
+    by a closure written here: the unit vectors closed under the reflections
+    of the pairing matrix entries, the one in beta_g subtracting
+    (column g of entries) . x from coordinate g; each root is kept with its
+    first nonzero coordinate positive."""
+    n = len(entries)
+    found = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in range(n):
+                c = sum(x[j] * entries[j][g] for j in range(n))
+                y = x[:g] + (x[g] - c,) + x[g + 1:]
+                if y not in found:
+                    found.add(y)
+                    new.append(y)
+        frontier = new
+    return sorted(r for r in found if next(x for x in r if x) > 0)
+
+
+def _supports(roots_):
+    """Each root's pattern of nonzero coordinates, sorted."""
+    return sorted(tuple(int(x != 0) for x in r) for r in roots_)
+
+
+def _masked_supports(masks, count):
+    """The patterns the root masks give roots 0 .. count - 1, sorted."""
+    return sorted(tuple(m >> r & 1 for m in masks) for r in range(count))
+
+
+def _assert_carried(basis):
+    """The basis's carried columns are its roots, as the closure finds them,
+    and its root masks mark their nonzero coordinates."""
+    closed = _closed_roots(_coroot_pairings(basis))
+    rows = [r if next(x for x in r if x) > 0 else tuple(-x for x in r)
+            for r in zip(*(column for column, _ in basis._carry))]
+    assert sorted(rows) == closed
+    assert _masked_supports(roots._root_masks(basis), len(rows)) == _supports(closed)
+
+
+RANK_LE6 = [label for n in range(1, 7) for label in dynkin.labels_of_rank(n)]
+
+
+@pytest.mark.parametrize("label", RANK_LE6 + ["E7"])
+def test_companion_bases_carry_their_roots(label):
+    # every member of the classes of rank <= 6, and a seeded sample of E7
+    mclass = mutation_class(dynkin.standard_diagram(label))
+    bases = companion_bases(mclass)
+    indices = range(len(mclass)) if label != "E7" else random.Random(31).sample(range(len(mclass)), 40)
+    for i in indices:
+        _assert_carried(bases[i])
+
+
+@pytest.mark.parametrize("label", RANK_LE6 + ["E7"])
+def test_companion_basis_carries_its_roots_on_both_sides_of_a_mutation(label):
+    # the basis of verify-type and of verify-mutation's input side, and the
+    # basis mutated at each vertex, of verify-mutation's mutated side
+    members = mutation_class(dynkin.standard_diagram(label)).members
+    if label == "E7":
+        members = random.Random(37).sample(members, 12)
+    for member in members:
+        basis = companion_basis(member)
+        _assert_carried(basis)
+        for k in range(member.n):
+            _assert_carried(mutate_companion(basis, k, member))
+
+
+@pytest.mark.parametrize("diagram", [
+    Diagram(2, []),  # A1 + A1
+    Diagram(3, [(0, 1, 1)]),  # A2 + A1
+    Diagram(3, [(2, 0, 1)]),  # A1 + A2, the A2 on the first and last vertices
+])
+def test_disconnected_masks_give_each_component_bits_of_its_own(diagram):
+    # the certificates' sides (coset._companion_entries): the masks of the
+    # block-diagonal pairing matrix mark the closure's roots, every component's
+    # on bits the others leave clear
+    for k in range(-1, diagram.n):
+        sides = coset._companion_entries(diagram, k)[2:]
+        for entries, masks in sides[:1] if k < 0 else sides:
+            closed = _closed_roots(entries)
+            assert reduce(or_, masks) == (1 << len(closed)) - 1
+            assert _masked_supports(masks, len(closed)) == _supports(closed)
 
 
 # ------------------------------------------------------ signed graphs
