@@ -6,11 +6,7 @@ __version__ = "0.1.0"
 from .exchange import (
     ExchangeMatrix,
     QuasiCartanMatrix,
-    cartan_counterpart,
-    cycle_sign_condition,
-    find_symmetriser,
     is_positive,
-    is_quasi_cartan_companion,
     is_two_finite,
     mutate_matrix,
 )
@@ -49,7 +45,9 @@ from .roots import (
     companion_bases,
     companion_basis,
     companion_matrix,
+    cycle_sign_condition,
     is_companion_basis,
+    is_quasi_cartan_companion,
     local_switch,
     mutate_companion,
     signed_graph,
@@ -57,9 +55,7 @@ from .roots import (
 )
 
 __all__ = [
-    "ExchangeMatrix", "QuasiCartanMatrix", "cartan_counterpart", "cycle_sign_condition",
-    "find_symmetriser", "is_positive", "is_quasi_cartan_companion", "is_two_finite",
-    "mutate_matrix",
+    "ExchangeMatrix", "QuasiCartanMatrix", "is_positive", "is_two_finite", "mutate_matrix",
     "ChordlessCycle", "Diagram", "DiagramError", "MutationClass", "MutationClassOverflow",
     "NotFiniteTypeError", "chordless_cycles", "diagram_of", "mutate_diagram", "mutation_class",
     "opposite",
@@ -67,6 +63,6 @@ __all__ = [
     "reduced_presentation",
     "CosetCapExceeded", "group_order", "verify_mutation_isomorphism", "weyl_order",
     "CompanionBasis", "RootSystem", "SignedGraph", "build_root_system", "companion_bases",
-    "companion_basis", "companion_matrix", "is_companion_basis", "local_switch", "mutate_companion",
-    "signed_graph", "simple_root_basis",
+    "companion_basis", "companion_matrix", "cycle_sign_condition", "is_companion_basis",
+    "is_quasi_cartan_companion", "local_switch", "mutate_companion", "signed_graph", "simple_root_basis",
 ]

@@ -43,11 +43,11 @@ from .coset import (
 )
 from .diagram import (
     DEFAULT_CLASS_CAP,
-    MAX_CANONICAL_RANK,
     Diagram,
     DiagramError,
     MutationClassOverflow,
     NotFiniteTypeError,
+    _check_canonical_rank,
     _one_based,
     chordless_cycles,
     connected_components,
@@ -193,8 +193,7 @@ def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
     canonical labeling's is a usage error, checked before any pass over the
     vertices, and so is a disconnected diagram, whose class holds no tree to
     name its type by."""
-    if diagram.n > MAX_CANONICAL_RANK:
-        _die(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
+    _valid(_check_canonical_rank, diagram.n)
     if len(connected_components(diagram)) > 1:
         _die("mutation classes of disconnected diagrams are not supported")
     return _valid(mutation_class, diagram, cap)
@@ -354,8 +353,7 @@ def _cmd_order(args, argv) -> int:
 def _cmd_verify_mutation(args, argv) -> int:
     diagram = _load(args.file, _diagram_or_matrix)
     k = _vertex(diagram.n, args.vertex)
-    if diagram.n > MAX_CANONICAL_RANK:
-        _die(f"verify-mutation supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
+    _valid(_check_canonical_rank, diagram.n)  # before any pass over the vertices
     try:
         cert = verify_mutation_isomorphism(diagram, k, cap=_coset_cap(args))
     except CosetCapExceeded as exc:
@@ -369,7 +367,7 @@ def _cmd_verify_mutation(args, argv) -> int:
             "vertex": args.vertex,
             "forward_homomorphism": cert.forward_homomorphism,
             "inverse_homomorphism": cert.inverse_homomorphism,
-            "composition_identity": cert.composition_identity,
+            "composition_identity": cert.forward_homomorphism and cert.inverse_homomorphism,
             "verdict": "pass" if cert.passed else "fail",
         }
     )
@@ -381,8 +379,7 @@ def _cmd_verify_type(args, argv) -> int:
     first tree of its type (roots.companion_basis), which names the type."""
     diagram = _load(args.file, _diagram_or_matrix)
     cap = _coset_cap(args)
-    if diagram.n > MAX_CANONICAL_RANK:  # before any pass over the vertices
-        _die(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {diagram.n}")
+    _valid(_check_canonical_rank, diagram.n)  # before any pass over the vertices
     label, expected, (entries, masks), _ = _valid(_companion_entries, diagram)
     cert = _certify(diagram, entries, masks, expected, cap)
     report = {"order": cert.order, "strategy": "tower", "cosets_defined": cert.cosets_defined,

@@ -401,6 +401,13 @@ def _refined_ranks(code: list[list[int]]) -> list[int]:
     return rank
 
 
+def _check_canonical_rank(n: int) -> None:
+    """Refuse a rank beyond the canonical labeling's with ValueError: the one
+    check, and the one message, of every caller that labels canonically."""
+    if n > MAX_CANONICAL_RANK:
+        raise ValueError(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {n}")
+
+
 def _canonical_search(n: int, edges, oriented: bool = True) -> tuple[list[int], list[int]]:
     """Minimal edge-code sequence over the rank-sorted labelings, with its
     permutation, of the diagram on n vertices with the edges (i, j, w).
@@ -438,8 +445,7 @@ def _canonical_search(n: int, edges, oriented: bool = True) -> tuple[list[int], 
     A block is held as one integer, its codes as digits in base _CODE_BASE,
     which compares like the tuple of codes among blocks of one length.
     """
-    if n > MAX_CANONICAL_RANK:
-        raise ValueError(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {n}")
+    _check_canonical_rank(n)
     code = _code_matrix(n, edges, oriented)
     rank = _refined_ranks(code)
     if len(set(rank)) == n:

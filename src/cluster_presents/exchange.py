@@ -1,4 +1,5 @@
-"""Skew-symmetrisable exchange matrices and quasi-Cartan companions.
+"""Skew-symmetrisable exchange matrices and quasi-Cartan matrices: integer-
+matrix code only (the companion checks that relate the two live in roots).
 
 Exact arithmetic on plain Python ints: entries are read with operator.index,
 so a float, string or Fraction is refused, and matrices are immutable tuples of
@@ -17,12 +18,8 @@ __all__ = [
     "ExchangeMatrix",
     "QuasiCartanMatrix",
     "mutate_matrix",
-    "cartan_counterpart",
     "is_two_finite",
-    "find_symmetriser",
-    "is_quasi_cartan_companion",
     "is_positive",
-    "cycle_sign_condition",
     "determinant",
     "leading_principal_minors",
 ]
@@ -79,16 +76,6 @@ def _propagate_symmetriser(entries: IntMatrix, sign: int) -> Optional[tuple[int,
         for v in component:
             d[v] //= g
     return tuple(d) if _witnesses(entries, d, sign) else None
-
-
-def find_symmetriser(entries: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """The minimal positive integer diagonal D making D*B skew-symmetric.
-
-    Returns the componentwise-minimal positive integers d with
-    d_i B_ij = -d_j B_ji for all i, j, or None when the square integer array B
-    is not skew-symmetrisable (a sign, zero-pattern or ratio-cycle violation).
-    """
-    return _propagate_symmetriser(_freeze(entries), -1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,37 +178,12 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(_mutate_entries(B.entries, k))
 
 
-def cartan_counterpart(B: ExchangeMatrix) -> QuasiCartanMatrix:
-    """The quasi-Cartan matrix with diagonal 2 and A_ij = -|B_ij| off it."""
-    n = B.n
-    rows = [[2 if i == j else -abs(B.entries[i][j]) for j in range(n)] for i in range(n)]
-    return QuasiCartanMatrix(rows)
-
-
 def is_two_finite(B: ExchangeMatrix) -> bool:
     """True iff |B_ij * B_ji| <= 3 for every pair of indices."""
     n = B.n
     for i in range(n):
         for j in range(i + 1, n):
             if abs(B.entries[i][j] * B.entries[j][i]) > 3:
-                return False
-    return True
-
-
-def is_quasi_cartan_companion(A: QuasiCartanMatrix, B: ExchangeMatrix) -> bool:
-    """True iff |A_ij| = |B_ij| for all off-diagonal entries.
-
-    Raises
-    ------
-    ValueError
-        If the ranks differ.
-    """
-    if A.n != B.n:
-        raise ValueError("rank mismatch between quasi-Cartan matrix and exchange matrix")
-    n = A.n
-    for i in range(n):
-        for j in range(n):
-            if i != j and abs(A.entries[i][j]) != abs(B.entries[i][j]):
                 return False
     return True
 
@@ -267,22 +229,3 @@ def is_positive(A: QuasiCartanMatrix) -> bool:
     d = A.symmetriser
     sym = [[d[i] * A.entries[i][j] for j in range(A.n)] for i in range(A.n)]
     return all(m > 0 for m in leading_principal_minors(sym))
-
-
-def cycle_sign_condition(A: QuasiCartanMatrix, diagram) -> bool:
-    """Check prod(-A_{i_a, i_{a+1}}) < 0 around every chordless cycle of a diagram.
-
-    The diagram should be Gamma(B) for the matrix B that A accompanies.
-    Vacuously true when the diagram has no chordless cycles.
-    """
-    from .diagram import chordless_cycles  # local import to keep modules layered
-
-    for cycle in chordless_cycles(diagram):
-        verts = cycle.vertices
-        d = len(verts)
-        product = 1
-        for a in range(d):
-            product *= -A.entries[verts[a]][verts[(a + 1) % d]]
-        if product >= 0:
-            return False
-    return True

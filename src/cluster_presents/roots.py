@@ -30,17 +30,22 @@ lower bound of the certificates (coset._certify), by integer matrices read off
 its companion matrix, each row packed into one int; it also checks the
 mutation certificates' witness maps.  The sign pattern of a basis is tracked
 by its signed graph, with one switching move that rewires the neighbourhood of
-a vertex.
+a vertex.  The companion checks of Barot-Geiss-Zelevinsky are here too:
+|A_ij| = |B_ij| in one scan (_companion_mismatch) for
+is_quasi_cartan_companion and is_companion_basis, and the signs around
+chordless cycles (cycle_sign_condition).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 from operator import index, mul
 
 from . import dynkin
-from .diagram import DEFAULT_CLASS_CAP, Diagram, MutationClass, NotFiniteTypeError, _NamesVertices, _search, _tree_match
+from .diagram import (DEFAULT_CLASS_CAP, Diagram, MutationClass, NotFiniteTypeError, _NamesVertices, _search,
+                      _tree_match, chordless_cycles)
 from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant, is_positive
 
 __all__ = [
@@ -50,6 +55,8 @@ __all__ = [
     "simple_root_basis",
     "companion_matrix",
     "is_companion_basis",
+    "is_quasi_cartan_companion",
+    "cycle_sign_condition",
     "mutate_companion",
     "companion_bases",
     "companion_basis",
@@ -313,12 +320,47 @@ def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[b
         comp = _coroot_pairings(basis)
     except ValueError as exc:
         return False, str(exc)
-    for i in range(n):
-        for j in range(n):
-            if i != j and abs(comp[i][j]) != abs(matrix.entries[i][j]):
-                return False, (f"companion condition fails at ({i + 1},{j + 1}): "
-                               f"|{comp[i][j]}| != |{matrix.entries[i][j]}|")
+    failing = _companion_mismatch(comp, matrix.entries)
+    if failing:
+        i, j = failing
+        return False, (f"companion condition fails at ({i + 1},{j + 1}): "
+                       f"|{comp[i][j]}| != |{matrix.entries[i][j]}|")
     return True, None
+
+
+def _companion_mismatch(comp, entries) -> tuple[int, int] | None:
+    """The first off-diagonal (i, j), row by row, with |comp_ij| != |entries_ij|,
+    or None: the companion condition, read on raw rows."""
+    n = len(entries)
+    for i in range(n):
+        row, brow = comp[i], entries[i]
+        for j in range(n):
+            if i != j and abs(row[j]) != abs(brow[j]):
+                return i, j
+    return None
+
+
+def is_quasi_cartan_companion(A: QuasiCartanMatrix, B: ExchangeMatrix) -> bool:
+    """True iff |A_ij| = |B_ij| for all off-diagonal entries.
+
+    Raises
+    ------
+    ValueError
+        If the ranks differ.
+    """
+    if A.n != B.n:
+        raise ValueError("rank mismatch between quasi-Cartan matrix and exchange matrix")
+    return _companion_mismatch(A.entries, B.entries) is None
+
+
+def cycle_sign_condition(A: QuasiCartanMatrix, diagram: Diagram) -> bool:
+    """Check prod(-A_{i_a, i_{a+1}}) < 0 around every chordless cycle of a diagram.
+
+    The diagram should be Gamma(B) for the matrix B that A accompanies.
+    Vacuously true when the diagram has no chordless cycles.
+    """
+    return all(prod(-A.entries[u][v] for u, v in zip(c.vertices, c.vertices[1:] + c.vertices[:1])) < 0
+               for c in chordless_cycles(diagram))
 
 
 def mutate_companion(basis: CompanionBasis, k: int, diagram) -> CompanionBasis:

@@ -30,7 +30,6 @@ from cluster_presents.diagram import (
 )
 from cluster_presents.exchange import (
     ExchangeMatrix,
-    cycle_sign_condition,
     is_positive,
     is_two_finite,
     mutate_matrix,
@@ -46,6 +45,7 @@ from cluster_presents.roots import (
     build_root_system,
     companion_bases,
     companion_matrix,
+    cycle_sign_condition,
     is_companion_basis,
     local_switch,
     mutate_companion,

@@ -525,6 +525,17 @@ def test_certifying_commands_refuse_a_huge_edgeless_diagram_at_once(tmp_path, ca
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("command", [["verify-type", "{}"], ["verify-mutation", "{}", "1"], ["theorem-a", "{}"],
+                                     ["diagram", "class", "{}"], ["diagram", "type", "{}"]])
+def test_every_canonical_labeling_command_refuses_rank_eleven_with_one_line(tmp_path, capsys, command):
+    # one check, one message, whichever command labels canonically
+    path = _write(tmp_path, "a11.dia", "11\n" + "".join(f"{i} {i + 1} 1\n" for i in range(1, 11)))
+    with pytest.raises(SystemExit) as err:
+        main([path if arg == "{}" else arg for arg in command])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", "error: canonical form supports rank <= 10, not 11\n")
+
+
 @pytest.mark.parametrize("which", ["full", "reduced", "ti"])
 def test_present_refuses_a_huge_edgeless_diagram_at_once(tmp_path, capsys, which):
     # seven bytes naming 300,000 vertices: the rank is checked before the

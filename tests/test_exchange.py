@@ -1,4 +1,5 @@
-"""Exchange-matrix layer: construction, mutation, companions, exact linear algebra."""
+"""Exchange-matrix layer: construction, mutation, exact linear algebra, and
+the quasi-Cartan companion checks on these matrices (which live in roots)."""
 
 import random
 from fractions import Fraction
@@ -12,17 +13,14 @@ from cluster_presents.exchange import (
     ExchangeMatrix,
     QuasiCartanMatrix,
     _mutate_entries,
-    cartan_counterpart,
-    cycle_sign_condition,
     determinant,
-    find_symmetriser,
     is_positive,
-    is_quasi_cartan_companion,
     is_two_finite,
     leading_principal_minors,
     mutate_matrix,
 )
 from cluster_presents.diagram import diagram_of
+from cluster_presents.roots import cycle_sign_condition, is_quasi_cartan_companion
 
 
 # ----------------------------------------------------------------- helpers
@@ -40,6 +38,13 @@ def _random_skew_symmetrisable(rng, n, max_entry=3):
             rows[j][i] = -m * d[i]
     # divide out the gcd structure sometimes to vary entries
     return ExchangeMatrix(rows)
+
+
+def _cartan_counterpart(B):
+    """The quasi-Cartan matrix with diagonal 2 and A_ij = -|B_ij| off it: every
+    off-diagonal entry negative."""
+    return QuasiCartanMatrix([[2 if i == j else -abs(b) for j, b in enumerate(row)]
+                              for i, row in enumerate(B.entries)])
 
 
 def _det_by_permutations(rows):
@@ -176,8 +181,11 @@ def test_symmetrisers_match_a_fraction_reference():
         if defect is not None:
             assert expected is None, (defect.__name__, rows)
             refused[defect.__name__] += 1
-        if skew:
-            assert find_symmetriser(rows) == expected, rows
+        if skew and expected is None:
+            with pytest.raises(ValueError, match="^matrix is not skew-symmetrisable$"):
+                ExchangeMatrix(rows)
+        elif skew:
+            assert ExchangeMatrix(rows).symmetriser == expected, rows
         elif expected is None:
             with pytest.raises(ValueError, match="^matrix is not symmetrisable$"):
                 QuasiCartanMatrix(rows)
@@ -212,12 +220,13 @@ def test_non_symmetrisable_ratio_cycle_rejected():
         ExchangeMatrix([[0, 1, -2], [-1, 0, 1], [1, -1, 0]])
 
 
-def test_find_symmetriser_minimal_and_none():
-    assert find_symmetriser([[0, 1], [-2, 0]]) == (2, 1)
-    assert find_symmetriser([[0, 2], [-2, 0]]) == (1, 1)
-    assert find_symmetriser([[0, 1], [1, 0]]) is None
+def test_symmetriser_minimal_and_refused():
+    assert ExchangeMatrix([[0, 1], [-2, 0]]).symmetriser == (2, 1)
+    assert ExchangeMatrix([[0, 2], [-2, 0]]).symmetriser == (1, 1)
+    with pytest.raises(ValueError, match="^matrix is not skew-symmetrisable$"):
+        ExchangeMatrix([[0, 1], [1, 0]])
     # disconnected blocks are scaled independently
-    assert find_symmetriser([[0, 0], [0, 0]]) == (1, 1)
+    assert ExchangeMatrix([[0, 0], [0, 0]]).symmetriser == (1, 1)
 
 
 def test_random_matrices_have_valid_symmetriser():
@@ -279,7 +288,7 @@ def test_mutated_matrices_compute_the_least_symmetriser(label):
     B = dynkin.standard_exchange_matrix(label)
     for _ in range(50):
         B = mutate_matrix(B, rng.randrange(B.n))
-        assert B.symmetriser == find_symmetriser(B.entries)
+        assert B.symmetriser == _symmetriser_by_fractions(B.entries, -1)
 
 
 def _dense_mutation(entries, k):
@@ -335,16 +344,19 @@ def test_mutation_index_out_of_range():
 
 def test_cartan_counterpart_entries():
     B = ExchangeMatrix([[0, 2, 0], [-1, 0, -1], [0, 1, 0]])
-    A = cartan_counterpart(B)
-    assert A.entries == ((2, -2, 0), (-1, 2, -1), (0, -1, 2))
+    A = QuasiCartanMatrix([[2, -2, 0], [-1, 2, -1], [0, -1, 2]])
+    assert A == _cartan_counterpart(B)
     assert is_quasi_cartan_companion(A, B)
+    # signs are free, magnitudes are not
+    assert is_quasi_cartan_companion(QuasiCartanMatrix([[2, 2, 0], [1, 2, -1], [0, -1, 2]]), B)
+    assert not is_quasi_cartan_companion(QuasiCartanMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), B)
 
 
 def test_cartan_counterpart_always_companion():
     rng = random.Random(9)
     for _ in range(100):
         B = _random_skew_symmetrisable(rng, rng.randrange(2, 6))
-        assert is_quasi_cartan_companion(cartan_counterpart(B), B)
+        assert is_quasi_cartan_companion(_cartan_counterpart(B), B)
 
 
 def test_quasi_cartan_requires_diagonal_two():
@@ -427,11 +439,10 @@ def test_is_positive_matches_fraction_oracle_on_random_symmetrisable():
 
 
 def test_cycle_sign_condition_literal_and_parity():
-    # oriented triangle, cartan counterpart: entries all negative -> odd positives? no:
-    # product of (-A) terms must be negative around each chordless cycle
+    # the product of the (-A) terms must be negative around each chordless cycle
     B = ExchangeMatrix([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
     diagram = diagram_of(B)
-    A_bad = cartan_counterpart(B)  # all off-diagonal negative: product (+1)^3 > 0
+    A_bad = QuasiCartanMatrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])  # all negative: product (+1)^3 > 0
     assert not cycle_sign_condition(A_bad, diagram)
     A_good = QuasiCartanMatrix([[2, 1, -1], [1, 2, -1], [-1, -1, 2]])
     assert cycle_sign_condition(A_good, diagram)
@@ -451,4 +462,4 @@ def test_cycle_sign_condition_literal_and_parity():
 
 def test_cycle_sign_vacuous_without_cycles():
     B = ExchangeMatrix([[0, 1], [-1, 0]])
-    assert cycle_sign_condition(cartan_counterpart(B), diagram_of(B))
+    assert cycle_sign_condition(QuasiCartanMatrix([[2, -1], [-1, 2]]), diagram_of(B))
