@@ -711,6 +711,35 @@ def test_pipeline_stops_after_a_step_that_is_not_two_finite(tmp_path, capsys):
     }, "fail")
 
 
+def _without_timings(out):
+    """A report's text with its timings, the one field that varies from run to
+    run, dropped: still JSON, and every other byte as printed."""
+    text, count = re.subn(r',\n  "timings": \{\n    "total_seconds": [0-9.e+-]+\n  \}\n\}\n\Z', "\n}\n", out)
+    assert count == 1, out
+    return text
+
+
+# (name of the input and golden report in tests/data, script, flags).  The E7
+# input is the standard seed after a 4-step walk drawn by random.Random(7), and
+# its script the next 30 draws; the D4 script is 30 draws of random.Random(4).
+PIPELINE_GOLDENS = [
+    ("pipeline_e7_walk", "1,1,7,5,1,3,5,1,5,2,1,1,4,4,1,2,1,5,4,1,7,5,1,2,6,6,5,1,5,5", ["--type", "E7"]),
+    ("pipeline_d4_cycle", "2,3,1,4,4,2,1,1,1,4,3,1,2,3,3,2,1,3,2,1,3,3,2,2,3,3,3,1,3,4", []),
+    ("pipeline_not_two_finite", "2,1", []),
+]
+
+
+@pytest.mark.parametrize("name, script, flags", PIPELINE_GOLDENS, ids=[g[0] for g in PIPELINE_GOLDENS])
+def test_pipeline_reports_match_their_goldens(tmp_path, capsys, monkeypatch, name, script, flags):
+    # run from tmp_path on a relative path, so the report's path and command are the golden's
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.mat").write_text((DATA / f"{name}.mat").read_text())
+    code = main(["pipeline", f"{name}.mat", script, *flags])
+    golden = (DATA / f"{name}.json").read_text()
+    assert _without_timings(capsys.readouterr().out) == golden
+    assert code == (0 if json.loads(golden)["verdict"] == "pass" else 1)
+
+
 def _reference_seed_path(target, label):
     """Breadth-first search over ExchangeMatrix objects from the standard seed, by
     mutate_matrix in vertex order: the path _seed_basis_path must return."""
