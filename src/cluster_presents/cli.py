@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 import time
 from functools import lru_cache
@@ -48,6 +49,7 @@ from .diagram import (
     MutationClassOverflow,
     NotFiniteTypeError,
     _check_canonical_rank,
+    _matrix_edges,
     _one_based,
     chordless_cycles,
     connected_components,
@@ -182,10 +184,12 @@ def _vertex(diagram_n: int, k: int) -> int:
 
 
 def _vertex_list(text: str, name: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
+    """Comma-separated integers, none for a blank text.  An empty token, as in
+    1,,2 or 1,2, and int()'s digit separators, as in 1_0, are refused."""
+    tokens = text.split(",") if text.strip() else []
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", tok) for tok in tokens):
         _die(f"bad {name} {text!r}; expected comma-separated vertices")
+    return [int(tok) for tok in tokens]
 
 
 def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
@@ -521,7 +525,7 @@ def _cmd_pipeline(args, argv) -> int:
             fail_step = idx
             break
         step_info["two_finite"] = is_two_finite(new_matrix)
-        step_info["diagram_commutes"] = diagram_of(new_matrix) == new_diagram
+        step_info["diagram_commutes"] = _matrix_edges(new_matrix.entries) == new_diagram.edges
         step_info["involution"] = _mutate_entries(new_matrix.entries, k) == matrix.entries
         if basis is not None:
             new_basis = mutate_companion(basis, k, diagram)

@@ -91,7 +91,7 @@ class Diagram:
             raise DiagramError("vertex count and edge entries must be integers") from None
         if n < 0:
             raise DiagramError("vertex count must be nonnegative")
-        weights: dict[tuple[int, int], int] = {}
+        pairs: set[tuple[int, int]] = set()
         for i, j, w in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise DiagramError(f"edge ({{}},{{}}) out of range for n={n}", i, j)
@@ -99,19 +99,10 @@ class Diagram:
                 raise DiagramError("self-loop at vertex {}", i)
             if w < 1:
                 raise DiagramError(f"edge ({{}},{{}}) has non-positive weight {w}", i, j)
-            if (i, j) in weights or (j, i) in weights:
+            if (i, j) in pairs or (j, i) in pairs:
                 raise DiagramError("parallel edge between {} and {}", i, j)
-            weights[(i, j)] = w
-        out: dict[int, list[int]] = {}
-        inc: dict[int, list[int]] = {}
-        for (i, j) in weights:
-            out.setdefault(i, []).append(j)
-            inc.setdefault(j, []).append(i)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted((i, j, w) for (i, j), w in weights.items())))
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_out", {v: tuple(sorted(heads)) for v, heads in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(sorted(tails)) for v, tails in inc.items()})
+            pairs.add((i, j))
+        _diagram(n, tuple(sorted(edges)), self)
 
     def weight(self, i: int, j: int) -> int:
         """Weight of the oriented edge i -> j, or 0 if absent."""
@@ -137,14 +128,39 @@ class Diagram:
         return f"Diagram({self.n}, {list(self.edges)})"
 
 
+def _diagram(n: int, edges: tuple[tuple[int, int, int], ...], into=None) -> Diagram:
+    """The Diagram on n vertices with these edges, which its caller guarantees
+    valid: a sorted tuple of int triples (i, j, w) with i != j in range(n) and
+    w >= 1, at most one for each pair {i, j}.  Builds the adjacency maps with
+    no check of its own; sorted edges list each vertex's heads and tails in
+    order.  Fills `into`, the constructor's own instance, or else a new one.
+    The matrix's edges (_matrix_edges), mutate_diagram's rule and a
+    relabeling of a diagram's edges, sorted again, all meet the guarantee."""
+    weights: dict[tuple[int, int], int] = {}
+    out: dict[int, list[int]] = {}
+    inc: dict[int, list[int]] = {}
+    for i, j, w in edges:
+        weights[(i, j)] = w
+        out.setdefault(i, []).append(j)
+        inc.setdefault(j, []).append(i)
+    diagram = object.__new__(Diagram) if into is None else into
+    object.__setattr__(diagram, "n", n)
+    object.__setattr__(diagram, "edges", edges)
+    object.__setattr__(diagram, "_weights", weights)
+    object.__setattr__(diagram, "_out", {v: tuple(heads) for v, heads in out.items()})
+    object.__setattr__(diagram, "_in", {v: tuple(tails) for v, tails in inc.items()})
+    return diagram
+
+
+def _matrix_edges(entries) -> tuple[tuple[int, int, int], ...]:
+    """The sorted edges (i, j, |B_ij B_ji|), one for each B_ij > 0, of a
+    skew-symmetrisable matrix's entries: those of its diagram."""
+    return tuple([(i, j, abs(b * entries[j][i])) for i, row in enumerate(entries) for j, b in enumerate(row) if b > 0])
+
+
 def diagram_of(B: ExchangeMatrix) -> Diagram:
     """The diagram of a skew-symmetrisable matrix: i -> j iff B_ij > 0."""
-    edges = []
-    for i in range(B.n):
-        for j in range(B.n):
-            if B.entries[i][j] > 0:
-                edges.append((i, j, abs(B.entries[i][j] * B.entries[j][i])))
-    return Diagram(B.n, edges)
+    return _diagram(B.n, _matrix_edges(B.entries))
 
 
 def opposite(diagram: Diagram) -> Diagram:
@@ -167,7 +183,7 @@ def mutate_diagram(diagram: Diagram, k: int) -> Diagram:
     n = diagram.n
     if not 0 <= k < n:
         raise IndexError(f"mutation vertex {k} out of range for rank {n}")
-    return Diagram(n, _mutated_edges(diagram, k))
+    return _diagram(n, _mutated_edges(diagram, k))
 
 
 def _mutated_edges(diagram: Diagram, k: int) -> tuple[tuple[int, int, int], ...]:
@@ -491,7 +507,7 @@ def _canonical_search(n: int, edges, oriented: bool = True) -> tuple[list[int], 
 def _relabel(diagram: Diagram, perm: list[int]) -> Diagram:
     """The copy whose vertex q is vertex perm[q] of `diagram`."""
     position = {old: new for new, old in enumerate(perm)}
-    return Diagram(diagram.n, ((position[i], position[j], w) for i, j, w in diagram.edges))
+    return _diagram(diagram.n, tuple(sorted([(position[i], position[j], w) for i, j, w in diagram.edges])))
 
 
 def _canonical_labeling(n: int, edges) -> tuple[bytes, list[int]]:
@@ -588,7 +604,7 @@ def _search(diagram: Diagram, cap: int, stop=None):
                 if len(seen) >= cap:
                     raise MutationClassOverflow(cap)
                 seen[key] = len(reached)
-                child = Diagram(n, edges)
+                child = _diagram(n, edges)
                 reached.append((child, position, k, key, perm))
                 if stop and (hit := stop(child)):
                     return reached, mutations, hit

@@ -3,8 +3,11 @@ matrix code only (the companion checks that relate the two live in roots).
 
 Exact arithmetic on plain Python ints: entries are read with operator.index,
 so a float, string or Fraction is refused, and matrices are immutable tuples of
-tuples.  No symmetriser is passed in: each matrix computes its least positive
-one (_propagate_symmetriser), which one check, _witnesses, accepts.
+tuples.  No symmetriser is passed in: a matrix built from outside computes its
+least positive one (_propagate_symmetriser), which one check, _witnesses,
+accepts.  A mutated matrix carries its parent's symmetriser instead, which
+mutation keeps (Fomin-Zelevinsky, Cluster algebras I, section 4), and one
+_witnesses pass on the new entries checks it (mutate_matrix).
 """
 
 from __future__ import annotations
@@ -97,9 +100,7 @@ class ExchangeMatrix:
         found = _propagate_symmetriser(frozen, -1)
         if found is None:
             raise ValueError("matrix is not skew-symmetrisable")
-        object.__setattr__(self, "n", len(frozen))
-        object.__setattr__(self, "entries", frozen)
-        object.__setattr__(self, "symmetriser", found)
+        _exchange_matrix(frozen, found, self)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -107,6 +108,18 @@ class ExchangeMatrix:
 
     def __repr__(self) -> str:
         return f"ExchangeMatrix({[list(r) for r in self.entries]})"
+
+
+def _exchange_matrix(entries: IntMatrix, symmetriser: tuple[int, ...], into=None) -> ExchangeMatrix:
+    """The ExchangeMatrix of entries and symmetriser that its caller has
+    checked: a square tuple of int tuples, and the least positive d with
+    _witnesses(entries, d, -1) true on each component.  Fills `into`, the
+    constructor's own instance, or else a new one, with no check of its own."""
+    matrix = object.__new__(ExchangeMatrix) if into is None else into
+    object.__setattr__(matrix, "n", len(entries))
+    object.__setattr__(matrix, "entries", entries)
+    object.__setattr__(matrix, "symmetriser", symmetriser)
+    return matrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,17 +178,25 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
     B'_ij = -B_ij when i = k or j = k, and otherwise
     B'_ij = B_ij + (|B_ik| B_kj + B_ik |B_kj|) / 2; the division is always
-    exact because the two summands share the sign pattern.  B' has the
-    symmetriser of B, which its constructor computes again.
+    exact because the two summands share the sign pattern.  B' carries the
+    symmetriser of B rather than computing one: mutation keeps D, and keeps
+    the components, so D is still the least on each of them.  One _witnesses
+    pass on the new entries checks it.
 
     Raises
     ------
     IndexError
         If k is out of range.
+    ValueError
+        If the symmetriser of B does not symmetrise B', as ExchangeMatrix
+        refuses a matrix that is not skew-symmetrisable.
     """
     if not 0 <= k < B.n:
         raise IndexError(f"mutation vertex {k} out of range for rank {B.n}")
-    return ExchangeMatrix(_mutate_entries(B.entries, k))
+    entries = _mutate_entries(B.entries, k)
+    if not _witnesses(entries, B.symmetriser, -1):
+        raise ValueError("matrix is not skew-symmetrisable")
+    return _exchange_matrix(entries, B.symmetriser)
 
 
 def is_two_finite(B: ExchangeMatrix) -> bool:
@@ -192,23 +213,31 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix by row-pivoted Bareiss elimination.
 
     Every division in the recurrence is exact.  A row swap flips the sign, and
-    a column without a nonzero pivot makes the determinant 0.
+    a column without a nonzero pivot makes the determinant 0.  The rows are
+    frozen once and read in place: a step replaces each row below the pivot by
+    a new list, which is the row only rescaled by pivot / prev when its
+    multiplier is 0, and the row itself when the pivot also equals prev.
     """
-    a = [list(r) for r in _freeze(rows)]
+    a = list(_freeze(rows))
     n = len(a)
     sign = 1
     prev = 1
     for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if p is None:
-            return 0
-        if p != k:
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0
             a[k], a[p] = a[p], a[k]
             sign = -sign
-        pivot = a[k][k]
+        top = a[k]
+        pivot = top[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            row = a[i]
+            m = row[k]
+            if m:  # entries left of k are 0 in both rows, and entry k becomes 0
+                a[i] = [(x * pivot - m * y) // prev for x, y in zip(row, top)]
+            elif pivot != prev:
+                a[i] = [x * pivot // prev for x in row]
         prev = pivot
     return sign * prev
 

@@ -256,10 +256,13 @@ def _carried_simple_roots(system: RootSystem) -> CompanionBasis:
 
 def _carried(system: RootSystem, vectors, carry) -> CompanionBasis:
     """The basis of the vectors with the carry attached
-    (CompanionBasis._carry), unless it is None."""
-    basis = CompanionBasis(system, vectors)
-    if carry is not None:
-        object.__setattr__(basis, "_carry", carry)
+    (CompanionBasis._carry), or None.  The vectors are int tuples of length
+    system.n, reflected or relabeled from a basis's vectors, so the
+    constructor's checks are not run on them again."""
+    basis = object.__new__(CompanionBasis)
+    object.__setattr__(basis, "system", system)
+    object.__setattr__(basis, "vectors", tuple(vectors))
+    object.__setattr__(basis, "_carry", carry)
     return basis
 
 
@@ -283,7 +286,8 @@ def _coroot_pairings(basis: CompanionBasis) -> list[list[int]]:
     (RootSystem checks its symmetriser), so the Gram matrix takes one dot
     product per pair i <= j, each beta_j through its image under the form,
     computed once: stored with the root system for a root, and computed by
-    _form only for a vector that is no root."""
+    _form only for a vector that is no root.  Each pairing is the divmod of
+    _coroot, inline; _coroot is called only to raise its error."""
     vectors = basis.vectors
     n = len(vectors)
     gram = [[0] * n for _ in range(n)]
@@ -291,8 +295,20 @@ def _coroot_pairings(basis: CompanionBasis) -> list[list[int]]:
         form, gram[j][j] = _form(basis.system, w)
         for i in range(j):
             gram[i][j] = gram[j][i] = sum(map(mul, vectors[i], form))
-    return [[2 if i == j else _coroot(v, w, gram[i][j], gram[j][j]) for j, w in enumerate(vectors)]
-            for i, v in enumerate(vectors)]
+    norms = [gram[j][j] for j in range(n)]
+    pairings = []
+    for i, row in enumerate(gram):
+        out = []
+        for j, (vw, norm) in enumerate(zip(row, norms)):
+            if i == j:
+                out.append(2)
+                continue
+            value, remainder = divmod(2 * vw, norm) if norm else (0, 1)
+            if remainder:  # or an isotropic w: not a pairing
+                _coroot(vectors[i], vectors[j], vw, norm)
+            out.append(value)
+        pairings.append(out)
+    return pairings
 
 
 def companion_matrix(basis: CompanionBasis) -> QuasiCartanMatrix:
@@ -313,7 +329,7 @@ def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[b
     for idx, v in enumerate(basis.vectors):
         if not basis.system.is_root(v):
             return False, f"vector {idx + 1} = {list(v)} is not a root"
-    det = determinant([list(v) for v in basis.vectors])
+    det = determinant(basis.vectors)
     if det not in (1, -1):
         return False, f"not a lattice basis: determinant {det}"
     try:

@@ -879,6 +879,27 @@ def test_pipeline_bad_script(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("script", ["1,,2", "1,2,", ",1", ",", "1, ,2", "0_1", "2,0_3", "_1"])
+def test_pipeline_refuses_empty_tokens_and_digit_separators(tmp_path, script):
+    # int() reads 0_1 as 1; an empty token is no vertex
+    path = _write(tmp_path, "a3.mat", A3_MATRIX)
+    code, out, err = _run(["pipeline", path, script])
+    assert (code, out, err) == (2, "", f"error: bad mutation script {script!r}; expected comma-separated vertices\n")
+
+
+def test_pipeline_runs_an_empty_script_and_checks_the_input_basis(tmp_path, capsys, monkeypatch):
+    checked = []
+    check = cli.is_companion_basis
+    monkeypatch.setattr(cli, "is_companion_basis", lambda basis, matrix: checked.append(matrix) or check(basis, matrix))
+    path = _write(tmp_path, "a3.mat", A3_MATRIX)
+    assert main(["pipeline", path, "", "--type", "A3"]) == 0
+    data = _json_out(capsys)
+    assert (data["results"]["steps"], data["results"]["final_basis"]) == ([], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert [m.entries for m in checked] == [load_matrix(A3_MATRIX).entries]
+    assert main(["pipeline", path, " 2 , 1 "]) == 0  # blanks around a vertex are read as before
+    assert [s["vertex"] for s in _json_out(capsys)["results"]["steps"]] == [2, 1]
+
+
 # ------------------------------------------------------------ roots / companion
 
 

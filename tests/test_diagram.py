@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from cluster_presents import dynkin
+from cluster_presents import diagram as diagram_module, dynkin
 from cluster_presents.diagram import (
     ChordlessCycle,
     _canonical_labeling,
@@ -633,15 +633,16 @@ def test_search_matches_the_search_without_a_memo(label, diagram):
 
 @pytest.mark.parametrize("label", ["D5", "E6", "B/C6", "E7"])
 def test_search_builds_one_diagram_per_kept_member(monkeypatch, label):
-    # a child whose key is known stays a tuple of edges
+    # a child whose key is known stays a tuple of edges; every Diagram, the
+    # constructor's and a derived one, is built by diagram._diagram
     built = [0]
-    post_init = Diagram.__post_init__
+    build = diagram_module._diagram
 
-    def counting(self):
+    def counting(*args):
         built[0] += 1
-        post_init(self)
+        return build(*args)
     diagram = dynkin.standard_diagram(label)
-    monkeypatch.setattr(Diagram, "__post_init__", counting)
+    monkeypatch.setattr(diagram_module, "_diagram", counting)
     reached, _, _ = _search(diagram, 50000)
     assert built[0] == len(reached) - 1  # the input is given
 

@@ -406,6 +406,37 @@ def test_determinant_with_zero_leading_pivots():
             assert determinant(rows) == _det_by_permutations(rows)
 
 
+def _sparse_rows(rng, n):
+    """A random n x n integer matrix, about half of it zeros, made singular,
+    or given a zero leading entry, in turns."""
+    rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(3)
+    if kind == 0 and n > 1:  # row c a combination of rows a and b, or zero
+        a, b = rng.sample(range(n), 2)
+        c = rng.randrange(n)
+        rows[c] = [2 * x - y for x, y in zip(rows[a], rows[b])] if c not in (a, b) else [0] * n
+    elif kind == 1:
+        rows[0][0] = 0
+    return rows
+
+
+def test_determinant_matches_the_leibniz_expansion_on_singular_swapped_and_sparse_matrices():
+    rng = random.Random(2300)
+    singular = swapped = zero_multipliers = 0
+    for _ in range(600):
+        n = rng.randrange(1, 7)
+        rows = _sparse_rows(rng, n)
+        given = [row[:] for row in rows]
+        expected = _det_by_permutations(rows)
+        assert determinant(rows) == expected
+        assert determinant(tuple(map(tuple, rows))) == expected
+        assert rows == given  # rows are read, never written
+        singular += expected == 0
+        swapped += rows[0][0] == 0 and any(row[0] for row in rows)
+        zero_multipliers += rows[0][0] != 0 and any(row[0] == 0 for row in rows[1:])
+    assert min(singular, swapped, zero_multipliers) > 100, (singular, swapped, zero_multipliers)
+
+
 def test_minors_with_zero_pivot():
     rows = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
     assert list(leading_principal_minors(rows)) == _minors_by_fractions(rows)

@@ -1,7 +1,9 @@
 """The value classes' one contract: frozen slotted dataclasses, equal by value,
-validated on construction and by dataclasses.replace, with pinned reprs."""
+validated on construction and by dataclasses.replace, with pinned reprs; and
+a value derived from a checked one equal to what the constructor builds."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,11 @@ from cluster_presents import (
     SignedGraph,
     build_root_system,
 )
+from cluster_presents.diagram import _relabel, diagram_of, mutate_diagram
+from cluster_presents.dynkin import labels_of_rank, standard_exchange_matrix
+from cluster_presents.exchange import _mutate_entries, is_two_finite, mutate_matrix
+from cluster_presents.roots import (_carried_simple_roots, _relabeled, companion_basis, is_companion_basis,
+                                    mutate_companion)
 
 A2 = build_root_system("A2")
 
@@ -124,3 +131,100 @@ def test_value_constructors_keep_integer_values_as_ints():
     assert CompanionBasis(A2, [(True, 0), (0, 1)]).vectors == ((1, 0), (0, 1))
     assert type(SignedGraph(True, ()).n) is int
     assert SignedGraph(2, [(False, True, True)]).edges == ((0, 1, 1),)
+
+
+# ------------------------------------------------------------ derived values
+#
+# A value a step derives from a checked value (a mutated matrix, a mutated or
+# relabeled diagram, a reflected basis) is built without the constructor's
+# checks; each must be the value that the checked constructor builds.
+
+
+def _assert_matrix_as_constructed(derived, entries):
+    checked = ExchangeMatrix(entries)
+    assert (derived.entries, derived.symmetriser, derived.n) == (checked.entries, checked.symmetriser, checked.n)
+    assert all(type(row) is tuple for row in derived.entries)
+
+
+def _assert_diagram_as_constructed(derived):
+    checked = Diagram(derived.n, derived.edges)
+    assert type(derived.edges) is tuple
+    assert (derived.edges, derived._weights, derived._out, derived._in) == (
+        checked.edges, checked._weights, checked._out, checked._in)
+
+
+def _assert_basis_as_constructed(derived):
+    assert derived.vectors == CompanionBasis(derived.system, derived.vectors).vectors
+    assert type(derived.vectors) is tuple and all(type(v) is tuple for v in derived.vectors)
+
+
+def _mutate_and_compare(B, diagram, k):
+    """B and its diagram mutated at k, each compared with the constructors';
+    the diagram is None once its rule has broken down (no finite type)."""
+    mutated = mutate_matrix(B, k)
+    _assert_matrix_as_constructed(mutated, _mutate_entries(B.entries, k))
+    _assert_diagram_as_constructed(diagram_of(mutated))
+    if diagram is not None:
+        try:
+            diagram = mutate_diagram(diagram, k)
+        except DiagramError:
+            diagram = None
+        else:
+            _assert_diagram_as_constructed(diagram)
+    return mutated, diagram
+
+
+@pytest.mark.parametrize("label", [label for n in range(1, 9) for label in labels_of_rank(n)])
+def test_walks_derive_the_constructors_values(label):
+    rng = random.Random(label)
+    B = standard_exchange_matrix(label)
+    diagram = diagram_of(B)
+    basis = _carried_simple_roots(build_root_system(label))
+    for _ in range(25):
+        k = rng.randrange(B.n)
+        basis = mutate_companion(basis, k, diagram)
+        _assert_basis_as_constructed(basis)
+        B, diagram = _mutate_and_compare(B, diagram, k)
+        perm = rng.sample(range(B.n), B.n)
+        _assert_diagram_as_constructed(_relabel(diagram, perm))
+        _assert_basis_as_constructed(_relabeled(basis, perm))
+    assert is_companion_basis(basis, B) == (True, None)
+    _assert_basis_as_constructed(companion_basis(diagram))
+
+
+def test_a_disconnected_walk_keeps_each_components_least_symmetriser():
+    # B/C3 + G2: the components' least symmetrisers differ, and neither may
+    # take the other's scale
+    rows = [[0] * 5 for _ in range(5)]
+    for block, offset in ((standard_exchange_matrix("B/C3"), 0), (standard_exchange_matrix("G2"), 3)):
+        for i, row in enumerate(block.entries):
+            rows[offset + i][offset:offset + block.n] = row
+    B = ExchangeMatrix(rows)
+    assert B.symmetriser == (2, 1, 1, 3, 1)
+    diagram = diagram_of(B)
+    rng = random.Random(53)
+    for _ in range(300):
+        B, diagram = _mutate_and_compare(B, diagram, rng.randrange(5))
+        assert B.symmetriser == (2, 1, 1, 3, 1)
+
+
+def test_mutations_of_no_finite_type_derive_the_constructors_values():
+    # d_i in {1, 2, 3, 6}; every start has a pair with |B_ij B_ji| > 3, so it
+    # is no matrix of finite type, and its entries grow as it is mutated
+    rng = random.Random(1517)
+    mutations = 0
+    while mutations < 18000:
+        n = rng.randrange(2, 6)
+        d = [rng.choice((1, 2, 3, 6)) for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = rng.choice((0, 1, 2, 3)) * rng.choice((-1, 1))
+                rows[i][j], rows[j][i] = c * d[j], -c * d[i]
+        B = ExchangeMatrix(rows)
+        if is_two_finite(B):
+            continue
+        diagram = diagram_of(B)
+        for _ in range(12):
+            B, diagram = _mutate_and_compare(B, diagram, rng.randrange(n))
+            mutations += 1
