@@ -740,6 +740,26 @@ def test_pipeline_reports_match_their_goldens(tmp_path, capsys, monkeypatch, nam
     assert code == (0 if json.loads(golden)["verdict"] == "pass" else 1)
 
 
+# (golden report in tests/data, command).  The input is CI's B/C3 + G2 seed
+# mutated at 2, 4 and 3, whose components have 9 and 6 positive roots.
+CERTIFICATE_GOLDENS = [
+    ("verify_type_bc3g2m", ["verify-type", "certify_bc3g2m.mat"]),
+    ("verify_mutation_bc3g2m_2", ["verify-mutation", "certify_bc3g2m.mat", "2"]),
+    ("verify_mutation_bc3g2m_4", ["verify-mutation", "certify_bc3g2m.mat", "4"]),
+    ("theorem_a_bc3", ["theorem-a", "B/C3"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", CERTIFICATE_GOLDENS, ids=[g[0] for g in CERTIFICATE_GOLDENS])
+def test_certificate_reports_match_their_goldens(tmp_path, capsys, monkeypatch, name, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "certify_bc3g2m.mat").write_text((DATA / "certify_bc3g2m.mat").read_text())
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    golden = (DATA / f"{name}.json").read_text()
+    assert (_without_timings(out) if argv[0] == "theorem-a" else out, err) == (golden, "")
+
+
 def _reference_seed_path(target, label):
     """Breadth-first search over ExchangeMatrix objects from the standard seed, by
     mutate_matrix in vertex order: the path _seed_basis_path must return."""

@@ -958,6 +958,9 @@ def test_companion_basis_carries_its_roots_on_both_sides_of_a_mutation(label):
     Diagram(2, []),  # A1 + A1
     Diagram(3, [(0, 1, 1)]),  # A2 + A1
     Diagram(3, [(2, 0, 1)]),  # A1 + A2, the A2 on the first and last vertices
+    # B/C3 + G2, mutated at 2, 4 and 3: components of 9 and 6 positive roots
+    diagram_of(ExchangeMatrix([[0, 0, -1, 0, 0], [0, 0, 1, 0, 0], [2, -1, 0, 0, 0], [0, 0, 0, 0, -1],
+                               [0, 0, 0, 3, 0]])),
 ])
 def test_disconnected_masks_give_each_component_bits_of_its_own(diagram):
     # the certificates' sides (coset._companion_entries): the masks of the
