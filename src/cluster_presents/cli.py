@@ -10,12 +10,13 @@ cap; an explicit --cap beats both.
 
 Exit codes follow one rule.  0: a pass, or the artifact asked for.  1: a
 verdict of fail or overflow, or well-formed input that is not of finite type.
-2: a malformed file, flag, label or vertex, or input beyond the canonical
-labeling (rank above 10); the class commands (diagram class, diagram type,
-theorem-a) also refuse a disconnected diagram.  Whenever no output is
-printed, stderr holds exactly one `error:` line.  A reader that closes the
-pipe early gets exit 1 and nothing on stderr; a command started with stdout
-closed exits as it would have, with nothing on stderr.
+2: a malformed file, flag, label or vertex (a list of vertices is refused
+whole, before any step runs), or input beyond the canonical labeling (rank
+above 10); the class commands (diagram class, diagram type, theorem-a) also
+refuse a disconnected diagram.  Whenever no output is printed, stderr holds
+exactly one `error:` line.  A reader that closes the pipe early gets exit 1
+and nothing on stderr; a command started with stdout closed exits as it
+would have, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .coset import (
     DEFAULT_COSET_CAP,
     CosetCapExceeded,
     _certify,
-    _companion_entries,
+    _component_bases,
     _enumerate,
+    _relators,
     verify_mutation_isomorphism,
     weyl_order,
 )
@@ -73,16 +75,14 @@ from .formats import (
     load_signed_graph,
 )
 from .presentation import (
-    MAX_PRESENTATION_RANK,
     Presentation,
+    _check_presentation_rank,
     full_presentation,
     mutation_witness_words,
     reduced_presentation,
 )
 from .roots import (
     CompanionBasis,
-    _coroot_pairings,
-    _root_masks,
     build_root_system,
     companion_bases,
     companion_matrix,
@@ -245,8 +245,8 @@ def _report(argv, inputs, results, verdict, started) -> int:
 
 def _cmd_matrix_mutate(args, argv) -> int:
     matrix = _load(args.file, load_matrix)
-    for k in args.vertices:
-        matrix = mutate_matrix(matrix, _vertex(matrix.n, k))
+    for k in [_vertex(matrix.n, k) for k in args.vertices]:
+        matrix = mutate_matrix(matrix, k)
     return _emit_dump(dump_matrix, matrix, args.json)
 
 
@@ -259,11 +259,11 @@ def _cmd_diagram_of(args, argv) -> int:
 
 def _cmd_diagram_mutate(args, argv) -> int:
     diagram = _load(args.file, _diagram_or_matrix)
-    for k in args.vertices:
+    for k in [_vertex(diagram.n, k) for k in args.vertices]:
         try:
-            diagram = mutate_diagram(diagram, _vertex(diagram.n, k))
+            diagram = mutate_diagram(diagram, k)
         except DiagramError as exc:
-            print(f"error: mutation at {k} leaves finite type: {_one_based(exc)}", file=sys.stderr)
+            print(f"error: mutation at {k + 1} leaves finite type: {_one_based(exc)}", file=sys.stderr)
             return 1
     return _emit_dump(dump_diagram, diagram, args.json)
 
@@ -320,11 +320,9 @@ def _cmd_diagram_cycles(args, argv) -> int:
 
 def _cmd_present(args, argv) -> int:
     diagram = _load(args.file, _diagram_or_matrix)
-    if diagram.n > MAX_PRESENTATION_RANK:  # before any pass over the vertices
-        _die(f"presentations support rank <= {MAX_PRESENTATION_RANK}, not {diagram.n}")
+    _valid(_check_presentation_rank, diagram.n)  # before any pass over the vertices
     if args.which == "ti":
-        k = _vertex(diagram.n, args.vertex)
-        words = mutation_witness_words(diagram, k)
+        words = mutation_witness_words(diagram, _vertex(diagram.n, args.vertex))
         if args.json:
             _emit_json(
                 {
@@ -333,10 +331,7 @@ def _cmd_present(args, argv) -> int:
                 }
             )
             return 0
-        lines = [
-            f"t{i + 1} = " + " ".join(f"s{x + 1}" for x in words[i])
-            for i in range(diagram.n)
-        ]
+        lines = [f"t{i + 1} = " + " ".join(f"s{x + 1}" for x in word) for i, word in enumerate(words)]
         return _emit("\n".join(lines) + "\n")
     builder = full_presentation if args.which == "full" else reduced_presentation
     return _emit_dump(dump_presentation, builder(diagram), args.json)
@@ -349,7 +344,7 @@ def _cmd_order(args, argv) -> int:
     """group_order's exact enumeration with its cosets defined (none for no generators)."""
     presentation = _load(args.file, load_presentation)
     n = presentation.n
-    order, defined = _enumerate(presentation.relations, range(n), (), _coset_cap(args)) if n else (1, 0)
+    order, defined = _enumerate(_relators(presentation.relations), range(n), (), _coset_cap(args)) if n else (1, 0)
     return _verdict({"order": order, "strategy": "direct", "cosets_defined": defined,
                      "verdict": "overflow" if order is None else "pass"})
 
@@ -384,12 +379,11 @@ def _cmd_verify_type(args, argv) -> int:
     diagram = _load(args.file, _diagram_or_matrix)
     cap = _coset_cap(args)
     _valid(_check_canonical_rank, diagram.n)  # before any pass over the vertices
-    label, expected, (entries, masks), _ = _valid(_companion_entries, diagram)
-    cert = _certify(diagram, entries, masks, expected, cap)
+    cert = _certify(diagram, _valid(_component_bases, diagram), cap)
     report = {"order": cert.order, "strategy": "tower", "cosets_defined": cert.cosets_defined,
-              "tower": cert.tower, "type": label}
+              "tower": cert.tower, "type": cert.label}
     if cert.order is not None:
-        report["expected_order"] = expected
+        report["expected_order"] = cert.expected
     report.update(lower_bound=cert.lower_bound, verdict=cert.verdict)
     return _verdict(report)
 
@@ -413,7 +407,6 @@ def _cmd_theorem_a(args, argv) -> int:
     label = mclass.type_label
     if label == "unknown":
         return _report(argv, inputs, {"type": label, "reason": "unidentified mutation class"}, "fail", started)
-    expected = weyl_order(label)
 
     indices = list(range(len(mclass.members)))
     if args.sample != "all" and int(args.sample) < len(indices):
@@ -422,15 +415,15 @@ def _cmd_theorem_a(args, argv) -> int:
     bases = companion_bases(mclass)
     members = []
     for idx in indices:
-        basis = bases[idx]
-        cert = _certify(mclass.members[idx], _coroot_pairings(basis), _root_masks(basis), expected, cap)
+        member = mclass.members[idx]
+        cert = _certify(member, [(range(member.n), member, bases[idx])], cap)
         members.append({"member": idx, "order": cert.order, "tower": cert.tower, "lower_bound": cert.lower_bound,
                         "verdict": cert.verdict})
     verdicts = {m["verdict"] for m in members}
     verdict = "fail" if "fail" in verdicts else ("overflow" if "overflow" in verdicts else "pass")
     results = {
         "type": label,
-        "expected_order": expected,
+        "expected_order": weyl_order(label),
         "class_size": len(mclass),
         "checked": len(indices),
         "sample": args.sample,
@@ -483,14 +476,13 @@ def _cmd_pipeline(args, argv) -> int:
     started = time.monotonic()
     text = _read_file(args.file)
     matrix = _parse(args.file, text, load_matrix)
-    script = _vertex_list(args.script, "mutation script")
+    script = [_vertex(matrix.n, k) for k in _vertex_list(args.script, "mutation script")]
     inputs = _digest(args.file, text)
     inputs["script"] = args.script
-    if args.type:
-        inputs["type"] = args.type
 
     basis = None
     if args.type:
+        inputs["type"] = args.type
         label = _valid(dynkin.normalize_label, args.type)
         rank = dynkin.parse_label(label)[1]
         if rank != matrix.n:  # before the root system, whose cost grows with the rank
@@ -511,11 +503,10 @@ def _cmd_pipeline(args, argv) -> int:
         if not ok:
             fail_step = 0
             steps.append({"step": 0, "vertex": None, "companion_ok": False, "reason": reason})
-    for idx, k1 in enumerate(script, start=1):
+    for idx, k in enumerate(script, start=1):
         if fail_step is not None:
             break
-        k = _vertex(matrix.n, k1)
-        step_info: dict = {"step": idx, "vertex": k1}
+        step_info: dict = {"step": idx, "vertex": k + 1}
         new_matrix = mutate_matrix(matrix, k)
         try:
             new_diagram = mutate_diagram(diagram, k)

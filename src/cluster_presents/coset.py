@@ -11,8 +11,9 @@ once the table fills, is checked inline and never reaches scan.
 
 group_order enumerates the cosets of the trivial subgroup, so the order it
 returns is exact.  The certificates bound the order instead, from both sides,
-in _certify, the one place that picks their presentations, for theorem-a,
-verify-type and both sides of verify_mutation_isomorphism.  From above by a
+in _certify, the one place that picks their presentations and reads their
+companion bases, for theorem-a, verify-type and both sides of
+verify_mutation_isomorphism.  From above by a
 parabolic tower (_tower) on the reduced presentation: drop the generator
 that leaves the most positive roots with coordinate 0 at it and at every
 generator dropped before, in coordinates over the companion basis (the root
@@ -82,10 +83,15 @@ class CosetCapExceeded(RuntimeError):
         self.cosets_defined = cosets_defined
 
 
-def _enumerate(relations, gens, subgroup, cap: int) -> tuple[int | None, int]:
+def _relators(relations) -> list[Word]:
+    """The relations, (word, exponent, tag) triples or Relations, as words,
+    but for an even power of one generator: every table's are involutions."""
+    return [word * exponent for word, exponent, _ in relations if len(word) > 1 or exponent % 2]
+
+
+def _enumerate(relators, gens, subgroup, cap: int) -> tuple[int | None, int]:
     """Enumerate the cosets of <s_h : h in subgroup> in the group that the
-    relations, (word, exponent, tag) triples or Relations, present on the
-    generators gens: (index, defined).
+    relator words (_relators) present on the generators gens: (index, defined).
 
     Deterministic HLT strategy: the subgroup enters as table[0][h] = 0, then
     each live coset scans every relator and fills its remaining entries in
@@ -102,9 +108,6 @@ def _enumerate(relations, gens, subgroup, cap: int) -> tuple[int | None, int]:
     away.  The index is None when the cap stops the enumeration."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    # an even power of one generator holds in every table, whose generators
-    # are involutions; an odd one, (s)^e = s, does not
-    relators = [word * exponent for word, exponent, _ in relations if len(word) > 1 or exponent % 2]
     width = max(gens, default=-1) + 1
     table: list[list[int] | None] = [[-1] * width]
     for h in subgroup:
@@ -212,7 +215,7 @@ def _enumerate(relations, gens, subgroup, cap: int) -> tuple[int | None, int]:
 def group_order(presentation: Presentation, cap: int = DEFAULT_COSET_CAP) -> int:
     """Order of the presented group, exact: the index of the trivial subgroup.
     Raises CosetCapExceeded when the cap stops the enumeration."""
-    order, defined = _enumerate(presentation.relations, range(presentation.n), (), cap)
+    order, defined = _enumerate(_relators(presentation.relations), range(presentation.n), (), cap)
     if order is None:
         raise CosetCapExceeded(cap, defined)
     return order
@@ -231,11 +234,12 @@ def _tower(n: int, relations, cap: int, masks) -> tuple[int | None, list[dict], 
     cosets of the subgroup the others generate, keeps those roots only, and
     goes on with the relations among the others until no generator is left.
     The generators keep their numbers in the input at every level: a level
-    only drops the relations that name its generator.
+    only drops the relators, expanded once, that name its generator.
     levels holds one {"dropped": generator, "index": cosets} per completed
     level, the generator 1-based; defined counts the cosets of every level.
     The bound is None when the cap stops a level."""
     gens = list(range(n))
+    relators = _relators(relations)
     levels: list[dict] = []
     order, defined = 1, 0
     alive = reduce(or_, masks, 0)
@@ -243,14 +247,14 @@ def _tower(n: int, relations, cap: int, masks) -> tuple[int | None, list[dict], 
         g = max(reversed(gens), key=lambda h: (alive & ~masks[h]).bit_count())
         alive &= ~masks[g]
         rest = [h for h in gens if h != g]
-        index, count = _enumerate(relations, gens, rest, cap)
+        index, count = _enumerate(relators, gens, rest, cap)
         defined += count
         if index is None:
             return None, levels, defined
         levels.append({"dropped": g + 1, "index": index})
         order *= index
         gens = rest
-        relations = [(word, exponent, tag) for word, exponent, tag in relations if g not in word]
+        relators = [word for word in relators if g not in word]
     return order, levels, defined
 
 
@@ -272,62 +276,54 @@ class MutationIsomorphismReport:
         return self.faithful and self.forward_homomorphism and self.inverse_homomorphism
 
 
-def _place(side, vertices, basis, offset: int) -> None:
-    """Write the basis's pairing matrix into the side's entries at the
-    component's vertices, and its root masks into the side's masks, shifted
-    past the offset bits that earlier components' roots fill."""
-    entries, masks = side
-    for u, row in zip(vertices, _coroot_pairings(basis)):
-        for v, a in zip(vertices, row):
-            entries[u][v] = a
-    for u, mask in zip(vertices, _root_masks(basis)):
-        masks[u] = mask << offset
-
-
-def _companion_entries(diagram: Diagram, k: int = -1):
-    """(label, |W|, side, mutated): side is (entries, masks), each component's
-    companion basis's pairing matrix on its diagonal block of entries and its
-    root masks (roots._root_masks) at its vertices, each component's roots on
-    bits of their own; then the components' labels joined by "+", the product
-    of their Weyl orders, and the side after mutation at vertex k, or None."""
-    n = diagram.n
-    side = ([[0] * n for _ in range(n)], [0] * n)
-    mutated = ([[0] * n for _ in range(n)], [0] * n) if k >= 0 else None
-    labels = []
-    offset = 0
+def _component_bases(diagram: Diagram):
+    """One (vertices, component, carried companion basis) per connected
+    component (roots.companion_basis), its errors naming the diagram's vertices."""
+    bases = []
     for vertices, component in connected_components(diagram):
         try:
-            basis = companion_basis(component)
+            bases.append((vertices, component, companion_basis(component)))
         except NotFiniteTypeError as exc:  # naming the diagram's vertices, not the component's
             raise exc.renamed(vertices.__getitem__) from None
-        labels.append(basis.system.label)
-        _place(side, vertices, basis, offset)
-        if mutated is not None:
-            if k in vertices:
-                basis = mutate_companion(basis, vertices.index(k), component)
-            _place(mutated, vertices, basis, offset)
+    return bases
+
+
+def _side(n: int, bases):
+    """(entries, masks): each basis's pairing matrix on its diagonal block,
+    and its root masks (roots._root_masks) past the earlier bases' roots."""
+    entries = [[0] * n for _ in range(n)]
+    masks = [0] * n
+    offset = 0
+    for vertices, _, basis in bases:
+        for u, row, mask in zip(vertices, _coroot_pairings(basis), _root_masks(basis)):
+            for v, a in zip(vertices, row):
+                entries[u][v] = a
+            masks[u] = mask << offset
         offset += len(basis.system.roots) // 2
-    return "+".join(labels), prod(map(weyl_order, labels)), side, mutated
+    return entries, masks
 
 
 @dataclass(frozen=True)
 class _Certificate:
     """The two bounds on a presented group and their verdict (_certify)."""
 
+    label: str  # the components' types joined by "+"
+    expected: int  # |W|, the product of their Weyl orders
     order: int | None  # the tower's upper bound, None after an overflow
     tower: list[dict]  # the completed levels as reports print them
     cosets_defined: int
     lower_bound: bool
     verdict: str  # "pass" | "fail" | "overflow"
     relations: list[Relator]  # the full presentation's, which lower_bound read
+    entries: list[list[int]]  # the pairing matrix they were read on (_side)
 
 
-def _certify(diagram: Diagram, entries, masks, expected: int, cap: int) -> _Certificate:
-    """Certify |G| = |W| = expected for both of the diagram's presentations:
-    the tower on the reduced one, dropping by the root masks of the companion
-    basis, bounds both from above, and the full relations holding on the
-    companion matrix entries from below (roots._first_failing), checked even
-    after an overflow for verify-type.
+def _certify(diagram: Diagram, bases, cap: int) -> _Certificate:
+    """Certify |G| = |W| for both of the diagram's presentations, with one
+    (vertices, component, carried basis) per component: the tower on the
+    reduced one, dropping by the bases' root masks, bounds both from above,
+    and the full relations holding on their pairings (_side) from below
+    (roots._first_failing), checked even after an overflow for verify-type.
 
     Why the relations bound G from below.  A basis of roots.companion_bases or
     roots.companion_basis is carried by mutations from the simple roots on a
@@ -335,10 +331,12 @@ def _certify(diagram: Diagram, entries, masks, expected: int, cap: int) -> _Cert
     group W.  Each mutation keeps beta_k and replaces beta_i by beta_i or
     s_{beta_k} beta_i, so the carried reflections generate W.  When they
     satisfy the full relations, s_g |-> reflection in beta_g maps G_full onto
-    W, so |G_full| >= |W| = prod d_i (weyl_order).  The reduced relations are
-    among the full ones, so one tower reaching |W| certifies |G| = |W| for
-    both presentations.
+    W, so |G_full| >= |W| = prod d_i (weyl_order), the bound the module
+    docstring closes with the tower's.
     """
+    entries, masks = _side(diagram.n, bases)
+    labels = [basis.system.label for _, _, basis in bases]
+    expected = prod(map(weyl_order, labels))
     full, reduced = _relations(diagram)
     order, tower, defined = _tower(diagram.n, reduced, cap, masks)
     lower_bound = _first_failing(entries, full) is None
@@ -346,7 +344,7 @@ def _certify(diagram: Diagram, entries, masks, expected: int, cap: int) -> _Cert
         verdict = "overflow"
     else:
         verdict = "pass" if order == expected and lower_bound else "fail"
-    return _Certificate(order, tower, defined, lower_bound, verdict, full)
+    return _Certificate("+".join(labels), expected, order, tower, defined, lower_bound, verdict, full, entries)
 
 
 def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COSET_CAP) -> MutationIsomorphismReport:
@@ -360,7 +358,7 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     (roots.companion_basis), and s'_i of the mutated diagram as the reflection
     in the basis mutated at k (mutate_companion).  Each side is one n x n
     integer matrix, the components' companion matrices on the diagonal blocks
-    (_companion_entries), and every check is a relator evaluated on it
+    (_certify), and every check is a relator evaluated on it
     (roots._first_failing), the full relations each side's certificate carries.
     Raises CosetCapExceeded if an order computation overflows,
     NotFiniteTypeError when a component's class is of no known finite type, and
@@ -376,12 +374,14 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     records this for both sides, and `passed` requires it.
     """
     mutated = mutate_diagram(diagram, k)
-    _, expected, (entries, masks), (entries_mut, masks_mut) = _companion_entries(diagram, k)
+    bases = _component_bases(diagram)
+    bases_mut = [(v, mutate_diagram(c, v.index(k)), mutate_companion(b, v.index(k), c)) if k in v else (v, c, b)
+                 for v, c, b in bases]
 
-    side = _certify(diagram, entries, masks, expected, cap)
+    side = _certify(diagram, bases, cap)
     if side.order is None:
         raise CosetCapExceeded(cap, side.cosets_defined)
-    side_mut = _certify(mutated, entries_mut, masks_mut, expected, cap)
+    side_mut = _certify(mutated, bases_mut, cap)
     if side_mut.order is None:
         raise CosetCapExceeded(cap, side.cosets_defined + side_mut.cosets_defined)
 
@@ -389,8 +389,8 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     # so each composite sends s_i to s_i or s_k s_k s_i s_k s_k, and every reflection
     # _first_failing builds is an involution (a pairing matrix has 2 on its diagonal).
     words = mutation_witness_words(diagram, k)
-    fwd_fail = _first_failing(entries, side_mut.relations, words)
-    inv_fail = _first_failing(entries_mut, side.relations, words)
+    fwd_fail = _first_failing(side.entries, side_mut.relations, words)
+    inv_fail = _first_failing(side_mut.entries, side.relations, words)
     failing = fwd_fail or inv_fail
 
     return MutationIsomorphismReport(

@@ -136,10 +136,15 @@ def cycle_word(cycle: ChordlessCycle, a: int) -> Word:
     return tuple(run) + tuple(reversed(run[1 : d - 1]))
 
 
+def _check_presentation_rank(n: int) -> None:
+    """Refuse a rank beyond the presentations' with ValueError, one message for every caller."""
+    if n > MAX_PRESENTATION_RANK:
+        raise ValueError(f"presentations support rank <= {MAX_PRESENTATION_RANK}, not {n}")
+
+
 def _checked_cycles(diagram: Diagram) -> list[ChordlessCycle]:
     """The chordless cycles, enumerated once, of a diagram that admits a presentation."""
-    if diagram.n > MAX_PRESENTATION_RANK:
-        raise ValueError(f"presentations support rank <= {MAX_PRESENTATION_RANK}, not {diagram.n}")
+    _check_presentation_rank(diagram.n)
     cycles = chordless_cycles(diagram)
     violation = _validate_local(diagram, cycles)
     if violation:

@@ -15,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from cluster_presents import cli, coset, dynkin
+from cluster_presents import cli, coset, dynkin, roots
 from cluster_presents.cli import main
 from cluster_presents.coset import DEFAULT_COSET_CAP, weyl_order
 from cluster_presents.diagram import diagram_of, mutate_diagram
@@ -177,6 +177,21 @@ def test_diagram_mutate_names_the_breakdown_one_based(tmp_path, capsys):
     assert capsys.readouterr() == ("", (
         "error: mutation at 2 leaves finite type: mutation at 2: path 1->2->3 closed by a same-direction "
         "edge 1->3 (diagram is not of finite type)\n"))
+
+
+@pytest.mark.parametrize("name, text, command", [
+    # step 1 is not 2-finite, and would end the script with a fail report
+    ("affine.mat", (DATA / "pipeline_not_two_finite.mat").read_text(), ["pipeline", "{}", "2,99"]),
+    # mutation at 2 leaves finite type, and would exit 1 with its breakdown
+    ("triangle.dia", "3\n1 2 1\n2 3 1\n1 3 1\n", ["diagram", "mutate", "{}", "2", "99"]),
+    ("affine.mat", (DATA / "pipeline_not_two_finite.mat").read_text(), ["matrix", "mutate", "{}", "2", "99"]),
+], ids=["pipeline", "diagram-mutate", "matrix-mutate"])
+def test_a_vertex_list_is_refused_whole_before_the_first_step(tmp_path, capsys, name, text, command):
+    path = _write(tmp_path, name, text)
+    with pytest.raises(SystemExit) as err:
+        main([path if arg == "{}" else arg for arg in command])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", "error: vertex 99 out of range 1..3\n")
 
 
 @pytest.mark.parametrize("text, diagram_error, matrix_error", [
@@ -389,9 +404,10 @@ def test_verify_mutation_counts_both_enumerations(tmp_path, capsys):
     assert main(["verify-mutation", path, "1"]) == 0
     data = _json_out(capsys)
     diagram = diagram_of(load_matrix(CYCLE_MATRIX))
-    sides = coset._companion_entries(diagram, 0)[2:]
-    towers = [coset._tower(d.n, _relations(d)[1], DEFAULT_COSET_CAP, masks)
-              for d, (_, masks) in zip((diagram, mutate_diagram(diagram, 0)), sides)]
+    basis = roots.companion_basis(diagram)
+    sides = ((diagram, basis), (mutate_diagram(diagram, 0), roots.mutate_companion(basis, 0, diagram)))
+    towers = [coset._tower(d.n, _relations(d)[1], DEFAULT_COSET_CAP, coset._side(d.n, [(range(d.n), d, b)])[1])
+              for d, b in sides]
     assert data["strategy"] == "tower"
     assert data["cosets_defined"] == sum(defined for _, _, defined in towers)
 
@@ -546,6 +562,17 @@ def test_present_refuses_a_huge_edgeless_diagram_at_once(tmp_path, capsys, which
     assert time.monotonic() - started < 1
     with pytest.raises(ValueError, match="presentations support rank <= 1000, not 300000"):
         full_presentation(load_diagram("300000\n"))
+
+
+@pytest.mark.parametrize("which", ["full", "reduced", "ti"])
+def test_present_refuses_one_vertex_past_the_limit_with_the_librarys_line(tmp_path, capsys, which):
+    with pytest.raises(ValueError) as exc:
+        full_presentation(load_diagram("1001\n"))
+    assert str(exc.value) == "presentations support rank <= 1000, not 1001"
+    with pytest.raises(SystemExit) as err:
+        main(["present", which, _write(tmp_path, "e1001.dia", "1001\n")] + ["1"] * (which == "ti"))
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
 
 # ------------------------------------------------------------ theorem-a / pipeline

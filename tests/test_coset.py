@@ -48,6 +48,7 @@ from cluster_presents.roots import (
     companion_bases,
     companion_basis,
     companion_matrix,
+    mutate_companion,
 )
 from reference_cosets import act, enumerate_cosets, first_failing, regular_images
 
@@ -71,9 +72,12 @@ def _tower_bound(presentation, masks):
 
 def _masks(diagram, k=-1):
     """The root masks the certificates give the diagram's tower, or the
-    tower of the diagram mutated at k (coset._companion_entries)."""
-    side, mutated = coset._companion_entries(diagram, k)[2:]
-    return (side if k < 0 else mutated)[1]
+    tower of the diagram mutated at k (coset._component_bases, coset._side),
+    the diagram connected."""
+    basis = companion_basis(diagram)
+    if k >= 0:
+        basis = mutate_companion(basis, k, diagram)
+    return coset._side(diagram.n, [(range(diagram.n), diagram, basis)])[1]
 
 
 def _class_towers(label):
@@ -323,7 +327,7 @@ def test_a_complete_trace_to_another_coset_is_a_coincidence(relations, subgroup,
     # at another coset, so it is no closed relator: scan must still run and
     # merge the two.  An enumerator that skipped every complete trace would
     # give 6, 3 and 3.
-    assert coset._enumerate(relations, range(2), subgroup, DEFAULT_COSET_CAP) == (1, defined)
+    assert coset._enumerate(coset._relators(relations), range(2), subgroup, DEFAULT_COSET_CAP) == (1, defined)
 
 
 # Each class's tower totals, the towers dropping by the root masks theorem-a
@@ -373,8 +377,7 @@ def _class_certificates(diagram, label):
     mclass = mutation_class(diagram)
     rows = []
     for member, basis in zip(mclass.members, companion_bases(mclass)):
-        cert = coset._certify(member, roots._coroot_pairings(basis), _root_masks(basis), weyl_order(label),
-                              DEFAULT_COSET_CAP)
+        cert = coset._certify(member, [(range(member.n), member, basis)], DEFAULT_COSET_CAP)
         rows.append((cert.order, cert.tower, cert.lower_bound, cert.verdict))
     return mclass, rows
 

@@ -963,15 +963,16 @@ def test_companion_basis_carries_its_roots_on_both_sides_of_a_mutation(label):
                                [0, 0, 0, 3, 0]])),
 ])
 def test_disconnected_masks_give_each_component_bits_of_its_own(diagram):
-    # the certificates' sides (coset._companion_entries): the masks of the
+    # the certificates' sides (coset._side), the input's and, for each k, the
+    # side with the basis of k's component mutated at k: the masks of the
     # block-diagonal pairing matrix mark the closure's roots, every component's
     # on bits the others leave clear
     for k in range(-1, diagram.n):
-        sides = coset._companion_entries(diagram, k)[2:]
-        for entries, masks in sides[:1] if k < 0 else sides:
-            closed = _closed_roots(entries)
-            assert reduce(or_, masks) == (1 << len(closed)) - 1
-            assert _masked_supports(masks, len(closed)) == _supports(closed)
+        bases = [(v, c, mutate_companion(b, v.index(k), c) if k in v else b) for v, c, b in coset._component_bases(diagram)]
+        entries, masks = coset._side(diagram.n, bases)
+        closed = _closed_roots(entries)
+        assert reduce(or_, masks) == (1 << len(closed)) - 1
+        assert _masked_supports(masks, len(closed)) == _supports(closed)
 
 
 # ------------------------------------------------------ signed graphs
