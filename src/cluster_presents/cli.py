@@ -63,6 +63,8 @@ from .exchange import ExchangeMatrix, _mutate_entries, is_two_finite, mutate_mat
 from .formats import (
     FORMAT_VERSION,
     FormatError,
+    _diagram_data,
+    _matrix_data,
     dump_basis,
     dump_diagram,
     dump_matrix,
@@ -275,7 +277,7 @@ def _cmd_diagram_class(args, argv) -> int:
             {
                 "size": len(mclass),
                 "type": mclass.type_label,
-                "members": [json.loads(dump_diagram(m, as_json=True)) for m in mclass.members],
+                "members": [_diagram_data(m) for m in mclass.members],
                 "mutation_edges": [list(e) for e in sorted(mclass.edges)],
             }
         )
@@ -536,8 +538,8 @@ def _cmd_pipeline(args, argv) -> int:
 
     results = {
         "steps": steps,
-        "final_matrix": json.loads(dump_matrix(matrix, as_json=True)),
-        "final_diagram": json.loads(dump_diagram(diagram, as_json=True)),
+        "final_matrix": _matrix_data(matrix),
+        "final_diagram": _diagram_data(diagram),
     }
     if basis is not None:
         results["final_basis"] = [list(v) for v in basis.vectors]

@@ -45,7 +45,12 @@ def _freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
 def _witnesses(entries: IntMatrix, d: Sequence[int], sign: int) -> bool:
     """True iff d_i M_ij == sign * d_j M_ji for every pair i, j (i = j included)."""
     n = len(entries)
-    return all(d[i] * entries[i][j] == sign * d[j] * entries[j][i] for i in range(n) for j in range(i, n))
+    for i, row in enumerate(entries):
+        di = d[i]
+        for j in range(i, n):
+            if di * row[j] != sign * d[j] * entries[j][i]:
+                return False
+    return True
 
 
 def _propagate_symmetriser(entries: IntMatrix, sign: int) -> Optional[tuple[int, ...]]:
@@ -210,15 +215,21 @@ def is_two_finite(B: ExchangeMatrix) -> bool:
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by row-pivoted Bareiss elimination.
+    """Exact determinant of a square integer matrix by row-pivoted Bareiss
+    elimination (_bareiss) on the rows frozen once."""
+    return _bareiss(list(_freeze(rows)))
+
+
+def _bareiss(a: list) -> int:
+    """The determinant of a square list of int rows, read in place and not
+    validated: the caller has frozen them (determinant) or holds int tuples.
 
     Every division in the recurrence is exact.  A row swap flips the sign, and
-    a column without a nonzero pivot makes the determinant 0.  The rows are
-    frozen once and read in place: a step replaces each row below the pivot by
-    a new list, which is the row only rescaled by pivot / prev when its
-    multiplier is 0, and the row itself when the pivot also equals prev.
+    a column without a nonzero pivot makes the determinant 0.  A step replaces
+    each row below the pivot in the list by a new list, which is the row only
+    rescaled by pivot / prev when its multiplier is 0, and the row itself when
+    the pivot also equals prev; the rows passed in are never changed.
     """
-    a = list(_freeze(rows))
     n = len(a)
     sign = 1
     prev = 1

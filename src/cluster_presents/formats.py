@@ -131,9 +131,14 @@ def load_matrix(text: str) -> ExchangeMatrix:
     return ExchangeMatrix(rows)
 
 
+def _matrix_data(matrix: ExchangeMatrix) -> dict:
+    """The matrix's JSON object, ready for json.dumps."""
+    return {"n": matrix.n, "rows": [list(r) for r in matrix.entries]}
+
+
 def dump_matrix(matrix: ExchangeMatrix, as_json: bool = False) -> str:
     if as_json:
-        return json.dumps({"n": matrix.n, "rows": [list(r) for r in matrix.entries]})
+        return json.dumps(_matrix_data(matrix))
     lines = [str(matrix.n)]
     width = max((len(str(x)) for row in matrix.entries for x in row), default=1)
     for row in matrix.entries:
@@ -176,12 +181,17 @@ def _build_diagram(n: int, edges) -> Diagram:
     return Diagram(n, converted)
 
 
+def _diagram_data(diagram: Diagram) -> dict:
+    """The diagram's JSON object, ready for json.dumps; its vertices 1-based."""
+    return {"n": diagram.n, "edges": [[i + 1, j + 1, w] for (i, j, w) in diagram.edges]}
+
+
 def dump_diagram(diagram: Diagram, as_json: bool = False) -> str:
-    edges = [[i + 1, j + 1, w] for (i, j, w) in diagram.edges]
+    data = _diagram_data(diagram)
     if as_json:
-        return json.dumps({"n": diagram.n, "edges": edges})
+        return json.dumps(data)
     lines = [str(diagram.n)]
-    for i, j, w in edges:
+    for i, j, w in data["edges"]:
         lines.append(f"{i} {j} {w}")
     return "\n".join(lines) + "\n"
 

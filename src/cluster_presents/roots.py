@@ -31,9 +31,11 @@ its companion matrix, each row packed into one int; it also checks the
 mutation certificates' witness maps.  The sign pattern of a basis is tracked
 by its signed graph, with one switching move that rewires the neighbourhood of
 a vertex.  The companion checks of Barot-Geiss-Zelevinsky are here too:
-|A_ij| = |B_ij| in one scan (_companion_mismatch) for
-is_quasi_cartan_companion and is_companion_basis, and the signs around
-chordless cycles (cycle_sign_condition).
+is_companion_basis checks a basis against an exchange matrix in one pass
+(each root looked up once, the determinant eliminated once, each pairing
+computed once for A_ij and A_ji and tested where it is computed),
+is_quasi_cartan_companion reads |A_ij| = |B_ij| off two matrices, and
+cycle_sign_condition checks the signs around chordless cycles.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from operator import index, mul
 from . import dynkin
 from .diagram import (DEFAULT_CLASS_CAP, Diagram, MutationClass, NotFiniteTypeError, _NamesVertices, _search,
                       _tree_match, chordless_cycles)
-from .exchange import ExchangeMatrix, QuasiCartanMatrix, determinant, is_positive
+from .exchange import ExchangeMatrix, QuasiCartanMatrix, _bareiss, is_positive
 
 __all__ = [
     "RootSystem",
@@ -107,7 +109,12 @@ class RootSystem:
         object.__setattr__(self, "_forms", forms)
 
     def is_root(self, v) -> bool:
-        return tuple(v) in self._forms
+        """True iff v is a root; a coordinate that operator.index refuses, as
+        CompanionBasis does (a float, a Fraction), makes it none."""
+        try:
+            return tuple(map(index, v)) in self._forms
+        except TypeError:
+            return False
 
     def simple_root(self, i: int) -> Coords:
         if not 0 <= i < self.n:
@@ -174,8 +181,12 @@ def _coroot(v, w, vw: int, norm: int) -> int:
         raise ValueError("coroot pairing undefined: (w, w) = 0")
     value, remainder = divmod(2 * vw, norm)
     if remainder:
-        raise ValueError(f"coroot pairing of {tuple(v)} against {tuple(w)} is not integral")
+        raise ValueError(_not_integral(v, w))
     return value
+
+
+def _not_integral(v, w) -> str:
+    return f"coroot pairing of {tuple(v)} against {tuple(w)} is not integral"
 
 
 def _reflector(system: RootSystem, beta) -> tuple[Coords, Coords, int]:
@@ -317,43 +328,50 @@ def companion_matrix(basis: CompanionBasis) -> QuasiCartanMatrix:
 
 
 def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[bool, str | None]:
-    """Check roots, unimodularity, and the companion condition |A_ij| = |B_ij|.
+    """Check roots, unimodularity, integral pairings and the companion
+    condition |A_ij| = |B_ij|, A_ij = (beta_i, beta_j^check).
 
     Returns (True, None) or (False, reason), testing in that order so the
-    reason names the first failure.
+    reason names the first failure; a non-integral pairing outranks a
+    mismatch, and each names its first failing pair row by row.  One pass:
+    a vector's lookup in the stored forms is its root test and the fetch of
+    its form and norm, the determinant is eliminated on the vectors as they
+    are (_bareiss), and each (beta_i, beta_j), i < j, gives A_ij and A_ji.
     """
     n = matrix.n
-    if len(basis.vectors) != n or basis.system.n != n:
-        raise ValueError(f"rank mismatch: basis of {len(basis.vectors)} vectors in {basis.system.label} "
+    vectors = basis.vectors
+    if len(vectors) != n or basis.system.n != n:
+        raise ValueError(f"rank mismatch: basis of {len(vectors)} vectors in {basis.system.label} "
                          f"(rank {basis.system.n}) against a {n} x {n} matrix")
-    for idx, v in enumerate(basis.vectors):
-        if not basis.system.is_root(v):
-            return False, f"vector {idx + 1} = {list(v)} is not a root"
-    det = determinant(basis.vectors)
+    stored = list(map(basis.system._forms.get, vectors))  # (form, norm), or None for no root
+    if None in stored:
+        idx = stored.index(None)
+        return False, f"vector {idx + 1} = {list(vectors[idx])} is not a root"
+    det = _bareiss(list(vectors))
     if det not in (1, -1):
         return False, f"not a lattice basis: determinant {det}"
-    try:
-        comp = _coroot_pairings(basis)
-    except ValueError as exc:
-        return False, str(exc)
-    failing = _companion_mismatch(comp, matrix.entries)
-    if failing:
-        i, j = failing
-        return False, (f"companion condition fails at ({i + 1},{j + 1}): "
-                       f"|{comp[i][j]}| != |{matrix.entries[i][j]}|")
+    entries = matrix.entries
+    norms = [norm for _, norm in stored]
+    failures = []  # (kind, i, j, reason): a non-integral pairing (0) outranks a mismatch (1)
+    for j, (form, norm_j) in enumerate(stored):
+        row_j = entries[j]
+        for i in range(j):
+            # A_ij = twice / norm_j and A_ji = twice / norm_i; |twice| = |B_ij| norm_j
+            # holds iff A_ij is integral and |A_ij| = |B_ij|
+            twice = 2 * sum(map(mul, vectors[i], form))
+            size = abs(twice)
+            if size == abs(entries[i][j]) * norm_j and size == abs(row_j[i]) * norms[i]:
+                continue
+            for r, c in ((i, j), (j, i)):
+                value, remainder = divmod(twice, norms[c])
+                if remainder:
+                    failures.append((0, r, c, _not_integral(vectors[r], vectors[c])))
+                elif abs(value) != abs(entries[r][c]):
+                    failures.append((1, r, c, f"companion condition fails at ({r + 1},{c + 1}): "
+                                              f"|{value}| != |{entries[r][c]}|"))
+    if failures:
+        return False, min(failures)[3]
     return True, None
-
-
-def _companion_mismatch(comp, entries) -> tuple[int, int] | None:
-    """The first off-diagonal (i, j), row by row, with |comp_ij| != |entries_ij|,
-    or None: the companion condition, read on raw rows."""
-    n = len(entries)
-    for i in range(n):
-        row, brow = comp[i], entries[i]
-        for j in range(n):
-            if i != j and abs(row[j]) != abs(brow[j]):
-                return i, j
-    return None
 
 
 def is_quasi_cartan_companion(A: QuasiCartanMatrix, B: ExchangeMatrix) -> bool:
@@ -366,7 +384,8 @@ def is_quasi_cartan_companion(A: QuasiCartanMatrix, B: ExchangeMatrix) -> bool:
     """
     if A.n != B.n:
         raise ValueError("rank mismatch between quasi-Cartan matrix and exchange matrix")
-    return _companion_mismatch(A.entries, B.entries) is None
+    return all(i == j or abs(a) == abs(b) for i, (row, brow) in enumerate(zip(A.entries, B.entries))
+               for j, (a, b) in enumerate(zip(row, brow)))
 
 
 def cycle_sign_condition(A: QuasiCartanMatrix, diagram: Diagram) -> bool:

@@ -7,8 +7,9 @@ and a coordinate-to-vector bijection.
 """
 
 import random
+import re
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from cluster_presents import coset, diagram as diagram_module, dynkin, roots
 from cluster_presents.diagram import _canonical_search
 from cluster_presents.diagram import Diagram, NotFiniteTypeError, diagram_of, mutate_diagram, mutation_class
-from cluster_presents.exchange import ExchangeMatrix, determinant, mutate_matrix
+from cluster_presents.exchange import ExchangeMatrix, _bareiss, _freeze, determinant, mutate_matrix
 from cluster_presents.presentation import Relation, _relations, full_presentation, mutation_witness_words
 from cluster_presents.roots import (
     CompanionBasis,
@@ -62,7 +63,8 @@ def _relations_hold(basis, relations):
 
 def _euclidean_simple_roots(label):
     """Simple roots as Euclidean vectors, indexed in this package's vertex order."""
-    family, n = dynkin.parse_label(dynkin.normalize_label(label))
+    family, n = re.fullmatch(r"(B/C|[A-G])(\d+)", label).groups()
+    n = int(n)
     F = Fraction
     if family == "A":
         m = n + 1
@@ -70,6 +72,9 @@ def _euclidean_simple_roots(label):
     if family == "B/C":
         # short root first, then the chain of long roots
         return [_unit(n, 0)] + [_sub(_unit(n, i + 1), _unit(n, i)) for i in range(n - 1)]
+    if family == "C":
+        # long root first, then the chain of short roots
+        return [_add(_unit(n, 0), _unit(n, 0))] + [_sub(_unit(n, i + 1), _unit(n, i)) for i in range(n - 1)]
     if family == "D":
         chain = [_sub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
         return chain + [_add(_unit(n, n - 2), _unit(n, n - 1))]
@@ -88,8 +93,8 @@ def _euclidean_simple_roots(label):
     if family == "E":
         a1 = _vec(F(1, 2), *[F(-1, 2)] * 6, F(1, 2))
         a2 = _vec(F(1), F(1), *[F(0)] * 6)
-        chain = [_vec(*[F(0)] * 8) for _ in range(5)]
-        for t in range(5):  # e_{t+2} - e_{t+1}
+        chain = [_vec(*[F(0)] * 8) for _ in range(6)]
+        for t in range(6):  # e_{t+2} - e_{t+1}
             v = [F(0)] * 8
             v[t] = F(-1)
             v[t + 1] = F(1)
@@ -136,7 +141,7 @@ def _euclidean_root_closure(simples):
 
 
 EUCLIDEAN_LABELS = [
-    "A1", "A2", "A3", "A4", "B/C2", "B/C3", "B/C4", "D4", "D5", "G2", "F4", "E6",
+    "A1", "A2", "A3", "A4", "B/C2", "B/C3", "B/C4", "C3", "D4", "D5", "G2", "F4", "E6", "E7", "E8",
 ]
 
 
@@ -407,6 +412,125 @@ def test_companion_rank_mismatch():
     system = build_root_system("A3")
     with pytest.raises(ValueError):
         is_companion_basis(simple_root_basis(system), dynkin.standard_exchange_matrix("A4"))
+
+
+@lru_cache(maxsize=None)
+def _euclidean_roots(label):
+    return frozenset(_euclidean_root_closure(_euclidean_simple_roots(label)))
+
+
+def _reference_companion_check(label, vectors, rows):
+    """is_companion_basis's verdict and reason, computed in Euclidean space:
+    each coordinate vector is the sum of its multiples of the Euclidean simple
+    roots, a root is a member of their closure under reflections, the
+    determinant comes from Fraction elimination and each pairing from
+    Euclidean dot products.  Checks roots, then |det| = 1, then integral
+    pairings, then |A_ij| = |B_ij|, each failure at its first pair row by row."""
+    simples = _euclidean_simple_roots(label)
+    images = [tuple(sum(c * s[t] for c, s in zip(v, simples)) for t in range(len(simples[0]))) for v in vectors]
+    for idx, (v, image) in enumerate(zip(vectors, images)):
+        if image not in _euclidean_roots(label):
+            return False, f"vector {idx + 1} = {list(v)} is not a root"
+    a = [[Fraction(x) for x in v] for v in vectors]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            det = Fraction(0)
+            break
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    if abs(det) != 1:
+        return False, f"not a lattice basis: determinant {int(det)}"
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairing = {(i, j): 2 * _dot(images[i], images[j]) / _dot(images[j], images[j]) for i, j in pairs}
+    for i, j in pairs:
+        if pairing[i, j].denominator != 1:
+            return False, f"coroot pairing of {tuple(vectors[i])} against {tuple(vectors[j])} is not integral"
+    for i, j in pairs:
+        if abs(pairing[i, j]) != abs(rows[i][j]):
+            return False, f"companion condition fails at ({i + 1},{j + 1}): |{int(pairing[i, j])}| != |{rows[i][j]}|"
+    return True, None
+
+
+_REFERENCE_LABELS = [*(label for n in range(1, 9) for label in dynkin.labels_of_rank(n)),
+                     *(f"C{n}" for n in range(2, 9))]
+
+
+@pytest.mark.parametrize("label", _REFERENCE_LABELS)
+def test_companion_check_matches_a_euclidean_reference_on_walks_and_their_perturbations(label):
+    """Seeded walks from the simple roots on the standard seed, each step's
+    basis as it is and perturbed: two vectors swapped, one replaced by another
+    root, one doubled (no root)."""
+    system = build_root_system(label)
+    rng = random.Random(f"reference {label}")
+    outcomes = set()
+    for _ in range(3):
+        matrix = dynkin.standard_exchange_matrix(label)
+        basis = simple_root_basis(system)
+        for _ in range(8):
+            k = rng.randrange(system.n)
+            basis, matrix = mutate_companion(basis, k, diagram_of(matrix)), mutate_matrix(matrix, k)
+            vectors = list(basis.vectors)
+            i, j = rng.randrange(system.n), rng.randrange(system.n)
+            swapped, replaced, doubled = vectors[:], vectors[:], vectors[:]
+            swapped[i], swapped[j] = vectors[j], vectors[i]
+            replaced[i] = rng.choice(system.roots)
+            doubled[i] = tuple(2 * x for x in vectors[i])
+            for candidate in (vectors, swapped, replaced, doubled):
+                got = is_companion_basis(CompanionBasis(system, candidate), matrix)
+                assert got == _reference_companion_check(label, candidate, matrix.entries), (label, candidate)
+                outcomes.add(got[1].split()[0] if got[1] else None)
+    # a pass, no root, no lattice basis and a mismatch all occur, except that
+    # every basis of roots passes at rank 1 and a swap keeps A2's passing
+    kinds = {None, "vector"} if system.n == 1 else {None, "vector", "not"} if label == "A2" else \
+        {None, "vector", "not", "companion"}
+    assert outcomes == kinds, outcomes
+
+
+def test_a_non_integral_pairing_outranks_an_earlier_mismatch():
+    # no pairing of two roots is non-integral, so A2's stored norm of (1, 0) is
+    # tampered to 3: A_21 = 2 (-1) / 3, while (1,2) mismatches |-1| != |2| first
+    a2 = build_root_system("A2")
+    tampered = object.__new__(RootSystem)
+    for name in ("label", "cartan", "symmetriser", "n", "roots"):
+        object.__setattr__(tampered, name, getattr(a2, name))
+    forms = dict(a2._forms)
+    forms[(1, 0)] = (forms[(1, 0)][0], 3)
+    object.__setattr__(tampered, "_forms", forms)
+    basis = CompanionBasis(tampered, [(1, 0), (0, 1)])
+    B = ExchangeMatrix([[0, 2], [-1, 0]])
+    assert is_companion_basis(basis, B) == (False, "coroot pairing of (0, 1) against (1, 0) is not integral")
+    assert is_companion_basis(simple_root_basis(a2), B) == (False, "companion condition fails at (1,2): |-1| != |2|")
+
+
+def test_bareiss_on_frozen_rows_is_determinant():
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randrange(0, 7)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        frozen = _freeze(rows)
+        assert _bareiss(list(frozen)) == determinant(rows) == determinant(frozen)
+        assert _freeze(rows) == frozen  # the rows passed in are read, never changed
+    with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+        determinant([[1.0, 0], [0, 1]])
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        determinant([[1, 0, 0], [0, 1, 0]])
+
+
+def test_is_root_refuses_coordinates_that_are_not_integers():
+    a2 = build_root_system("A2")
+    assert a2.is_root([1, 0]) and a2.is_root((1, 1)) and a2.is_root([True, False])
+    for v in ([1.0, 0.0], (Fraction(1), 0), (1, 0.0), (Fraction(1, 2), 0), ("1", "0")):
+        assert not a2.is_root(v), v
+        with pytest.raises(ValueError, match="^basis coordinates must be integers$"):
+            CompanionBasis(a2, [v, (0, 1)])
 
 
 def test_inward_mutation_worked_example():
