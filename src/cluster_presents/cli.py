@@ -197,8 +197,8 @@ def _vertex_list(text: str, name: str) -> list[int]:
 def _mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP):
     """mutation_class for the commands that enumerate one.  A rank beyond the
     canonical labeling's is a usage error, checked before any pass over the
-    vertices, and so is a disconnected diagram, whose class holds no tree to
-    name its type by."""
+    vertices, and so is a disconnected diagram, whose class has no one type
+    to name."""
     _valid(_check_canonical_rank, diagram.n)
     if len(connected_components(diagram)) > 1:
         _die("mutation classes of disconnected diagrams are not supported")
@@ -376,8 +376,8 @@ def _cmd_verify_mutation(args, argv) -> int:
 
 def _cmd_verify_type(args, argv) -> int:
     """Certify |G| = |W| for the diagram's presented group G (coset._certify).
-    Each component's companion basis comes from a search that stops at the
-    first tree of its type (roots.companion_basis), which names the type."""
+    Each component's companion basis, which names its type, is built from its
+    positive quasi-Cartan companion (roots.companion_basis)."""
     diagram = _load(args.file, _diagram_or_matrix)
     cap = _coset_cap(args)
     _valid(_check_canonical_rank, diagram.n)  # before any pass over the vertices

@@ -278,7 +278,7 @@ class MutationIsomorphismReport:
 
 def _component_bases(diagram: Diagram):
     """One (vertices, component, carried companion basis) per connected
-    component (roots.companion_basis), its errors naming the diagram's vertices."""
+    component (roots.companion_basis), its refusals naming the diagram's vertices."""
     bases = []
     for vertices, component in connected_components(diagram):
         try:
@@ -325,14 +325,14 @@ def _certify(diagram: Diagram, bases, cap: int) -> _Certificate:
     and the full relations holding on their pairings (_side) from below
     (roots._first_failing), checked even after an overflow for verify-type.
 
-    Why the relations bound G from below.  A basis of roots.companion_bases or
-    roots.companion_basis is carried by mutations from the simple roots on a
-    tree of the type, in any orientation, whose reflections generate the Weyl
-    group W.  Each mutation keeps beta_k and replaces beta_i by beta_i or
-    s_{beta_k} beta_i, so the carried reflections generate W.  When they
-    satisfy the full relations, s_g |-> reflection in beta_g maps G_full onto
-    W, so |G_full| >= |W| = prod d_i (weyl_order), the bound the module
-    docstring closes with the tower's.
+    Why the relations bound G from below.  roots.companion_basis gives the
+    unit vectors of a root system of the type, closed under their
+    reflections, which so generate its Weyl group W; roots.companion_bases
+    carries one such basis by mutations, each keeping beta_k and replacing
+    beta_i by beta_i or s_{beta_k} beta_i, so the carried reflections generate
+    W too.  When they satisfy the full relations, s_g |-> reflection in
+    beta_g maps G_full onto W, so |G_full| >= |W| = prod d_i (weyl_order), the
+    bound the module docstring closes with the tower's.
     """
     entries, masks = _side(diagram.n, bases)
     labels = [basis.system.label for _, _, basis in bases]
@@ -360,14 +360,14 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     integer matrix, the components' companion matrices on the diagonal blocks
     (_certify), and every check is a relator evaluated on it
     (roots._first_failing), the full relations each side's certificate carries.
-    Raises CosetCapExceeded if an order computation overflows,
-    NotFiniteTypeError when a component's class is of no known finite type, and
-    ValueError above rank 10.
+    Raises CosetCapExceeded if an order computation overflows, and
+    NotFiniteTypeError when a component is not of finite type.
 
-    Why the checks are exact.  The simple roots on any tree of the type
-    generate W by their reflections, and each companion mutation keeps beta_k
-    and replaces beta_i by beta_i or s_{beta_k} beta_i, so on both sides the
-    reflections generate W = prod W_c over the components.  A side whose
+    Why the checks are exact.  The unit vectors of a component's root system
+    generate its Weyl group W_c by their reflections (_certify), and each
+    companion mutation keeps beta_k and replaces beta_i by beta_i or
+    s_{beta_k} beta_i, so on both sides the reflections generate W = prod W_c
+    over the components.  A side whose
     certificate passes (_certify) has its tower's upper bound on |G| equal to
     |W| and its relations holding in rho, which maps G onto W; so rho is an
     isomorphism onto W, which acts faithfully on the lattice: `faithful`
@@ -405,26 +405,6 @@ def verify_mutation_isomorphism(diagram: Diagram, k: int, cap: int = DEFAULT_COS
     )
 
 
-# Degrees of the basic invariants of the exceptional Weyl groups (Humphreys,
-# "Reflection Groups and Coxeter Groups", table 3.1).
-_EXCEPTIONAL_DEGREES = {
-    "E6": (2, 5, 6, 8, 9, 12),
-    "E7": (2, 6, 8, 10, 12, 14, 18),
-    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
-    "F4": (2, 6, 8, 12),
-    "G2": (2, 6),
-}
-
-
 def weyl_order(label: str) -> int:
     """Order of the Weyl group of the given type: the product of the degrees of its basic invariants."""
-    family, rank = dynkin.parse_label(label)
-    if family == "A":
-        degrees = range(2, rank + 2)
-    elif family in ("B", "C", "B/C"):
-        degrees = range(2, 2 * rank + 1, 2)
-    elif family == "D":
-        degrees = (*range(2, 2 * rank - 1, 2), rank)
-    else:
-        degrees = _EXCEPTIONAL_DEGREES[f"{family}{rank}"]
-    return prod(degrees)
+    return prod(dynkin._degrees(label))

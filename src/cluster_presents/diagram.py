@@ -5,9 +5,9 @@ module implements the local mutation rule on diagrams, chordless-cycle
 enumeration, the finite-type local validator, canonical labelings for
 isomorphism testing (rank <= 10, dependency-free), and one breadth-first
 search of a mutation class (_search): over labeled diagrams, one per
-canonical form, either to its end, which gives the class up to isomorphism
-(mutation_class), or to the first catalogue tree it meets, from which
-roots.companion_basis carries the simple roots back.
+canonical form, to its end, which gives the class up to isomorphism
+(mutation_class).  The class's type comes from the input's positive
+quasi-Cartan companion (roots.companion_basis), not from the search.
 
 Vertices are 0-based everywhere in the library; the text formats and the CLI
 translate to 1-based.  An error that names vertices keeps them
@@ -17,7 +17,6 @@ translate to 1-based.  An error that names vertices keeps them
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from operator import index
 from typing import Optional
@@ -377,17 +376,16 @@ def _validate_local(diagram: Diagram, cycles) -> Optional[str]:
 _CODE_BASE = 128
 
 
-def _code_matrix(n: int, edges, oriented: bool) -> list[list[int]]:
+def _code_matrix(n: int, edges) -> list[list[int]]:
     """code[p][q] over the n vertices of the edges (i, j, w): w for an edge
-    p -> q of weight w, w + 4 (or w when unoriented) for an edge q -> p, 0
-    for no edge.  Raises ValueError on a weight above 4."""
-    shift = 4 if oriented else 0
+    p -> q of weight w, w + 4 for an edge q -> p, 0 for no edge.  Raises
+    ValueError on a weight above 4."""
     code = [[0] * n for _ in range(n)]
     for i, j, w in edges:
         if w > 4:
             raise ValueError("edge weight too large to encode")
         code[i][j] = w
-        code[j][i] = w + shift
+        code[j][i] = w + 4
     return code
 
 
@@ -424,7 +422,7 @@ def _check_canonical_rank(n: int) -> None:
         raise ValueError(f"canonical form supports rank <= {MAX_CANONICAL_RANK}, not {n}")
 
 
-def _canonical_search(n: int, edges, oriented: bool = True) -> tuple[list[int], list[int]]:
+def _canonical_search(n: int, edges) -> tuple[list[int], list[int]]:
     """Minimal edge-code sequence over the rank-sorted labelings, with its
     permutation, of the diagram on n vertices with the edges (i, j, w).
 
@@ -435,8 +433,7 @@ def _canonical_search(n: int, edges, oriented: bool = True) -> tuple[list[int], 
     from the codes alone, so the searched labelings of isomorphic diagrams
     correspond and give the same least encoding; and an encoding determines
     the labeled diagram.  So two diagrams get equal encodings iff they are
-    isomorphic (as weighted oriented graphs, or unoriented when `oriented` is
-    false).
+    isomorphic as weighted oriented graphs.
 
     Min-block rule: the depth-first search places, at each depth, only the
     unused vertices whose block is smallest, and cuts a branch as soon as that
@@ -462,7 +459,7 @@ def _canonical_search(n: int, edges, oriented: bool = True) -> tuple[list[int], 
     which compares like the tuple of codes among blocks of one length.
     """
     _check_canonical_rank(n)
-    code = _code_matrix(n, edges, oriented)
+    code = _code_matrix(n, edges)
     rank = _refined_ranks(code)
     if len(set(rank)) == n:
         perm = sorted(range(n), key=rank.__getitem__)
@@ -514,7 +511,7 @@ def _canonical_labeling(n: int, edges) -> tuple[bytes, list[int]]:
     """Canonical form and a labeling realizing it, of the diagram on n
     vertices with the edges (i, j, w): relabeling its vertex perm[q] as q
     gives the canonical representative."""
-    codes, perm = _canonical_search(n, edges, oriented=True)
+    codes, perm = _canonical_search(n, edges)
     return bytes([n]) + bytes(codes), perm
 
 
@@ -535,8 +532,8 @@ class NotFiniteTypeError(_NamesVertices, RuntimeError):
     """Raised when mutation-class enumeration meets a non-finite-type member."""
 
 
-def _search(diagram: Diagram, cap: int, stop=None):
-    """Breadth-first search of a diagram's mutation class: (reached, mutations, hit).
+def _search(diagram: Diagram, cap: int):
+    """Breadth-first search of a diagram's mutation class: (reached, mutations).
 
     From the diagram, by mutate_diagram's rule (_mutated_edges), which keeps
     the vertex labels, the search keeps the first diagram it reaches of each
@@ -545,9 +542,6 @@ def _search(diagram: Diagram, cap: int, stop=None):
     _canonical_labeling, the input first with parent and vertex -1.
     `mutations` lists the key of each kept diagram mutated at each vertex,
     that of reached[p] at k at mutations[p * n + k], n the rank.
-    With `stop`, the search ends at the first diagram d with hit = stop(d)
-    true; the input is checked before any canonical labeling, and a stop
-    there returns it alone with key and perm None.
 
     Each mutation edge is labeled once, from the end expanded first.
     Mutation is an involution, so when reached[p] mutated at k has the key
@@ -574,8 +568,6 @@ def _search(diagram: Diagram, cap: int, stop=None):
     """
     if diagram.max_weight() > 3:
         raise NotFiniteTypeError(f"edge of weight {diagram.max_weight()} violates 2-finiteness")
-    if stop and (hit := stop(diagram)):
-        return [(diagram, -1, -1, None, None)], [], hit
     n = diagram.n
     reached = [(diagram, -1, -1, *_canonical_labeling(n, diagram.edges))]
     seen = {reached[0][3]: 0}  # key -> position in reached
@@ -606,13 +598,11 @@ def _search(diagram: Diagram, cap: int, stop=None):
                 seen[key] = len(reached)
                 child = _diagram(n, edges)
                 reached.append((child, position, k, key, perm))
-                if stop and (hit := stop(child)):
-                    return reached, mutations, hit
             j = seen[key]
             x = reached[j][4][perm.index(k)]
             if j > position or (j == position and x > k):
                 known[(j, x)] = near
-    return reached, mutations, None
+    return reached, mutations
 
 
 @dataclass(frozen=True)
@@ -624,11 +614,11 @@ class MutationClass:
     rank, _canonical_search), each labeled as its key lists it; `keys` are
     those forms; `edges` holds (member index, vertex, member index) mutation
     adjacencies in the representatives' labeling; `type_label` is the
-    Dynkin type of the first member that is a catalogue tree in any
-    orientation (_tree_match).  A class of finite type holds every
-    orientation of its type's tree and no other tree.  B_n and C_n share a
-    diagram, so they are reported merged as "B/Cn"; "unknown" when the class
-    holds no such tree (a disconnected diagram's class, say).  `tree`, in no
+    Dynkin type of the input's companion basis (roots.companion_basis), the
+    type of its positive quasi-Cartan companion's root system, which every
+    member shares.  B_n and C_n share a diagram, so they are reported merged
+    as "B/Cn"; "unknown" when the input has no such companion (a disconnected
+    diagram's class, say).  `tree`, in no
     == or repr, is how the class search (_search) first reached each member,
     in discovery order, as (member, k', parent, perm) in member indices:
     vertex q of the member is vertex perm[q] of the parent mutated at
@@ -651,14 +641,15 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
 
     Each diagram that _search keeps, run to its end, gives the member that
     its canonical labeling makes of it; members are emitted in canonical-form
-    order, and type_label names the first catalogue tree among them.  Vertex
+    order, and type_label is the input's companion basis's type.  Vertex
     k of a kept diagram with labeling perm is vertex perm.index(k) of its
     member, which turns the search's mutations into the edges (those of
     mutating every member at every vertex; the search records each kept
     diagram's mutation back to its parent among them) and each kept diagram's
     parent into the tree.  Raises as _search does.
     """
-    reached, mutations, _ = _search(diagram, cap)
+    from .roots import companion_basis  # deferred: roots imports this module
+    reached, mutations = _search(diagram, cap)
     ordered = sorted(reached, key=lambda entry: entry[3])
     keys = tuple(entry[3] for entry in ordered)
     index = {key: i for i, key in enumerate(keys)}
@@ -671,31 +662,8 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
     for c, (_, p, k, _, perm) in enumerate(reached[1:], 1):
         tree.append((member[c], perm.index(k), member[p], tuple(perms[p].index(v) for v in perm)))
     members = tuple(_relabel(d, perm) for d, _, _, _, perm in ordered)
-    label = next((match[0] for match in map(_tree_match, members) if match), "unknown")
+    try:
+        label = companion_basis(diagram).system.label
+    except NotFiniteTypeError:
+        label = "unknown"
     return MutationClass(members, keys, edges, label, tuple(tree))
-
-
-@lru_cache(maxsize=None)
-def _tree_table(n: int) -> dict[bytes, tuple[str, list[int]]]:
-    """Each catalogue type of rank n by the unoriented canonical code of its
-    standard tree (dynkin.standard_diagram): (label, the tree's labeling)."""
-    from . import dynkin  # deferred: dynkin builds Diagrams via this module
-
-    table = {}
-    for label in dynkin.labels_of_rank(n):
-        tree = dynkin.standard_diagram(label)
-        codes, perm = _canonical_search(tree.n, tree.edges, oriented=False)
-        table[bytes(codes)] = (label, perm)
-    return table
-
-
-def _tree_match(diagram: Diagram) -> Optional[tuple[str, list[int], list[int]]]:
-    """(label, sperm, uperm) when the diagram is a catalogue type's tree in any
-    orientation: its vertex uperm[q] is vertex sperm[q] of the type's standard
-    tree, as unoriented weighted graphs.  None otherwise."""
-    if len(diagram.edges) != diagram.n - 1:
-        return None
-    codes, uperm = _canonical_search(diagram.n, diagram.edges, oriented=False)
-    hit = _tree_table(diagram.n).get(bytes(codes))
-    return hit and (*hit, uperm)
-

@@ -100,6 +100,24 @@ def _lengths(family: str, rank: int) -> list[int]:
     raise ValueError(family)
 
 
+# Degrees of the basic invariants of the exceptional Weyl groups (Humphreys,
+# "Reflection Groups and Coxeter Groups", table 3.1).
+_EXCEPTIONAL_DEGREES = {"E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
+                        "E8": (2, 8, 12, 14, 18, 20, 24, 30), "F4": (2, 6, 8, 12), "G2": (2, 6)}
+
+
+def _degrees(label: str) -> tuple[int, ...]:
+    """The degrees of the basic invariants of the type's Weyl group, whose product is |W|."""
+    family, rank = parse_label(label)
+    if family == "A":
+        return tuple(range(2, rank + 2))
+    if family in ("B", "C", "B/C"):
+        return tuple(range(2, 2 * rank + 1, 2))
+    if family == "D":
+        return (*range(2, 2 * rank - 1, 2), rank)
+    return _EXCEPTIONAL_DEGREES[f"{family}{rank}"]
+
+
 @lru_cache(maxsize=None)
 def cartan_matrix(label: str) -> tuple[tuple[int, ...], ...]:
     """The Cartan matrix, rows normalized: cartan[i][j] = 2(a_i,a_j)/(a_i,a_i)."""

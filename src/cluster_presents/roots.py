@@ -1,7 +1,7 @@
 """Root systems in the simple-root basis, companion bases, signed graphs.
 
-Vectors are integer coordinate tuples over the simple roots of a fixed type.
-With cartan[i][j] = 2(a_i, a_j)/(a_i, a_i) and d_i = (a_i, a_i)/2, the
+Vectors are integer coordinate tuples over the simple roots of a fixed type,
+or over a companion basis (companion_basis).  With cartan[i][j] = 2(a_i, a_j)/(a_i, a_i) and d_i = (a_i, a_i)/2, the
 symmetric form is (v, w) = sum_ij v_i d_i cartan[i][j] w_j and the simple
 reflection s_i subtracts (cartan row i) . v from coordinate i.  All values
 stay in exact integer arithmetic.  Each root carries its form and norm: its
@@ -11,11 +11,10 @@ every pairing and reflection in a root reads them rather than computing them.
 A companion basis for an exchange matrix B is a Z-basis of the root lattice
 made of roots whose mutual pairings reproduce |B| off the diagonal; it is
 mutated by reflecting the vectors attached to arrows into the mutation
-vertex.  The simple roots are one for every orientation of the
-type's tree.  companion_basis finds one for a diagram by the class search
-(diagram._search) that mutation_class runs, stopped at the first tree it
-meets, in any orientation, and carries the simple roots back along the
-search's steps.  companion_bases finds one for every member of a
+vertex.  companion_basis builds one for a connected diagram with no search:
+the unit vectors of the root system of the diagram's positive quasi-Cartan
+companion (Barot-Geiss-Zelevinsky, arXiv:math/0411341), whose size and
+longest root name the type.  companion_bases finds one for every member of a
 finite-type mutation class: the input member's, carried forward along the
 record of the search that found the class (MutationClass.tree), each step
 relabeled by the canonical labeling that search recorded, so carrying runs
@@ -46,8 +45,7 @@ from math import prod
 from operator import index, mul
 
 from . import dynkin
-from .diagram import (DEFAULT_CLASS_CAP, Diagram, MutationClass, NotFiniteTypeError, _NamesVertices, _search,
-                      _tree_match, chordless_cycles)
+from .diagram import Diagram, MutationClass, NotFiniteTypeError, _NamesVertices, chordless_cycles
 from .exchange import ExchangeMatrix, QuasiCartanMatrix, _bareiss, is_positive
 
 __all__ = [
@@ -76,17 +74,17 @@ class _SignedGraphError(_NamesVertices, ValueError):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class RootSystem:
-    """A finite root system, closed under all simple reflections.
+    """A finite root system: the unit vectors closed under their reflections.
 
     roots is the full (positive and negative) root set, lexicographically
     sorted.  The symmetriser is computed: the least positive integers d with
     d_i cartan_ij = d_j cartan_ji on each component, so the form below is
-    symmetric (for a Dynkin type, d_i = (a_i, a_i)/2, short roots at 1).  The form must be
+    symmetric (d_i = (a_i, a_i)/2, short roots at 1).  The form must be
     positive definite, so the root set is finite.  Each root carries its form
     and norm: _forms maps a root to (its image under the form, its norm), as
     _form returns them, filled while the roots are closed under reflections.
-    Construct via build_root_system, whose cache makes one object per type;
-    equality is identity.
+    build_root_system makes one object per Dynkin type, and companion_basis
+    one per call, on a quasi-Cartan matrix; equality is identity.
     """
 
     label: str
@@ -181,12 +179,8 @@ def _coroot(v, w, vw: int, norm: int) -> int:
         raise ValueError("coroot pairing undefined: (w, w) = 0")
     value, remainder = divmod(2 * vw, norm)
     if remainder:
-        raise ValueError(_not_integral(v, w))
+        raise ValueError(f"coroot pairing of {tuple(v)} against {tuple(w)} is not integral")
     return value
-
-
-def _not_integral(v, w) -> str:
-    return f"coroot pairing of {tuple(v)} against {tuple(w)} is not integral"
 
 
 def _reflector(system: RootSystem, beta) -> tuple[Coords, Coords, int]:
@@ -256,10 +250,9 @@ def _mask(column: Coords) -> int:
     return int(bytes(map(bool, reversed(column))).translate(_BINARY_DIGITS), 2)  # read as a binary numeral
 
 
-@lru_cache(maxsize=None)
 def _carried_simple_roots(system: RootSystem) -> CompanionBasis:
-    """The simple roots, carrying the positive roots: column i holds the
-    coefficient of the simple root a_i in each of them."""
+    """The unit vectors, carrying the positive roots: column i holds the
+    coefficient of a_i in each of them."""
     zero = (0,) * system.n
     columns = zip(*(r for r in system.roots if r > zero))
     return _carried(system, simple_root_basis(system).vectors, tuple((c, _mask(c)) for c in columns))
@@ -328,12 +321,13 @@ def companion_matrix(basis: CompanionBasis) -> QuasiCartanMatrix:
 
 
 def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[bool, str | None]:
-    """Check roots, unimodularity, integral pairings and the companion
-    condition |A_ij| = |B_ij|, A_ij = (beta_i, beta_j^check).
+    """Check roots, unimodularity and the companion condition |A_ij| =
+    |B_ij|, A_ij = (beta_i, beta_j^check).
 
     Returns (True, None) or (False, reason), testing in that order so the
-    reason names the first failure; a non-integral pairing outranks a
-    mismatch, and each names its first failing pair row by row.  One pass:
+    reason names the first failure, a mismatch its first pair row by row.
+    Two roots of a finite root system pair integrally, so once every vector
+    is a root each A_ij is an integer.  One pass:
     a vector's lookup in the stored forms is its root test and the fetch of
     its form and norm, the determinant is eliminated on the vectors as they
     are (_bareiss), and each (beta_i, beta_j), i < j, gives A_ij and A_ji.
@@ -352,26 +346,20 @@ def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[b
         return False, f"not a lattice basis: determinant {det}"
     entries = matrix.entries
     norms = [norm for _, norm in stored]
-    failures = []  # (kind, i, j, reason): a non-integral pairing (0) outranks a mismatch (1)
+    failures = []  # (i, j, reason), the first pair row by row least
     for j, (form, norm_j) in enumerate(stored):
         row_j = entries[j]
         for i in range(j):
-            # A_ij = twice / norm_j and A_ji = twice / norm_i; |twice| = |B_ij| norm_j
-            # holds iff A_ij is integral and |A_ij| = |B_ij|
+            # A_ij = twice / norm_j and A_ji = twice / norm_i, so |twice| = |B_ij| norm_j iff |A_ij| = |B_ij|
             twice = 2 * sum(map(mul, vectors[i], form))
             size = abs(twice)
             if size == abs(entries[i][j]) * norm_j and size == abs(row_j[i]) * norms[i]:
                 continue
             for r, c in ((i, j), (j, i)):
-                value, remainder = divmod(twice, norms[c])
-                if remainder:
-                    failures.append((0, r, c, _not_integral(vectors[r], vectors[c])))
-                elif abs(value) != abs(entries[r][c]):
-                    failures.append((1, r, c, f"companion condition fails at ({r + 1},{c + 1}): "
-                                              f"|{value}| != |{entries[r][c]}|"))
-    if failures:
-        return False, min(failures)[3]
-    return True, None
+                if size != abs(entries[r][c]) * norms[c]:
+                    failures.append((r, c, f"companion condition fails at ({r + 1},{c + 1}): "
+                                           f"|{twice // norms[c]}| != |{entries[r][c]}|"))
+    return (False, min(failures)[2]) if failures else (True, None)
 
 
 def is_quasi_cartan_companion(A: QuasiCartanMatrix, B: ExchangeMatrix) -> bool:
@@ -439,9 +427,9 @@ def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
     The input's member takes companion_basis's basis, which is mutated inward
     forward along the class's BFS record (MutationClass.tree) to every member,
     each step relabeled by the labeling the search recorded.  The vectors live
-    in build_root_system(type label).  Every basis is carried, its positive
-    roots' coordinates with it (CompanionBasis._carry).  Raises
-    NotFiniteTypeError when the class is of no catalogued finite type.
+    in that basis's root system.  Every basis is carried, its positive roots'
+    coordinates with it (CompanionBasis._carry).  Raises NotFiniteTypeError
+    as companion_basis does when the class is not of finite type.
     """
     root = mclass.tree[0][0]
     bases = {root: companion_basis(mclass.members[root])}
@@ -452,38 +440,84 @@ def companion_bases(mclass: MutationClass) -> tuple[CompanionBasis, ...]:
 
 
 def companion_basis(diagram: Diagram) -> CompanionBasis:
-    """A companion basis for a connected diagram of finite type and rank <= 10.
-
-    The class search of mutation_class (diagram._search), from the diagram
-    over its labeled mutations, stopped at the first diagram that is a
-    catalogue tree in any orientation (diagram._tree_match); that tree names
-    the type, because a class of finite type holds all its type's trees and
-    no other.  A tree input is its own stop and runs no canonical search.
-    The simple roots on the tree's vertices, a companion basis of every
-    orientation of the tree, are mutated inward back along the search's
-    steps to the input, carrying the positive roots' coordinates
-    (CompanionBasis._carry): on the tree, coordinate g of a root is its
-    coefficient of the simple root placed on vertex g.
-
-    A class that holds no catalogue tree is searched to its end, so the input
-    fails as mutation_class fails on it, with the same error naming the same
-    vertices: NotFiniteTypeError when the class is not of finite type (or,
-    once exhausted, of no catalogued type), MutationClassOverflow past the
-    class cap, and ValueError above rank 10.
+    """A companion basis for a connected diagram of finite type, with no
+    search: the unit vectors of the root system of its positive quasi-Cartan
+    companion A (Barot-Geiss-Zelevinsky, arXiv:math/0411341), carried by the
+    roots themselves.  A_ij = +-max(d_i, d_j) / d_i at each edge, d from
+    _half_norms, so |A_ij A_ji| is its weight, with prod(-A_ij) < 0 around
+    every chordless cycle (_positive_edges).  The diagram is of finite type
+    exactly when those cycles are cyclically oriented and A is positive
+    definite; its type is the one of its rank with as many roots,
+    2 sum(degree - 1), and the same longest half-norm (E6 and B/C6 have 72
+    roots each).  Other signs change vectors' signs, and the other long class
+    gives the dual system: neither changes a root's support over the basis.
+    Raises NotFiniteTypeError, with one line.
     """
-    reached, _, match = _search(diagram, DEFAULT_CLASS_CAP, _tree_match)
-    if not match:
+    if diagram.max_weight() > 3:
+        raise NotFiniteTypeError(f"edge of weight {diagram.max_weight()} violates 2-finiteness")
+    cycles = chordless_cycles(diagram)
+    for cycle in cycles:
+        if not cycle.oriented:
+            raise NotFiniteTypeError(f"chordless cycle on vertices {', '.join(['{}'] * len(cycle))} "
+                                     "is not cyclically oriented", *cycle.vertices)
+    half = _half_norms(diagram)
+    if {2, 3} <= {w for _, _, w in diagram.edges}:
+        raise NotFiniteTypeError("a component has edges of weights 2 and 3")
+    positive = _positive_edges(diagram, cycles)
+    cartan = [[2 * (i == j) for j in range(diagram.n)] for i in range(diagram.n)]
+    for e, (i, j, _) in enumerate(diagram.edges):
+        size = max(half[i], half[j]) * (1 if e in positive else -1)
+        cartan[i][j], cartan[j][i] = size // half[i], size // half[j]
+    try:
+        system = RootSystem("", cartan)  # named below, once its roots are counted
+    except ValueError:
+        raise NotFiniteTypeError("quasi-Cartan companion is not positive definite") from None
+    object.__setattr__(system, "label", next(
+        label for label in dynkin.labels_of_rank(diagram.n)
+        if 2 * sum(d - 1 for d in dynkin._degrees(label)) == len(system.roots)
+        and max(dynkin._lengths(*dynkin.parse_label(label))) == max(half)))
+    return _carried_simple_roots(system)
+
+
+def _half_norms(diagram: Diagram) -> list[int]:
+    """d_i = (beta_i, beta_i) / 2 from d_0 = 1: kept by a weight-1 edge, swapped
+    between 1 and w by a weight-w one; NotFiniteTypeError on two values or none."""
+    half, stack = {0: 1}, [0]
+    while stack:
+        u = stack.pop()
+        for v in diagram.neighbours(u):
+            w = diagram.weight_between(u, v)
+            d = half[u] if w == 1 else w // half[u]
+            if v not in half:
+                stack.append(v)
+            if half.setdefault(v, d) != d:
+                raise NotFiniteTypeError("the edge weights give vertex {} two root lengths", v)
+    if len(half) != diagram.n:
         raise NotFiniteTypeError("mutation class of no known finite type")
-    label, sperm, uperm = match
-    placed = [0] * diagram.n  # vertex u of the tree is vertex placed[u] of the standard tree
-    for s, u in zip(sperm, uperm):
-        placed[u] = s
-    basis = _relabeled(_carried_simple_roots(build_root_system(label)), placed)
-    current, position, k, _, _ = reached[-1]
-    while position >= 0:
-        basis = mutate_companion(basis, k, current)
-        current, position, k, _, _ = reached[position]
-    return basis
+    return [half[v] for v in range(diagram.n)]
+
+
+def _positive_edges(diagram: Diagram, cycles) -> set[int]:
+    """The positions in diagram.edges of the positive edges: an odd number
+    around each chordless cycle, one GF(2) equation per cycle (bit e for edge
+    e, bit m = len(diagram.edges) for the right-hand side), consistent when the
+    cycles are oriented, solved by reduced elimination, free edges negative."""
+    m = len(diagram.edges)
+    position = {frozenset(edge[:2]): e for e, edge in enumerate(diagram.edges)}
+    pivots: dict[int, int] = {}  # pivot bit -> the one equation that holds it
+    for cycle in cycles:
+        vs = cycle.vertices
+        row = sum(1 << position[frozenset(pair)] for pair in zip(vs, vs[1:] + vs[:1])) | 1 << m
+        for bit, equation in pivots.items():
+            if row >> bit & 1:
+                row ^= equation
+        if row & ((1 << m) - 1):  # else the equations before it imply it
+            bit = (row & -row).bit_length() - 1
+            for other, equation in pivots.items():
+                if equation >> bit & 1:
+                    pivots[other] = equation ^ row
+            pivots[bit] = row
+    return {bit for bit, equation in pivots.items() if equation >> m & 1}
 
 
 def _first_failing(entries, relations, images=None):

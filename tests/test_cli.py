@@ -152,23 +152,30 @@ def test_diagram_type_refuses_the_affine_d4_star(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", f"error: {STAR_BREAKDOWN}\n")
 
 
-@pytest.mark.parametrize("command", [
-    ["diagram", "class", "{}"], ["theorem-a", "{}"], ["verify-type", "{}"], ["verify-mutation", "{}", "1"]])
-def test_every_class_command_names_the_inputs_vertices_one_based(tmp_path, capsys, command):
-    # as diagram type does (test_diagram_type_refuses_the_affine_d4_star)
+# the affine D4 star has a companion, and it is not positive definite
+STAR_COMPANION = "quasi-Cartan companion is not positive definite"
+
+
+@pytest.mark.parametrize("command, error", [
+    (["diagram", "class", "{}"], STAR_BREAKDOWN), (["theorem-a", "{}"], STAR_BREAKDOWN),
+    (["verify-type", "{}"], STAR_COMPANION), (["verify-mutation", "{}", "1"], STAR_COMPANION)])
+def test_every_class_command_names_the_inputs_vertices_one_based(tmp_path, capsys, command, error):
+    # the class commands as diagram type does (test_diagram_type_refuses_the_affine_d4_star);
+    # the verify commands build the star's companion (roots.companion_basis),
+    # and name the vertices of a cycle (test_a_components_breakdown_names_the_inputs_vertices)
     path = _write(tmp_path, "star.dia", STAR_DIAGRAM)
     assert main([arg.format(path) for arg in command]) == 1
-    assert capsys.readouterr() == ("", f"error: {STAR_BREAKDOWN}\n")
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("command", [["verify-type", "{}"], ["verify-mutation", "{}", "1"]])
 def test_a_components_breakdown_names_the_inputs_vertices(tmp_path, capsys, command):
-    # the star on vertices 2..6, beside an isolated vertex 1: the component's
-    # 0-based vertex a is the input's 1-based vertex a + 2
-    path = _write(tmp_path, "star6.dia", "6\n2 3 1\n2 4 1\n2 5 1\n2 6 1\n")
+    # a 4-cycle that is not cyclically oriented on vertices 3..6, beside an
+    # oriented A2 on vertices 1 and 2: the component's 0-based vertex a is the
+    # input's 1-based vertex a + 3
+    path = _write(tmp_path, "cycle6.dia", "6\n1 2 1\n3 4 1\n4 5 1\n5 6 1\n3 6 1\n")
     assert main([arg.format(path) for arg in command]) == 1
-    assert capsys.readouterr() == (
-        "", "error: mutation at 6: path 3->6->2 closed by a same-direction edge 3->2 (diagram is not of finite type)\n")
+    assert capsys.readouterr() == ("", "error: chordless cycle on vertices 3, 4, 5, 6 is not cyclically oriented\n")
 
 
 def test_diagram_mutate_names_the_breakdown_one_based(tmp_path, capsys):

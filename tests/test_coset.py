@@ -400,6 +400,16 @@ def test_a_members_certificate_does_not_depend_on_where_the_class_search_started
     assert {row[3] for row in rows} == {"pass"}
 
 
+@pytest.mark.parametrize("label", [label for n in range(1, 7) for label in dynkin.labels_of_rank(n)])
+def test_a_members_tower_is_the_same_from_its_carried_and_its_constructed_basis(label):
+    # theorem-a carries one constructed basis along the class; verify-type
+    # constructs one per member.  The two differ by signs of their vectors,
+    # which keep every root's support, so the towers drop alike.
+    for member, carried in _class_towers(label):
+        pres = reduced_presentation(member)
+        assert _tower_of(pres, carried)[1:] == _tower_of(pres, _masks(member))[1:], member.edges
+
+
 @pytest.mark.parametrize("exponent, order", [(1, 1), (3, 1), (4, 6)])
 def test_an_odd_power_of_a_generator_is_a_relator(exponent, order):
     # every generator is an involution in the table, so (s2)^e is s2 for odd e

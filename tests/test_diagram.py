@@ -20,7 +20,6 @@ from cluster_presents.diagram import (
     _refined_ranks,
     _relabel,
     _search,
-    _tree_match,
     _validate_local,
     Diagram,
     DiagramError,
@@ -332,39 +331,16 @@ def test_validator_skips_the_vertices_without_edges():
 # ----------------------------------------------------------------- canonical forms
 
 
-def _isomorphic_bruteforce(d1, d2, oriented=True):
+def _isomorphic_bruteforce(d1, d2):
     if d1.n != d2.n:
         return False
-    for perm in permutations(range(d1.n)):
-        ok = True
-        for i in range(d1.n):
-            for j in range(d1.n):
-                if i == j:
-                    continue
-                if oriented:
-                    if d1.weight(i, j) != d2.weight(perm[i], perm[j]):
-                        ok = False
-                        break
-                else:
-                    if d1.weight_between(i, j) != d2.weight_between(perm[i], perm[j]):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    return any(all(d1.weight(i, j) == d2.weight(perm[i], perm[j]) for i in range(d1.n) for j in range(d1.n) if i != j)
+               for perm in permutations(range(d1.n)))
 
 
 def _canonical_form(d):
     """The canonical form, the class search's key (_canonical_labeling)."""
     return _canonical_labeling(d.n, d.edges)[0]
-
-
-def _unoriented_form(d):
-    """The canonical form of the underlying weighted unoriented graph."""
-    codes, _ = _canonical_search(d.n, d.edges, oriented=False)
-    return bytes([d.n]) + bytes(codes)
 
 
 def test_canonical_form_invariant_under_relabeling():
@@ -376,7 +352,6 @@ def test_canonical_form_invariant_under_relabeling():
         rng.shuffle(perm)
         relabeled = Diagram(n, ((perm[i], perm[j], w) for i, j, w in d.edges))
         assert _canonical_form(d) == _canonical_form(relabeled)
-        assert _unoriented_form(d) == _unoriented_form(relabeled)
 
 
 def test_canonical_form_equality_matches_isomorphism():
@@ -385,17 +360,19 @@ def test_canonical_form_equality_matches_isomorphism():
     for a in pool:
         for b in pool:
             same = _canonical_form(a) == _canonical_form(b)
-            assert same == _isomorphic_bruteforce(a, b, oriented=True)
+            assert same == _isomorphic_bruteforce(a, b)
 
 
-def test_canonical_form_unoriented_quotients_orientation():
+def test_canonical_form_tells_orientations_apart():
     path_fwd = Diagram(2, [(0, 1, 2)])
     path_bwd = Diagram(2, [(1, 0, 2)])
     assert _canonical_form(path_fwd) == _canonical_form(path_bwd)  # swap vertices
     d1 = Diagram(3, [(0, 1, 1), (1, 2, 1)])
     d2 = Diagram(3, [(0, 1, 1), (2, 1, 1)])  # sink in the middle
     assert _canonical_form(d1) != _canonical_form(d2)
-    assert _unoriented_form(d1) == _unoriented_form(d2)
+    # reversing every arrow keeps the oriented path, and makes the sink a source
+    assert _canonical_form(opposite(d1)) == _canonical_form(d1)
+    assert _canonical_form(opposite(d2)) != _canonical_form(d2)
 
 
 def test_canonical_representative_realizes_key():
@@ -407,20 +384,20 @@ def test_canonical_representative_realizes_key():
         assert _canonical_form(rep) == key == _canonical_form(d)
 
 
-def _code_bruteforce(d, i, j, oriented):
+def _code_bruteforce(d, i, j):
     forward, backward = d.weight(i, j), d.weight(j, i)
-    return forward or (backward + 4 if backward and oriented else backward)
+    return forward or (backward + 4 if backward else 0)
 
 
-def _colour_ranks_bruteforce(d, oriented):
+def _colour_ranks_bruteforce(d):
     """Oracle: stable colour refinement from one cell.  A vertex's signature
     is its colour and the sorted (code, colour) pairs of its edges; the new
     colours number the distinct signatures in sorted order."""
     colour = [0] * d.n
     while True:
         signature = [
-            (colour[v], tuple(sorted((_code_bruteforce(d, v, u, oriented), colour[u])
-                                     for u in range(d.n) if _code_bruteforce(d, v, u, oriented))))
+            (colour[v], tuple(sorted((_code_bruteforce(d, v, u), colour[u])
+                                     for u in range(d.n) if _code_bruteforce(d, v, u))))
             for v in range(d.n)]
         cells = sorted(set(signature))
         refined = [cells.index(s) for s in signature]
@@ -429,47 +406,47 @@ def _colour_ranks_bruteforce(d, oriented):
         colour = refined
 
 
-def _least_labeling_bruteforce(d, oriented):
+def _least_labeling_bruteforce(d):
     """Oracle: the first least encoding, in permutations order, over the n!
     labelings that list the vertices in non-decreasing colour rank, read off
     the edge weights; (codes, perm) as _canonical_search returns them."""
-    rank = _colour_ranks_bruteforce(d, oriented)
+    rank = _colour_ranks_bruteforce(d)
     best = None
     for perm in permutations(range(d.n)):
         if any(rank[perm[q - 1]] > rank[perm[q]] for q in range(1, d.n)):
             continue
-        codes = [_code_bruteforce(d, perm[p], perm[q], oriented) for q in range(d.n) for p in range(q)]
+        codes = [_code_bruteforce(d, perm[p], perm[q]) for q in range(d.n) for p in range(q)]
         if best is None or codes < best[0]:
             best = codes, list(perm)
     return best
 
 
-def _min_encoding_bruteforce(d, oriented):
-    return bytes([d.n]) + bytes(_least_labeling_bruteforce(d, oriented)[0])
+def _min_encoding_bruteforce(d):
+    return bytes([d.n]) + bytes(_least_labeling_bruteforce(d)[0])
 
 
 def test_canonical_form_is_the_least_encoding_over_rank_sorted_labelings():
     rng = random.Random(27)
     for _ in range(300):
         d = _random_diagram(rng, rng.randrange(1, 7))
-        assert _canonical_form(d) == _min_encoding_bruteforce(d, oriented=True)
-        assert _unoriented_form(d) == _min_encoding_bruteforce(d, oriented=False)
+        assert _canonical_form(d) == _min_encoding_bruteforce(d)
+        assert _canonical_form(opposite(d)) == _min_encoding_bruteforce(opposite(d))
 
 
 def test_canonical_search_returns_the_first_least_rank_sorted_labeling():
     # the search's shortcuts (the discrete partition, refinement that stops
     # once nothing splits, twins skipped) keep its labeling: the oracle has
     # none of them.  Sparse diagrams and stars have twins; dense ones
-    # often refine to singletons.
+    # often refine to singletons.  Each diagram is searched with its arrows as
+    # drawn and reversed.
     rng = random.Random(31)
     diagrams = [Diagram(6, []), Diagram(6, [(0, v, 1) for v in range(1, 6)]),
                 Diagram(6, [(0, 1, 2), (2, 0, 1), (0, 3, 1), (4, 0, 1), (0, 5, 1)])]
     diagrams += [_random_diagram(rng, rng.randrange(1, 7), p=rng.choice((0.1, 0.3, 0.5, 0.8)))
                  for _ in range(200)]
-    for d in diagrams:
-        for oriented in (True, False):
-            assert _refined_ranks(_code_matrix(d.n, d.edges, oriented)) == _colour_ranks_bruteforce(d, oriented)
-            assert _canonical_search(d.n, d.edges, oriented) == _least_labeling_bruteforce(d, oriented), (d, oriented)
+    for d in diagrams + [opposite(d) for d in diagrams]:
+        assert _refined_ranks(_code_matrix(d.n, d.edges)) == _colour_ranks_bruteforce(d)
+        assert _canonical_search(d.n, d.edges) == _least_labeling_bruteforce(d), d
 
 
 @pytest.mark.parametrize("diagram", [
@@ -479,7 +456,7 @@ def test_canonical_search_skips_twins(diagram):
     # every order of a cell that never splits would be 9! or 10! labelings
     start = time.perf_counter()
     _canonical_form(diagram)
-    _canonical_search(diagram.n, diagram.edges, oriented=False)
+    _canonical_form(opposite(diagram))
     assert time.perf_counter() - start < 0.1
 
 
@@ -503,7 +480,7 @@ def test_canonical_form_equality_matches_isomorphism_up_to_weight_four():
     for a in pool:
         for b in pool:
             same = _canonical_form(a) == _canonical_form(b)
-            assert same == _isomorphic_bruteforce(a, b, oriented=True)
+            assert same == _isomorphic_bruteforce(a, b)
 
 
 def test_opposite_of_four_cycle_is_isomorphic():
@@ -528,7 +505,7 @@ def _class_size_oracle(seed_diagram, cap=100000):
                 queue.append(child)
     classes = []
     for d in seen:
-        if not any(_isomorphic_bruteforce(d, rep, oriented=True) for rep in classes):
+        if not any(_isomorphic_bruteforce(d, rep) for rep in classes):
             classes.append(d)
     return len(classes)
 
@@ -578,12 +555,10 @@ def test_class_tree_records_the_search(label):
     assert mutation_class(_relabel(diagram, rng.sample(range(diagram.n), diagram.n))) == mc
 
 
-def _search_without_memo(diagram, cap, stop=None):
+def _search_without_memo(diagram, cap):
     """Reference for _search: the same breadth-first search and `known` rule,
     but every child the rule does not skip is a Diagram from mutate_diagram,
     labeled by its own canonical search, with no memo."""
-    if stop and (hit := stop(diagram)):
-        return [(diagram, -1, -1, None, None)], [], hit
     reached = [(diagram, -1, -1, *_canonical_labeling(diagram.n, diagram.edges))]
     seen = {reached[0][3]: 0}
     known, mutations = {}, []
@@ -599,13 +574,11 @@ def _search_without_memo(diagram, cap, stop=None):
                 assert len(seen) < cap
                 seen[key] = len(reached)
                 reached.append((child, position, k, key, perm))
-                if stop and (hit := stop(child)):
-                    return reached, mutations, hit
             j = seen[key]
             x = reached[j][4][perm.index(k)]
             if j > position or (j == position and x > k):
                 known[(j, x)] = near
-    return reached, mutations, None
+    return reached, mutations
 
 
 def _search_inputs():
@@ -625,10 +598,7 @@ def _search_inputs():
 
 @pytest.mark.parametrize("label, diagram", _search_inputs())
 def test_search_matches_the_search_without_a_memo(label, diagram):
-    # to its end, as mutation_class runs it, and stopped at the first tree, as
-    # roots.companion_basis runs it
-    for stop in (None, _tree_match):
-        assert _search(diagram, 50000, stop) == _search_without_memo(diagram, 50000, stop), (label, stop)
+    assert _search(diagram, 50000) == _search_without_memo(diagram, 50000), label
 
 
 @pytest.mark.parametrize("label", ["D5", "E6", "B/C6", "E7"])
@@ -643,7 +613,7 @@ def test_search_builds_one_diagram_per_kept_member(monkeypatch, label):
         return build(*args)
     diagram = dynkin.standard_diagram(label)
     monkeypatch.setattr(diagram_module, "_diagram", counting)
-    reached, _, _ = _search(diagram, 50000)
+    reached, _ = _search(diagram, 50000)
     assert built[0] == len(reached) - 1  # the input is given
 
 
@@ -665,7 +635,8 @@ def test_class_type_identification():
 
 
 def test_class_without_a_standard_tree_is_unknown():
-    # A1+A1 and A2+A1: finite classes whose members are no trees
+    # A1+A1 and A2+A1: finite classes of disconnected diagrams, which have no
+    # one companion to name a type by (roots.companion_basis)
     for diagram in (Diagram(2, []), Diagram(3, [(0, 1, 1)])):
         mc = mutation_class(diagram)
         assert mc.type_label == "unknown"
