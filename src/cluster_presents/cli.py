@@ -12,8 +12,8 @@ Exit codes follow one rule.  0: a pass, or the artifact asked for.  1: a
 verdict of fail or overflow, or well-formed input that is not of finite type.
 2: a malformed file, flag, label or vertex (a list of vertices is refused
 whole, before any step runs), or input beyond the canonical labeling (rank
-above 10); the class commands (diagram class, diagram type, theorem-a) also
-refuse a disconnected diagram.  Whenever no output is printed, stderr holds
+above 10); diagram class and theorem-a, which enumerate a class, also refuse
+a disconnected diagram.  Whenever no output is printed, stderr holds
 exactly one `error:` line.  A reader that closes the pipe early gets exit 1
 and nothing on stderr; a command started with stdout closed exits as it
 would have, with nothing on stderr.
@@ -86,6 +86,7 @@ from .presentation import (
 from .roots import (
     CompanionBasis,
     build_root_system,
+    companion_basis,
     companion_bases,
     companion_matrix,
     is_companion_basis,
@@ -271,22 +272,30 @@ def _cmd_diagram_mutate(args, argv) -> int:
 
 
 def _cmd_diagram_class(args, argv) -> int:
-    mclass = _mutation_class(_load(args.file, _diagram_or_matrix), args.cap)
+    diagram = _load(args.file, _diagram_or_matrix)
+    mclass = _mutation_class(diagram, args.cap)
+    try:  # a finite class need not be of finite type: 3 / 2 1 3 / 2 3 1 is affine G2
+        label = companion_basis(diagram).system.label
+    except NotFiniteTypeError:
+        label = "unknown"
     if args.json:
         _emit_json(
             {
                 "size": len(mclass),
-                "type": mclass.type_label,
+                "type": label,
                 "members": [_diagram_data(m) for m in mclass.members],
                 "mutation_edges": [list(e) for e in sorted(mclass.edges)],
             }
         )
         return 0
-    return _emit(f"size {len(mclass)}\ntype {mclass.type_label}\n")
+    return _emit(f"size {len(mclass)}\ntype {label}\n")
 
 
 def _cmd_diagram_type(args, argv) -> int:
-    label = _mutation_class(_load(args.file, _diagram_or_matrix), args.cap).type_label
+    """The components' types joined by "+", named as verify-type names them."""
+    diagram = _load(args.file, _diagram_or_matrix)
+    _valid(_check_canonical_rank, diagram.n)  # before any pass over the vertices
+    label = "+".join(basis.system.label for _, _, basis in _valid(_component_bases, diagram))
     if args.json:
         _emit_json({"type": label})
         return 0
@@ -406,15 +415,16 @@ def _cmd_theorem_a(args, argv) -> int:
         diagram = dynkin.standard_diagram(label)
 
     mclass = _mutation_class(diagram)
-    label = mclass.type_label
-    if label == "unknown":
-        return _report(argv, inputs, {"type": label, "reason": "unidentified mutation class"}, "fail", started)
+    try:
+        bases = companion_bases(mclass)
+    except NotFiniteTypeError:
+        return _report(argv, inputs, {"type": "unknown", "reason": "unidentified mutation class"}, "fail", started)
+    label = bases[0].system.label
 
     indices = list(range(len(mclass.members)))
     if args.sample != "all" and int(args.sample) < len(indices):
         indices = sorted(random.Random(args.seed).sample(indices, int(args.sample)))
 
-    bases = companion_bases(mclass)
     members = []
     for idx in indices:
         member = mclass.members[idx]
@@ -667,7 +677,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_diagram_class)
     d = dsub.add_parser("type", help="identify the Dynkin type of the mutation class")
     d.add_argument("file")
-    d.add_argument("--cap", type=_positive_int, default=DEFAULT_CLASS_CAP)
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=_cmd_diagram_type)
     d = dsub.add_parser("cycles", help="list chordless cycles")

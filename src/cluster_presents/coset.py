@@ -54,7 +54,7 @@ from math import prod
 from operator import or_
 
 from . import dynkin
-from .diagram import Diagram, NotFiniteTypeError, connected_components, mutate_diagram
+from .diagram import Diagram, NotFiniteTypeError, chordless_cycles, connected_components, mutate_diagram
 from .presentation import Presentation, Relation, Relator, Word, _relations, mutation_witness_words
 from .roots import _coroot_pairings, _first_failing, _root_masks, companion_basis, mutate_companion
 
@@ -337,7 +337,7 @@ def _certify(diagram: Diagram, bases, cap: int) -> _Certificate:
     entries, masks = _side(diagram.n, bases)
     labels = [basis.system.label for _, _, basis in bases]
     expected = prod(map(weyl_order, labels))
-    full, reduced = _relations(diagram)
+    full, reduced = _relations(diagram, chordless_cycles(diagram))  # the bases prove finite type
     order, tower, defined = _tower(diagram.n, reduced, cap, masks)
     lower_bound = _first_failing(entries, full) is None
     if order is None:

@@ -6,8 +6,8 @@ enumeration, the finite-type local validator, canonical labelings for
 isomorphism testing (rank <= 10, dependency-free), and one breadth-first
 search of a mutation class (_search): over labeled diagrams, one per
 canonical form, to its end, which gives the class up to isomorphism
-(mutation_class).  The class's type comes from the input's positive
-quasi-Cartan companion (roots.companion_basis), not from the search.
+(mutation_class).  The search only enumerates: a diagram's type is named
+by its positive quasi-Cartan companion (roots.companion_basis).
 
 Vertices are 0-based everywhere in the library; the text formats and the CLI
 translate to 1-based.  An error that names vertices keeps them
@@ -613,23 +613,17 @@ class MutationClass:
     least edge-code encoding over the labelings in non-decreasing refinement
     rank, _canonical_search), each labeled as its key lists it; `keys` are
     those forms; `edges` holds (member index, vertex, member index) mutation
-    adjacencies in the representatives' labeling; `type_label` is the
-    Dynkin type of the input's companion basis (roots.companion_basis), the
-    type of its positive quasi-Cartan companion's root system, which every
-    member shares.  B_n and C_n share a diagram, so they are reported merged
-    as "B/Cn"; "unknown" when the input has no such companion (a disconnected
-    diagram's class, say).  `tree`, in no
-    == or repr, is how the class search (_search) first reached each member,
-    in discovery order, as (member, k', parent, perm) in member indices:
-    vertex q of the member is vertex perm[q] of the parent mutated at
-    perm[k'].  The input's member comes first, as (member, -1, member, perm),
-    and its vertex q is the input's vertex perm[q].
+    adjacencies in the representatives' labeling.  `tree`, in no == or repr,
+    is how the class search (_search) first reached each member, in
+    discovery order, as (member, k', parent, perm) in member indices: vertex
+    q of the member is vertex perm[q] of the parent mutated at perm[k'].  The
+    input's member comes first, as (member, -1, member, perm), and its vertex
+    q is the input's vertex perm[q].  No type: roots.companion_basis names it.
     """
 
     members: tuple[Diagram, ...]
     keys: tuple[bytes, ...]
     edges: frozenset[tuple[int, int, int]]
-    type_label: str
     tree: tuple[tuple[int, int, int, tuple[int, ...]], ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -641,14 +635,12 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
 
     Each diagram that _search keeps, run to its end, gives the member that
     its canonical labeling makes of it; members are emitted in canonical-form
-    order, and type_label is the input's companion basis's type.  Vertex
-    k of a kept diagram with labeling perm is vertex perm.index(k) of its
-    member, which turns the search's mutations into the edges (those of
-    mutating every member at every vertex; the search records each kept
-    diagram's mutation back to its parent among them) and each kept diagram's
-    parent into the tree.  Raises as _search does.
+    order.  Vertex k of a kept diagram with labeling perm is vertex
+    perm.index(k) of its member, which turns the search's mutations into the
+    edges (those of mutating every member at every vertex; the search records
+    each kept diagram's mutation back to its parent among them) and each kept
+    diagram's parent into the tree.  Raises as _search does.
     """
-    from .roots import companion_basis  # deferred: roots imports this module
     reached, mutations = _search(diagram, cap)
     ordered = sorted(reached, key=lambda entry: entry[3])
     keys = tuple(entry[3] for entry in ordered)
@@ -662,8 +654,4 @@ def mutation_class(diagram: Diagram, cap: int = DEFAULT_CLASS_CAP) -> MutationCl
     for c, (_, p, k, _, perm) in enumerate(reached[1:], 1):
         tree.append((member[c], perm.index(k), member[p], tuple(perms[p].index(v) for v in perm)))
     members = tuple(_relabel(d, perm) for d, _, _, _, perm in ordered)
-    try:
-        label = companion_basis(diagram).system.label
-    except NotFiniteTypeError:
-        label = "unknown"
-    return MutationClass(members, keys, edges, label, tuple(tree))
+    return MutationClass(members, keys, edges, tuple(tree))

@@ -158,15 +158,15 @@ def _checked_cycles(diagram: Diagram) -> list[ChordlessCycle]:
 Relator = tuple[Word, int, str]  # (word, exponent, tag), as a Relation unpacks
 
 
-def _relations(diagram: Diagram) -> tuple[list[Relator], list[Relator]]:
-    """The (full, reduced) relations from one cycle enumeration: R1 for every
-    vertex, R2 for every pair i < j in lexicographic order, then each cycle's
-    rotations, all in full and one of exponent 2 in reduced, so the reduced
-    relations are full ones (coset._certify rests on this).  Each is a plain
-    (word, exponent, tag) triple, valid by construction, which the
-    certificates read as it stands; full_presentation and
-    reduced_presentation make Relations of them."""
-    cycles = _checked_cycles(diagram)
+def _relations(diagram: Diagram, cycles) -> tuple[list[Relator], list[Relator]]:
+    """The (full, reduced) relations from the given chordless cycles of a
+    diagram that admits a presentation: R1 for every vertex, R2 for every
+    pair i < j in lexicographic order, then each cycle's rotations, all in
+    full and one of exponent 2 in reduced, so the reduced relations are full
+    ones (coset._certify rests on this).  Each is a plain (word, exponent,
+    tag) triple, valid by construction, which the certificates read as it
+    stands; full_presentation and reduced_presentation check the diagram
+    (_checked_cycles) and make Relations of them."""
     n = diagram.n
     full = [((i,), 2, "R1") for i in range(n)]
     for i in range(n):
@@ -189,12 +189,12 @@ def _relations(diagram: Diagram) -> tuple[list[Relator], list[Relator]]:
 
 def full_presentation(diagram: Diagram) -> Presentation:
     """All relations: involutions, pairwise orders, and every cycle rotation."""
-    return Presentation(diagram.n, [Relation(*rel) for rel in _relations(diagram)[0]])
+    return Presentation(diagram.n, [Relation(*rel) for rel in _relations(diagram, _checked_cycles(diagram))[0]])
 
 
 def reduced_presentation(diagram: Diagram) -> Presentation:
     """One exponent-2 cycle relation per cycle, anchored at an admissible rotation."""
-    return Presentation(diagram.n, [Relation(*rel) for rel in _relations(diagram)[1]])
+    return Presentation(diagram.n, [Relation(*rel) for rel in _relations(diagram, _checked_cycles(diagram))[1]])
 
 
 def mutation_witness_words(diagram: Diagram, k: int) -> tuple[Word, ...]:

@@ -487,6 +487,8 @@ def _half_norms(diagram: Diagram) -> list[int]:
         u = stack.pop()
         for v in diagram.neighbours(u):
             w = diagram.weight_between(u, v)
+            if w > 1 and w % half[u]:  # d_u is neither 1 nor w
+                raise NotFiniteTypeError("the edge weights give vertex {} two root lengths", u)
             d = half[u] if w == 1 else w // half[u]
             if v not in half:
                 stack.append(v)

@@ -15,13 +15,14 @@ import tracemalloc
 
 import pytest
 
-from cluster_presents import cli, coset, dynkin, roots
+from cluster_presents import cli, coset, diagram as diagram_module, dynkin, presentation, roots
 from cluster_presents.cli import main
 from cluster_presents.coset import DEFAULT_COSET_CAP, weyl_order
-from cluster_presents.diagram import diagram_of, mutate_diagram
+from cluster_presents.diagram import chordless_cycles, diagram_of, mutate_diagram
 from cluster_presents.exchange import mutate_matrix
 from cluster_presents.formats import (
     FormatError,
+    dump_diagram,
     dump_matrix,
     load_basis,
     load_diagram,
@@ -137,31 +138,87 @@ def test_diagram_type_names_every_catalogue_type(tmp_path, capsys, label):
     matrix = dynkin.standard_exchange_matrix(label)
     for _ in range(6):
         matrix = mutate_matrix(matrix, rng.randrange(matrix.n))
-    assert main(["diagram", "type", _write(tmp_path, "member.mat", dump_matrix(matrix))]) == 0
+    path = _write(tmp_path, "member.mat", dump_matrix(matrix))
+    assert main(["diagram", "type", path]) == 0
     assert capsys.readouterr().out == label + "\n"
+    # the type verify-type certifies against, from the same companion bases
+    assert main(["verify-type", path]) == 0
+    assert _json_out(capsys)["type"] == label
+
+
+@pytest.mark.parametrize("text, label", [
+    ("2\n0 0\n0 0\n", "A1+A1"), ("3\n0 1 0\n-1 0 0\n0 0 0\n", "A2+A1"),
+    ("4\n1 2 1\n3 4 1\n", "A2+A2"), ("5\n1 2 2\n3 4 1\n4 5 1\n", "B/C2+A3")])
+def test_diagram_type_joins_the_components_types(tmp_path, capsys, text, label):
+    path = _write(tmp_path, "input", text)
+    assert main(["diagram", "type", path]) == 0
+    assert capsys.readouterr().out == label + "\n"
+    assert main(["verify-type", path]) == 0
+    assert _json_out(capsys)["type"] == label
+
+
+def test_diagram_type_runs_no_class_search(tmp_path, capsys, monkeypatch):
+    def refused(*args):
+        raise AssertionError("diagram type searched a mutation class")
+    monkeypatch.setattr(diagram_module, "_search", refused)
+    assert main(["diagram", "type", _write(tmp_path, "cycle.mat", CYCLE_MATRIX)]) == 0
+    assert capsys.readouterr().out == "D4\n"
+    e8 = _write(tmp_path, "e8.dia", dump_diagram(dynkin.standard_diagram("E8")))
+    assert main(["diagram", "type", e8, "--json"]) == 0
+    assert _json_out(capsys) == {"type": "E8"}
+
+
+@pytest.mark.parametrize("label", ["A4", "B/C3", "D4", "E6", "F4", "G2"])
+def test_theorem_a_builds_one_companion_basis_per_class(capsys, monkeypatch, label):
+    built = []
+    construct = roots.companion_basis
+
+    def counting(diagram):
+        built.append(diagram)
+        return construct(diagram)
+    monkeypatch.setattr(roots, "companion_basis", counting)
+    assert main(["theorem-a", label]) == 0
+    assert _json_out(capsys)["results"]["type"] == label
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("text, size, refusal", [
+    # affine G2: an edge of weight 1 at the long end of a G2 edge
+    ("3\n2 1 3\n2 3 1\n", 10, "quasi-Cartan companion is not positive definite"),
+    # weights 2 and 3 at vertex 1, then a weight-2 edge at vertex 3, of half-norm 3
+    ("4\n2 1 2\n3 1 3\n4 3 2\n", 15, "the edge weights give vertex 3 two root lengths")])
+def test_a_finite_class_of_no_finite_type(tmp_path, capsys, text, size, refusal):
+    # the class search closes, and the input has no companion basis to name a type
+    path = _write(tmp_path, "input.dia", text)
+    assert main(["diagram", "class", path]) == 0
+    assert capsys.readouterr() == (f"size {size}\ntype unknown\n", "")
+    assert main(["theorem-a", path]) == 1
+    data = _json_out(capsys)
+    assert (data["results"], data["verdict"]) == ({"type": "unknown", "reason": "unidentified mutation class"}, "fail")
+    assert main(["diagram", "type", path]) == 1
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
 
 STAR_DIAGRAM = "5\n1 2 1\n1 3 1\n1 4 1\n1 5 1\n"  # the affine D4 star
 # the input's own vertices, 1-based
 STAR_BREAKDOWN = "mutation at 5: path 2->5->1 closed by a same-direction edge 2->1 (diagram is not of finite type)"
+# the affine D4 star has a companion, and it is not positive definite
+STAR_COMPANION = "quasi-Cartan companion is not positive definite"
 
 
 def test_diagram_type_refuses_the_affine_d4_star(tmp_path, capsys):
+    # from the star's companion, as verify-type does, not from the class search
     assert main(["diagram", "type", _write(tmp_path, "star.dia", STAR_DIAGRAM)]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {STAR_BREAKDOWN}\n")
-
-
-# the affine D4 star has a companion, and it is not positive definite
-STAR_COMPANION = "quasi-Cartan companion is not positive definite"
+    assert (captured.out, captured.err) == ("", f"error: {STAR_COMPANION}\n")
 
 
 @pytest.mark.parametrize("command, error", [
     (["diagram", "class", "{}"], STAR_BREAKDOWN), (["theorem-a", "{}"], STAR_BREAKDOWN),
     (["verify-type", "{}"], STAR_COMPANION), (["verify-mutation", "{}", "1"], STAR_COMPANION)])
 def test_every_class_command_names_the_inputs_vertices_one_based(tmp_path, capsys, command, error):
-    # the class commands as diagram type does (test_diagram_type_refuses_the_affine_d4_star);
-    # the verify commands build the star's companion (roots.companion_basis),
+    # the class commands name the vertex where the class search's mutation
+    # breaks down; the verify commands build the star's companion (roots.companion_basis),
     # and name the vertices of a cycle (test_a_components_breakdown_names_the_inputs_vertices)
     path = _write(tmp_path, "star.dia", STAR_DIAGRAM)
     assert main([arg.format(path) for arg in command]) == 1
@@ -413,8 +470,8 @@ def test_verify_mutation_counts_both_enumerations(tmp_path, capsys):
     diagram = diagram_of(load_matrix(CYCLE_MATRIX))
     basis = roots.companion_basis(diagram)
     sides = ((diagram, basis), (mutate_diagram(diagram, 0), roots.mutate_companion(basis, 0, diagram)))
-    towers = [coset._tower(d.n, _relations(d)[1], DEFAULT_COSET_CAP, coset._side(d.n, [(range(d.n), d, b)])[1])
-              for d, b in sides]
+    towers = [coset._tower(d.n, _relations(d, chordless_cycles(d))[1], DEFAULT_COSET_CAP,
+                           coset._side(d.n, [(range(d.n), d, b)])[1]) for d, b in sides]
     assert data["strategy"] == "tower"
     assert data["cosets_defined"] == sum(defined for _, _, defined in towers)
 
@@ -444,8 +501,8 @@ def _full_with_relator_s1_s2(monkeypatch, only=None):
     """Certificates read full relations with the relator s1 s2 added (on the
     diagram only, if given) and reduced relations as they are, so the towers
     still reach |W| and only the lower bound can fail."""
-    def relations(diagram):
-        full, reduced = _relations(diagram)
+    def relations(diagram, cycles):
+        full, reduced = _relations(diagram, cycles)
         if only is None or diagram == only:
             full = [*full, Relation((0, 1), 1)]
         return full, reduced
@@ -462,6 +519,19 @@ def test_certificates_build_no_presentation(tmp_path, capsys, monkeypatch):
     assert _json_out(capsys)["verdict"] == "pass"
     assert main(["verify-mutation", _write(tmp_path, "cycle.mat", CYCLE_MATRIX), "1"]) == 0
     assert _json_out(capsys)["verdict"] == "pass"
+
+
+def test_certificates_validate_no_diagram_again(tmp_path, capsys, monkeypatch):
+    # a certificate's companion bases prove finite type, so its relations come
+    # from the chordless cycles alone; present still checks its diagram
+    def refused(*args):
+        raise AssertionError("a certificate validated a diagram")
+    monkeypatch.setattr(presentation, "_checked_cycles", refused)
+    monkeypatch.setattr(presentation, "_validate_local", refused)
+    path = _write(tmp_path, "cycle.mat", CYCLE_MATRIX)
+    for argv in (["theorem-a", "B/C4"], ["verify-type", path], ["verify-mutation", path, "1"]):
+        assert main(argv) == 0
+        assert _json_out(capsys)["verdict"] == "pass"
 
 
 def test_verify_type_fails_an_added_relator_on_the_lower_bound(tmp_path, capsys, monkeypatch):
@@ -1399,9 +1469,10 @@ def test_random_diagrams_end_in_output_or_one_error_line(tmp_path, monkeypatch):
         ("2\n1 2 7\n", ["verify-mutation", "{}", "1"], 1),
         ("2\n1 2 7\n", ["diagram", "class", "{}"], 1),
         # disconnected: beyond the class enumeration, like rank 11; verify-type
-        # takes each component on its own, and one of weight 7 has no type
+        # and diagram type take each component on its own, and one of weight 7
+        # has no type
         ("2\n0 0\n0 0\n", ["diagram", "class", "{}"], 2),
-        ("2\n0 0\n0 0\n", ["diagram", "type", "{}"], 2),
+        ("3\n1 2 7\n", ["diagram", "type", "{}"], 1),
         ("3\n1 2 7\n", ["verify-type", "{}"], 1),
         ("2\n0 0\n0 0\n", ["theorem-a", "{}"], 2),
         # flags
@@ -1411,6 +1482,14 @@ def test_random_diagrams_end_in_output_or_one_error_line(tmp_path, monkeypatch):
         (CYCLE_MATRIX, ["matrix", "mutate", "{}", "5"], 2),
         (CYCLE_MATRIX, ["pipeline", "{}", "1,x"], 2),
         (CYCLE_MATRIX, ["diagram", "frobnicate", "{}"], 2),
+        (CYCLE_MATRIX, ["diagram", "type", "{}", "--cap", "5"], 2),  # no class search to cap
+        # a weight-2 edge at a vertex of half-norm 3: two root lengths, no traceback
+        ("4\n1 2 3\n2 3 2\n3 4 2\n", ["verify-type", "{}"], 1),
+        ("4\n1 2 3\n2 3 2\n3 4 2\n", ["verify-mutation", "{}", "1"], 1),
+        ("4\n1 2 3\n2 3 2\n3 4 2\n", ["diagram", "type", "{}"], 1),
+        ("4\n2 1 2\n3 1 3\n4 3 2\n", ["verify-type", "{}"], 1),
+        ("4\n2 1 2\n3 1 3\n4 3 2\n", ["verify-mutation", "{}", "1"], 1),
+        ("4\n2 1 2\n3 1 3\n4 3 2\n", ["diagram", "type", "{}"], 1),
     ],
 )
 def test_malformed_inputs_exit_with_one_error_line(tmp_path, text, command, code):

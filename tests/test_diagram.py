@@ -5,6 +5,8 @@ enumeration for chordless cycles, permutation search for isomorphism, and a
 labeled-state BFS for mutation-class sizes.
 """
 
+import ast
+import inspect
 import random
 import time
 from itertools import combinations, permutations
@@ -32,6 +34,7 @@ from cluster_presents.diagram import (
     opposite,
 )
 from cluster_presents.exchange import ExchangeMatrix, mutate_matrix
+from cluster_presents.roots import companion_basis
 
 
 FOUR_CYCLE_MATRIX = ExchangeMatrix([[0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 1], [1, 0, -1, 0]])
@@ -626,20 +629,34 @@ def test_class_is_closed_under_mutation():
 
 
 def test_class_type_identification():
-    assert mutation_class(dynkin.standard_diagram("A3")).type_label == "A3"
-    assert mutation_class(diagram_of(FOUR_CYCLE_MATRIX)).type_label == "D4"
-    assert mutation_class(dynkin.standard_diagram("B3")).type_label == "B/C3"
-    assert mutation_class(dynkin.standard_diagram("C3")).type_label == "B/C3"
-    assert mutation_class(dynkin.standard_diagram("F4")).type_label == "F4"
-    assert mutation_class(dynkin.standard_diagram("G2")).type_label == "G2"
+    # the class names no type; the companion basis of any member does, B3 and
+    # C3 merged since they share a diagram
+    cases = [(dynkin.standard_diagram("A3"), "A3"), (diagram_of(FOUR_CYCLE_MATRIX), "D4"),
+             (dynkin.standard_diagram("B3"), "B/C3"), (dynkin.standard_diagram("C3"), "B/C3"),
+             (dynkin.standard_diagram("F4"), "F4"), (dynkin.standard_diagram("G2"), "G2")]
+    for diagram, label in cases:
+        mc = mutation_class(diagram)
+        assert not hasattr(mc, "type_label")
+        assert {companion_basis(m).system.label for m in (diagram, *mc.members)} == {label}
+
+
+def test_the_diagram_layer_imports_nothing_from_roots():
+    # roots imports diagram; a type is named there, never by the class search
+    tree = ast.parse(inspect.getsource(diagram_module))
+    assert "roots" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
 
 
 def test_class_without_a_standard_tree_is_unknown():
     # A1+A1 and A2+A1: finite classes of disconnected diagrams, which have no
-    # one companion to name a type by (roots.companion_basis)
-    for diagram in (Diagram(2, []), Diagram(3, [(0, 1, 1)])):
-        mc = mutation_class(diagram)
-        assert mc.type_label == "unknown"
+    # one companion to name a type by; and affine G2 (an edge of weight 1 at
+    # the long end of a G2 edge), a finite class of a connected diagram whose
+    # companion is not positive definite
+    for diagram, message in [(Diagram(2, []), "mutation class of no known finite type"),
+                             (Diagram(3, [(0, 1, 1)]), "mutation class of no known finite type"),
+                             (Diagram(3, [(1, 0, 3), (1, 2, 1)]), "quasi-Cartan companion is not positive definite")]:
+        mutation_class(diagram)
+        with pytest.raises(NotFiniteTypeError, match=f"^{message}$"):
+            companion_basis(diagram)
 
 
 def test_class_overflow():

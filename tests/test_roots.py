@@ -704,8 +704,13 @@ _STAR = Diagram(5, [(0, v, 1) for v in range(1, 5)])  # the affine D4 star
     (Diagram(3, [(0, 1, 1), (1, 2, 4)]), "edge of weight 4 violates 2-finiteness", ()),
     (Diagram(3, [(0, 1, 1)]), "mutation class of no known finite type", ()),  # A2 beside an isolated vertex
     (Diagram(0, []), "mutation class of no known finite type", ()),
+    # a weight-2 edge at a vertex of half-norm 3 (3 does not divide 2), on a
+    # path and past a fork at vertex 0
+    (Diagram(4, [(0, 1, 3), (1, 2, 2), (2, 3, 2)]), "the edge weights give vertex 1 two root lengths", (1,)),
+    (Diagram(4, [(1, 0, 2), (2, 0, 3), (3, 2, 2)]), "the edge weights give vertex 2 two root lengths", (2,)),
 ], ids=["acyclic-triangle", "acyclic-4-cycle", "affine-d4-star", "affine-e6-tree", "weights-2-and-3",
-        "weights-2-and-3-on-a-path", "no-root-lengths", "weight-4", "disconnected", "empty"])
+        "weights-2-and-3-on-a-path", "no-root-lengths", "weight-4", "disconnected", "empty",
+        "weight-2-at-half-norm-3-on-a-path", "weight-2-at-half-norm-3-past-a-fork"])
 def test_companion_basis_refuses_what_is_not_of_finite_type(diagram, message, vertices):
     # one line each; the vertices it names are kept, so the CLI numbers them 1-based
     with pytest.raises(NotFiniteTypeError) as refused:
@@ -853,7 +858,7 @@ def test_certificate_relators_stay_within_256_letters_on_the_oriented_d10_cycle(
     for k in range(10):
         words = mutation_witness_words(cycle, k)
         for side in (cycle, mutate_diagram(cycle, k)):
-            full, _ = _relations(side)
+            full, _ = _relations(side, chordless_cycles(side))
             lengths += [len(word) * exponent for word, exponent, _ in full]
             lengths += [sum(len(words[g]) for g in word) * exponent for word, exponent, _ in full]
     assert max(lengths) <= 256
