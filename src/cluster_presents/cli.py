@@ -9,11 +9,18 @@ environment variable CLUSTER_PRESENTS_CAP overrides the default live-coset
 cap; an explicit --cap beats both.
 
 Exit codes follow one rule.  0: a pass, or the artifact asked for.  1: a
-verdict of fail or overflow, or well-formed input that is not of finite type.
+verdict of fail or overflow, or well-formed input that is not of finite type
+(diagram class prints its report of such a class, type unknown, and exits 1).
 2: a malformed file, flag, label or vertex (a list of vertices is refused
 whole, before any step runs), or input beyond the canonical labeling (rank
 above 10); diagram class and theorem-a, which enumerate a class, also refuse
-a disconnected diagram.  Whenever no output is printed, stderr holds
+a disconnected diagram.  The rule has one exception: present checks only
+the local catalogue of finite type (chordless cycles and 3-vertex
+subdiagrams), so present full, reduced and ti print their artifact with exit
+0 for a diagram that passes it, such as the affine D4 star, which
+verify-type and diagram type refuse with exit 1.  present takes diagrams up
+to rank 1000, where the global test, positive definiteness by n leading
+minors, is out of reach.  Whenever no output is printed, stderr holds
 exactly one `error:` line.  A reader that closes the pipe early gets exit 1
 and nothing on stderr; a command started with stdout closed exits as it
 would have, with nothing on stderr.
@@ -85,6 +92,7 @@ from .presentation import (
 )
 from .roots import (
     CompanionBasis,
+    _is_companion_step,
     build_root_system,
     companion_basis,
     companion_bases,
@@ -287,8 +295,9 @@ def _cmd_diagram_class(args, argv) -> int:
                 "mutation_edges": [list(e) for e in sorted(mclass.edges)],
             }
         )
-        return 0
-    return _emit(f"size {len(mclass)}\ntype {label}\n")
+    else:
+        _emit(f"size {len(mclass)}\ntype {label}\n")
+    return 1 if label == "unknown" else 0  # the report of a class of no finite type exits 1
 
 
 def _cmd_diagram_type(args, argv) -> int:
@@ -532,7 +541,8 @@ def _cmd_pipeline(args, argv) -> int:
         step_info["involution"] = _mutate_entries(new_matrix.entries, k) == matrix.entries
         if basis is not None:
             new_basis = mutate_companion(basis, k, diagram)
-            ok, reason = is_companion_basis(new_basis, new_matrix)
+            # basis passed against matrix, or the script would have ended
+            ok, reason = _is_companion_step(basis, matrix, k, new_basis, new_matrix)
             step_info["companion_ok"] = ok
             if reason:
                 step_info["reason"] = reason

@@ -32,7 +32,9 @@ by its signed graph, with one switching move that rewires the neighbourhood of
 a vertex.  The companion checks of Barot-Geiss-Zelevinsky are here too:
 is_companion_basis checks a basis against an exchange matrix in one pass
 (each root looked up once, the determinant eliminated once, each pairing
-computed once for A_ij and A_ji and tested where it is computed),
+computed once for A_ij and A_ji and tested where it is computed), and
+_is_companion_step gives its answer for a mutation step from a basis that
+passed it, re-checking only the vectors and pairs the step changed;
 is_quasi_cartan_companion reads |A_ij| = |B_ij| off two matrices, and
 cycle_sign_condition checks the signs around chordless cycles.
 """
@@ -42,7 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
-from operator import index, mul
+from itertools import compress, repeat
+from operator import eq, index, itemgetter, mul, ne, sub
 
 from . import dynkin
 from .diagram import Diagram, MutationClass, NotFiniteTypeError, _NamesVertices, chordless_cycles
@@ -330,7 +333,8 @@ def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[b
     is a root each A_ij is an integer.  One pass:
     a vector's lookup in the stored forms is its root test and the fetch of
     its form and norm, the determinant is eliminated on the vectors as they
-    are (_bareiss), and each (beta_i, beta_j), i < j, gives A_ij and A_ji.
+    are (_bareiss), and each (beta_i, beta_j), i < j, gives A_ij and A_ji
+    (_companion_failure).
     """
     n = matrix.n
     vectors = basis.vectors
@@ -344,22 +348,74 @@ def is_companion_basis(basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[b
     det = _bareiss(list(vectors))
     if det not in (1, -1):
         return False, f"not a lattice basis: determinant {det}"
-    entries = matrix.entries
-    norms = [norm for _, norm in stored]
+    reason = _companion_failure(vectors, stored, matrix.entries, [(i, j) for j in range(n) for i in range(j)])
+    return reason is None, reason
+
+
+def _companion_failure(vectors, stored, entries, pairs) -> str | None:
+    """The reason of the first pair row by row at which |A_ij| = |B_ij|
+    fails, among the pairs (i, j), i < j, or None.  stored[g] is vector g's
+    form and norm, and each (beta_i, beta_j) gives A_ij and A_ji."""
     failures = []  # (i, j, reason), the first pair row by row least
-    for j, (form, norm_j) in enumerate(stored):
-        row_j = entries[j]
-        for i in range(j):
-            # A_ij = twice / norm_j and A_ji = twice / norm_i, so |twice| = |B_ij| norm_j iff |A_ij| = |B_ij|
-            twice = 2 * sum(map(mul, vectors[i], form))
-            size = abs(twice)
-            if size == abs(entries[i][j]) * norm_j and size == abs(row_j[i]) * norms[i]:
-                continue
-            for r, c in ((i, j), (j, i)):
-                if size != abs(entries[r][c]) * norms[c]:
-                    failures.append((r, c, f"companion condition fails at ({r + 1},{c + 1}): "
-                                           f"|{twice // norms[c]}| != |{entries[r][c]}|"))
-    return (False, min(failures)[2]) if failures else (True, None)
+    for i, j in pairs:
+        form, norm_j = stored[j]
+        norm_i = stored[i][1]
+        # A_ij = twice / norm_j and A_ji = twice / norm_i, so |twice| = |B_ij| norm_j iff |A_ij| = |B_ij|
+        twice = 2 * sum(map(mul, vectors[i], form))
+        size = abs(twice)
+        if size == abs(entries[i][j]) * norm_j and size == abs(entries[j][i]) * norm_i:
+            continue
+        for r, c, norm in ((i, j, norm_j), (j, i, norm_i)):
+            if size != abs(entries[r][c]) * norm:
+                failures.append((r, c, f"companion condition fails at ({r + 1},{c + 1}): "
+                                       f"|{twice // norm}| != |{entries[r][c]}|"))
+    return min(failures)[2] if failures else None
+
+
+def _is_companion_step(previous: CompanionBasis, previous_matrix: ExchangeMatrix, k: int,
+                       basis: CompanionBasis, matrix: ExchangeMatrix) -> tuple[bool, str | None]:
+    """is_companion_basis(basis, matrix), verdict and reason, for the step at
+    k from a previous basis that passed it against previous_matrix, re-checking
+    only what the step changed.  Both bases are in one root system, and both
+    matrices of its rank.
+
+    A mutation keeps beta_k and replaces each beta_i of an arrow i -> k by
+    beta_i - a_i beta_k; it changes |B_ij| only on the paths i -> k -> j.  So
+    the changed vectors are looked up as roots; when each is the previous one
+    minus an integer multiple of an unchanged beta_k, a shear, the determinant
+    keeps its +-1, and otherwise the full check runs.  The companion condition
+    is tested on the pairs that touch a changed vector, and on the pairs of
+    unchanged vectors whose |B_ij| or |B_ji| changed, read only off the rows
+    that are not the previous matrix's row objects.  Every other test passed
+    a step earlier, so the first failure of the full check is among those
+    made here and its reason is the same.
+    """
+    old, vectors = previous.vectors, basis.vectors
+    n = matrix.n
+    beta = vectors[k]
+    if beta != old[k]:
+        return is_companion_basis(basis, matrix)
+    forms = basis.system._forms
+    changed = list(compress(range(n), map(ne, vectors, old)))
+    for g in changed:
+        if vectors[g] not in forms:
+            return False, f"vector {g + 1} = {list(vectors[g])} is not a root"
+    p = next(t for t, b in enumerate(beta) if b)  # a root is nonzero
+    for g in changed:
+        c, r = divmod(old[g][p] - vectors[g][p], beta[p])
+        if r or tuple(map(sub, old[g], map(mul, repeat(c), beta))) != vectors[g]:
+            return is_companion_basis(basis, matrix)
+    pairs = set()
+    for g in changed:  # (i, g), i < g, and (g, j), g < j
+        pairs.update(zip(range(g), repeat(g)), zip(repeat(g), range(g + 1, n)))
+    kept = list(compress(range(n), map(eq, vectors, old)))  # beta_k among them
+    if len(kept) > 1:  # a pair of kept vectors is re-checked where its |B_ij| changed
+        pick = itemgetter(*kept)
+        for i, row, old_row in zip(kept, pick(matrix.entries), pick(previous_matrix.entries)):
+            if row is not old_row and list(map(abs, pick(row))) != list(map(abs, pick(old_row))):
+                pairs.update((min(i, j), max(i, j)) for j in kept if abs(row[j]) != abs(old_row[j]))
+    reason = _companion_failure(vectors, list(map(forms.__getitem__, vectors)), matrix.entries, pairs)
+    return reason is None, reason
 
 
 def is_quasi_cartan_companion(A: QuasiCartanMatrix, B: ExchangeMatrix) -> bool:

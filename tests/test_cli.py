@@ -188,10 +188,14 @@ def test_theorem_a_builds_one_companion_basis_per_class(capsys, monkeypatch, lab
     # weights 2 and 3 at vertex 1, then a weight-2 edge at vertex 3, of half-norm 3
     ("4\n2 1 2\n3 1 3\n4 3 2\n", 15, "the edge weights give vertex 3 two root lengths")])
 def test_a_finite_class_of_no_finite_type(tmp_path, capsys, text, size, refusal):
-    # the class search closes, and the input has no companion basis to name a type
+    # the class search closes, and the input has no companion basis to name a
+    # type: diagram class prints its report and exits 1, in text and in JSON
     path = _write(tmp_path, "input.dia", text)
-    assert main(["diagram", "class", path]) == 0
+    assert main(["diagram", "class", path]) == 1
     assert capsys.readouterr() == (f"size {size}\ntype unknown\n", "")
+    assert main(["diagram", "class", path, "--json"]) == 1
+    data = _json_out(capsys)
+    assert (data["size"], data["type"], len(data["members"])) == (size, "unknown", size)
     assert main(["theorem-a", path]) == 1
     data = _json_out(capsys)
     assert (data["results"], data["verdict"]) == ({"type": "unknown", "reason": "unidentified mutation class"}, "fail")
@@ -211,6 +215,19 @@ def test_diagram_type_refuses_the_affine_d4_star(tmp_path, capsys):
     assert main(["diagram", "type", _write(tmp_path, "star.dia", STAR_DIAGRAM)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {STAR_COMPANION}\n")
+
+
+@pytest.mark.parametrize("command", [["present", "full", "{}"], ["present", "reduced", "{}"],
+                                     ["present", "ti", "{}", "1"]])
+def test_present_is_the_exit_code_rules_one_exception(tmp_path, capsys, command):
+    # present checks only the local catalogue, which the affine D4 star passes,
+    # so it prints the star's artifact with exit 0 where verify-type exits 1
+    path = _write(tmp_path, "star.dia", STAR_DIAGRAM)
+    assert main([path if arg == "{}" else arg for arg in command]) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+    assert main(["verify-type", path]) == 1
+    assert capsys.readouterr() == ("", f"error: {STAR_COMPANION}\n")
 
 
 @pytest.mark.parametrize("command, error", [
@@ -1024,6 +1041,44 @@ def test_pipeline_runs_an_empty_script_and_checks_the_input_basis(tmp_path, caps
     assert [s["vertex"] for s in _json_out(capsys)["results"]["steps"]] == [2, 1]
 
 
+@pytest.mark.parametrize("corruption", ["no root", "off the shear"])
+def test_a_corrupted_pipeline_step_fails_as_the_full_check_does(tmp_path, capsys, monkeypatch, corruption):
+    # the basis that step 3 carries on the E6 seed gets a vector the step
+    # changed doubled, which is no root, or replaced by a root off the shear,
+    # which takes the full check: either way the report's failed_step and
+    # reason are the full check's on that step
+    script = [2, 4, 3, 1, 5]
+    matrix = dynkin.standard_exchange_matrix("E6")
+    for k in script[:3]:
+        matrix = mutate_matrix(matrix, k - 1)
+    calls, corrupted = [], []
+    mutate = cli.mutate_companion
+
+    def corrupting(basis, k, diagram):
+        out = mutate(basis, k, diagram)
+        calls.append(k)
+        if len(calls) != 5:  # the calls alternate: a step's basis, then its restoration
+            return out
+        vectors = list(out.vectors)
+        g = next(g for g, (v, w) in enumerate(zip(vectors, basis.vectors)) if v != w)
+        if corruption == "no root":
+            vectors[g] = tuple(2 * x for x in vectors[g])
+        else:
+            sheared = {tuple(x - c * b for x, b in zip(basis.vectors[g], vectors[k])) for c in range(-3, 4)}
+            vectors[g] = next(r for r in out.system.roots if r not in sheared)
+        corrupted.append(roots.CompanionBasis(out.system, vectors))
+        return corrupted[0]
+
+    monkeypatch.setattr(cli, "mutate_companion", corrupting)
+    path = _write(tmp_path, "e6.mat", dump_matrix(dynkin.standard_exchange_matrix("E6")))
+    assert main(["pipeline", path, ",".join(map(str, script)), "--type", "E6"]) == 1
+    results = _json_out(capsys)["results"]
+    ok, reason = roots.is_companion_basis(corrupted[0], matrix)
+    assert not ok and reason.startswith("vector" if corruption == "no root" else "companion")
+    assert (results["failed_step"], results["steps"][-1]["companion_ok"]) == (3, False)
+    assert results["steps"][-1]["reason"] == reason
+
+
 # ------------------------------------------------------------ roots / companion
 
 
@@ -1166,6 +1221,7 @@ def _golden_files(tmp_path):
         "{a1a1}": _write(tmp_path, "a1a1.mat", "2\n0 0\n0 0\n"),
         "{a2a1}": _write(tmp_path, "a2a1.mat", "3\n0 1 0\n-1 0 0\n0 0 0\n"),
         "{bc4}": _write(tmp_path, "bc4.dia", "4\n1 4 1\n2 1 1\n3 2 2\n"),
+        "{g2affine}": _write(tmp_path, "g2affine.dia", "3\n2 1 3\n2 3 1\n"),
     }
 
 
@@ -1210,6 +1266,8 @@ def _golden_files(tmp_path):
         # side mutated at 2 overflows, and the report counts both sides' cosets
         (["verify-mutation", "{bc4}", "2", "--cap", "8"], 1,
          '{\n  "order": null,\n  "strategy": "tower",\n  "cosets_defined": 36,\n  "verdict": "overflow"\n}\n'),
+        # affine G2: a closed class of no finite type, reported and exit 1
+        (["diagram", "class", "{g2affine}"], 1, "size 10\ntype unknown\n"),
     ],
 )
 def test_verdict_reports_are_pinned(tmp_path, capsys, command, code, stdout):

@@ -9,6 +9,7 @@ and a coordinate-to-vector bijection.
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
@@ -19,7 +20,7 @@ from cluster_presents import coset, diagram as diagram_module, dynkin, roots
 from cluster_presents.diagram import _canonical_search
 from cluster_presents.diagram import (Diagram, NotFiniteTypeError, chordless_cycles, diagram_of, mutate_diagram,
                                       mutation_class)
-from cluster_presents.exchange import ExchangeMatrix, _bareiss, _freeze, determinant, mutate_matrix
+from cluster_presents.exchange import ExchangeMatrix, _bareiss, _exchange_matrix, _freeze, determinant, mutate_matrix
 from cluster_presents.presentation import Relation, _relations, full_presentation, mutation_witness_words
 from cluster_presents.roots import (
     CompanionBasis,
@@ -683,6 +684,80 @@ def test_companion_basis_against_the_class(label):
         assert basis.system.label == label
         _assert_constructed_companion(basis, diagram)
         assert _relations_hold(basis, full_presentation(diagram).relations), diagram.edges
+
+
+def _step_candidates(rng, system, basis, matrix, k, new_basis, new_matrix):
+    """(kind, basis, matrix) to check as the step at k from basis and matrix:
+    the step itself, and the step with a changed vector replaced by another
+    root, by a non-root or by a root off the shear, with beta_k replaced, and
+    with an entry altered in row k, a row mutation changed, its other row
+    objects kept."""
+    vectors = list(new_basis.vectors)
+    yield "step", new_basis, new_matrix
+    changed = [g for g, (v, w) in enumerate(zip(vectors, basis.vectors)) if v != w]
+    if changed:
+        g = rng.choice(changed)
+        old, beta = basis.vectors[g], vectors[k]
+        sheared = {tuple(x - c * b for x, b in zip(old, beta)) for c in range(-3, 4)}
+        off = [r for r in system.roots if r not in sheared]
+        for kind, vector in (("another root", rng.choice(system.roots)), ("no root", tuple(2 * x for x in vectors[g])),
+                             ("off the shear", rng.choice(off))):
+            yield kind, CompanionBasis(system, vectors[:g] + [vector] + vectors[g + 1:]), new_matrix
+    others = [r for r in system.roots if r != vectors[k]]
+    yield "beta_k replaced", CompanionBasis(system, vectors[:k] + [rng.choice(others)] + vectors[k + 1:]), new_matrix
+    if system.n > 1:
+        rows = list(new_matrix.entries)
+        assert rows[k] is not matrix.entries[k]  # row k is negated
+        kept = [j for j in range(system.n) if j != k and j not in changed]
+        j = rng.choice(kept or [j for j in range(system.n) if j != k])
+        row = list(rows[k])
+        row[j] += rng.choice((1, -1)) if row[j] else rng.choice((1, -1, 2))
+        rows[k] = tuple(row)
+        yield "row altered", CompanionBasis(system, vectors), _exchange_matrix(tuple(rows), new_matrix.symmetriser)
+
+
+def _compare_steps(label, rng, walks, steps, monkeypatch):
+    """roots._is_companion_step against is_companion_basis, verdict and
+    reason, on every step of seeded walks from the simple roots on the
+    standard seed and on the step's corruptions (_step_candidates).  Returns
+    a count of (kind, outcome); asserts that the full check runs exactly on
+    the fallbacks: beta_k replaced, or a root off the shear with every
+    changed vector a root."""
+    system = build_root_system(label)
+    full = roots.is_companion_basis
+    fallbacks = []
+    monkeypatch.setattr(roots, "is_companion_basis", lambda b, m: fallbacks.append(b) or full(b, m))
+    seen = Counter()
+    for _ in range(walks):
+        basis, matrix = simple_root_basis(system), dynkin.standard_exchange_matrix(label)
+        for _ in range(steps):
+            k = rng.randrange(system.n)
+            new_basis, new_matrix = mutate_companion(basis, k, diagram_of(matrix)), mutate_matrix(matrix, k)
+            for kind, b, m in _step_candidates(rng, system, basis, matrix, k, new_basis, new_matrix):
+                fallbacks.clear()
+                got = roots._is_companion_step(basis, matrix, k, b, m)
+                assert got == full(b, m), (label, kind, basis.vectors, b.vectors, m.entries)
+                if kind in ("step", "no root", "row altered"):
+                    assert not fallbacks, kind
+                elif kind != "another root":
+                    assert len(fallbacks) == 1, kind
+                seen[kind, got[1].split()[0] if got[1] else None] += 1
+            basis, matrix = new_basis, new_matrix
+    return seen
+
+
+@pytest.mark.parametrize("label", RANK_LE7)
+def test_the_step_check_is_the_full_check(label, monkeypatch):
+    seen = _compare_steps(label, random.Random(f"step {label}"), 3, 12, monkeypatch)
+    assert seen["step", None] == 36  # every step of the walks passes
+    kinds = {kind for kind, _ in seen}
+    expected = {"step", "beta_k replaced"} if label == "A1" else \
+        {"step", "another root", "no root", "off the shear", "beta_k replaced", "row altered"}
+    assert kinds == expected, kinds
+    if label != "A1":
+        # an altered row of kept vectors fails as the full check fails; a changed
+        # vector that is no root fails at its root test
+        assert seen["row altered", "companion"] and seen["no root", "vector"]
 
 
 _STAR = Diagram(5, [(0, v, 1) for v in range(1, 5)])  # the affine D4 star
